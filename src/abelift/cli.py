@@ -10,7 +10,6 @@ identical; --timing appends wall-clock data and opts out of that.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -20,13 +19,6 @@ from . import codes, hikes, pseudorandom, search, serial, spectral
 from .graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
                      lift, petersen_graph, random_regular)
 from .groups import AbelianGroup
-
-
-def _workers_default() -> int:
-    env = os.environ.get("ABELIFT_WORKERS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
 
 
 def _meta(args: argparse.Namespace, input_paths: list[str]) -> dict:
@@ -141,7 +133,7 @@ def cmd_lift_search(args) -> int:
         result = search.exponential_regime_build(
             base, args.ell, args.seeds, dprime=args.dprime,
             master_seed=args.master_seed, target=args.target,
-            crosscheck_every=args.crosscheck_every, workers=args.workers)
+            crosscheck_every=args.crosscheck_every)
     else:
         payload = serial.load_json(args.support)
         if isinstance(payload.get("biased_set"), dict):
@@ -151,7 +143,7 @@ def cmd_lift_search(args) -> int:
         group = AbelianGroup.cyclic(args.ell)
         result = search.derandomized_lift_search(
             base, group, dist, target=args.target,
-            crosscheck_every=args.crosscheck_every, workers=args.workers)
+            crosscheck_every=args.crosscheck_every)
     payload = {"meta": _meta(args, inputs), "certificate": result.certificate}
     failed = args.target is not None and not result.certificate["met_target"]
     if failed:
@@ -323,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--target", type=float)
     ls.add_argument("--support", help="biased set JSON for support mode")
     ls.add_argument("--crosscheck-every", type=int, default=50)
-    ls.add_argument("--workers", type=int, default=_workers_default())
     common(ls)
     ls.set_defaults(func=cmd_lift_search)
 

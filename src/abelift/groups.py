@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -117,6 +118,33 @@ class AbelianGroup:
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*[range(m) for m in self.factors])]
 
+    def element_indices(self, values) -> np.ndarray:
+        """Position in elements() of each exponent row of `values`."""
+        return np.ravel_multi_index(tuple(np.asarray(values).T), self.factors)
+
+    @cached_property
+    def _char_columns(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def char_table(self, idx) -> np.ndarray:
+        """Columns `idx` of the |H| x |H| character table.
+
+        Entry [c, j] is char_value(characters()[c], elements()[idx[j]]).
+        Each column is filled by char_value itself on first use and kept
+        with the group, so entries are bit-identical to char_value, a group
+        makes at most |H|^2 char_value calls, and only the columns of
+        elements in use are stored.
+        """
+        cols = self._char_columns
+        for j in map(int, idx):
+            if j not in cols:
+                g = np.unravel_index(j, self.factors)
+                col = np.array([self.char_value(chi, g)
+                                for chi in self.characters()])
+                col.setflags(write=False)
+                cols[j] = col
+        return np.stack([cols[int(j)] for j in idx], axis=1)
+
     def char_value(self, chi: Sequence[int], g: Sequence[int]) -> complex:
         """chi(g) = exp(2*pi*i * sum_j chi_j g_j / m_j)."""
         chi = _validate_element(self.factors, chi)
@@ -172,17 +200,13 @@ class AbelianGroup:
         (hence regular) abelian action every character appears once.
         """
         ell = self.fiber_size
-        elems = self.elements()
-        fixes = []
-        for g in elems:
-            perm = self.perm_of(g)
-            fixes.append(int(np.sum(perm == np.arange(ell))))
+        fixes = np.array([int(np.sum(self.perm_of(g) == np.arange(ell)))
+                          for g in self.elements()], dtype=np.int64)
+        fixed = np.flatnonzero(fixes)  # only fixing elements contribute
+        accs = np.conj(self.char_table(fixed)) @ fixes[fixed]
         out = {}
         order = self.order
-        for chi in self.characters():
-            acc = 0.0 + 0.0j
-            for g, fx in zip(elems, fixes):
-                acc += np.conj(self.char_value(chi, g)) * fx
+        for chi, acc in zip(self.characters(), accs):
             mult = acc / order
             if abs(mult.imag) > 1e-9 or abs(mult.real - round(mult.real)) > 1e-9:
                 raise ArithmeticError("non-integer character multiplicity")

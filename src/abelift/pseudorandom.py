@@ -186,7 +186,10 @@ def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence,
                   max_attempts: int = 256) -> tuple[RegularGraph, float]:
     from .spectral import lambda2
     bound = AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1)
-    for child in seed_seq.spawn(max_attempts):
+    for _ in range(max_attempts):
+        # spawning one child per attempt yields the same children, in order,
+        # as spawn(max_attempts) without building the unused ones
+        child, = seed_seq.spawn(1)
         g = random_regular_dense(ell, d_eff, np.random.default_rng(child))
         lam = lambda2(g)
         if lam <= bound:

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serial
-from .graphs import RegularGraph, Signing, lift
+from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .hikes import count_bounds
-from .pseudorandom import BiasedSet, WalkSigning, expander_walk_signing
-from .spectral import (adjacency_spectrum, lambda2, lift_lambda,
-                       multiset_max_distance, signed_adjacency)
+from .pseudorandom import BiasedSet, expander_walk_signing
+from .spectral import lambda2, lift_lambda, spectrum_union_check
 
 CERT_SCHEMA = "abelift.lift-certificate.v1"
 CROSSCHECK_TOL = 1e-8
@@ -55,40 +53,44 @@ def _support_rows(support) -> np.ndarray:
     return rows
 
 
-def _eval_candidate(base: RegularGraph, group: AbelianGroup, row: np.ndarray,
-                    lam_base: float) -> tuple[float, list[float]]:
-    signing = Signing(base, group, row.reshape(-1, 1))
-    rhos = []
-    for chi in group.characters():
-        if all(c == 0 for c in chi):
-            continue
-        mat = signed_adjacency(signing, chi).matrix
-        rhos.append(float(np.abs(np.linalg.eigvalsh(mat)).max()))
-    lam = max([lam_base] + rhos)
-    return lam, rhos
-
-
-def _crosscheck(base, group, row) -> float:
-    signing = Signing(base, group, row.reshape(-1, 1))
-    lifted = lift(base, signing, allow_disconnected=True)
-    parts = []
-    for chi, mult in group.character_multiplicities().items():
-        if mult == 0:
-            continue
-        eigs = np.linalg.eigvalsh(signed_adjacency(signing, chi).matrix)
-        parts.append(np.tile(eigs, mult))
-    dist = multiset_max_distance(adjacency_spectrum(lifted),
-                                 np.concatenate(parts))
+def _crosscheck(signing: Signing) -> float:
+    dist = spectrum_union_check(
+        signing, CROSSCHECK_TOL,
+        include_nonbacktracking=False).adjacency_distance
     if dist > CROSSCHECK_TOL:
         raise RuntimeError(
             f"character decomposition disagrees with a built lift ({dist:.3e})")
     return dist
 
 
+def _scan(candidates, evaluate, target, crosscheck_every):
+    """Evaluate candidates in order and keep the first with the least lambda.
+
+    evaluate(candidate) gives (signing, lambda, radii).  The scan stops
+    after the first candidate meeting `target`; every crosscheck_every-th
+    candidate has its character decomposition checked against a built lift.
+    Returns ((index, candidate, lambda, radii) of the winner, candidates
+    evaluated, crosschecks run, largest crosscheck distance).
+    """
+    best = None
+    evaluated = checks = 0
+    max_check_dist = 0.0
+    for i, cand in enumerate(candidates):
+        signing, lam, rhos = evaluate(cand)
+        evaluated += 1
+        if crosscheck_every and i % crosscheck_every == 0:
+            max_check_dist = max(max_check_dist, _crosscheck(signing))
+            checks += 1
+        if best is None or lam < best[2]:
+            best = (i, cand, lam, rhos)
+        if target is not None and lam <= target:
+            break
+    return best, evaluated, checks, max_check_dist
+
+
 def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
                              target: float | None = None,
-                             crosscheck_every: int = 50,
-                             workers: int = 1) -> SearchResult:
+                             crosscheck_every: int = 50) -> SearchResult:
     """Scan signings drawn from a support, in row order, for small lambda.
 
     Stops at the first candidate meeting `target` when one is given,
@@ -107,39 +109,16 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
         raise ValueError("support rows must have one exponent per edge")
     t0 = time.perf_counter()
     lam_base = lambda2(base)
-    n_rows = rows.shape[0]
 
-    def task(i):
-        return _eval_candidate(base, group, rows[i], lam_base)
+    def evaluate(signing):
+        lam, _, rhos = lift_lambda(signing, lam_base)
+        return signing, lam, rhos
 
-    best_idx, best_lam, best_rhos = -1, math.inf, []
-    checks = 0
-    max_check_dist = 0.0
-    stop = False
-    chunk = max(1, 4 * max(1, workers))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for lo in range(0, n_rows, chunk):
-            idxs = range(lo, min(lo + chunk, n_rows))
-            results = pool.map(task, idxs) if pool else map(task, idxs)
-            for i, (lam, rhos) in zip(idxs, results):
-                if crosscheck_every and i % crosscheck_every == 0:
-                    max_check_dist = max(max_check_dist,
-                                         _crosscheck(base, group, rows[i]))
-                    checks += 1
-                if lam < best_lam:
-                    best_idx, best_lam, best_rhos = i, lam, rhos
-                if target is not None and lam <= target:
-                    stop = True
-                    break
-            if stop:
-                break
-    finally:
-        if pool:
-            pool.shutdown()
+    candidates = (Signing(base, group, row.reshape(-1, 1)) for row in rows)
+    best, evaluated, checks, max_check_dist = _scan(
+        candidates, evaluate, target, crosscheck_every)
+    best_idx, signing, best_lam, best_rhos = best
     runtime = time.perf_counter() - t0
-    signing = Signing(base, group, rows[best_idx].reshape(-1, 1))
-    evaluated = (best_idx + 1) if stop else n_rows
     provenance = {"kind": "biased-support"}
     if isinstance(support, BiasedSet):
         provenance["dist"] = support.to_json()
@@ -155,8 +134,7 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
 def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
                              dprime: int = 36, master_seed: int = 0,
                              target: float | None = None,
-                             crosscheck_every: int = 50,
-                             workers: int = 1) -> SearchResult:
+                             crosscheck_every: int = 50) -> SearchResult:
     """Draw expander-walk signings and keep the spectrally best lift.
 
     Walk i is replayable from the pair seed (master_seed, i); the
@@ -169,41 +147,19 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     group = AbelianGroup.cyclic(ell)
     lam_base = lambda2(base)
 
-    def task(i):
-        ws = expander_walk_signing(base, ell, dprime, seed=(master_seed, i))
-        lam, _, rhos = lift_lambda(ws.signing)
-        return ws, lam, rhos
+    def evaluate(ws):
+        # evaluated against the driver's group, whose character table is
+        # then filled once per search rather than once per walk
+        signing = Signing(base, group, ws.signing.values)
+        lam, _, rhos = lift_lambda(signing, lam_base)
+        return signing, lam, rhos
 
-    best: tuple[int, WalkSigning, float, list[float]] | None = None
-    checks = 0
-    max_check_dist = 0.0
-    evaluated = 0
-    stop = False
-    chunk = max(1, 4 * max(1, workers))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for lo in range(0, seeds, chunk):
-            idxs = range(lo, min(lo + chunk, seeds))
-            results = pool.map(task, idxs) if pool else map(task, idxs)
-            for i, (ws, lam, rhos) in zip(idxs, results):
-                evaluated += 1
-                if crosscheck_every and i % crosscheck_every == 0:
-                    max_check_dist = max(
-                        max_check_dist,
-                        _crosscheck(base, group, ws.signing.values[:, 0]))
-                    checks += 1
-                if best is None or lam < best[2]:
-                    best = (i, ws, lam, rhos)
-                if target is not None and lam <= target:
-                    stop = True
-                    break
-            if stop:
-                break
-    finally:
-        if pool:
-            pool.shutdown()
-    runtime = time.perf_counter() - t0
+    walks = (expander_walk_signing(base, ell, dprime, seed=(master_seed, i))
+             for i in range(seeds))
+    best, evaluated, checks, max_check_dist = _scan(
+        walks, evaluate, target, crosscheck_every)
     idx, ws, lam, rhos = best
+    runtime = time.perf_counter() - t0
     ref = reference_lambda(base.d)
     provenance = {
         "kind": "expander-walk",
@@ -247,14 +203,35 @@ def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
 
 def verify_certificate(cert: dict, tol: float = 1e-9,
                        check_lift: bool | None = None) -> dict:
-    """Recompute a certificate's spectral claims from its own payload."""
+    """Recompute a certificate's spectral claims from its own payload.
+
+    Besides the recomputed errors, the certificate's bookkeeping must hold:
+    one radius per nontrivial character, met_target equal to
+    lambda_lift <= target (None without a target), and a winner_index
+    among the candidates_evaluated.  Each violated rule is named
+    under "invalid" with ok false.
+    """
     base = RegularGraph.from_json(cert["base"])
     group = AbelianGroup.from_json(cert["group"])
     signing = Signing(base, group, np.asarray(cert["signing"]))
     lam, lam_base, rhos = lift_lambda(signing)
-    rho_err = (max(abs(a - b) for a, b in
-                   zip(sorted(rhos), sorted(cert["per_character_rho"])))
-               if rhos else 0.0)
+    invalid = {}
+    claimed = cert["per_character_rho"]
+    if len(claimed) == len(rhos):
+        rho_err = max((abs(a - b) for a, b in
+                       zip(sorted(rhos), sorted(claimed))), default=0.0)
+    else:
+        rho_err = None
+        invalid["per_character_rho"] = (
+            f"{len(claimed)} radii, expected {len(rhos)}")
+    target = cert["target"]
+    met = None if target is None else bool(cert["lambda_lift"] <= target)
+    if cert["met_target"] is not met:
+        invalid["met_target"] = f"{cert['met_target']!r}, expected {met!r}"
+    winner, evaluated = cert["winner_index"], cert["candidates_evaluated"]
+    if not 0 <= winner < evaluated:
+        invalid["candidates_evaluated"] = (
+            f"{evaluated} evaluated cannot include winner_index {winner}")
     lam_err = abs(lam - cert["lambda_lift"])
     base_err = abs(lam_base - cert["lambda_base"])
     hash_ok = base.content_hash() == cert["base_hash"]
@@ -262,20 +239,18 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     if check_lift is None:
         check_lift = base.n * group.fiber_size <= 1024
     if check_lift:
-        lifted = lift(base, signing, allow_disconnected=True)
-        parts = []
-        for chi, mult in group.character_multiplicities().items():
-            if mult == 0:
-                continue
-            eigs = np.linalg.eigvalsh(signed_adjacency(signing, chi).matrix)
-            parts.append(np.tile(eigs, mult))
-        lift_dist = multiset_max_distance(adjacency_spectrum(lifted),
-                                          np.concatenate(parts))
-    ok = (hash_ok and rho_err <= tol and lam_err <= tol and base_err <= tol
+        lift_dist = spectrum_union_check(
+            signing, CROSSCHECK_TOL,
+            include_nonbacktracking=False).adjacency_distance
+    ok = (not invalid and hash_ok and rho_err <= tol and lam_err <= tol
+          and base_err <= tol
           and (lift_dist is None or lift_dist <= CROSSCHECK_TOL))
-    return {"ok": bool(ok), "hash_ok": hash_ok, "lambda_error": lam_err,
-            "lambda_base_error": base_err, "rho_error": rho_err,
-            "lift_union_distance": lift_dist}
+    report = {"ok": bool(ok), "hash_ok": hash_ok, "lambda_error": lam_err,
+              "lambda_base_error": base_err, "rho_error": rho_err,
+              "lift_union_distance": lift_dist}
+    if invalid:
+        report["invalid"] = invalid
+    return report
 
 
 def markov_bound_report(base: RegularGraph, dist: BiasedSet, k: int,

@@ -18,6 +18,9 @@ from .graphs import (MAX_DENSE_DIM, RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking)
 
 _HUNGARIAN_CAP = 3000
+# Largest (characters, n, n) complex128 operator stack built at once; the
+# characters of a larger group are solved in chunks that fit.
+STACK_BYTES = 1 << 24
 
 
 def adjacency_spectrum(G: RegularGraph) -> np.ndarray:
@@ -93,15 +96,32 @@ def multiset_max_distance(a, b) -> float:
 # character decomposition of a lift spectrum
 # ---------------------------------------------------------------------------
 
-def character_spectra(signing: Signing) -> list[tuple[tuple[int, ...], int, np.ndarray]]:
-    """(character, multiplicity, signed adjacency spectrum) per character."""
-    mults = signing.group.character_multiplicities()
-    out = []
-    for chi, mult in mults.items():
-        if mult == 0:
-            continue
-        eigs = np.linalg.eigvalsh(signed_adjacency(signing, chi).matrix)
-        out.append((chi, mult, eigs))
+def character_eigvalsh(signing: Signing, chars) -> np.ndarray:
+    """Ascending spectra of the signed adjacencies A(chi), one row for each
+    index into signing.group.characters() listed in `chars`.
+
+    Entries come from the group's character table, so every operator equals
+    signed_adjacency(signing, chi).matrix exactly.  The operators are
+    scattered into (C, n, n) stacks of at most STACK_BYTES (one operator at
+    least), each solved by one batched eigvalsh.
+    """
+    base, group = signing.base, signing.group
+    n = base.n
+    chars = np.asarray(chars, dtype=np.int64)
+    u, v = np.asarray(base.edges).T
+    cols, edge_col = np.unique(group.element_indices(signing.values),
+                               return_inverse=True)
+    table = group.char_table(cols)
+    per = max(1, STACK_BYTES // (16 * n * n))
+    out = np.empty((chars.size, n))
+    # every chunk writes the same edge positions, so one zeroed buffer serves
+    stack = np.zeros((min(per, chars.size), n, n), dtype=np.complex128)
+    for lo in range(0, chars.size, per):
+        vals = table[np.ix_(chars[lo:lo + per], edge_col)]
+        k = vals.shape[0]
+        stack[:k, u, v] = vals
+        stack[:k, v, u] = vals.conj()
+        out[lo:lo + k] = np.linalg.eigvalsh(stack[:k])
     return out
 
 
@@ -120,12 +140,13 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     Checks the adjacency operator always and the non-backtracking operator
     when its lifted dimension fits the dense cap (or as requested).
     """
-    base = signing.base
-    lifted = lift(base, signing, allow_disconnected=True)
-    lift_eigs = adjacency_spectrum(lifted)
-    union = np.concatenate([np.tile(eigs, mult)
-                            for _, mult, eigs in character_spectra(signing)])
-    adj_dist = multiset_max_distance(lift_eigs, union)
+    lifted = lift(signing.base, signing, allow_disconnected=True)
+    mults = signing.group.character_multiplicities()
+    counts = np.fromiter(mults.values(), dtype=np.int64, count=len(mults))
+    chars = np.flatnonzero(counts)
+    union = np.repeat(character_eigvalsh(signing, chars), counts[chars],
+                      axis=0)
+    adj_dist = multiset_max_distance(adjacency_spectrum(lifted), union)
 
     nb_dist = None
     nb_dim = 2 * lifted.m
@@ -134,7 +155,7 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     if include_nonbacktracking:
         lift_nb_eigs = np.linalg.eigvals(nonbacktracking(lifted))
         parts = []
-        for chi, mult in signing.group.character_multiplicities().items():
+        for chi, mult in mults.items():
             if mult == 0:
                 continue
             eigs = np.linalg.eigvals(signed_nonbacktracking(signing, chi).matrix)
@@ -145,21 +166,19 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     return UnionReport(adj_dist, nb_dist, tol, passed)
 
 
-def lift_lambda(signing: Signing) -> tuple[float, float, list[float]]:
+def lift_lambda(signing: Signing, lam_base: float | None = None
+                ) -> tuple[float, float, list[float]]:
     """(lambda of the lift, lambda of the base, per-nontrivial-character radii).
 
-    Uses the character decomposition, so no lifted matrix is built.
+    Uses the character decomposition, so no lifted matrix is built.  A
+    search evaluating many signings of one base passes lambda2(base) once
+    as `lam_base`.
     """
-    base = signing.base
-    lam_base = lambda2(base)
-    rhos = []
-    for chi in signing.group.characters():
-        if all(c == 0 for c in chi):
-            continue
-        mat = signed_adjacency(signing, chi).matrix
-        rhos.append(float(np.abs(np.linalg.eigvalsh(mat)).max()))
-    lam = max([lam_base] + rhos) if rhos else lam_base
-    return lam, lam_base, rhos
+    if lam_base is None:
+        lam_base = lambda2(signing.base)
+    eigs = character_eigvalsh(signing, np.arange(1, signing.group.order))
+    rhos = [float(r) for r in np.abs(eigs).max(axis=1)]
+    return max([lam_base] + rhos), lam_base, rhos
 
 
 # ---------------------------------------------------------------------------

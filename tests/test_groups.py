@@ -100,6 +100,16 @@ def test_free_and_multiplicities():
     assert mults[(0,)] == 2 and mults[(1,)] == 2
 
 
+def test_char_table_and_element_indices_follow_elements_order():
+    group = AbelianGroup.product([2, 3, 4])
+    elems = group.elements()
+    assert np.array_equal(group.element_indices(elems), np.arange(24))
+    table = group.char_table([5, 0, 23, 5])
+    for c, chi in enumerate(group.characters()):
+        for j, g in enumerate([5, 0, 23, 5]):
+            assert table[c, j] == group.char_value(chi, elems[g])
+
+
 def test_json_roundtrip_is_one_based():
     payload = Z6.to_json()
     assert payload["factors"] == [6]

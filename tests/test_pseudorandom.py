@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from abelift.graphs import RegularGraph, cycle_graph
-from abelift.pseudorandom import (BiasedSet, bias_exact, bias_sampled,
+from abelift.graphs import RegularGraph, cycle_graph, random_regular_dense
+from abelift.pseudorandom import (BiasedSet, _aux_expander, bias_exact,
+                                  bias_sampled,
                                   biased_set_search, effective_walk_degree,
                                   expander_walk_signing, hoeffding_tail_check)
 
@@ -131,6 +132,21 @@ def test_walk_signing_reproducible_and_certified():
     cert = a.certificate()
     assert cert["aux_hash"] == a.aux.content_hash()
     assert cert["kind"] == "expander-walk"
+
+
+def test_aux_expander_children_are_spawned_lazily_in_bulk_order():
+    # one child spawned per attempt must replay spawn(256)[:k] exactly
+    lazy = np.random.SeedSequence([7, 3])
+    bulk = np.random.SeedSequence([7, 3]).spawn(256)
+    for k in range(8):
+        child, = lazy.spawn(1)
+        assert child.spawn_key == bulk[k].spawn_key
+        assert np.array_equal(child.generate_state(4),
+                              bulk[k].generate_state(4))
+    aux, _ = _aux_expander(16, 14, np.random.SeedSequence(11))
+    first_child = np.random.SeedSequence(11).spawn(256)[0]
+    first = random_regular_dense(16, 14, np.random.default_rng(first_child))
+    assert np.array_equal(aux.adj, first.adj)
 
 
 def test_walk_on_single_edge_base_is_just_the_start():

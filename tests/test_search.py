@@ -87,6 +87,34 @@ def test_certificates_are_sound_and_deterministic():
     assert not verify_certificate(tampered)["ok"]
 
 
+def test_verify_requires_one_radius_per_nontrivial_character():
+    base = complete_graph(4)
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(4),
+                                   _all_rows(4, 6)[:40])
+    report = verify_certificate(res.certificate)
+    assert report["ok"] and "invalid" not in report
+    for radii in ([min(res.certificate["per_character_rho"])], []):
+        cut = dict(res.certificate, per_character_rho=radii)
+        report = verify_certificate(cut)
+        assert not report["ok"]
+        assert report["rho_error"] is None
+        assert report["invalid"] == {
+            "per_character_rho": f"{len(radii)} radii, expected 3"}
+
+
+def test_verify_rederives_met_target_and_bounds_evaluated():
+    base = random_regular(10, 3, seed=2)
+    cert = exponential_regime_build(base, 8, seeds=6,
+                                    master_seed=1).certificate
+    forged = dict(cert, target=0.1, met_target=True, candidates_evaluated=-5)
+    report = verify_certificate(forged)
+    assert not report["ok"]
+    assert set(report["invalid"]) == {"met_target", "candidates_evaluated"}
+    assert not verify_certificate(dict(cert, met_target=False))["ok"]
+    honest = dict(cert, target=0.1, met_target=False)
+    assert verify_certificate(honest)["ok"]
+
+
 def test_decomposition_matches_built_lift_on_the_winner():
     base = complete_graph(4)
     group = AbelianGroup.cyclic(3)

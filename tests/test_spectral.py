@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from abelift import spectral
 from abelift.graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
-                            disjoint_union, nonbacktracking, petersen_graph,
-                            random_regular, signed_adjacency)
+                            disjoint_union, lift, nonbacktracking,
+                            petersen_graph, random_regular, signed_adjacency)
 from abelift.groups import AbelianGroup
 from abelift.spectral import (adjacency_spectrum, boolean_rayleigh_max,
-                              ihara_check, lambda2, lambda2_signed,
+                              character_eigvalsh, ihara_check, lambda2,
+                              lambda2_signed,
                               lift_lambda, mixing_check, multiset_max_distance,
                               nb_eigenvector_transport, nb_radius_nontrivial,
                               spectral_radius, spectrum_union_check)
@@ -77,7 +80,6 @@ def test_union_check_product_group():
 
 
 def test_lift_lambda_matches_direct_computation():
-    from abelift.graphs import lift
     base = complete_graph(4)
     sg = Signing.random(base, AbelianGroup.cyclic(4), seed=8)
     lam, lam_base, rhos = lift_lambda(sg)
@@ -85,6 +87,80 @@ def test_lift_lambda_matches_direct_computation():
     assert lam == pytest.approx(lambda2(lifted), abs=1e-9)
     assert lam_base == pytest.approx(1.0, abs=1e-12)
     assert len(rhos) == 3  # one radius per nontrivial character
+
+
+# Z2 x Z2 where both generators swap fiber points 0 and 1 and fix 2 and 3:
+# not transitive, and characters (0, 1), (1, 0) have multiplicity zero
+_NON_TRANSITIVE = AbelianGroup((2, 2), ((1, 0, 2, 3), (1, 0, 2, 3)))
+
+
+def _reference_spectra(signing):
+    """The per-character loop the batched engine must reproduce exactly."""
+    return np.array([np.linalg.eigvalsh(signed_adjacency(signing, chi).matrix)
+                     for chi in signing.group.characters()])
+
+
+@pytest.mark.parametrize("group", [
+    AbelianGroup.cyclic(2), AbelianGroup.cyclic(3), AbelianGroup.cyclic(16),
+    AbelianGroup.product([2, 4]), _NON_TRANSITIVE],
+    ids=["Z2", "Z3", "Z16", "Z2xZ4", "non-transitive"])
+def test_batched_spectra_equal_the_per_character_loop(group):
+    base = random_regular(12, 3, seed=4)
+    sg = Signing.random(base, group, seed=5)
+    ref = _reference_spectra(sg)
+    assert np.array_equal(character_eigvalsh(sg, np.arange(group.order)), ref)
+
+    lam, lam_base, rhos = lift_lambda(sg)
+    assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
+    assert lam_base == lambda2(base)
+    assert lam == max([lam_base] + rhos)
+    assert lift_lambda(sg, lam_base) == (lam, lam_base, rhos)
+
+    mults = group.character_multiplicities()
+    union = np.concatenate([np.tile(eigs, mults[chi]) for chi, eigs
+                            in zip(group.characters(), ref) if mults[chi]])
+    lifted = lift(base, sg, allow_disconnected=True)
+    rep = spectrum_union_check(sg, include_nonbacktracking=False)
+    assert rep.adjacency_distance == multiset_max_distance(
+        adjacency_spectrum(lifted), union)
+    assert rep.passed
+
+
+def test_non_transitive_group_has_zero_multiplicity_characters():
+    mults = _NON_TRANSITIVE.character_multiplicities()
+    assert mults == {(0, 0): 3, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+
+
+def test_chunked_stacks_equal_one_stack(monkeypatch):
+    base = random_regular(12, 3, seed=4)
+    sg = Signing.random(base, AbelianGroup.cyclic(16), seed=6)
+    whole = character_eigvalsh(sg, np.arange(16))
+    # three operators per stack: chunks of 3, 3, 3, 3, 3 and 1
+    monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 16 * base.n ** 2 + 1)
+    assert np.array_equal(character_eigvalsh(sg, np.arange(16)), whole)
+    assert np.array_equal(whole, _reference_spectra(sg))
+
+
+def test_large_group_peak_memory_stays_within_the_stack_cap():
+    base = random_regular(24, 3, seed=1)
+    group = AbelianGroup.cyclic(4096)
+    sg = Signing.random(base, group, seed=2)
+    # one stack of all characters would take 2.25 times the cap
+    assert group.order * base.n ** 2 * 16 > 2 * spectral.STACK_BYTES
+    rhos = lift_lambda(sg)[2]  # fills the table columns, untraced for speed
+    tracemalloc.start()
+    try:
+        assert lift_lambda(sg)[2] == rhos
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack: the table columns in use, each chunk's edge values, the output
+    assert peak <= spectral.STACK_BYTES + (8 << 20)
+    assert len(rhos) == group.order - 1
+    for c in (1, 2047, 4095):
+        chi = group.characters()[c]
+        mat = signed_adjacency(sg, chi).matrix
+        assert rhos[c - 1] == float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
 def test_nb_perron_root_is_degree_minus_one():
