@@ -314,24 +314,6 @@ class Signing:
         return Signing(base, group, values)
 
 
-def action_is_transitive(group: AbelianGroup,
-                         elements: Iterable[tuple[int, ...]]) -> bool:
-    """Do the given elements generate a transitive action on the fiber?"""
-    ell = group.fiber_size
-    perms = [group.perm_of(g) for g in elements]
-    invs = [np.argsort(p) for p in perms]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for p in perms + invs:
-            y = int(p[x])
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == ell
-
-
 def lift(base: RegularGraph, signing: Signing,
          allow_disconnected: bool = False) -> RegularGraph:
     """Build the fiber-product graph of a signing.
@@ -345,8 +327,8 @@ def lift(base: RegularGraph, signing: Signing,
     group = signing.group
     ell = group.fiber_size
     if not allow_disconnected:
-        if not action_is_transitive(group, [signing.element(e)
-                                            for e in range(base.m)]):
+        if not group.is_transitive([signing.element(e)
+                                    for e in range(base.m)]):
             raise ValueError(
                 "signing generates a non-transitive action; the lift would "
                 "be disconnected (pass allow_disconnected=True to override)")
@@ -451,9 +433,8 @@ def girth(graph_or_adj) -> int | float:
     return best
 
 
-def ball_excess(rows: list[list[int]], root: int, radius: int) -> int:
-    """Edges minus vertices of the radius-r ball around root."""
-    n = len(rows)
+def _ball(rows: list[list[int]], root: int, radius: int) -> dict[int, int]:
+    """Distance from root of every vertex within radius, by BFS."""
     dist = {root: 0}
     queue = [root]
     head = 0
@@ -466,13 +447,18 @@ def ball_excess(rows: list[list[int]], root: int, radius: int) -> int:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
-    n_vertices = len(dist)
+    return dist
+
+
+def ball_excess(rows: list[list[int]], root: int, radius: int) -> int:
+    """Edges minus vertices of the radius-r ball around root."""
+    ball = _ball(rows, root, radius)
     n_edges = 0
-    for x in dist:
+    for x in ball:
         for y in rows[x]:
-            if y in dist and y > x:
+            if y in ball and y > x:
                 n_edges += 1
-    return n_edges - n_vertices
+    return n_edges - len(ball)
 
 
 def bicycle_free_radius(graph_or_adj) -> int | float:

@@ -28,6 +28,17 @@ def _validate_element(factors: tuple[int, ...], g: Sequence[int]) -> tuple[int, 
     return g
 
 
+def _perm_power(perm: np.ndarray, exp: int) -> np.ndarray:
+    """perm applied exp times, by repeated squaring."""
+    out = np.arange(perm.size)
+    while exp:
+        if exp & 1:
+            out = perm[out]
+        perm = perm[perm]
+        exp >>= 1
+    return out
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """Z_m1 x ... x Z_mk together with a permutation action on [fiber_size]."""
@@ -49,11 +60,8 @@ class AbelianGroup:
         # each generator must have order dividing its factor, and the
         # generators must commute, otherwise the exponent arithmetic lies
         for p, m in zip(self.generator_perms, self.factors):
-            q = np.arange(ell)
-            arr = np.asarray(p)
-            for _ in range(m):
-                q = arr[q]
-            if not np.array_equal(q, np.arange(ell)):
+            if not np.array_equal(_perm_power(np.asarray(p), m),
+                                  np.arange(ell)):
                 raise ValueError("generator order does not divide its factor")
         for i in range(len(self.generator_perms)):
             a = np.asarray(self.generator_perms[i])
@@ -159,24 +167,29 @@ class AbelianGroup:
     def perm_of(self, g: Sequence[int]) -> np.ndarray:
         """Permutation of the fiber induced by g (as an index map)."""
         g = _validate_element(self.factors, g)
-        ell = self.fiber_size
-        out = np.arange(ell)
+        out = np.arange(self.fiber_size)
         for exp, p in zip(g, self.generator_perms):
-            arr = np.asarray(p)
-            for _ in range(exp):
-                out = arr[out]
+            out = _perm_power(np.asarray(p), exp)[out]
         return out
 
-    def is_transitive(self) -> bool:
-        """Does the action reach every fiber point from point 0?"""
+    def is_transitive(self, elements: Iterable[Sequence[int]] | None = None
+                      ) -> bool:
+        """Does the action reach every fiber point from point 0?
+
+        The orbit is taken under the generators, or under the permutations
+        of `elements` (the subgroup they generate) when given.
+        """
         ell = self.fiber_size
         seen = {0}
         frontier = [0]
-        gens = [np.asarray(p) for p in self.generator_perms]
-        invs = [np.argsort(p) for p in gens]
+        if elements is None:
+            perms = [np.asarray(p) for p in self.generator_perms]
+        else:
+            perms = [self.perm_of(g) for g in elements]
+        invs = [np.argsort(p) for p in perms]
         while frontier:
             x = frontier.pop()
-            for p in gens + invs:
+            for p in perms + invs:
                 y = int(p[x])
                 if y not in seen:
                     seen.add(y)

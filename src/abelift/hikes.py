@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
-from .graphs import RegularGraph, bicycle_free_radius
+from .graphs import RegularGraph, _ball, bicycle_free_radius
+
+
+HIKE_BUDGET_BYTES = 2 << 30
 
 
 class DecodeError(ValueError):
@@ -370,7 +373,10 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     if k < 1:
         raise ValueError("k must be >= 1")
     states = G.n * G.d * max(1, (G.d - 1)) ** (2 * k - 1)
-    if states > 2 * 10 ** 7 or states * G.m > 2 * 10 ** 8:
+    # the frontier bytes of an unblocked count: a budget on the count's
+    # work, since its blocks keep memory near kernels.BLOCK_BYTES
+    frontier_bytes = states * G.m * kernels.HIKE_STATE_EDGE_BYTES
+    if states > 2 * 10 ** 7 or frontier_bytes > HIKE_BUDGET_BYTES:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
     if return_walks:
         walks = list(_iter_hikes(G, k, singleton_free_only))
@@ -394,19 +400,7 @@ class HikeEncoding:
 
 def _ball_cycle(rows: list[list[int]], root: int, radius: int):
     """Vertex set and the unique cycle (if any) of the radius-r ball."""
-    dist = {root: 0}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        if dist[x] == radius:
-            continue
-        for y in rows[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    inside = set(dist)
+    inside = set(_ball(rows, root, radius))
     deg = {v: sum(1 for y in rows[v] if y in inside) for v in inside}
     n_edges = sum(deg.values()) // 2
     if n_edges - len(inside) > 0:

@@ -1,122 +1,35 @@
-"""Hot enumeration kernels, jitted when numba is available.
+"""Exhaustive enumeration kernels behind the certificates.
 
-Each public function dispatches between a numba build of the tight loop
-and a pure numpy/python fallback.  Set ABELIFT_NO_NUMBA=1 to force the
-fallback; benchmarks/bench_kernels.py times both paths on the same
-inputs.  The two implementations are interchangeable and the test suite
-compares them.
+Four exact scans, one numpy implementation each: closed hike counts for
+the trace-method bound, the minimum weight of an affine F2 space for code
+distance, the boolean Rayleigh quotient for expander mixing, and the
+maximum nontrivial character bias of a signing support.  The hike, mask
+and character scans run in blocks sized by BLOCK_BYTES (a block's whole
+hike frontier, or its largest array of masks or characters), so their
+memory does not grow with the scan.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_FALLBACK = os.environ.get("ABELIFT_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on")
+IMPL = "python"  # implementation name, recorded in benchmark environment blocks
 
-try:
-    if _FORCE_FALLBACK:
-        raise ImportError("numba disabled via ABELIFT_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-IMPL = "numba" if HAVE_NUMBA else "python"
-
-# SWAR popcount constants (uint64 to keep numba arithmetic unsigned)
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
-
-
-def _popcount_word(x):
-    x = x - ((x >> _S1) & _M1)
-    x = (x & _M2) + ((x >> _S2) & _M2)
-    x = (x + (x >> _S4)) & _M4
-    return (x * _H01) >> _S56
-
-
-if HAVE_NUMBA:
-    _popcount_word = njit(cache=True)(_popcount_word)
+BLOCK_BYTES = 32 << 20
+# Peak bytes of the hike frontier per base edge and per walk state, with
+# d (d-1)^(2k-1) states per start vertex: an int16 edge-count row per walk
+# prefix, held in three generations at the last step, plus index vectors.
+# Measured with tracemalloc at 10.6 on cubic graphs.
+HIKE_STATE_EDGE_BYTES = 11
 
 
 # ---------------------------------------------------------------------------
 # closed non-backtracking walk counting
 # ---------------------------------------------------------------------------
 
-def _count_hikes_loop(adj, eid, n_edges, two_k, exempt, singleton_free,
-                      start_lo, start_hi):
-    n, d = adj.shape
-    total = 0
-    walk = np.empty(two_k + 1, dtype=np.int64)
-    choice = np.empty(two_k + 1, dtype=np.int64)
-    ecount = np.empty(n_edges, dtype=np.int64)
-    for v0 in range(start_lo, start_hi):
-        walk[0] = v0
-        for i in range(n_edges):
-            ecount[i] = 0
-        singles = 0
-        p = 1
-        choice[1] = 0
-        while p >= 1:
-            if choice[p] >= d:
-                p -= 1
-                if p >= 1:
-                    e = eid[walk[p - 1], choice[p]]
-                    ecount[e] -= 1
-                    if ecount[e] == 1:
-                        singles += 1
-                    elif ecount[e] == 0:
-                        singles -= 1
-                    choice[p] += 1
-                continue
-            u = walk[p - 1]
-            w = adj[u, choice[p]]
-            if p >= 2 and p != exempt and w == walk[p - 2]:
-                choice[p] += 1
-                continue
-            e = eid[u, choice[p]]
-            ecount[e] += 1
-            if ecount[e] == 1:
-                singles += 1
-            elif ecount[e] == 2:
-                singles -= 1
-            walk[p] = w
-            if p == two_k:
-                if w == v0 and (not singleton_free or singles == 0):
-                    total += 1
-                ecount[e] -= 1
-                if ecount[e] == 1:
-                    singles += 1
-                elif ecount[e] == 0:
-                    singles -= 1
-                choice[p] += 1
-            else:
-                p += 1
-                choice[p] = 0
-    return total
-
-
-def _count_hikes_np(adj, eid, n_edges, two_k, exempt, singleton_free,
-                    start_lo, start_hi):
-    """Vectorized frontier expansion over walk prefixes."""
-    n, d = adj.shape
+def _count_hikes_block(adj, eid, n_edges, two_k, exempt, singleton_free,
+                       start_lo, start_hi):
+    """Vectorized frontier expansion over the walk prefixes of some starts."""
+    d = adj.shape[1]
     start = np.arange(start_lo, start_hi, dtype=np.int64)
     cur = start.copy()
     prev = np.full(cur.shape, -1, dtype=np.int64)
@@ -142,70 +55,52 @@ def _count_hikes_np(adj, eid, n_edges, two_k, exempt, singleton_free,
     return int(ok.sum())
 
 
-if HAVE_NUMBA:
-    _count_hikes_nb = njit(cache=True)(_count_hikes_loop)
-
-
 def count_hikes(adj, eid_table, n_edges: int, k: int,
                 singleton_free: bool = True) -> int:
     """Count closed 2k-step walks that are non-backtracking except at step k+1.
 
     With singleton_free=True only walks whose undirected edge multiset has
-    no multiplicity-1 edge are counted.
+    no multiplicity-1 edge are counted.  Start vertices are expanded in
+    blocks of about BLOCK_BYTES of frontier, at least one start per block.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     adj = np.ascontiguousarray(adj, dtype=np.int64)
     eid = np.ascontiguousarray(eid_table, dtype=np.int64)
-    n = adj.shape[0]
-    if HAVE_NUMBA:
-        return int(_count_hikes_nb(adj, eid, n_edges, 2 * k, k + 1,
-                                   singleton_free, 0, n))
-    return _count_hikes_np(adj, eid, n_edges, 2 * k, k + 1, singleton_free,
-                           0, n)
+    n, d = adj.shape
+    start_bytes = (HIKE_STATE_EDGE_BYTES * n_edges
+                   * d * max(1, d - 1) ** (2 * k - 1))
+    block = max(1, BLOCK_BYTES // start_bytes)
+    return sum(_count_hikes_block(adj, eid, n_edges, 2 * k, k + 1,
+                                  singleton_free, lo, min(lo + block, n))
+               for lo in range(0, n, block))
 
 
 # ---------------------------------------------------------------------------
 # minimum weight over an affine F2 space (packed rows)
 # ---------------------------------------------------------------------------
 
-def _min_weight_affine_loop(base, basis, skip_zero):
-    n_basis, n_words = basis.shape
-    cur = base.copy()
-    best = np.int64(1 << 62)
-    w = np.int64(0)
-    for j in range(n_words):
-        w += np.int64(_popcount_word(cur[j]))
-    if w > 0 or not skip_zero:
-        best = w
-    total = np.int64(1) << np.int64(n_basis)
-    g_prev = np.int64(0)
-    for i in range(1, total):
-        g = i ^ (i >> 1)
-        diff = g ^ g_prev
-        idx = 0
-        while (diff >> idx) & 1 == 0:
-            idx += 1
-        g_prev = g
-        w = np.int64(0)
-        for j in range(n_words):
-            cur[j] ^= basis[idx, j]
-            w += np.int64(_popcount_word(cur[j]))
-        if (w > 0 or not skip_zero) and w < best:
-            best = w
-    return best
+def min_weight_affine(base_packed, basis_packed, skip_zero: bool = False) -> int:
+    """Minimum Hamming weight of base + span(basis), Gray-code enumeration.
 
-
-def _min_weight_affine_np(base, basis, skip_zero):
+    The first 16 basis vectors span a table of offsets; the rest are walked
+    in Gray-code order, one table scan per step.  skip_zero ignores the
+    all-zero vector when it appears in the space.
+    """
+    base = np.ascontiguousarray(base_packed, dtype=np.uint64).reshape(-1)
+    basis = np.ascontiguousarray(basis_packed, dtype=np.uint64)
+    if basis.ndim == 1:
+        basis = basis.reshape(1, -1)
     n_basis = basis.shape[0]
+    if n_basis > 30:
+        raise ValueError("basis too large for exhaustive enumeration")
     table_bits = min(n_basis, 16)
     table = base[None, :].copy()
     for i in range(table_bits):
         table = np.vstack([table, table ^ basis[i][None, :]])
-    rest = n_basis - table_bits
     best = 1 << 62
     cur = np.zeros_like(base)
-    for g_idx in range(1 << rest):
+    for g_idx in range(1 << (n_basis - table_bits)):
         if g_idx > 0:
             changed = (g_idx ^ (g_idx >> 1)) ^ ((g_idx - 1) ^ ((g_idx - 1) >> 1))
             cur = cur ^ basis[table_bits + changed.bit_length() - 1]
@@ -214,111 +109,22 @@ def _min_weight_affine_np(base, basis, skip_zero):
             weights = weights[weights > 0]
         if weights.size:
             best = min(best, int(weights.min()))
-    return best
-
-
-if HAVE_NUMBA:
-    _min_weight_affine_nb = njit(cache=True)(_min_weight_affine_loop)
-
-
-def min_weight_affine(base_packed, basis_packed, skip_zero: bool = False) -> int:
-    """Minimum Hamming weight of base + span(basis), Gray-code enumeration.
-
-    skip_zero ignores the all-zero vector when it appears in the space.
-    """
-    base = np.ascontiguousarray(base_packed, dtype=np.uint64).reshape(-1)
-    basis = np.ascontiguousarray(basis_packed, dtype=np.uint64)
-    if basis.ndim == 1:
-        basis = basis.reshape(1, -1)
-    if basis.shape[0] > 30:
-        raise ValueError("basis too large for exhaustive enumeration")
-    if basis.shape[0] == 0:
-        w = int(np.bitwise_count(base).sum())
-        if skip_zero and w == 0:
-            raise ValueError("space holds only the zero vector")
-        return w
-    if HAVE_NUMBA:
-        res = int(_min_weight_affine_nb(base, basis, skip_zero))
-    else:
-        res = int(_min_weight_affine_np(base, basis, skip_zero))
-    if res >= (1 << 62):
+    if best >= (1 << 62):
         raise ValueError("space holds only the zero vector")
-    return res
+    return best
 
 
 # ---------------------------------------------------------------------------
 # boolean Rayleigh quotient over disjoint 0/1 vector pairs
 # ---------------------------------------------------------------------------
 
-def _rayleigh_loop(mat):
-    n = mat.shape[0]
-    best = 0.0
-    w = np.empty(n, dtype=np.float64)
-    comp = np.empty(n, dtype=np.float64)
-    for mask in range(1, 1 << n):
-        su = 0
-        for j in range(n):
-            w[j] = 0.0
-        for i in range(n):
-            if (mask >> i) & 1:
-                su += 1
-                for j in range(n):
-                    w[j] += mat[i, j]
-        nc = 0
-        for j in range(n):
-            if ((mask >> j) & 1) == 0:
-                comp[nc] = w[j]
-                nc += 1
-        if nc == 0:
-            continue
-        arr = np.sort(comp[:nc])
-        m_inner = 0.0
-        s = 0.0
-        for i in range(nc):
-            s += arr[i]
-            q = abs(s) / np.sqrt(i + 1.0)
-            if q > m_inner:
-                m_inner = q
-        s = 0.0
-        for i in range(nc):
-            s += arr[nc - 1 - i]
-            q = abs(s) / np.sqrt(i + 1.0)
-            if q > m_inner:
-                m_inner = q
-        q = m_inner / np.sqrt(su)
-        if q > best:
-            best = q
-    return best
-
-
-def _rayleigh_np(mat):
-    n = mat.shape[0]
-    best = 0.0
-    idx = np.arange(n)
-    for mask in range(1, 1 << n):
-        sel = (mask >> idx) & 1 == 1
-        w = mat[sel].sum(axis=0)
-        comp = w[~sel]
-        if comp.size == 0:
-            continue
-        arr = np.sort(comp)
-        root = np.sqrt(np.arange(1, arr.size + 1, dtype=np.float64))
-        lo = np.abs(np.cumsum(arr)) / root
-        hi = np.abs(np.cumsum(arr[::-1])) / root
-        q = max(lo.max(), hi.max()) / np.sqrt(sel.sum())
-        best = max(best, float(q))
-    return best
-
-
-if HAVE_NUMBA:
-    _rayleigh_nb = njit(cache=True)(_rayleigh_loop)
-
-
 def rayleigh_01_max(mat) -> float:
     """max |u^T M v| / (|u| |v|)^(1/2 each) over disjoint-support 0/1 vectors.
 
     For each support of u the optimal v is a prefix of the sorted column
-    sums on the complement, so the scan is exact.
+    sums on the complement, so the scan is exact.  Supports of one size are
+    handled together: one matmul gives their column sums, and the prefixes
+    are cumulative sums from both ends of each sorted row.
     """
     m = np.ascontiguousarray(mat, dtype=np.float64)
     n = m.shape[0]
@@ -328,123 +134,74 @@ def rayleigh_01_max(mat) -> float:
         raise ValueError("exhaustive scan capped at n=20")
     if n == 0:
         return 0.0
-    if HAVE_NUMBA:
-        return float(_rayleigh_nb(m))
-    return _rayleigh_np(m)
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    bits = np.arange(n, dtype=np.int64)
+    root = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    best = 0.0
+    for s in range(1, n):
+        group = masks[sizes == s]
+        for lo in range(0, group.size, rows):
+            sel = (group[lo:lo + rows, None] >> bits) & 1 == 1
+            w = sel.astype(np.float64) @ m
+            comp = np.sort(w[~sel].reshape(sel.shape[0], n - s), axis=1)
+            head = np.abs(np.cumsum(comp, axis=1)) / root[:n - s]
+            tail = np.abs(np.cumsum(comp[:, ::-1], axis=1)) / root[:n - s]
+            q = max(head.max(), tail.max()) / np.sqrt(s)
+            best = max(best, float(q))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # maximum nontrivial character bias of a subset of (Z_l')^m
 # ---------------------------------------------------------------------------
 
-def _bias_scan_loop(support, ellp, cos_t, sin_t):
-    n_sup, m = support.shape
-    n_chars = 1
-    for _ in range(m):
-        n_chars *= ellp
-    counts = np.empty(ellp, dtype=np.int64)
-    digits = np.empty(m, dtype=np.int64)
-    best = 0.0
-    for idx in range(1, n_chars):
-        t = idx
-        for i in range(m):
-            digits[i] = t % ellp
-            t //= ellp
-        for r in range(ellp):
-            counts[r] = 0
-        for j in range(n_sup):
-            r = 0
-            for i in range(m):
-                r += digits[i] * support[j, i]
-            counts[r % ellp] += 1
-        nz = 0
-        first = -1
-        for r in range(ellp):
-            if counts[r] > 0:
-                nz += 1
-                if first < 0:
-                    first = r
-        if nz == 1:
-            return 1.0
-        # equal counts on a full coset of a subgroup sum to exactly zero
-        exact_zero = False
-        if nz >= 2:
-            second = -1
-            for r in range(first + 1, ellp):
-                if counts[r] > 0:
-                    second = r
-                    break
-            step = second - first
-            if nz * step == ellp:
-                ok = True
-                for q in range(nz):
-                    r = first + q * step
-                    if counts[r] != counts[first]:
-                        ok = False
-                        break
-                for r in range(ellp):
-                    if counts[r] > 0 and (r - first) % step != 0:
-                        ok = False
-                        break
-                exact_zero = ok
-        if exact_zero:
-            continue
-        re = 0.0
-        im = 0.0
-        for r in range(ellp):
-            if counts[r] > 0:
-                re += counts[r] * cos_t[r]
-                im += counts[r] * sin_t[r]
-        val = np.sqrt(re * re + im * im) / n_sup
-        if val > best:
-            best = val
-    return best
-
-
-def _bias_scan_np(support, ellp, cos_t, sin_t):
-    n_sup, m = support.shape
-    n_chars = ellp ** m
-    best = 0.0
-    for idx in range(1, n_chars):
-        t = idx
-        digits = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            digits[i] = t % ellp
-            t //= ellp
-        res = (support @ digits) % ellp
-        counts = np.bincount(res, minlength=ellp)
-        nz = np.nonzero(counts)[0]
-        if nz.size == 1:
-            return 1.0
-        step = nz[1] - nz[0]
-        if (nz.size * step == ellp and np.all(np.diff(nz) == step)
-                and np.all(counts[nz] == counts[nz[0]])):
-            continue
-        re = float((counts * cos_t).sum())
-        im = float((counts * sin_t).sum())
-        best = max(best, np.hypot(re, im) / n_sup)
-    return best
-
-
-if HAVE_NUMBA:
-    _bias_scan_nb = njit(cache=True)(_bias_scan_loop)
-
-
 def bias_scan(support, ellp: int) -> float:
     """Exact maximum bias over all nontrivial characters of (Z_ellp)^m.
 
     Character sums whose residue counts are constant on a full subgroup
     coset are reported as exact 0, a single occupied residue as exact 1,
-    so full product sets and singletons carry no float dust.
+    so full product sets and singletons carry no float dust.  Characters
+    are taken in blocks: one integer matmul gives the residues of a block,
+    a bincount their counts per residue.
     """
     sup = np.ascontiguousarray(support, dtype=np.int64)
     if sup.ndim != 2 or sup.size == 0:
         raise ValueError("support must be a nonempty (N, m) array")
-    m = sup.shape[1]
-    if ellp ** m > 1 << 20:
+    n_sup, m = sup.shape
+    n_chars = ellp ** m
+    if n_chars > 1 << 20:
         raise ValueError("character space too large for the exact scan")
+    sup = sup % ellp
     angles = 2.0 * np.pi * np.arange(ellp) / ellp
     cos_t, sin_t = np.cos(angles), np.sin(angles)
-    if HAVE_NUMBA:
-        return float(_bias_scan_nb(sup % ellp, ellp, cos_t, sin_t))
-    return float(_bias_scan_np(sup % ellp, ellp, cos_t, sin_t))
+    place = ellp ** np.arange(m, dtype=np.int64)
+    residues = np.arange(ellp)
+    rows = max(1, BLOCK_BYTES // (8 * n_sup))
+    best = 0.0
+    for lo in range(1, n_chars, rows):
+        chars = np.arange(lo, min(lo + rows, n_chars), dtype=np.int64)
+        digits = chars[:, None] // place % ellp
+        res = digits @ sup.T % ellp
+        offset = ellp * np.arange(chars.size)[:, None]
+        counts = np.bincount((res + offset).reshape(-1),
+                             minlength=chars.size * ellp
+                             ).reshape(chars.size, ellp)
+        occupied = (counts > 0).sum(axis=1)
+        if np.any(occupied == 1):
+            return 1.0
+        # counts periodic with period s = ellp // occupied are periodic with
+        # g = gcd(s, ellp), so they fill whole cosets of the subgroup g Z
+        # with ellp / g >= occupied points each: one coset, s = g, equal
+        # counts on it, and the character sum is exactly zero
+        period = ellp // occupied
+        shifted = np.take_along_axis(
+            counts, (residues + period[:, None]) % ellp, axis=1)
+        zero = (counts == shifted).all(axis=1)
+        re = (counts * cos_t).sum(axis=1)
+        im = (counts * sin_t).sum(axis=1)
+        vals = np.hypot(re[~zero], im[~zero]) / n_sup
+        if vals.size:
+            best = max(best, float(vals.max()))
+    return best

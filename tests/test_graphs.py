@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from abelift.graphs import (RegularGraph, Signing, action_is_transitive,
-                            bicycle_free_radius, complete_graph,
-                            component_count, cycle_graph, girth, lift,
-                            nonbacktracking, petersen_graph, random_regular,
-                            signed_adjacency, signed_nonbacktracking)
+from abelift.graphs import (RegularGraph, Signing, bicycle_free_radius,
+                            complete_graph, component_count, cycle_graph,
+                            girth, lift, nonbacktracking, petersen_graph,
+                            random_regular, signed_adjacency,
+                            signed_nonbacktracking)
 from abelift.groups import AbelianGroup
 
 
@@ -178,10 +178,10 @@ def test_signing_json_rejects_missing_edges():
 
 def test_action_transitivity_detection():
     z4 = AbelianGroup.cyclic(4)
-    assert action_is_transitive(z4, [(1,)])
-    assert action_is_transitive(z4, [(2,), (3,)])
-    assert not action_is_transitive(z4, [(0,)])
-    assert not action_is_transitive(z4, [(2,)])
+    assert z4.is_transitive([(1,)])
+    assert z4.is_transitive([(2,), (3,)])
+    assert not z4.is_transitive([(0,)])
+    assert not z4.is_transitive([(2,)])
 
 
 def test_trivial_character_reproduces_adjacency():

@@ -89,6 +89,17 @@ def test_perm_of_compose_is_product():
     assert np.array_equal(lhs, rhs)
 
 
+def test_perm_of_matches_naive_composition():
+    for group in (AbelianGroup.product([2, 4]), AbelianGroup.product([3, 3]),
+                  AbelianGroup.cyclic(16)):
+        for g in group.elements():
+            naive = np.arange(group.fiber_size)
+            for exp, p in zip(g, group.generator_perms):
+                for _ in range(exp):
+                    naive = np.asarray(p)[naive]
+            assert np.array_equal(group.perm_of(g), naive)
+
+
 def test_free_and_multiplicities():
     assert Z4.is_free()
     mults = Z4.character_multiplicities()

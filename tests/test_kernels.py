@@ -1,70 +1,83 @@
-"""The jitted kernels and their pure fallbacks must agree exactly."""
+"""Each enumeration kernel against a brute-force oracle on tiny inputs."""
 import itertools
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from abelift import gf2, kernels
-from abelift.graphs import complete_graph, cycle_graph, random_regular
+from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
+                            random_regular)
+from abelift.hikes import enumerate_hikes
 
 
-def test_impl_marker_matches_environment():
-    assert kernels.IMPL in ("numba", "python")
-    if os.environ.get("ABELIFT_NO_NUMBA"):
-        assert kernels.IMPL == "python"
-
-
-def test_count_hikes_paths_agree():
-    for g in (complete_graph(4), cycle_graph(5), random_regular(10, 3, seed=1)):
+@pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
+                         ids=["default-blocks", "one-start-blocks"])
+def test_count_hikes_matches_walk_enumeration(monkeypatch, block_bytes):
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+    for g in (complete_graph(4), cycle_graph(5), petersen_graph(),
+              random_regular(10, 3, seed=1)):
         for k in (1, 2, 3):
             for sf in (True, False):
-                via_public = kernels.count_hikes(g.adj, g.eid_table, g.m, k,
-                                                 singleton_free=sf)
-                via_np = kernels._count_hikes_np(g.adj, g.eid_table, g.m,
-                                                 2 * k, k + 1, sf, 0, g.n)
-                assert via_public == via_np
+                walks = enumerate_hikes(g, k, singleton_free_only=sf,
+                                        return_walks=True)
+                got = kernels.count_hikes(g.adj, g.eid_table, g.m, k,
+                                          singleton_free=sf)
+                assert got == len(walks)
 
 
-def test_min_weight_affine_paths_agree(rng):
-    for _ in range(25):
-        n_basis = int(rng.integers(1, 8))
-        cols = int(rng.integers(1, 70))
-        basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
-        base = rng.integers(0, 2, size=(1, cols)).astype(np.uint8)
-        bp = gf2.pack_rows(basis)
-        zp = gf2.pack_rows(base)[0]
-        for skip in (False, True):
-            try:
-                got = kernels.min_weight_affine(zp, bp, skip_zero=skip)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    kernels._min_weight_affine_np(zp.reshape(-1), bp, skip)
-                continue
-            alt = kernels._min_weight_affine_np(zp.reshape(-1), bp, skip)
-            assert got == int(alt)
+def test_count_hikes_memory_stays_within_one_block():
+    g = random_regular(40, 3, seed=3)
+    tracemalloc.start()
+    try:
+        count = kernels.count_hikes(g.adj, g.eid_table, g.m, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # unblocked, these 40 starts would peak near 160 MB
+    assert peak <= kernels.BLOCK_BYTES + (4 << 20)
+    assert count == sum(
+        kernels._count_hikes_block(g.adj, g.eid_table, g.m, 12, 7, True,
+                                   v, v + 1) for v in range(g.n))
+
+
+def _span_weights(base, basis):
+    """Hamming weight of every vector of base + span(basis), unpacked."""
+    coeffs = np.array(list(itertools.product((0, 1), repeat=len(basis))),
+                      dtype=np.int64).reshape(1 << len(basis), len(basis))
+    words = (base[None, :] + coeffs @ basis) % 2
+    return words.sum(axis=1)
 
 
 def test_min_weight_affine_matches_brute_force(rng):
-    basis = rng.integers(0, 2, size=(5, 12)).astype(np.uint8)
-    base = rng.integers(0, 2, size=12).astype(np.uint8)
-    words = []
-    for mask in itertools.product((0, 1), repeat=5):
-        w = base.copy()
-        for i, b in enumerate(mask):
-            if b:
-                w ^= basis[i]
-        words.append(int(w.sum()))
-    packed_base = gf2.pack_rows(base.reshape(1, -1))[0]
-    packed_basis = gf2.pack_rows(basis)
-    assert kernels.min_weight_affine(packed_base, packed_basis) == min(words)
-    nz = [w for w in words if w > 0]
-    if nz:
-        got = kernels.min_weight_affine(packed_base, packed_basis,
-                                        skip_zero=True)
-        assert got == min(nz)
+    shapes = [(int(rng.integers(0, 9)), int(rng.integers(1, 70)))
+              for _ in range(25)] + [(17, 20), (18, 9)]
+    for i, (n_basis, cols) in enumerate(shapes):
+        basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
+        base = rng.integers(0, 2, size=cols).astype(np.uint8)
+        if i % 4 == 0:
+            base[:] = 0
+        if i % 8 == 0 and n_basis:
+            basis[1:] = basis[0]  # rank one, so spans with few vectors
+        weights = _span_weights(base.astype(np.int64),
+                                basis.astype(np.int64))
+        zp = gf2.pack_rows(base.reshape(1, -1))[0]
+        bp = gf2.pack_rows(basis) if n_basis else np.zeros(
+            (0, zp.size), dtype=np.uint64)
+        assert kernels.min_weight_affine(zp, bp) == weights.min()
+        nonzero = weights[weights > 0]
+        if nonzero.size:
+            assert kernels.min_weight_affine(zp, bp,
+                                             skip_zero=True) == nonzero.min()
+        else:
+            with pytest.raises(ValueError, match="zero vector"):
+                kernels.min_weight_affine(zp, bp, skip_zero=True)
+    # only the sum of all 18 unit vectors cancels the all-ones base, so the
+    # two vectors past the 16-vector table must be walked correctly
+    ones = gf2.pack_rows(np.ones((1, 18), dtype=np.uint8))[0]
+    units = gf2.pack_rows(np.eye(18, dtype=np.uint8))
+    assert kernels.min_weight_affine(ones, units) == 0
+    assert kernels.min_weight_affine(ones, units, skip_zero=True) == 1
 
 
 def test_min_weight_affine_zero_only_space():
@@ -76,12 +89,30 @@ def test_min_weight_affine_zero_only_space():
                                   skip_zero=True)
 
 
-def test_rayleigh_paths_agree(rng):
-    for n in (2, 4, 6):
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        assert kernels.rayleigh_01_max(m) == pytest.approx(
-            kernels._rayleigh_np(np.ascontiguousarray(m)), abs=1e-12)
+def _rayleigh_by_pairs(mat):
+    """max |1_S^T M 1_T| / sqrt(|S| |T|) over all disjoint nonempty S, T."""
+    n = mat.shape[0]
+    best = 0.0
+    for labels in itertools.product((0, 1, 2), repeat=n):
+        s = [i for i in range(n) if labels[i] == 1]
+        t = [i for i in range(n) if labels[i] == 2]
+        if s and t:
+            val = abs(mat[np.ix_(s, t)].sum()) / np.sqrt(len(s) * len(t))
+            best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
+                         ids=["default-blocks", "one-mask-blocks"])
+def test_rayleigh_matches_pair_enumeration(rng, monkeypatch, block_bytes):
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+    for n in range(0, 7):
+        for symmetric in (True, False):
+            m = rng.standard_normal((n, n))
+            if symmetric:
+                m = m + m.T
+            assert kernels.rayleigh_01_max(m) == pytest.approx(
+                _rayleigh_by_pairs(m), rel=1e-12, abs=1e-12)
 
 
 def test_rayleigh_guard():
@@ -89,39 +120,50 @@ def test_rayleigh_guard():
         kernels.rayleigh_01_max(np.zeros((21, 21)))
 
 
-def test_bias_scan_paths_agree(rng):
-    for ellp, m in ((2, 3), (4, 2), (5, 2)):
-        sup = rng.integers(0, ellp, size=(6, m)).astype(np.int64)
-        angles = 2.0 * np.pi * np.arange(ellp) / ellp
-        got = kernels.bias_scan(sup, ellp)
-        alt = kernels._bias_scan_np(sup % ellp, ellp, np.cos(angles),
-                                    np.sin(angles))
-        assert got == pytest.approx(float(alt), abs=1e-13)
+def _bias_by_character_sums(support, q):
+    """max over chi != 0 of |mean_x exp(2 pi i <chi, x> / q)|, directly."""
+    best = 0.0
+    for chi in itertools.product(range(q), repeat=support.shape[1]):
+        if any(chi):
+            phases = 2j * np.pi * (support @ np.array(chi)) / q
+            best = max(best, abs(np.exp(phases).mean()))
+    return best
+
+
+def test_bias_scan_matches_character_sums(rng):
+    for q, m in ((2, 3), (3, 2), (4, 2), (5, 2), (6, 2), (7, 1)):
+        for n_sup in (2, 5, 11):
+            sup = rng.integers(0, q, size=(n_sup, m))
+            assert kernels.bias_scan(sup, q) == pytest.approx(
+                _bias_by_character_sums(sup, q), abs=1e-12)
+    # residues are taken mod q, so negative and large entries are fine
+    sup = rng.integers(-9, 9, size=(7, 2))
+    assert kernels.bias_scan(sup, 5) == pytest.approx(
+        _bias_by_character_sums(sup % 5, 5), abs=1e-12)
+
+
+@pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
+                         ids=["default-blocks", "one-character-blocks"])
+def test_bias_scan_exact_zero_and_one(monkeypatch, block_bytes):
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+    for q, m in ((2, 3), (3, 2), (4, 2), (6, 2), (7, 1)):
+        full = np.array(list(itertools.product(range(q), repeat=m)))
+        # each nontrivial character is equidistributed on its image
+        assert _bias_by_character_sums(full, q) < 1e-12
+        assert kernels.bias_scan(full, q) == 0.0
+        assert kernels.bias_scan(np.vstack([full, full]), q) == 0.0
+        # one point: every character takes a single value
+        assert kernels.bias_scan(np.tile(full[-1], (3, 1)), q) == 1.0
+    # a subgroup sums to exactly one on the characters trivial on it; the
+    # two subspaces of F_2^3 below are each annihilated by one character,
+    # the first and the last of the scan, and balanced by all others
+    assert kernels.bias_scan(np.array([[0, 0], [2, 0], [0, 2], [2, 2]]),
+                             4) == 1.0
+    plane = np.array(list(itertools.product((0, 1), repeat=3)))
+    assert kernels.bias_scan(plane[plane[:, 0] == 0], 2) == 1.0
+    assert kernels.bias_scan(plane[plane.sum(axis=1) % 2 == 0], 2) == 1.0
 
 
 def test_bias_scan_guard():
     with pytest.raises(ValueError):
         kernels.bias_scan(np.zeros((1, 21), dtype=np.int64), 2)
-
-
-def test_fallback_process_reproduces_numba_numbers():
-    """A fresh interpreter with ABELIFT_NO_NUMBA set must agree bit for bit."""
-    prog = (
-        "import numpy as np\n"
-        "from abelift import kernels\n"
-        "from abelift.graphs import complete_graph\n"
-        "g = complete_graph(4)\n"
-        "print(kernels.IMPL)\n"
-        "print(kernels.count_hikes(g.adj, g.eid_table, g.m, 2))\n"
-        "m = np.array([[0., 1.], [1., 0.]])\n"
-        "print(repr(kernels.rayleigh_01_max(m)))\n"
-    )
-    env = dict(os.environ, ABELIFT_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", prog], env=env,
-                         capture_output=True, text=True, check=True)
-    impl, hikes, ray = out.stdout.strip().splitlines()
-    assert impl == "python"
-    assert int(hikes) == kernels.count_hikes(
-        complete_graph(4).adj, complete_graph(4).eid_table, 6, 2)
-    assert float(ray) == kernels.rayleigh_01_max(
-        np.array([[0., 1.], [1., 0.]]))
