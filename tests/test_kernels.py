@@ -49,29 +49,45 @@ def _span_weights(base, basis):
     return words.sum(axis=1)
 
 
+def _check_min_weight_affine(base, basis):
+    """min_weight_affine, with and without skip_zero, against _span_weights."""
+    weights = _span_weights(base.astype(np.int64), basis.astype(np.int64))
+    zp = gf2.pack_rows(base.reshape(1, -1))[0]
+    bp = gf2.pack_rows(basis) if basis.shape[0] else np.zeros(
+        (0, zp.size), dtype=np.uint64)
+    assert kernels.min_weight_affine(zp, bp) == weights.min()
+    nonzero = weights[weights > 0]
+    if nonzero.size:
+        assert kernels.min_weight_affine(zp, bp,
+                                         skip_zero=True) == nonzero.min()
+    else:
+        with pytest.raises(ValueError, match="zero vector"):
+            kernels.min_weight_affine(zp, bp, skip_zero=True)
+
+
 def test_min_weight_affine_matches_brute_force(rng):
-    shapes = [(int(rng.integers(0, 9)), int(rng.integers(1, 70)))
-              for _ in range(25)] + [(17, 20), (18, 9)]
-    for i, (n_basis, cols) in enumerate(shapes):
+    # at most 8 basis vectors, so the whole span sits in the offset table
+    for i in range(25):
+        n_basis, cols = int(rng.integers(0, 9)), int(rng.integers(1, 70))
         basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
         base = rng.integers(0, 2, size=cols).astype(np.uint8)
         if i % 4 == 0:
             base[:] = 0
         if i % 8 == 0 and n_basis:
             basis[1:] = basis[0]  # rank one, so spans with few vectors
-        weights = _span_weights(base.astype(np.int64),
-                                basis.astype(np.int64))
-        zp = gf2.pack_rows(base.reshape(1, -1))[0]
-        bp = gf2.pack_rows(basis) if n_basis else np.zeros(
-            (0, zp.size), dtype=np.uint64)
-        assert kernels.min_weight_affine(zp, bp) == weights.min()
-        nonzero = weights[weights > 0]
-        if nonzero.size:
-            assert kernels.min_weight_affine(zp, bp,
-                                             skip_zero=True) == nonzero.min()
-        else:
-            with pytest.raises(ValueError, match="zero vector"):
-                kernels.min_weight_affine(zp, bp, skip_zero=True)
+        _check_min_weight_affine(base, basis)
+
+
+def test_min_weight_affine_paths_agree(rng):
+    # past 16 basis vectors the rest are walked in Gray-code order; the
+    # answer must not depend on which vectors land in the table and which
+    # in the walk, so each basis is also checked reversed and shuffled
+    for n_basis, cols in ((17, 20), (18, 9), (17, 3)):
+        basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
+        base = rng.integers(0, 2, size=cols).astype(np.uint8)
+        for order in (np.arange(n_basis), np.arange(n_basis)[::-1],
+                      rng.permutation(n_basis)):
+            _check_min_weight_affine(base, basis[order])
     # only the sum of all 18 unit vectors cancels the all-ones base, so the
     # two vectors past the 16-vector table must be walked correctly
     ones = gf2.pack_rows(np.ones((1, 18), dtype=np.uint8))[0]
