@@ -15,9 +15,6 @@ from . import kernels
 from .graphs import RegularGraph, _ball, bicycle_free_radius
 
 
-HIKE_BUDGET_BYTES = 2 << 30
-
-
 class DecodeError(ValueError):
     """Malformed encoding fed to a decoder."""
 
@@ -373,10 +370,9 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     if k < 1:
         raise ValueError("k must be >= 1")
     states = G.n * G.d * max(1, (G.d - 1)) ** (2 * k - 1)
-    # the frontier bytes of an unblocked count: a budget on the count's
-    # work, since its blocks keep memory near kernels.BLOCK_BYTES
-    frontier_bytes = states * G.m * kernels.HIKE_STATE_EDGE_BYTES
-    if states > 2 * 10 ** 7 or frontier_bytes > HIKE_BUDGET_BYTES:
+    # a bound on the count's work: its blocks keep memory near
+    # kernels.BLOCK_BYTES whatever the number of walk states
+    if states > 2 * 10 ** 7 or states * G.m > 2 * 10 ** 8:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
     if return_walks:
         walks = list(_iter_hikes(G, k, singleton_free_only))

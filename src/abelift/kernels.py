@@ -4,9 +4,8 @@ Four exact scans, one numpy implementation each: closed hike counts for
 the trace-method bound, the minimum weight of an affine F2 space for code
 distance, the boolean Rayleigh quotient for expander mixing, and the
 maximum nontrivial character bias of a signing support.  The hike, mask
-and character scans run in blocks sized by BLOCK_BYTES (a block's whole
-hike frontier, or its largest array of masks or characters), so their
-memory does not grow with the scan.
+and character scans run in blocks whose live arrays take about
+BLOCK_BYTES, so their memory does not grow with the scan.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ BLOCK_BYTES = 32 << 20
 # d (d-1)^(2k-1) states per start vertex: an int16 edge-count row per walk
 # prefix, held in three generations at the last step, plus index vectors.
 # Measured with tracemalloc at 10.6 on cubic graphs.
-HIKE_STATE_EDGE_BYTES = 11
+_HIKE_STATE_EDGE_BYTES = 11
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def count_hikes(adj, eid_table, n_edges: int, k: int,
     adj = np.ascontiguousarray(adj, dtype=np.int64)
     eid = np.ascontiguousarray(eid_table, dtype=np.int64)
     n, d = adj.shape
-    start_bytes = (HIKE_STATE_EDGE_BYTES * n_edges
+    start_bytes = (_HIKE_STATE_EDGE_BYTES * n_edges
                    * d * max(1, d - 1) ** (2 * k - 1))
     block = max(1, BLOCK_BYTES // start_bytes)
     return sum(_count_hikes_block(adj, eid, n_edges, 2 * k, k + 1,
@@ -134,22 +133,27 @@ def rayleigh_01_max(mat) -> float:
         raise ValueError("exhaustive scan capped at n=20")
     if n == 0:
         return 0.0
-    masks = np.arange(1, 1 << n, dtype=np.int64)
+    masks = np.arange(1, 1 << n, dtype=np.int32)
     sizes = np.bitwise_count(masks)
-    bits = np.arange(n, dtype=np.int64)
+    bits = np.arange(n, dtype=np.int32)
     root = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
-    rows = max(1, BLOCK_BYTES // (8 * n))
+    # at most four float64 columns per mask of a block live at once: the
+    # 0/1 rows and their column sums, or the complement and two prefix sums
+    rows = max(1, BLOCK_BYTES // (8 * 4 * n))
     best = 0.0
     for s in range(1, n):
         group = masks[sizes == s]
         for lo in range(0, group.size, rows):
             sel = (group[lo:lo + rows, None] >> bits) & 1 == 1
             w = sel.astype(np.float64) @ m
-            comp = np.sort(w[~sel].reshape(sel.shape[0], n - s), axis=1)
-            head = np.abs(np.cumsum(comp, axis=1)) / root[:n - s]
-            tail = np.abs(np.cumsum(comp[:, ::-1], axis=1)) / root[:n - s]
-            q = max(head.max(), tail.max()) / np.sqrt(s)
-            best = max(best, float(q))
+            comp = w[~sel].reshape(sel.shape[0], n - s)
+            del sel, w
+            comp.sort(axis=1)
+            for prefix in (np.cumsum(comp, axis=1),
+                           np.cumsum(comp[:, ::-1], axis=1)):
+                np.abs(prefix, out=prefix)
+                prefix /= root[:n - s]
+                best = max(best, float(prefix.max() / np.sqrt(s)))
     return best
 
 
@@ -178,16 +182,21 @@ def bias_scan(support, ellp: int) -> float:
     cos_t, sin_t = np.cos(angles), np.sin(angles)
     place = ellp ** np.arange(m, dtype=np.int64)
     residues = np.arange(ellp)
-    rows = max(1, BLOCK_BYTES // (8 * n_sup))
+    # live int64/float64 columns per character of a block: digits and
+    # residues, then counts, their shift and one product of width ellp
+    rows = max(1, BLOCK_BYTES // (8 * (m + n_sup + 3 * ellp)))
     best = 0.0
     for lo in range(1, n_chars, rows):
         chars = np.arange(lo, min(lo + rows, n_chars), dtype=np.int64)
-        digits = chars[:, None] // place % ellp
-        res = digits @ sup.T % ellp
-        offset = ellp * np.arange(chars.size)[:, None]
-        counts = np.bincount((res + offset).reshape(-1),
-                             minlength=chars.size * ellp
+        digits = chars[:, None] // place
+        digits %= ellp
+        res = digits @ sup.T
+        del digits
+        res %= ellp
+        res += ellp * np.arange(chars.size)[:, None]
+        counts = np.bincount(res.reshape(-1), minlength=chars.size * ellp
                              ).reshape(chars.size, ellp)
+        del res
         occupied = (counts > 0).sum(axis=1)
         if np.any(occupied == 1):
             return 1.0
@@ -199,6 +208,7 @@ def bias_scan(support, ellp: int) -> float:
         shifted = np.take_along_axis(
             counts, (residues + period[:, None]) % ellp, axis=1)
         zero = (counts == shifted).all(axis=1)
+        del shifted
         re = (counts * cos_t).sum(axis=1)
         im = (counts * sin_t).sum(axis=1)
         vals = np.hypot(re[~zero], im[~zero]) / n_sup

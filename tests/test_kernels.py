@@ -26,14 +26,20 @@ def test_count_hikes_matches_walk_enumeration(monkeypatch, block_bytes):
                 assert got == len(walks)
 
 
-def test_count_hikes_memory_stays_within_one_block():
-    g = random_regular(40, 3, seed=3)
+def _value_and_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
-        count = kernels.count_hikes(g.adj, g.eid_table, g.m, 6)
-        _, peak = tracemalloc.get_traced_memory()
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_count_hikes_memory_stays_within_one_block():
+    g = random_regular(40, 3, seed=3)
+    count, peak = _value_and_peak(kernels.count_hikes, g.adj, g.eid_table,
+                                  g.m, 6)
     # unblocked, these 40 starts would peak near 160 MB
     assert peak <= kernels.BLOCK_BYTES + (4 << 20)
     assert count == sum(
@@ -131,6 +137,16 @@ def test_rayleigh_matches_pair_enumeration(rng, monkeypatch, block_bytes):
                 _rayleigh_by_pairs(m), rel=1e-12, abs=1e-12)
 
 
+def test_rayleigh_memory_stays_within_one_block(rng, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 4 << 20)
+    m = rng.standard_normal((18, 18))
+    value, peak = _value_and_peak(kernels.rayleigh_01_max, m + m.T)
+    # one block of all 48620 nine-element supports would take about 22 MB
+    assert peak <= kernels.BLOCK_BYTES + (2 << 20)
+    monkeypatch.undo()
+    assert kernels.rayleigh_01_max(m + m.T) == value
+
+
 def test_rayleigh_guard():
     with pytest.raises(ValueError):
         kernels.rayleigh_01_max(np.zeros((21, 21)))
@@ -178,6 +194,23 @@ def test_bias_scan_exact_zero_and_one(monkeypatch, block_bytes):
     plane = np.array(list(itertools.product((0, 1), repeat=3)))
     assert kernels.bias_scan(plane[plane[:, 0] == 0], 2) == 1.0
     assert kernels.bias_scan(plane[plane.sum(axis=1) % 2 == 0], 2) == 1.0
+
+
+def test_bias_scan_memory_stays_within_one_block():
+    # a singleton is decided in the first block; as one block, all 2**20
+    # characters of (Z_1024)^2 would need gigabytes of residue counts
+    point = np.array([[3, 5]])
+    value, peak = _value_and_peak(kernels.bias_scan, point, 1024)
+    assert value == 1.0
+    assert peak <= kernels.BLOCK_BYTES + (4 << 20)
+    # the three coordinate axes of (Z_64)^3 need every character: over
+    # 500 MB as one block
+    axes = np.zeros((3 * 64, 3), dtype=np.int64)
+    axes[np.arange(3 * 64), np.repeat(np.arange(3), 64)] = np.tile(
+        np.arange(64), 3)
+    value, peak = _value_and_peak(kernels.bias_scan, axes, 64)
+    assert 0.0 < value < 1.0
+    assert peak <= kernels.BLOCK_BYTES + (4 << 20)
 
 
 def test_bias_scan_guard():
