@@ -510,9 +510,7 @@ def pairs_action_free(group: AbelianGroup, edge_pairs):
     but degenerate quotient layouts can, so the check takes raw pairs.
     Returns (free, witness) with witness = (group element, fixed pair).
     """
-    for g in group.elements():
-        if g == group.identity:
-            continue
+    for g in group.elements()[1:]:
         perm = group.perm_of(g)
         hit = _edge_action_fixed_pair(edge_pairs, perm)
         if hit is not None:
@@ -533,18 +531,9 @@ def free_action_check(base: RegularGraph, signing: Signing) -> FreeActionReport:
         perm_e = group.perm_of(signing.element(e))
         for i in range(ell):
             edge_pairs.append(((u, i), (v, int(perm_e[i]))))
-    vertices_free = True
-    witness = None
-    for g in group.elements():
-        if g == group.identity:
-            continue
-        perm = group.perm_of(g)
-        if np.any(perm == np.arange(ell)):
-            vertices_free = False
-            if witness is None:
-                fixed = int(np.nonzero(perm == np.arange(ell))[0][0])
-                witness = ("vertex", g, fixed)
-            break
+    fixed = group.fixed_point()
+    vertices_free = fixed is None
+    witness = None if vertices_free else ("vertex",) + fixed
     edges_free, edge_witness = pairs_action_free(group, edge_pairs)
     if not edges_free and witness is None:
         witness = ("edge",) + edge_witness

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import serial
-from .groups import AbelianGroup
+from .groups import AbelianGroup, _validate_element
 
 MAX_DENSE_DIM = 4096
 
@@ -289,9 +289,6 @@ class Signing:
         g = self.element(e)
         return g if u < v else self.group.inverse(g)
 
-    def char_on_directed(self, chi, u: int, v: int) -> complex:
-        return self.group.char_value(chi, self.directed(u, v))
-
     def to_json(self) -> dict:
         """Serialize as 1-based [u, v, exponents] triples in canonical order."""
         return {
@@ -358,44 +355,66 @@ class SignedOperator:
     matrix: np.ndarray
 
 
+def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
+    """(C, N, N) stack of A(chi) ("adjacency", N = n) or B(chi)
+    ("nonbacktracking", N = 2m) for the indices `chars` into characters().
+
+    A[u, v] = chi(s_e) and A[v, u] its conjugate for each canonical edge
+    e = (u, v); B[f, g] = chi(element on g) for each step f = (w -> x),
+    g = (x -> y) with y != w, where directed edge 2e + 1 carries the
+    inverse of s_e.  Entries come from the group's character table, so
+    they equal group.char_value bit for bit.
+    """
+    base, group = signing.base, signing.group
+    chars = np.asarray(chars, dtype=np.int64)
+    if kind == "adjacency":
+        dim, elems = base.n, signing.values
+    elif kind == "nonbacktracking":
+        dim = 2 * base.m
+        if dim > MAX_DENSE_DIM:
+            raise ValueError(f"non-backtracking operator is {dim}-"
+                             "dimensional, above the dense cap "
+                             f"{MAX_DENSE_DIM}")
+        inverse = -signing.values % np.asarray(group.factors)
+        elems = np.stack([signing.values, inverse], axis=1).reshape(dim, -1)
+    else:
+        raise ValueError("kind must be 'adjacency' or 'nonbacktracking'")
+    cols, col_of = np.unique(group.element_indices(elems), return_inverse=True)
+    vals = group.char_table(cols)[np.ix_(chars, col_of)]
+    stack = np.zeros((chars.size, dim, dim), dtype=np.complex128)
+    if kind == "adjacency":
+        u, v = np.asarray(base.edges).T
+        stack[:, u, v] = vals
+        stack[:, v, u] = vals.conj()
+    else:
+        # slot i of x feeds slot j != i: (adj[x, i] -> x) then (x -> adj[x, j])
+        x = np.arange(base.n)[:, None]
+        into = 2 * base.eid_table + (base.adj > x)
+        out = 2 * base.eid_table + (x > base.adj)
+        i, j = np.nonzero(~np.eye(base.d, dtype=bool))
+        g = out[:, j].ravel()
+        stack[:, into[:, i].ravel(), g] = vals[:, g]
+    return stack
+
+
+def _signed_operator(signing: Signing, chi, kind: str) -> SignedOperator:
+    chi = _validate_element(signing.group.factors, chi)
+    idx = signing.group.element_indices([chi])
+    return SignedOperator(kind, chi, signed_operators(signing, idx, kind)[0])
+
+
 def signed_adjacency(signing: Signing, chi) -> SignedOperator:
-    base = signing.base
-    mat = np.zeros((base.n, base.n), dtype=np.complex128)
-    for e, (u, v) in enumerate(base.edges):
-        val = signing.group.char_value(chi, signing.element(e))
-        mat[u, v] = val
-        mat[v, u] = np.conj(val)
-    return SignedOperator("adjacency", tuple(chi), mat)
+    return _signed_operator(signing, chi, "adjacency")
 
 
-def _nonbacktracking_matrix(base: RegularGraph, value_of_directed) -> np.ndarray:
-    two_m = 2 * base.m
-    if two_m > MAX_DENSE_DIM:
-        raise ValueError(f"non-backtracking operator is {two_m}-dimensional, "
-                         f"above the dense cap {MAX_DENSE_DIM}")
-    mat = np.zeros((two_m, two_m), dtype=np.complex128)
-    for g, (x, y) in enumerate(base.directed_edges()):
-        val = value_of_directed(x, y)
-        # rows: directed edges (w -> x) feeding into g, excluding reversal
-        for w in base.adj[x]:
-            w = int(w)
-            if w == y:
-                continue
-            f = base.directed_index(w, x)
-            mat[f, g] = val
-    return mat
+def signed_nonbacktracking(signing: Signing, chi) -> SignedOperator:
+    return _signed_operator(signing, chi, "nonbacktracking")
 
 
 def nonbacktracking(base: RegularGraph) -> np.ndarray:
     """Unsigned non-backtracking operator on directed edges (real 0/1)."""
-    return _nonbacktracking_matrix(base, lambda x, y: 1.0).real
-
-
-def signed_nonbacktracking(signing: Signing, chi) -> SignedOperator:
-    chi = tuple(chi)
-    mat = _nonbacktracking_matrix(
-        signing.base, lambda x, y: signing.char_on_directed(chi, x, y))
-    return SignedOperator("nonbacktracking", chi, mat)
+    trivial = Signing.identity(base, AbelianGroup.cyclic(1))
+    return signed_operators(trivial, [0], "nonbacktracking")[0].real
 
 
 # ---------------------------------------------------------------------------

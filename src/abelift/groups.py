@@ -196,15 +196,18 @@ class AbelianGroup:
                     frontier.append(y)
         return len(seen) == ell
 
+    def fixed_point(self) -> tuple[tuple[int, ...], int] | None:
+        """First (nonidentity element, fiber point it fixes), or None."""
+        points = np.arange(self.fiber_size)
+        for g in self.elements()[1:]:
+            fixed = np.flatnonzero(self.perm_of(g) == points)
+            if fixed.size:
+                return g, int(fixed[0])
+        return None
+
     def is_free(self) -> bool:
         """No nonidentity element fixes a fiber point."""
-        for g in self.elements():
-            if g == self.identity:
-                continue
-            perm = self.perm_of(g)
-            if np.any(perm == np.arange(self.fiber_size)):
-                return False
-        return True
+        return self.fixed_point() is None
 
     def character_multiplicities(self) -> dict[tuple[int, ...], int]:
         """Multiplicity of each character in the fiber permutation representation.

@@ -168,9 +168,6 @@ def encode_graph(G: RegularGraph, sub: EdgeSubgraph | None, start: int,
                  mode: int = 1) -> GraphEncoding:
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    nbrs = _subgraph_neighbor_lists(G, sub)
-    if start not in nbrs:
-        raise ValueError("start vertex not in the traversed vertex set")
     trav, sigma, visit_order, rec_counts = _dfs_run(G, start, sub)
     parent_of: dict[int, int | None] = {start: None}
     seen = {start}

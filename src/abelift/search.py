@@ -206,16 +206,20 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     """Recompute a certificate's spectral claims from its own payload.
 
     Besides the recomputed errors, the certificate's bookkeeping must hold:
-    one radius per nontrivial character, met_target equal to
-    lambda_lift <= target (None without a target), and a winner_index
-    among the candidates_evaluated.  Each violated rule is named
-    under "invalid" with ok false.
+    this module's schema, a known mode, one radius per nontrivial
+    character, met_target equal to lambda_lift <= target (None without a
+    target), and a winner_index among the candidates_evaluated.  Each
+    violated rule is named under "invalid" with ok false.
     """
     base = RegularGraph.from_json(cert["base"])
     group = AbelianGroup.from_json(cert["group"])
     signing = Signing(base, group, np.asarray(cert["signing"]))
     lam, lam_base, rhos = lift_lambda(signing)
     invalid = {}
+    if cert["schema"] != CERT_SCHEMA:
+        invalid["schema"] = f"{cert['schema']!r}, expected {CERT_SCHEMA!r}"
+    if cert["mode"] not in ("derandomized", "walk"):
+        invalid["mode"] = f"{cert['mode']!r}, expected derandomized or walk"
     claimed = cert["per_character_rho"]
     if len(claimed) == len(rhos):
         rho_err = max((abs(a - b) for a, b in

@@ -15,7 +15,9 @@ from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .graphs import (MAX_DENSE_DIM, RegularGraph, Signing, lift,
-                     nonbacktracking, signed_adjacency, signed_nonbacktracking)
+                     nonbacktracking, signed_adjacency, signed_nonbacktracking,
+                     signed_operators)
+from .groups import _validate_element
 
 _HUNGARIAN_CAP = 3000
 # Largest (characters, n, n) complex128 operator stack built at once; the
@@ -96,32 +98,23 @@ def multiset_max_distance(a, b) -> float:
 # character decomposition of a lift spectrum
 # ---------------------------------------------------------------------------
 
-def character_eigvalsh(signing: Signing, chars) -> np.ndarray:
-    """Ascending spectra of the signed adjacencies A(chi), one row for each
-    index into signing.group.characters() listed in `chars`.
-
-    Entries come from the group's character table, so every operator equals
-    signed_adjacency(signing, chi).matrix exactly.  The operators are
-    scattered into (C, n, n) stacks of at most STACK_BYTES (one operator at
-    least), each solved by one batched eigvalsh.
+def character_spectra(signing: Signing, chars, kind: str) -> np.ndarray:
+    """Spectra of graphs.signed_operators(signing, chars, kind), one row per
+    character: ascending eigvalsh rows for "adjacency", eigvals rows for
+    "nonbacktracking".  Stacks of at most STACK_BYTES (one operator at
+    least) are solved by one batched call each, so every row equals the
+    solve of that character's operator alone.
     """
-    base, group = signing.base, signing.group
-    n = base.n
     chars = np.asarray(chars, dtype=np.int64)
-    u, v = np.asarray(base.edges).T
-    cols, edge_col = np.unique(group.element_indices(signing.values),
-                               return_inverse=True)
-    table = group.char_table(cols)
-    per = max(1, STACK_BYTES // (16 * n * n))
-    out = np.empty((chars.size, n))
-    # every chunk writes the same edge positions, so one zeroed buffer serves
-    stack = np.zeros((min(per, chars.size), n, n), dtype=np.complex128)
+    hermitian = kind == "adjacency"
+    dim = signing.base.n if hermitian else 2 * signing.base.m
+    solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+    per = max(1, STACK_BYTES // (16 * dim * dim))
+    out = np.empty((chars.size, dim),
+                   dtype=np.float64 if hermitian else np.complex128)
     for lo in range(0, chars.size, per):
-        vals = table[np.ix_(chars[lo:lo + per], edge_col)]
-        k = vals.shape[0]
-        stack[:k, u, v] = vals
-        stack[:k, v, u] = vals.conj()
-        out[lo:lo + k] = np.linalg.eigvalsh(stack[:k])
+        out[lo:lo + per] = solve(
+            signed_operators(signing, chars[lo:lo + per], kind))
     return out
 
 
@@ -144,24 +137,17 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     mults = signing.group.character_multiplicities()
     counts = np.fromiter(mults.values(), dtype=np.int64, count=len(mults))
     chars = np.flatnonzero(counts)
-    union = np.repeat(character_eigvalsh(signing, chars), counts[chars],
-                      axis=0)
+    union = np.repeat(character_spectra(signing, chars, "adjacency"),
+                      counts[chars], axis=0)
     adj_dist = multiset_max_distance(adjacency_spectrum(lifted), union)
-
     nb_dist = None
-    nb_dim = 2 * lifted.m
     if include_nonbacktracking is None:
-        include_nonbacktracking = nb_dim <= MAX_DENSE_DIM
+        include_nonbacktracking = 2 * lifted.m <= MAX_DENSE_DIM
     if include_nonbacktracking:
-        lift_nb_eigs = np.linalg.eigvals(nonbacktracking(lifted))
-        parts = []
-        for chi, mult in mults.items():
-            if mult == 0:
-                continue
-            eigs = np.linalg.eigvals(signed_nonbacktracking(signing, chi).matrix)
-            parts.append(np.tile(eigs, mult))
-        nb_union = np.concatenate(parts)
-        nb_dist = multiset_max_distance(lift_nb_eigs, nb_union)
+        union = np.repeat(character_spectra(signing, chars, "nonbacktracking"),
+                          counts[chars], axis=0)
+        nb_dist = multiset_max_distance(
+            np.linalg.eigvals(nonbacktracking(lifted)), union)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
     return UnionReport(adj_dist, nb_dist, tol, passed)
 
@@ -176,7 +162,8 @@ def lift_lambda(signing: Signing, lam_base: float | None = None
     """
     if lam_base is None:
         lam_base = lambda2(signing.base)
-    eigs = character_eigvalsh(signing, np.arange(1, signing.group.order))
+    eigs = character_spectra(signing, np.arange(1, signing.group.order),
+                             "adjacency")
     rhos = [float(r) for r in np.abs(eigs).max(axis=1)]
     return max([lam_base] + rhos), lam_base, rhos
 
@@ -204,7 +191,7 @@ def ihara_check(signing: Signing, chi=None) -> IharaReport:
     d = base.d
     if chi is None:
         chi = (0,) * len(signing.group.factors)
-    chi = tuple(int(c) for c in chi)
+    chi = _validate_element(signing.group.factors, chi)
     trivial = all(c == 0 for c in chi)
     if trivial:
         lhs = lambda2(base)
@@ -259,9 +246,8 @@ def nb_eigenvector_transport(signing: Signing, chi, f, alpha: float,
         beta = min(roots, key=abs)
     else:
         raise ValueError("root must be 'large' or 'small'")
-    g = np.zeros(2 * base.m, dtype=np.complex128)
-    for idx, (u, v) in enumerate(base.directed_edges()):
-        g[idx] = np.conj(A[u, v]) * f[u] - beta * f[v]
+    u, v = np.asarray(base.directed_edges()).T
+    g = np.conj(A[u, v]) * f[u] - beta * f[v]
     norm = np.abs(g).max()
     if norm < 1e-12:
         raise ValueError("transported vector vanished (degenerate f, alpha)")

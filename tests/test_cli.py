@@ -238,3 +238,16 @@ def test_bad_semantic_input_exits_one(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["failed"] is True and "error" in payload
+
+
+@pytest.mark.parametrize("chi", ["9", "1,1", "-1", "0,0"])
+def test_ihara_rejects_a_character_outside_the_group(tmp_path, capsys, chi):
+    base = cycle_graph(4)
+    gp = _write_graph(tmp_path / "c4.json", base)
+    sp = _write_signing(tmp_path / "sg.json",
+                        Signing.random(base, AbelianGroup.cyclic(4), seed=1))
+    code = main(["spectrum", "--graph", gp, "--signing", sp,
+                 "--check", "ihara", "--chi", chi])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failed"] is True and "error" in payload

@@ -228,6 +228,16 @@ def test_free_action_on_canonical_lift():
     assert free_action_check(base, trivial).ok  # vacuous: no nontrivial g
 
 
+def test_free_action_names_a_fixed_vertex():
+    # Z2 swaps fiber points 0 and 1 and fixes 2
+    group = AbelianGroup((2,), ((1, 0, 2),))
+    assert group.fixed_point() == ((1,), 2) and not group.is_free()
+    rep = free_action_check(complete_graph(4),
+                            Signing.random(complete_graph(4), group, seed=1))
+    assert not rep.vertices_free and not rep.ok
+    assert rep.witness == ("vertex", (1,), 2)
+
+
 def test_pairs_action_catches_self_pairing_fixed_edge():
     z2 = AbelianGroup.cyclic(2)
     # an unordered pair whose ends swap under the half shift

@@ -247,8 +247,16 @@ def test_signed_nonbacktracking_matches_character_values():
     # entry ((u,v),(v,w)) carries chi of the signing on (v,w)
     f = base.directed_index(1, 2)
     g = base.directed_index(2, 3)
-    expect = sg.char_on_directed((1,), 2, 3)
+    expect = group.char_value((1,), sg.directed(2, 3))
     assert op.matrix[f, g] == pytest.approx(expect)
+
+
+def test_nonbacktracking_is_the_trivial_character():
+    base = petersen_graph()
+    sg = Signing.random(base, AbelianGroup.product([2, 3]), seed=3)
+    B = signed_nonbacktracking(sg, (0, 0)).matrix
+    assert np.array_equal(nonbacktracking(base), B.real)
+    assert not B.imag.any()
 
 
 def test_girth_values():

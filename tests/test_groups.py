@@ -101,7 +101,7 @@ def test_perm_of_matches_naive_composition():
 
 
 def test_free_and_multiplicities():
-    assert Z4.is_free()
+    assert Z4.is_free() and Z4.fixed_point() is None
     mults = Z4.character_multiplicities()
     assert set(mults.values()) == {1}
     assert len(mults) == 4

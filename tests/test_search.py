@@ -115,6 +115,23 @@ def test_verify_rederives_met_target_and_bounds_evaluated():
     assert verify_certificate(honest)["ok"]
 
 
+def test_verify_names_a_forged_schema_and_mode():
+    base = complete_graph(4)
+    cert = derandomized_lift_search(base, AbelianGroup.cyclic(3),
+                                    _all_rows(3, 6)[:20]).certificate
+    forged = dict(cert, schema="abelift.lift-certificate.v9", mode="bogus")
+    report = verify_certificate(forged)
+    assert not report["ok"]
+    assert report["invalid"] == {
+        "schema": "'abelift.lift-certificate.v9', expected "
+                  "'abelift.lift-certificate.v1'",
+        "mode": "'bogus', expected derandomized or walk"}
+    sound = verify_certificate(cert)
+    assert sound["ok"] and set(sound) == {
+        "ok", "hash_ok", "lambda_error", "lambda_base_error", "rho_error",
+        "lift_union_distance"}
+
+
 def test_decomposition_matches_built_lift_on_the_winner():
     base = complete_graph(4)
     group = AbelianGroup.cyclic(3)

@@ -13,7 +13,7 @@ from abelift.graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
                             petersen_graph, random_regular, signed_adjacency)
 from abelift.groups import AbelianGroup
 from abelift.spectral import (adjacency_spectrum, boolean_rayleigh_max,
-                              character_eigvalsh, ihara_check, lambda2,
+                              character_spectra, ihara_check, lambda2,
                               lambda2_signed,
                               lift_lambda, mixing_check, multiset_max_distance,
                               nb_eigenvector_transport, nb_radius_nontrivial,
@@ -94,10 +94,37 @@ def test_lift_lambda_matches_direct_computation():
 _NON_TRANSITIVE = AbelianGroup((2, 2), ((1, 0, 2, 3), (1, 0, 2, 3)))
 
 
+def _reference_adjacency(signing, chi):
+    """A(chi) edge by edge from char_value, independent of the builder."""
+    base = signing.base
+    mat = np.zeros((base.n, base.n), dtype=np.complex128)
+    for e, (u, v) in enumerate(base.edges):
+        val = signing.group.char_value(chi, signing.element(e))
+        mat[u, v] = val
+        mat[v, u] = np.conj(val)
+    return mat
+
+
+def _reference_nonbacktracking(signing, chi):
+    """B(chi) directed edge by directed edge from char_value."""
+    base = signing.base
+    mat = np.zeros((2 * base.m, 2 * base.m), dtype=np.complex128)
+    for x, y in base.directed_edges():
+        val = signing.group.char_value(chi, signing.directed(x, y))
+        for w in map(int, base.adj[x]):
+            if w != y:
+                mat[base.directed_index(w, x), base.directed_index(x, y)] = val
+    return mat
+
+
 def _reference_spectra(signing):
-    """The per-character loop the batched engine must reproduce exactly."""
-    return np.array([np.linalg.eigvalsh(signed_adjacency(signing, chi).matrix)
-                     for chi in signing.group.characters()])
+    """The per-character loops the batched engine must reproduce exactly:
+    eigvalsh rows of every A(chi), eigvals rows of every B(chi)."""
+    chars = signing.group.characters()
+    return (np.array([np.linalg.eigvalsh(_reference_adjacency(signing, chi))
+                      for chi in chars]),
+            np.array([np.linalg.eigvals(_reference_nonbacktracking(signing, chi))
+                      for chi in chars]))
 
 
 @pytest.mark.parametrize("group", [
@@ -107,8 +134,11 @@ def _reference_spectra(signing):
 def test_batched_spectra_equal_the_per_character_loop(group):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, group, seed=5)
-    ref = _reference_spectra(sg)
-    assert np.array_equal(character_eigvalsh(sg, np.arange(group.order)), ref)
+    ref, nb_ref = _reference_spectra(sg)
+    every = np.arange(group.order)
+    assert np.array_equal(character_spectra(sg, every, "adjacency"), ref)
+    assert np.array_equal(character_spectra(sg, every, "nonbacktracking"),
+                          nb_ref)
 
     lam, lam_base, rhos = lift_lambda(sg)
     assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
@@ -117,12 +147,18 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     assert lift_lambda(sg, lam_base) == (lam, lam_base, rhos)
 
     mults = group.character_multiplicities()
-    union = np.concatenate([np.tile(eigs, mults[chi]) for chi, eigs
-                            in zip(group.characters(), ref) if mults[chi]])
+
+    def union(spectra):
+        return np.concatenate([np.tile(eigs, mults[chi]) for chi, eigs
+                               in zip(group.characters(), spectra)
+                               if mults[chi]])
+
     lifted = lift(base, sg, allow_disconnected=True)
-    rep = spectrum_union_check(sg, include_nonbacktracking=False)
+    rep = spectrum_union_check(sg, include_nonbacktracking=True)
     assert rep.adjacency_distance == multiset_max_distance(
-        adjacency_spectrum(lifted), union)
+        adjacency_spectrum(lifted), union(ref))
+    assert rep.nb_distance == multiset_max_distance(
+        np.linalg.eigvals(nonbacktracking(lifted)), union(nb_ref))
     assert rep.passed
 
 
@@ -134,11 +170,16 @@ def test_non_transitive_group_has_zero_multiplicity_characters():
 def test_chunked_stacks_equal_one_stack(monkeypatch):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, AbelianGroup.cyclic(16), seed=6)
-    whole = character_eigvalsh(sg, np.arange(16))
-    # three operators per stack: chunks of 3, 3, 3, 3, 3 and 1
-    monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 16 * base.n ** 2 + 1)
-    assert np.array_equal(character_eigvalsh(sg, np.arange(16)), whole)
-    assert np.array_equal(whole, _reference_spectra(sg))
+    refs = _reference_spectra(sg)
+    for kind, dim, ref in zip(["adjacency", "nonbacktracking"],
+                              [base.n, 2 * base.m], refs):
+        whole = character_spectra(sg, np.arange(16), kind)
+        assert np.array_equal(whole, ref)
+        # three operators per stack: chunks of 3, 3, 3, 3, 3 and 1
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "STACK_BYTES", 3 * 16 * dim ** 2 + 1)
+            assert np.array_equal(character_spectra(sg, np.arange(16), kind),
+                                  whole)
 
 
 def test_large_group_peak_memory_stays_within_the_stack_cap():
@@ -158,8 +199,7 @@ def test_large_group_peak_memory_stays_within_the_stack_cap():
     assert peak <= spectral.STACK_BYTES + (8 << 20)
     assert len(rhos) == group.order - 1
     for c in (1, 2047, 4095):
-        chi = group.characters()[c]
-        mat = signed_adjacency(sg, chi).matrix
+        mat = _reference_adjacency(sg, group.characters()[c])
         assert rhos[c - 1] == float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
