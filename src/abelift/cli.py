@@ -367,6 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "spectrum" and args.check != "mixing" \
+            and args.signing is None:
+        parser.error(f"spectrum --check {args.check} needs --signing")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2, kernels
-from .graphs import RegularGraph, Signing
+from .graphs import RegularGraph, Signing, lift
 from .groups import AbelianGroup
 
 EXACT_DIM_CAP = 24
@@ -37,7 +37,7 @@ class LinearCodeF2:
 
     @property
     def dimension(self) -> int:
-        return self.length - gf2.rank(self.parity)
+        return code_dimension(self.parity)
 
     def generator_matrix(self) -> np.ndarray:
         """Basis of the codeword space, one codeword per row."""
@@ -97,13 +97,11 @@ def tanner_code(G: RegularGraph, local: LinearCodeF2) -> np.ndarray:
         raise ValueError("local code length must equal the degree")
     lp = gf2.nonzero_rref_rows(local.parity)
     rc = lp.shape[0]
-    H = np.zeros((G.n * rc, G.m), dtype=np.uint8)
-    for v in range(G.n):
-        for c in range(rc):
-            row = v * rc + c
-            for j in range(G.d):
-                H[row, G.eid_table[v, j]] ^= lp[c, j]
-    return H
+    H = np.zeros((G.n, rc, G.m), dtype=np.uint8)
+    # a simple graph's slots at v carry distinct edges, so nothing collides
+    H[np.arange(G.n)[:, None, None], np.arange(rc)[:, None],
+      G.eid_table[:, None, :]] = lp
+    return H.reshape(G.n * rc, G.m)
 
 
 def local_code_search(block_length: int, distance_target: int,
@@ -232,21 +230,17 @@ def group_algebra_from_blocks(H, ell: int) -> GroupAlgebraMatrix:
     n_rows, n_cols = h.shape
     if n_rows % ell or n_cols % ell:
         raise ValueError("matrix shape not divisible into ell-blocks")
-    idx = np.arange(ell)
-    rows = []
-    for bi in range(n_rows // ell):
-        row = []
-        for bj in range(n_cols // ell):
-            blk = h[bi * ell:(bi + 1) * ell, bj * ell:(bj + 1) * ell]
-            exps = frozenset(int(e) for e in np.nonzero(blk[0])[0])
-            rebuilt = np.zeros((ell, ell), dtype=np.uint8)
-            for e in exps:
-                rebuilt[idx, (idx + e) % ell] ^= 1
-            if not np.array_equal(rebuilt, blk):
-                raise ValueError(f"block ({bi}, {bj}) is not circulant")
-            row.append(exps)
-        rows.append(tuple(row))
-    return GroupAlgebraMatrix(ell, tuple(rows))
+    blocks = h.reshape(n_rows // ell, ell, n_cols // ell, ell)
+    mat = GroupAlgebraMatrix(ell, tuple(
+        tuple(frozenset(np.nonzero(first)[0].tolist()) for first in row)
+        for row in blocks[:, 0]))
+    if n_rows:  # expand() cannot tell a matrix with no rows from 0 x 0
+        bad = np.argwhere((mat.expand() != h).reshape(blocks.shape)
+                          .any(axis=(1, 3)))
+        if bad.size:
+            raise ValueError(f"block ({bad[0, 0]}, {bad[0, 1]}) is not "
+                             "circulant")
+    return mat
 
 
 def circulant_structure_check(H, ell: int, block_order=None) -> bool:
@@ -376,22 +370,17 @@ def _logical_min_weight_exact(stab, kernel_basis, n_cols) -> int:
     anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
         (0, n_cols), dtype=np.uint8)
     r = anchor.shape[0]
-    logicals = []
-    cur = anchor
-    cur_rank = r
-    for v in kernel_basis:
-        cand = np.vstack([cur, v.reshape(1, -1)])
-        if gf2.rank(cand) > cur_rank:
-            logicals.append(v)
-            cur = cand
-            cur_rank += 1
+    # kernel vectors independent of the anchor and of the kernel vectors
+    # before them: the pivot columns of [anchor; kernel]^T past the anchor
+    _, pivots = gf2.rref(np.vstack([anchor, kernel_basis]).T)
+    logicals = kernel_basis[[p - r for p in pivots if p >= r]]
     k = len(logicals)
     if k == 0:
         raise ValueError("no logical operators in this sector")
     if k > EXACT_DIM_CAP or (2 ** k - 1) * 2 ** r > EXACT_DISTANCE_BUDGET:
         raise ValueError("exact distance budget exceeded; use the "
                          "information-set mode")
-    log_packed = gf2.pack_rows(np.asarray(logicals, dtype=np.uint8))
+    log_packed = gf2.pack_rows(logicals)
     stab_packed = gf2.pack_rows(anchor) if r else np.zeros(
         (0, log_packed.shape[1]), dtype=np.uint64)
     best = None
@@ -412,8 +401,7 @@ def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
     space = np.vstack([anchor, kernel_basis]) if anchor.size else kernel_basis
     space = gf2.nonzero_rref_rows(space)
     rng = np.random.default_rng(seed)
-    r_anchor = anchor.shape[0]
-    best = None
+    best = n_cols + 1
     for _ in range(trials):
         perm = rng.permutation(n_cols)
         red, piv = gf2.rref(space[:, perm])
@@ -421,25 +409,15 @@ def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
         cands = np.empty_like(rows)
         cands[:, perm] = rows
         if rows.shape[0] <= 48:
-            pair_idx = [(i, j) for i in range(rows.shape[0])
-                        for j in range(i + 1, rows.shape[0])]
-            if pair_idx:
-                pairs = np.array([cands[i] ^ cands[j] for i, j in pair_idx])
-                cands = np.vstack([cands, pairs])
+            i, j = np.triu_indices(rows.shape[0], k=1)
+            cands = np.vstack([cands, cands[i] ^ cands[j]])
         weights = cands.sum(axis=1)
-        order = np.argsort(weights)
-        for idx in order:
-            w = int(weights[idx])
-            if best is not None and w >= best:
-                break
-            vec = cands[idx]
-            if w == 0:
-                continue
-            if r_anchor and gf2.in_row_space(anchor, vec):
-                continue
-            best = w
-            break
-    if best is None:
+        lighter = weights < best  # the zero vector is in every span
+        if lighter.any():
+            logical = ~gf2.in_span(anchor, cands[lighter])
+            if logical.any():
+                best = int(weights[lighter][logical].min())
+    if best > n_cols:
         raise ValueError("sampler found no logical representative")
     return best
 
@@ -557,23 +535,19 @@ def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
         raise ValueError("certificate group is not the canonical cyclic "
                          "rotation action")
     signing = Signing(base, group, np.asarray(cert["signing"]))
-    if local.length != base.d:
-        raise ValueError("local code length must equal the base degree")
-    lp = gf2.nonzero_rref_rows(local.parity)
-    rc = lp.shape[0]
-    H = np.zeros((base.n * rc * ell, base.m * ell), dtype=np.uint8)
-    for v in range(base.n):
-        for j in range(base.d):
-            w = int(base.adj[v, j])
-            e = base.edge_id(v, w)
-            a_e = int(signing.values[e, 0])
-            for c in range(rc):
-                if not lp[c, j]:
-                    continue
-                for i in range(ell):
-                    fiber = i if v < w else (i - a_e) % ell
-                    H[(v * rc + c) * ell + i, e * ell + fiber] ^= 1
-    return H
+    lifted = lift(base, signing, allow_disconnected=True)
+    H = tanner_code(lifted, local)
+    # lifted rows sit at (v * ell + i) * checks + c
+    H = H.reshape(base.n, ell, -1, lifted.m).swapaxes(1, 2).reshape(
+        -1, lifted.m)
+    # a lifted edge's lower end lies in the fiber of the lower base end
+    cols = np.empty(lifted.m, dtype=np.int64)
+    cols[lifted.eid_table] = (np.repeat(base.eid_table, ell, axis=0) * ell
+                              + np.minimum(np.arange(lifted.n)[:, None],
+                                           lifted.adj) % ell)
+    out = np.empty_like(H)
+    out[:, cols] = H
+    return out
 
 
 def tanner_lift_code(cert: dict, local: LinearCodeF2) -> LinearCodeF2:

@@ -87,13 +87,10 @@ def nullspace(mat) -> np.ndarray:
     a = as_f2(mat)
     n_cols = a.shape[1]
     red, pivots = rref(a)
-    free = [c for c in range(n_cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), n_cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            if red[r, fc]:
-                basis[i, pc] = 1
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    basis = np.zeros((free.size, n_cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = red[: len(pivots)][:, free].T
     return basis
 
 
@@ -104,23 +101,29 @@ def matmul(a, b) -> np.ndarray:
     return ((aa @ bb) % 2).astype(np.uint8)
 
 
-def in_row_space(mat, vec) -> bool:
-    """Is *vec* an F2 combination of the rows of *mat*?"""
-    a = as_f2(mat)
-    v = as_f2(vec)
+def in_span(mat, vecs) -> np.ndarray:
+    """For each row of *vecs*: is it an F2 combination of the rows of *mat*?
+
+    *mat* is eliminated once; every row of *vecs* is then cleared at each
+    pivot column in one packed XOR pass and lies in the span iff nothing
+    is left.
+    """
+    a, v = as_f2(mat), as_f2(vecs)
     if a.shape[1] != v.shape[1]:
         raise ValueError("length mismatch")
-    return rank(a) == rank(np.vstack([a, v]))
+    basis = pack_rows(a)
+    rest = pack_rows(v)
+    for r, c in enumerate(_eliminate(basis, a.shape[1])):
+        word, bit = divmod(c, 64)
+        rest[(rest[:, word] >> np.uint64(bit)) & np.uint64(1) != 0] ^= basis[r]
+    return ~rest.any(axis=1)
 
 
 def row_space_equal(a, b) -> bool:
     aa, bb = as_f2(a), as_f2(b)
     if aa.shape[1] != bb.shape[1]:
         return False
-    ra, rb = rank(aa), rank(bb)
-    if ra != rb:
-        return False
-    return rank(np.vstack([aa, bb])) == ra
+    return bool(in_span(aa, bb).all() and in_span(bb, aa).all())
 
 
 def nonzero_rref_rows(mat) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
-from .graphs import RegularGraph, _ball, bicycle_free_radius
+from .graphs import RegularGraph, _ball, _neighbor_rows, bicycle_free_radius
 
 
 class DecodeError(ValueError):
@@ -538,10 +538,8 @@ def mop_excess_check(subject, r: int) -> MopReport:
     """
     if isinstance(subject, EdgeSubgraph):
         _, rows = subject.neighbor_rows()
-    elif isinstance(subject, RegularGraph):
-        rows = subject.neighbor_lists()
     else:
-        rows = [list(map(int, row)) for row in subject]
+        rows = _neighbor_rows(subject)
     n_v = len(rows)
     if n_v == 0:
         raise ValueError("empty subgraph")

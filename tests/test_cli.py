@@ -217,6 +217,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "missing input file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["union", "ihara"])
+def test_spectrum_check_without_signing_is_a_usage_error(tmp_path, capsys,
+                                                          check):
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--graph", gp, "--check", check])
+    assert exc.value.code == 2
+    assert f"--check {check} needs --signing" in capsys.readouterr().err
+
+
 def test_json_flag_prints_payload(tmp_path, capsys):
     out = tmp_path / "k4.json"
     assert main(["gen-base", "--kind", "complete", "--n", "4",

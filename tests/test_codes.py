@@ -6,15 +6,17 @@ import itertools
 import numpy as np
 import pytest
 
-from abelift import gf2
+from abelift import gf2, kernels
 from abelift.codes import (BudgetError, CSSCode, GroupAlgebraMatrix,
-                           LinearCodeF2, circulant_structure_check,
+                           LinearCodeF2, _logical_min_weight_exact,
+                           _logical_upper_bound, circulant_structure_check,
                            code_dimension, css_valid, free_action_check,
                            group_algebra_from_blocks, lifted_product,
                            local_code_search, min_distance, pairs_action_free,
                            tanner_code, tanner_from_certificate,
                            tanner_lift_code, toric_code, write_alist)
-from abelift.graphs import complete_graph, Signing
+from abelift.graphs import (RegularGraph, Signing, complete_graph,
+                            petersen_graph, random_regular)
 from abelift.groups import AbelianGroup
 from abelift.search import derandomized_lift_search
 
@@ -30,6 +32,108 @@ def _k4_z3_certificate():
                     dtype=np.int64)
     return derandomized_lift_search(base, AbelianGroup.cyclic(3),
                                     rows[:90]).certificate
+
+
+def _reference_upper_bound(stab, kernel_basis, n_cols, trials, seed):
+    """The information-set sampler with one rank test per candidate."""
+    anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
+        (0, n_cols), dtype=np.uint8)
+    space = np.vstack([anchor, kernel_basis]) if anchor.size else kernel_basis
+    space = gf2.nonzero_rref_rows(space)
+    rng = np.random.default_rng(seed)
+    r_anchor = anchor.shape[0]
+    best = None
+    for _ in range(trials):
+        perm = rng.permutation(n_cols)
+        red, piv = gf2.rref(space[:, perm])
+        rows = red[: len(piv)]
+        cands = np.empty_like(rows)
+        cands[:, perm] = rows
+        if rows.shape[0] <= 48:
+            pair_idx = [(i, j) for i in range(rows.shape[0])
+                        for j in range(i + 1, rows.shape[0])]
+            if pair_idx:
+                pairs = np.array([cands[i] ^ cands[j] for i, j in pair_idx])
+                cands = np.vstack([cands, pairs])
+        weights = cands.sum(axis=1)
+        for idx in np.argsort(weights):
+            w = int(weights[idx])
+            if best is not None and w >= best:
+                break
+            if w == 0:
+                continue
+            if r_anchor and gf2.rank(anchor) == gf2.rank(
+                    np.vstack([anchor, cands[idx]])):
+                continue
+            best = w
+            break
+    return best
+
+
+def _reference_min_weight_exact(stab, kernel_basis, n_cols):
+    """Exact logical distance with logicals picked by a greedy rank loop."""
+    anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
+        (0, n_cols), dtype=np.uint8)
+    logicals, cur = [], anchor
+    for v in kernel_basis:
+        cand = np.vstack([cur, v.reshape(1, -1)])
+        if gf2.rank(cand) > cur.shape[0]:
+            logicals.append(v)
+            cur = cand
+    log_packed = gf2.pack_rows(np.asarray(logicals, dtype=np.uint8))
+    stab_packed = gf2.pack_rows(anchor) if anchor.shape[0] else np.zeros(
+        (0, log_packed.shape[1]), dtype=np.uint64)
+    best = None
+    for mask in range(1, 2 ** len(logicals)):
+        vec = np.zeros(log_packed.shape[1], dtype=np.uint64)
+        for i in range(len(logicals)):
+            if (mask >> i) & 1:
+                vec ^= log_packed[i]
+        w = kernels.min_weight_affine(vec, stab_packed, skip_zero=False)
+        best = w if best is None else min(best, w)
+    return int(best)
+
+
+def _reference_tanner_from_certificate(cert, local):
+    """Circulant Tanner layout written out per vertex, slot, check and fiber."""
+    base = RegularGraph.from_json(cert["base"])
+    ell = AbelianGroup.from_json(cert["group"]).fiber_size
+    values = np.asarray(cert["signing"]).reshape(base.m, -1)
+    lp = gf2.nonzero_rref_rows(local.parity)
+    rc = lp.shape[0]
+    H = np.zeros((base.n * rc * ell, base.m * ell), dtype=np.uint8)
+    for v in range(base.n):
+        for j in range(base.d):
+            w = int(base.adj[v, j])
+            e = base.edge_id(v, w)
+            a_e = int(values[e, 0])
+            for c in range(rc):
+                if not lp[c, j]:
+                    continue
+                for i in range(ell):
+                    fiber = i if v < w else (i - a_e) % ell
+                    H[(v * rc + c) * ell + i, e * ell + fiber] ^= 1
+    return H
+
+
+def _lp_code(ell, seed):
+    """x^s (1 + x^a) products over Z_ell for seeded shifts s and odd a."""
+    rng = np.random.default_rng(seed)
+    shifts = rng.integers(ell, size=2)
+    steps = rng.choice(np.arange(1, ell, 2), size=2)
+    A, B = (GroupAlgebraMatrix.from_polys(ell, [[[s, s + a]]])
+            for s, a in zip(shifts, steps))
+    return lifted_product(A, B)
+
+
+def _surface_code(d):
+    """Hypergraph product of two distance-d repetition codes: [[., 1, d]]
+    with weight-3 boundary checks, lighter than its logicals for d > 3."""
+    rep = LinearCodeF2.repetition(d).parity
+    A, B = (GroupAlgebraMatrix.from_polys(1, [[[0] if x else [] for x in row]
+                                              for row in h])
+            for h in (rep, rep.T))
+    return lifted_product(A, B)
 
 
 def test_linear_code_basics():
@@ -264,6 +368,55 @@ def test_tanner_from_certificate_is_circulant():
                            for b in range(n_blocks)])
     rotated = H[:, perm]
     assert gf2.rank(np.vstack([H, rotated])) == gf2.rank(H)
+
+
+def test_tanner_from_certificate_matches_the_fiber_loop():
+    # l = 1 and 2, transitive and non-transitive (even shifts only) signings
+    certs = [_k4_z3_certificate()]
+    for ell in (1, 2, 4, 8):
+        group = AbelianGroup.cyclic(ell)
+        for base in (complete_graph(4), petersen_graph(),
+                     random_regular(10, 5, seed=3)):
+            rng = np.random.default_rng(ell)
+            signings = [rng.integers(ell, size=(base.m, 1))]
+            if ell > 2:
+                signings.append(2 * rng.integers(ell // 2, size=(base.m, 1)))
+                assert not group.is_transitive(
+                    [tuple(r) for r in signings[-1]])
+            certs += [{"base": base.to_json(), "group": group.to_json(),
+                       "signing": vals.tolist()} for vals in signings]
+    for cert in certs:
+        d = cert["base"]["d"]
+        for local in (LinearCodeF2.even_weight(d), LinearCodeF2.repetition(d),
+                      LinearCodeF2.full_space(d)):
+            H = tanner_from_certificate(cert, local)
+            assert np.array_equal(
+                H, _reference_tanner_from_certificate(cert, local))
+
+
+def test_distances_match_the_per_candidate_references():
+    codes_ = [toric_code(ell) for ell in (2, 3, 4)]
+    codes_ += [_surface_code(d) for d in (3, 4)]
+    codes_ += [_lp_code(ell, seed)
+               for ell, seed in ((3, 0), (3, 1), (4, 0), (4, 1), (6, 0))]
+    for code in codes_:
+        for stab, other in ((code.hx, code.hz), (code.hz, code.hx)):
+            kernel = gf2.nullspace(other)
+            if code.n <= 32:  # larger ones exceed the exact budget
+                assert _logical_min_weight_exact(stab, kernel, code.n) == \
+                    _reference_min_weight_exact(stab, kernel, code.n)
+            for seed in range(3):
+                assert _logical_upper_bound(stab, kernel, code.n, 8, seed) \
+                    == _reference_upper_bound(stab, kernel, code.n, 8, seed)
+    # single trials of random [40, 16] codes stop short of the distance,
+    # so the bound depends on every candidate pair
+    rng = np.random.default_rng(0)
+    empty = np.zeros((0, 40), dtype=np.uint8)
+    for _ in range(4):
+        gen = gf2.nullspace(rng.integers(0, 2, size=(24, 40)))
+        for seed in range(12):
+            assert _logical_upper_bound(empty, gen, 40, 1, seed) == \
+                _reference_upper_bound(empty, gen, 40, 1, seed)
 
 
 def test_certificate_to_css_chain():

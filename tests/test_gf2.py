@@ -74,17 +74,55 @@ def test_matmul_matches_dense_mod2(rng):
     assert np.array_equal(gf2.matmul(a, b), (a @ b) % 2)
 
 
-def test_in_row_space_and_equality(rng):
+def naive_in_span(mat, vec):
+    """Rank definition: vec is in the row span iff appending it keeps rank."""
+    mat = np.asarray(mat, dtype=np.uint8).reshape(-1, len(vec))
+    return naive_rank(mat) == naive_rank(np.vstack([mat, vec]))
+
+
+def test_in_span_and_equality(rng):
     basis = rng.integers(0, 2, size=(4, 30)).astype(np.uint8)
     combo = basis[0] ^ basis[2]
-    assert gf2.in_row_space(basis, combo)
+    assert gf2.in_span(basis, combo).tolist() == [True]
     out = combo.copy()
     out[0] ^= 1
     # flipping one bit leaves the span unless that bit is a free direction
-    if not gf2.in_row_space(basis, out):
+    if not gf2.in_span(basis, out)[0]:
         assert not gf2.row_space_equal(basis, np.vstack([basis, out]))
     perm_rows = basis[::-1].copy()
     assert gf2.row_space_equal(basis, perm_rows)
+
+
+def test_in_span_batches_match_the_rank_definition(rng):
+    for cols in (1, 30, 64, 65, 150):
+        basis = rng.integers(0, 2, size=(5, cols)).astype(np.uint8)
+        coeffs = rng.integers(0, 2, size=(6, 5))
+        vecs = np.vstack([(coeffs @ basis) % 2,  # in the span
+                          rng.integers(0, 2, size=(6, cols)),
+                          np.zeros((1, cols), dtype=np.uint8)])
+        got = gf2.in_span(basis, vecs)
+        assert got.shape == (13,) and got[:6].all() and got[-1]
+        assert got.tolist() == [naive_in_span(basis, v) for v in vecs]
+    wide = np.zeros((2, 130), dtype=np.uint8)
+    wide[0, [3, 70]] = 1
+    wide[1, [64, 129]] = 1
+    probe = np.zeros((3, 130), dtype=np.uint8)
+    probe[0, [3, 64, 70, 129]] = 1  # both rows
+    probe[1, [3, 64]] = 1  # pivot of one row, half of the other
+    probe[2, 129] = 1
+    assert gf2.in_span(wide, probe).tolist() == [True, False, False]
+
+
+def test_in_span_of_no_rows_is_the_zero_vector(rng):
+    empty = np.zeros((0, 70), dtype=np.uint8)
+    vecs = rng.integers(0, 2, size=(4, 70)).astype(np.uint8)
+    vecs[2] = 0
+    assert gf2.in_span(empty, vecs).tolist() == [False, False, True, False]
+    assert gf2.in_span(empty, vecs).tolist() == [
+        naive_in_span(empty, v) for v in vecs]
+    assert gf2.in_span(vecs, empty).shape == (0,)
+    assert gf2.row_space_equal(empty, np.zeros((3, 70), dtype=np.uint8))
+    assert not gf2.row_space_equal(empty, vecs)
 
 
 def test_nonzero_rref_rows_drops_dependents():
