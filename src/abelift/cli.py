@@ -66,8 +66,6 @@ def _parse_ints(text: str) -> list[int]:
 def cmd_gen_base(args) -> int:
     started = time.perf_counter()
     if args.kind == "random":
-        if args.n is None or args.d is None:
-            raise SystemExit("gen-base random needs --n and --d")
         g = random_regular(args.n, args.d, seed=args.seed)
     elif args.kind == "cycle":
         g = cycle_graph(args.n)
@@ -237,17 +235,16 @@ def cmd_codes(args) -> int:
         cert_payload = serial.load_json(args.cert)
         inputs.append(args.cert)
         cert = cert_payload.get("certificate", cert_payload)
-        local = (codes.LinearCodeF2.even_weight(
-                    RegularGraph.from_json(cert["base"]).d)
+        d = RegularGraph.from_json(cert["base"]).d
+        local = (codes.LinearCodeF2.even_weight(d)
                  if args.local == "even-weight"
-                 else codes.LinearCodeF2.repetition(
-                    RegularGraph.from_json(cert["base"]).d))
+                 else codes.LinearCodeF2.repetition(d))
+        ell = AbelianGroup.from_json(cert["group"]).fiber_size
         H = codes.tanner_from_certificate(cert, local)
         payload = {"tanner": {"rows": int(H.shape[0]), "cols": int(H.shape[1]),
                               "dimension": codes.code_dimension(H),
                               "circulant": codes.circulant_structure_check(
-                                  H, AbelianGroup.from_json(
-                                      cert["group"]).fiber_size),
+                                  H, ell),
                               "parity_hash": serial.object_hash(H.tolist())}}
         if args.alist:
             codes.write_alist(H, args.alist)
@@ -364,12 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (command, option, values): the options each of those values needs
+_NEEDS = [
+    ("gen-base", "kind", ("random",), ("n", "d")),
+    ("gen-base", "kind", ("cycle", "complete"), ("n",)),
+    ("spectrum", "check", ("union", "ihara"), ("signing",)),
+    ("lift-search", "mode", ("support",), ("support",)),
+    ("pseudorandom", "action", ("hoeffding",), ("graph",)),
+    ("codes", "action", ("tanner",), ("cert",)),
+    ("codes", "action", ("css-valid",), ("hx", "hz")),
+]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "spectrum" and args.check != "mixing" \
-            and args.signing is None:
-        parser.error(f"spectrum --check {args.check} needs --signing")
+    for command, option, values, needs in _NEEDS:
+        if args.command != command or getattr(args, option) not in values:
+            continue
+        missing = [f"--{dest}" for dest in needs if getattr(args, dest) is None]
+        if missing:
+            value = getattr(args, option)
+            choice = value if option == "action" else f"--{option} {value}"
+            parser.error(f"{command} {choice} needs {' and '.join(missing)}")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -1,8 +1,11 @@
 """Classical F2 codes, Tanner constructions, and circulant CSS products.
 
 Parity matrices are uint8 arrays; all rank and span work runs on the
-bit-packed routines in gf2.  Distances come either from exact coset
-enumeration (certified) or an information-set sampler (upper bound).
+bit-packed routines in gf2.  Matrices over the group algebra F2[Z_ell]
+are (rows, cols, ell) coefficient bit arrays, and a certified cyclic
+lift's Tanner code is built as one and expanded once into circulant
+blocks.  Distances come either from exact coset enumeration (certified)
+or an information-set sampler (upper bound).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2, kernels
-from .graphs import RegularGraph, Signing, lift
+from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 
 EXACT_DIM_CAP = 24
@@ -93,15 +96,25 @@ def tanner_code(G: RegularGraph, local: LinearCodeF2) -> np.ndarray:
     edges read in neighbor-row order.  The local parity is row reduced
     first so the result has exactly n * rank(local) rows.
     """
+    return _tanner_matrix(G, local, 1, np.zeros_like(G.eid_table)).expand()
+
+
+def _tanner_matrix(G: RegularGraph, local: LinearCodeF2, ell: int,
+                   exps: np.ndarray) -> GroupAlgebraMatrix:
+    """Tanner parity over F2[Z_ell]; slot j of v carries x^exps[v, j].
+
+    Ring row v * checks + c is vertex v's local check c, ring column e is
+    edge e.
+    """
     if local.length != G.d:
         raise ValueError("local code length must equal the degree")
     lp = gf2.nonzero_rref_rows(local.parity)
     rc = lp.shape[0]
-    H = np.zeros((G.n, rc, G.m), dtype=np.uint8)
+    coeffs = np.zeros((G.n, rc, G.m, ell), dtype=np.uint8)
     # a simple graph's slots at v carry distinct edges, so nothing collides
-    H[np.arange(G.n)[:, None, None], np.arange(rc)[:, None],
-      G.eid_table[:, None, :]] = lp
-    return H.reshape(G.n * rc, G.m)
+    coeffs[np.arange(G.n)[:, None, None], np.arange(rc)[:, None],
+           G.eid_table[:, None, :], exps[:, None, :]] = lp
+    return GroupAlgebraMatrix(ell, coeffs.reshape(G.n * rc, G.m, ell))
 
 
 def local_code_search(block_length: int, distance_target: int,
@@ -145,77 +158,77 @@ def local_code_search(block_length: int, distance_target: int,
 # matrices over the cyclic group algebra and their circulant expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupAlgebraMatrix:
-    """Matrix with entries in F2[Z_ell], each entry a set of shift exponents.
+def _circulant_blocks(coeffs: np.ndarray) -> np.ndarray:
+    """Entry (i, j) as its ell x ell shift-matrix sum, [i, j, a, b] = [x^(b-a)]."""
+    ell = coeffs.shape[2]
+    idx = np.arange(ell)
+    return coeffs[:, :, (idx[None, :] - idx[:, None]) % ell]
 
-    Construction collapses repeated exponents to one (set semantics), so
-    degenerate reductions such as 1 + x at ell = 1 keep a unit entry.
+
+@dataclass(frozen=True, eq=False)
+class GroupAlgebraMatrix:
+    """Matrix over F2[Z_ell] held as a read-only (rows, cols, ell) bit array.
+
+    coeffs[i, j, e] = 1 when x^e appears in entry (i, j).  Construction
+    from exponent lists sets bits rather than toggling them, so repeated
+    exponents collapse to one and degenerate reductions such as 1 + x at
+    ell = 1 keep a unit entry.
     """
 
     ell: int
-    entries: tuple[tuple[frozenset, ...], ...]
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        if self.ell < 1:
+            raise ValueError("ell must be positive")
+        coeffs = np.array(self.coeffs, dtype=np.uint8)
+        if coeffs.ndim != 3 or coeffs.shape[2] != self.ell:
+            raise ValueError("coefficients must have shape (rows, cols, ell)")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_polys(ell: int, rows: Sequence[Sequence]) -> "GroupAlgebraMatrix":
+        """Entries given as exponent collections (or single ints), mod ell."""
         if ell < 1:
             raise ValueError("ell must be positive")
-        out = []
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (int, np.integer)):
-                    cell = [int(cell)]
-                cells.append(frozenset(int(e) % ell for e in cell))
-            out.append(tuple(cells))
-        if len({len(r) for r in out}) > 1:
+        cells = [[[c] if isinstance(c, (int, np.integer)) else list(c)
+                  for c in row] for row in rows]
+        if len({len(r) for r in cells}) > 1:
             raise ValueError("ragged rows")
-        return GroupAlgebraMatrix(ell, tuple(out))
+        coeffs = np.zeros((len(cells), len(cells[0]) if cells else 0, ell),
+                          dtype=np.uint8)
+        for i, row in enumerate(cells):
+            for j, exps in enumerate(row):
+                coeffs[i, j, np.asarray(exps, dtype=np.int64) % ell] = 1
+        return GroupAlgebraMatrix(ell, coeffs)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0]) if self.entries else 0
+        return self.coeffs.shape[:2]
 
     def star(self) -> "GroupAlgebraMatrix":
         """Transpose with every shift exponent negated (the ring involution)."""
-        rows, cols = self.shape
-        out = [[frozenset((-e) % self.ell for e in self.entries[i][j])
-                for i in range(rows)] for j in range(cols)]
-        return GroupAlgebraMatrix(self.ell,
-                                  tuple(tuple(r) for r in out))
+        negated = -np.arange(self.ell) % self.ell
+        return GroupAlgebraMatrix(
+            self.ell, self.coeffs.transpose(1, 0, 2)[:, :, negated])
 
     def matmul(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
-        """Ring product with genuine F2 cancellation of colliding shifts."""
+        """Ring product: a cyclic convolution of exponents, summed mod 2."""
         if self.ell != other.ell:
             raise ValueError("mismatched ell")
-        ra, ca = self.shape
-        rb, cb = other.shape
-        if ca != rb:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("inner dimensions differ")
-        rows = []
-        for i in range(ra):
-            row = []
-            for j in range(cb):
-                acc: set[int] = set()
-                for t in range(ca):
-                    for ea in self.entries[i][t]:
-                        for eb in other.entries[t][j]:
-                            acc ^= {(ea + eb) % self.ell}
-                row.append(frozenset(acc))
-            rows.append(tuple(row))
-        return GroupAlgebraMatrix(self.ell, tuple(rows))
+        # uint8 sums wrap mod 256, which keeps their parity
+        prod = np.tensordot(self.coeffs, _circulant_blocks(other.coeffs),
+                            axes=([1, 2], [0, 2]))
+        return GroupAlgebraMatrix(self.ell, prod & 1)
 
     def expand(self) -> np.ndarray:
         """Binary block matrix with P_e[i, (i+e) % ell] = 1 for each shift e."""
         rows, cols = self.shape
-        ell = self.ell
-        out = np.zeros((rows * ell, cols * ell), dtype=np.uint8)
-        idx = np.arange(ell)
-        for i in range(rows):
-            for j in range(cols):
-                for e in self.entries[i][j]:
-                    out[i * ell + idx, j * ell + (idx + e) % ell] ^= 1
-        return out
+        return _circulant_blocks(self.coeffs).transpose(0, 2, 1, 3).reshape(
+            rows * self.ell, cols * self.ell)
 
 
 def group_algebra_from_blocks(H, ell: int) -> GroupAlgebraMatrix:
@@ -231,44 +244,26 @@ def group_algebra_from_blocks(H, ell: int) -> GroupAlgebraMatrix:
     if n_rows % ell or n_cols % ell:
         raise ValueError("matrix shape not divisible into ell-blocks")
     blocks = h.reshape(n_rows // ell, ell, n_cols // ell, ell)
-    mat = GroupAlgebraMatrix(ell, tuple(
-        tuple(frozenset(np.nonzero(first)[0].tolist()) for first in row)
-        for row in blocks[:, 0]))
-    if n_rows:  # expand() cannot tell a matrix with no rows from 0 x 0
-        bad = np.argwhere((mat.expand() != h).reshape(blocks.shape)
-                          .any(axis=(1, 3)))
-        if bad.size:
-            raise ValueError(f"block ({bad[0, 0]}, {bad[0, 1]}) is not "
-                             "circulant")
+    mat = GroupAlgebraMatrix(ell, blocks[:, 0])
+    bad = np.argwhere((mat.expand() != h).reshape(blocks.shape)
+                      .any(axis=(1, 3)))
+    if bad.size:
+        raise ValueError(f"block ({bad[0, 0]}, {bad[0, 1]}) is not "
+                         "circulant")
     return mat
 
 
-def circulant_structure_check(H, ell: int, block_order=None) -> bool:
+def circulant_structure_check(H, ell: int) -> bool:
     """Is the row space invariant under a one-step cyclic shift of each column block?
 
-    Columns are taken as contiguous fiber blocks of size ell unless
-    block_order lists, per column, its (block, fiber) position.
+    Columns are taken as contiguous fiber blocks of size ell.
     """
     h = gf2.as_f2(H)
     n = h.shape[1]
     if n % ell:
         raise ValueError("column count not divisible by ell")
-    if block_order is None:
-        blocks = np.arange(n) // ell
-        fibers = np.arange(n) % ell
-    else:
-        blocks = np.array([b for b, _ in block_order])
-        fibers = np.array([f for _, f in block_order])
-        if blocks.size != n:
-            raise ValueError("block_order must cover every column")
-    col_of = {}
-    for c in range(n):
-        col_of[(int(blocks[c]), int(fibers[c]))] = c
-    perm = np.empty(n, dtype=np.int64)
-    for c in range(n):
-        perm[c] = col_of[(int(blocks[c]), (int(fibers[c]) + 1) % ell)]
-    shifted = h[:, perm]
-    return gf2.row_space_equal(h, shifted)
+    c = np.arange(n)
+    return gf2.row_space_equal(h, h[:, (c // ell) * ell + (c + 1) % ell])
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +515,13 @@ def free_action_check(base: RegularGraph, signing: Signing) -> FreeActionReport:
 
 
 def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
-    """Tanner parity of a certified lift, laid out in circulant fiber blocks.
+    """Tanner parity of a certified lift, built over F2[Z_ell] and expanded.
 
-    Columns sit at (base edge e, fiber f) -> e * ell + f; rows at
-    ((v * checks + c) * ell + i).  Needs the canonical cyclic action so
-    fiber shifts are column rotations, which makes every block circulant.
+    The base graph's Tanner code with the local-code bit of edge e at x^0
+    when v is e's lower endpoint and at x^(-s_e) otherwise, where s_e is
+    e's shift.  Expanded, columns sit at (base edge e, fiber f) ->
+    e * ell + f and rows at ((v * checks + c) * ell + i).  Needs the
+    canonical cyclic action, whose fiber shifts are exactly these rotations.
     """
     base = RegularGraph.from_json(cert["base"])
     group = AbelianGroup.from_json(cert["group"])
@@ -534,24 +531,10 @@ def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
             group.generator_perms != canonical.generator_perms:
         raise ValueError("certificate group is not the canonical cyclic "
                          "rotation action")
-    signing = Signing(base, group, np.asarray(cert["signing"]))
-    lifted = lift(base, signing, allow_disconnected=True)
-    H = tanner_code(lifted, local)
-    # lifted rows sit at (v * ell + i) * checks + c
-    H = H.reshape(base.n, ell, -1, lifted.m).swapaxes(1, 2).reshape(
-        -1, lifted.m)
-    # a lifted edge's lower end lies in the fiber of the lower base end
-    cols = np.empty(lifted.m, dtype=np.int64)
-    cols[lifted.eid_table] = (np.repeat(base.eid_table, ell, axis=0) * ell
-                              + np.minimum(np.arange(lifted.n)[:, None],
-                                           lifted.adj) % ell)
-    out = np.empty_like(H)
-    out[:, cols] = H
-    return out
-
-
-def tanner_lift_code(cert: dict, local: LinearCodeF2) -> LinearCodeF2:
-    return LinearCodeF2(tanner_from_certificate(cert, local))
+    shifts = Signing(base, group, np.asarray(cert["signing"])).values[:, 0]
+    exps = np.where(np.arange(base.n)[:, None] < base.adj, 0,
+                    -shifts[base.eid_table] % ell)
+    return _tanner_matrix(base, local, ell, exps).expand()
 
 
 # ---------------------------------------------------------------------------

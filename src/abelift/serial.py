@@ -2,8 +2,8 @@
 
 Every artifact this package writes goes through canonical_json so that
 re-running a command with the same inputs produces byte-identical files.
-Rules: sorted keys, no whitespace beyond a single space after separators,
-floats via repr (shortest round-trip), no NaN/Inf.
+Rules: str dict keys in sorted order, no whitespace, floats via repr
+(shortest round-trip), no NaN/Inf.
 """
 from __future__ import annotations
 
@@ -14,30 +14,25 @@ from typing import Any
 import numpy as np
 
 
-def _normalize(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+def _encode(obj: Any) -> Any:
+    """json.dumps hook for the numpy and set values payloads carry."""
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _normalize(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        raise ValueError("non-finite float in canonical payload")
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, frozenset):
-        return sorted(_normalize(v) for v in obj)
-    return obj
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text for *obj* (sorted keys, stable floats)."""
-    return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=_encode)
 
 
 def canonical_bytes(obj: Any) -> bytes:

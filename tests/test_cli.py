@@ -201,6 +201,11 @@ def test_codes_tanner_from_certificate(tmp_path):
     assert payload["circulant"] is True
     assert (payload["rows"], payload["cols"]) == (12, 18)
     assert alist.read_text().splitlines()[0] == "18 12"
+    # pinned: building the parity another way must leave artifacts unchanged
+    assert payload["parity_hash"] == ("00ac1e50c8372d0a8f5c4bb22b8a540f"
+                                      "27500689b14cb42d3d49b692ad1606c2")
+    assert serial.file_hash(str(alist)) == (
+        "25baf0fae1c466684b8272b6cd30d4b498c0d1946cd2fd25510e247dc2193ddf")
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -225,6 +230,26 @@ def test_spectrum_check_without_signing_is_a_usage_error(tmp_path, capsys,
         main(["spectrum", "--graph", gp, "--check", check])
     assert exc.value.code == 2
     assert f"--check {check} needs --signing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-base", "--kind", "cycle"], "gen-base --kind cycle needs --n"),
+    (["gen-base", "--kind", "complete"], "--kind complete needs --n"),
+    (["gen-base", "--kind", "random"], "--kind random needs --n and --d"),
+    (["gen-base", "--n", "8"], "gen-base --kind random needs --d"),
+    (["lift-search", "--graph", "{k4}", "--ell", "3", "--mode", "support"],
+     "lift-search --mode support needs --support"),
+    (["codes", "tanner"], "codes tanner needs --cert"),
+    (["codes", "css-valid", "--hx", "{k4}"], "codes css-valid needs --hz"),
+    (["pseudorandom", "hoeffding"], "pseudorandom hoeffding needs --graph"),
+])
+def test_missing_required_option_is_a_usage_error(tmp_path, capsys, argv,
+                                                  message):
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(k4=gp) for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_json_flag_prints_payload(tmp_path, capsys):

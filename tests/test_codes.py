@@ -13,8 +13,8 @@ from abelift.codes import (BudgetError, CSSCode, GroupAlgebraMatrix,
                            code_dimension, css_valid, free_action_check,
                            group_algebra_from_blocks, lifted_product,
                            local_code_search, min_distance, pairs_action_free,
-                           tanner_code, tanner_from_certificate,
-                           tanner_lift_code, toric_code, write_alist)
+                           tanner_code, tanner_from_certificate, toric_code,
+                           write_alist)
 from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             petersen_graph, random_regular)
 from abelift.groups import AbelianGroup
@@ -116,6 +116,23 @@ def _reference_tanner_from_certificate(cert, local):
     return H
 
 
+def _reference_expand(ell, polys):
+    """Circulant expansion written out per entry and distinct exponent."""
+    out = np.zeros((len(polys) * ell, len(polys[0]) * ell), dtype=np.uint8)
+    idx = np.arange(ell)
+    for i, row in enumerate(polys):
+        for j, cell in enumerate(row):
+            for e in {x % ell for x in cell}:
+                out[i * ell + idx, j * ell + (idx + e) % ell] ^= 1
+    return out
+
+
+def _random_polys(rng, rows, cols, ell):
+    """Exponent lists with repeats and exponents up to 2 * ell."""
+    return [[rng.integers(0, 2 * ell + 1, size=rng.integers(0, 5)).tolist()
+             for _ in range(cols)] for _ in range(rows)]
+
+
 def _lp_code(ell, seed):
     """x^s (1 + x^a) products over Z_ell for seeded shifts s and odd a."""
     rng = np.random.default_rng(seed)
@@ -203,11 +220,28 @@ def test_local_code_search_impossible_targets():
 def test_group_algebra_matmul_and_star():
     a = GroupAlgebraMatrix.from_polys(4, [[[0, 1]]])
     sq = a.matmul(a)
-    assert sq.entries[0][0] == frozenset({0, 2})  # (1+x)^2 = 1 + x^2 over F2
-    assert a.star().entries[0][0] == frozenset({0, 3})  # conjugate negates x
+    assert sq.coeffs[0, 0].tolist() == [1, 0, 1, 0]  # (1+x)^2 = 1 + x^2
+    assert a.star().coeffs[0, 0].tolist() == [1, 0, 0, 1]  # x -> x^-1
     full = a.expand()
     assert np.array_equal(gf2.matmul(full, full),
                           sq.expand())
+    with pytest.raises(ValueError, match="read-only"):
+        sq.coeffs[0, 0, 1] = 0
+
+
+def test_group_algebra_ring_laws_against_expand():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        ell = int(rng.integers(1, 9))
+        r, c, k = (int(x) for x in rng.integers(1, 4, size=3))
+        pa, pb = _random_polys(rng, r, c, ell), _random_polys(rng, c, k, ell)
+        A, B = (GroupAlgebraMatrix.from_polys(ell, p) for p in (pa, pb))
+        assert np.array_equal(A.expand(), _reference_expand(ell, pa))
+        assert np.array_equal(A.matmul(B).expand(),
+                              gf2.matmul(A.expand(), B.expand()))
+        assert np.array_equal(A.star().expand(), A.expand().T)
+        back = group_algebra_from_blocks(A.expand(), ell)
+        assert back.ell == ell and np.array_equal(back.coeffs, A.coeffs)
 
 
 def test_group_algebra_expand_roundtrip():
@@ -216,7 +250,8 @@ def test_group_algebra_expand_roundtrip():
               for _ in range(3)] for _ in range(2)]
     mat = GroupAlgebraMatrix.from_polys(5, polys)
     back = group_algebra_from_blocks(mat.expand(), 5)
-    assert back.entries == mat.entries
+    assert np.array_equal(back.coeffs, mat.coeffs)
+    assert group_algebra_from_blocks(np.zeros((0, 10)), 5).shape == (0, 2)
     with pytest.raises(ValueError, match="not circulant"):
         bad = mat.expand().copy()
         bad[0, 0] ^= 1
@@ -360,7 +395,7 @@ def test_tanner_from_certificate_is_circulant():
     H = tanner_from_certificate(cert, local)
     assert H.shape == (12, 18)  # n * checks * ell rows, m * ell cols
     assert circulant_structure_check(H, 3)
-    code = tanner_lift_code(cert, local)
+    code = LinearCodeF2(tanner_from_certificate(cert, local))
     assert code.dimension == 18 - gf2.rank(H)
     # fiber rotation maps codewords to codewords
     n_blocks = H.shape[1] // 3
