@@ -93,13 +93,14 @@ def cmd_spectrum(args) -> int:
         signing = _signing_from_file(base, args.signing)
         inputs.append(args.signing)
         rep = spectral.spectrum_union_check(signing, tol=args.tol)
-        lifted = lift(base, signing, allow_disconnected=True)
-        eigs = spectral.adjacency_spectrum(lifted)
+        eigs = spectral.adjacency_spectrum(
+            lift(base, signing, allow_disconnected=True))
+        # ascending eigvalsh: drop one copy of the top eigenvalue d
         payload.update(adjacency_distance=rep.adjacency_distance,
                        nb_distance=rep.nb_distance, tol=rep.tol,
                        passed=rep.passed,
-                       lambda_modulus=spectral.lambda2(lifted),
-                       lambda_signed=spectral.lambda2_signed(lifted),
+                       lambda_modulus=float(np.abs(eigs[:-1]).max()),
+                       lambda_signed=float(eigs[-2]),
                        eigenvalues=[[float(x), 0.0] for x in eigs])
         failed = not rep.passed
     elif args.check == "ihara":

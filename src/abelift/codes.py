@@ -256,14 +256,23 @@ def group_algebra_from_blocks(H, ell: int) -> GroupAlgebraMatrix:
 def circulant_structure_check(H, ell: int) -> bool:
     """Is the row space invariant under a one-step cyclic shift of each column block?
 
-    Columns are taken as contiguous fiber blocks of size ell.
+    Columns are taken as contiguous fiber blocks of size ell.  A matrix laid
+    out in ell x ell circulant blocks (as the Tanner builders lay theirs)
+    is answered exactly without elimination: the same shift of its row
+    blocks undoes the column shift, so the shifted rows are a permutation
+    of the rows.  Anything else is decided by comparing row spaces.
     """
     h = gf2.as_f2(H)
-    n = h.shape[1]
+    rows, n = h.shape
     if n % ell:
         raise ValueError("column count not divisible by ell")
     c = np.arange(n)
-    return gf2.row_space_equal(h, h[:, (c // ell) * ell + (c + 1) % ell])
+    shifted = h[:, (c // ell) * ell + (c + 1) % ell]
+    if rows % ell == 0:
+        r = np.arange(rows)
+        if np.array_equal(shifted[(r // ell) * ell + (r + 1) % ell], h):
+            return True
+    return gf2.row_space_equal(h, shifted)
 
 
 # ---------------------------------------------------------------------------

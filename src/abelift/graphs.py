@@ -31,31 +31,28 @@ class RegularGraph:
             raise ValueError("need at least two vertices and degree one")
         if a.min() < 0 or a.max() >= n:
             raise ValueError("neighbor label out of range")
-        pairs = set()
-        for u in range(n):
-            row = a[u]
-            if np.any(row == u):
-                raise ValueError("self-loop found")
-            if len(set(row.tolist())) != d:
-                raise ValueError("repeated neighbor (multi-edge)")
-            for v in row:
-                pairs.add((u, int(v)))
-        for u, v in pairs:
-            if (v, u) not in pairs:
-                raise ValueError("adjacency is not symmetric")
+        u = np.repeat(np.arange(n), d)
+        loop = (a == u.reshape(n, d)).any(axis=1)
+        srt = np.sort(a, axis=1)
+        bad = loop | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if bad.any():  # the first offending row names the fault
+            raise ValueError("self-loop found" if loop[np.argmax(bad)]
+                             else "repeated neighbor (multi-edge)")
+        v = a.ravel()
+        keys = u * n + v
+        if not np.array_equal(np.sort(keys), np.sort(v * n + u)):
+            raise ValueError("adjacency is not symmetric")
         self.adj = a
         self.n = n
         self.d = d
-        self.edges = sorted((min(u, v), max(u, v)) for u, v in pairs if u < v)
+        ekeys = np.sort(keys[u < v])
+        self.edges = list(zip((ekeys // n).tolist(), (ekeys % n).tolist()))
         self.m = len(self.edges)
         if 2 * self.m != n * d:
             raise ValueError("edge count does not match degree")
-        self._eid = {e: i for i, e in enumerate(self.edges)}
-        self.eid_table = np.empty((n, d), dtype=np.int64)
-        for u in range(n):
-            for j in range(d):
-                v = int(a[u, j])
-                self.eid_table[u, j] = self._eid[(min(u, v), max(u, v))]
+        self._eid = dict(zip(self.edges, range(self.m)))
+        self.eid_table = np.searchsorted(
+            ekeys, np.minimum(u, v) * n + np.maximum(u, v)).reshape(n, d)
 
     def edge_id(self, u: int, v: int) -> int:
         return self._eid[(min(u, v), max(u, v))]

@@ -4,6 +4,13 @@ lambda(G) is the largest eigenvalue magnitude after removing one copy of
 the trivial (Perron) eigenvalue d; for a signed operator at a nontrivial
 character the whole spectrum is nontrivial and the spectral radius is
 used directly.
+
+The spectrum-union check compares a built lift with the union of its
+signed character spectra.  Its non-backtracking half takes the lift's NB
+spectrum from the lift's adjacency eigenvalues by the Ihara-Bass theorem
+(ihara_bass_spectrum) and solves only the small per-character B(chi)
+directly; near the double root alpha^2 = 4 (d - 1), where the root
+formula loses accuracy, it solves the lifted NB operator densely instead.
 """
 from __future__ import annotations
 
@@ -14,12 +21,22 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .graphs import (MAX_DENSE_DIM, RegularGraph, Signing, lift,
+from .graphs import (RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking,
                      signed_operators)
 from .groups import _validate_element
 
 _HUNGARIAN_CAP = 3000
+# Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
+# eigenvalues at which the union check trusts the Ihara-Bass roots.  A root
+# (alpha +- sqrt(disc)) / 2 moves by about d_alpha |alpha| / (2 sqrt|disc|)
+# when alpha moves by d_alpha, and |alpha| / 2 = sqrt(d - 1 + disc / 4).
+# eigvalsh is backward stable, so d_alpha is a small multiple of
+# eps ||A|| = 2.2e-16 d; take d_alpha = 1e-14.  At |disc| >= 1e-6 the root
+# error is then at most about 1e-11 sqrt(d - 1), under tol / 100 = 1e-10
+# at the default tol for every d <= 100.  Below it the lifted NB operator
+# is solved densely.
+IHARA_BASS_MIN_DISC = 1e-6
 # Largest (characters, n, n) complex128 operator stack built at once; the
 # characters of a larger group are solved in chunks that fit.
 STACK_BYTES = 1 << 24
@@ -69,10 +86,13 @@ def nb_radius_nontrivial(B: np.ndarray) -> float:
 
 
 def multiset_max_distance(a, b) -> float:
-    """Max per-element distance under an optimal matching of two multisets.
+    """Max per-element distance between two multisets under one matching.
 
-    Real multisets pair off in sorted order (optimal for the max metric);
-    genuinely complex ones go through a Hungarian assignment.
+    Real multisets pair off in sorted order, which minimises the max
+    distance.  Genuinely complex ones (at most _HUNGARIAN_CAP elements) go
+    through a Hungarian assignment, which minimises the *sum* of the
+    distances; the reported max is taken over that assignment, so it is an
+    upper bound on the best achievable max.
     """
     av = np.asarray(a).ravel()
     bv = np.asarray(b).ravel()
@@ -126,28 +146,63 @@ class UnionReport:
     passed: bool
 
 
+def ihara_bass_spectrum(alpha, d: int, excess: int) -> np.ndarray:
+    """Non-backtracking spectrum of a d-regular graph (d >= 2) from its
+    adjacency eigenvalues alpha, by the Ihara-Bass theorem.
+
+    Each alpha contributes the two roots (alpha +- sqrt(alpha^2 - 4 (d-1)))
+    / 2 of beta^2 - alpha beta + (d - 1); +1 and -1 each add excess = m - n
+    more copies.
+    """
+    alpha = np.asarray(alpha, dtype=np.complex128).ravel()
+    sq = np.sqrt(alpha * alpha - 4.0 * (d - 1))
+    ones = np.ones(excess)
+    return np.concatenate([(alpha + sq) / 2.0, (alpha - sq) / 2.0,
+                           ones, -ones])
+
+
 def spectrum_union_check(signing: Signing, tol: float = 1e-8,
                          include_nonbacktracking: bool | None = None) -> UnionReport:
     """Match the lift spectrum against the union of signed character spectra.
 
-    Checks the adjacency operator always and the non-backtracking operator
-    when its lifted dimension fits the dense cap (or as requested).
+    Checks the adjacency operator always.  The non-backtracking half runs
+    by default when the lifted NB dimension 2M fits the complex matching
+    cap _HUNGARIAN_CAP; requesting it above the cap raises ValueError
+    before any eigensolve.  The lift's NB spectrum is ihara_bass_spectrum
+    of its adjacency eigenvalues, unless some eigenvalue lies within
+    IHARA_BASS_MIN_DISC of the double root (or d = 1): then the lifted NB
+    operator is solved densely.  Every B(chi) is solved directly.
     """
-    lifted = lift(signing.base, signing, allow_disconnected=True)
+    base = signing.base
+    nb_dim = 2 * base.m * signing.group.fiber_size
+    if include_nonbacktracking is None:
+        include_nonbacktracking = nb_dim <= _HUNGARIAN_CAP
+    elif include_nonbacktracking and nb_dim > _HUNGARIAN_CAP:
+        raise ValueError(f"lifted non-backtracking spectrum has {nb_dim} "
+                         "elements, above the matching cap "
+                         f"{_HUNGARIAN_CAP}")
+    lifted = lift(base, signing, allow_disconnected=True)
     mults = signing.group.character_multiplicities()
     counts = np.fromiter(mults.values(), dtype=np.int64, count=len(mults))
     chars = np.flatnonzero(counts)
     union = np.repeat(character_spectra(signing, chars, "adjacency"),
                       counts[chars], axis=0)
-    adj_dist = multiset_max_distance(adjacency_spectrum(lifted), union)
+    alpha = adjacency_spectrum(lifted)
+    adj_dist = multiset_max_distance(alpha, union)
     nb_dist = None
-    if include_nonbacktracking is None:
-        include_nonbacktracking = 2 * lifted.m <= MAX_DENSE_DIM
     if include_nonbacktracking:
         union = np.repeat(character_spectra(signing, chars, "nonbacktracking"),
                           counts[chars], axis=0)
-        nb_dist = multiset_max_distance(
-            np.linalg.eigvals(nonbacktracking(lifted)), union)
+        d = base.d
+        disc = alpha * alpha - 4.0 * (d - 1)
+        if d >= 2 and np.abs(disc).min() >= IHARA_BASS_MIN_DISC:
+            nb = ihara_bass_spectrum(alpha, d, lifted.m - lifted.n)
+        else:
+            nb = np.linalg.eigvals(nonbacktracking(lifted))
+        # nb repeats values exactly (+-1 each M - N times), and
+        # linear_sum_assignment handles such ties far faster as columns than
+        # as rows: 0.04 s against 0.6 s at 2M = 1920 (n = 80, l = 8)
+        nb_dist = multiset_max_distance(union, nb)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
     return UnionReport(adj_dist, nb_dist, tol, passed)
 

@@ -9,7 +9,9 @@ import pytest
 
 from abelift import serial
 from abelift.cli import main
-from abelift.graphs import Signing, complete_graph, cycle_graph
+from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
+                            random_regular)
+from abelift.spectral import lambda2, lambda2_signed
 from abelift.groups import AbelianGroup
 
 
@@ -54,6 +56,26 @@ def test_spectrum_union_roundtrip(tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_spectrum_union_lambdas_equal_the_library_ones(tmp_path):
+    # the artifact reads both lambdas off one eigvalsh of the lift
+    for name, base, group, seed in (
+            ("c3", cycle_graph(3), AbelianGroup.cyclic(2), 1),
+            ("k4", complete_graph(4), AbelianGroup.cyclic(3), 2),
+            ("rr", random_regular(10, 3, seed=1), AbelianGroup.cyclic(4), 3)):
+        sg = Signing.random(base, group, seed=seed)
+        out = tmp_path / f"{name}-union.json"
+        assert main(["spectrum", "--graph",
+                     _write_graph(tmp_path / f"{name}.json", base),
+                     "--signing", _write_signing(tmp_path / f"{name}-sg.json",
+                                                 sg),
+                     "--check", "union", "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes())
+        lifted = lift(base, sg, allow_disconnected=True)
+        assert payload["lambda_modulus"] == lambda2(lifted)
+        assert payload["lambda_signed"] == lambda2_signed(lifted)
+        assert payload["nb_distance"] <= 1e-10
 
 
 def test_spectrum_timing_is_opt_in(tmp_path):

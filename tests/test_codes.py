@@ -405,7 +405,7 @@ def test_tanner_from_certificate_is_circulant():
     assert gf2.rank(np.vstack([H, rotated])) == gf2.rank(H)
 
 
-def test_tanner_from_certificate_matches_the_fiber_loop():
+def _tanner_certificates():
     # l = 1 and 2, transitive and non-transitive (even shifts only) signings
     certs = [_k4_z3_certificate()]
     for ell in (1, 2, 4, 8):
@@ -420,13 +420,76 @@ def test_tanner_from_certificate_matches_the_fiber_loop():
                     [tuple(r) for r in signings[-1]])
             certs += [{"base": base.to_json(), "group": group.to_json(),
                        "signing": vals.tolist()} for vals in signings]
-    for cert in certs:
-        d = cert["base"]["d"]
-        for local in (LinearCodeF2.even_weight(d), LinearCodeF2.repetition(d),
-                      LinearCodeF2.full_space(d)):
+    return certs
+
+
+def _local_codes(d):
+    return (LinearCodeF2.even_weight(d), LinearCodeF2.repetition(d),
+            LinearCodeF2.full_space(d))
+
+
+def test_tanner_from_certificate_matches_the_fiber_loop():
+    for cert in _tanner_certificates():
+        for local in _local_codes(cert["base"]["d"]):
             H = tanner_from_certificate(cert, local)
             assert np.array_equal(
                 H, _reference_tanner_from_certificate(cert, local))
+
+
+def _shift_columns(h, ell):
+    c = np.arange(h.shape[1])
+    return h[:, (c // ell) * ell + (c + 1) % ell]
+
+
+def _spy_row_space_equal(monkeypatch):
+    calls = []
+    original = gf2.row_space_equal
+    monkeypatch.setattr(gf2, "row_space_equal",
+                        lambda a, b: calls.append(1) or original(a, b))
+    return calls
+
+
+def test_circulant_check_of_tanner_matrices_needs_no_elimination(
+        monkeypatch):
+    cases = [(tanner_from_certificate(cert, local),
+              AbelianGroup.from_json(cert["group"]).fiber_size)
+             for cert in _tanner_certificates()
+             for local in _local_codes(cert["base"]["d"])]
+    calls = _spy_row_space_equal(monkeypatch)
+    for H, ell in cases:
+        assert circulant_structure_check(H, ell)
+    assert calls == []
+    monkeypatch.undo()
+    for H, ell in cases:
+        assert gf2.row_space_equal(H, _shift_columns(H, ell))
+
+
+def test_circulant_check_agrees_with_row_space_equal(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(100):
+        ell = int(rng.integers(1, 6))
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if k % 4 == 0:  # uniform, with any row count
+            h = rng.integers(0, 2, size=(int(rng.integers(1, 10)),
+                                         cols * ell))
+        else:
+            h = GroupAlgebraMatrix.from_polys(
+                ell, _random_polys(rng, rows, cols, ell)).expand()
+            if k % 4 == 2:  # the same row space, not block circulant
+                h = gf2.matmul(rng.integers(0, 2, size=(h.shape[0],) * 2), h)
+            elif k % 4 == 3:  # one flipped bit
+                h = h.copy()
+                h[rng.integers(h.shape[0]), rng.integers(h.shape[1])] ^= 1
+        cases.append((gf2.as_f2(h), ell))
+    want = [gf2.row_space_equal(h, _shift_columns(h, ell))
+            for h, ell in cases]
+    calls = _spy_row_space_equal(monkeypatch)
+    got = [circulant_structure_check(h, ell) for h, ell in cases]
+    assert got == want
+    # both branches ran, and both verdicts occur
+    assert 0 < len(calls) < len(cases)
+    assert 0 < sum(want) < len(cases)
 
 
 def test_distances_match_the_per_candidate_references():

@@ -46,6 +46,82 @@ def test_constructor_rejects_bad_tables():
         RegularGraph([[1, 7], [0, 2], [1, 0]])
 
 
+def _reference_graph_tables(adj):
+    """The per-vertex loops RegularGraph once ran: validation in row order
+    (self-loop before multi-edge within a row), then symmetry, then the
+    edge count; returns (edges, edge id dict, eid_table)."""
+    a = np.asarray(adj, dtype=np.int64)
+    n, d = a.shape
+    pairs = set()
+    for u in range(n):
+        row = a[u]
+        if np.any(row == u):
+            raise ValueError("self-loop found")
+        if len(set(row.tolist())) != d:
+            raise ValueError("repeated neighbor (multi-edge)")
+        for v in row:
+            pairs.add((u, int(v)))
+    for u, v in pairs:
+        if (v, u) not in pairs:
+            raise ValueError("adjacency is not symmetric")
+    edges = sorted((min(u, v), max(u, v)) for u, v in pairs if u < v)
+    if 2 * len(edges) != n * d:
+        raise ValueError("edge count does not match degree")
+    eid = {e: i for i, e in enumerate(edges)}
+    table = np.empty((n, d), dtype=np.int64)
+    for u in range(n):
+        for j in range(d):
+            v = int(a[u, j])
+            table[u, j] = eid[(min(u, v), max(u, v))]
+    return edges, eid, table
+
+
+def _outcome(build, adj):
+    try:
+        return build(adj)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_constructor_matches_the_loop_reference():
+    def build(adj):
+        g = RegularGraph(adj)
+        return g.edges, g._eid, g.eid_table
+
+    rng = np.random.default_rng(0)
+    tables = [cycle_graph(5).adj, complete_graph(6).adj, petersen_graph().adj,
+              random_regular(16, 4, seed=1).adj,
+              random_regular(2, 1, seed=0).adj,
+              lift(random_regular(10, 3, seed=2), Signing.random(
+                  random_regular(10, 3, seed=2), AbelianGroup.cyclic(4),
+                  seed=3), allow_disconnected=True).adj]
+    # the first bad row names the fault; within a row, self-loop first
+    tables += [np.array(t) for t in ([[0, 0], [1, 1]], [[1, 1], [1, 0]],
+                                     [[0, 1], [0, 0]], [[1, 2], [2, 2],
+                                                        [0, 2]])]
+    for _ in range(300):
+        a = random_regular(2 * int(rng.integers(2, 7)), 3,
+                           seed=int(rng.integers(1 << 30))).adj.copy()
+        n = a.shape[0]
+        for _ in range(int(rng.integers(0, 3))):
+            u, j = rng.integers(n), rng.integers(3)
+            a[u, j] = rng.choice([u, a[u, (j + 1) % 3], rng.integers(n)])
+        tables.append(a)
+    messages = set()
+    for a in tables:
+        got, want = _outcome(build, a), _outcome(_reference_graph_tables, a)
+        if isinstance(want, str):
+            assert got == want
+            messages.add(want)
+        else:
+            assert got[0] == want[0] and got[1] == want[1]
+            assert all(type(x) is int for e in got[0] for x in e)
+            assert got[2].dtype == want[2].dtype
+            assert np.array_equal(got[2], want[2])
+    assert messages == {"self-loop found", "repeated neighbor (multi-edge)",
+                        "adjacency is not symmetric"}
+
+
 def test_edge_and_directed_indexing():
     g = complete_graph(4)
     for e, (u, v) in enumerate(g.edges):

@@ -13,7 +13,8 @@ from abelift.graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
                             petersen_graph, random_regular, signed_adjacency)
 from abelift.groups import AbelianGroup
 from abelift.spectral import (adjacency_spectrum, boolean_rayleigh_max,
-                              character_spectra, ihara_check, lambda2,
+                              character_spectra, ihara_bass_spectrum,
+                              ihara_check, lambda2,
                               lambda2_signed,
                               lift_lambda, mixing_check, multiset_max_distance,
                               nb_eigenvector_transport, nb_radius_nontrivial,
@@ -154,12 +155,95 @@ def test_batched_spectra_equal_the_per_character_loop(group):
                                if mults[chi]])
 
     lifted = lift(base, sg, allow_disconnected=True)
+    alpha = adjacency_spectrum(lifted)
     rep = spectrum_union_check(sg, include_nonbacktracking=True)
-    assert rep.adjacency_distance == multiset_max_distance(
-        adjacency_spectrum(lifted), union(ref))
+    assert rep.adjacency_distance == multiset_max_distance(alpha, union(ref))
     assert rep.nb_distance == multiset_max_distance(
-        np.linalg.eigvals(nonbacktracking(lifted)), union(nb_ref))
+        union(nb_ref),
+        ihara_bass_spectrum(alpha, base.d, lifted.m - lifted.n))
+    assert multiset_max_distance(union(nb_ref),
+                                 np.linalg.eigvals(nonbacktracking(lifted))
+                                 ) <= 1e-10
     assert rep.passed
+
+
+def _dense_nb_spectrum(G):
+    return np.linalg.eigvals(nonbacktracking(G))
+
+
+@pytest.mark.parametrize("n, d, group, seed", [
+    (12, 3, AbelianGroup.cyclic(4), 1),
+    (10, 4, AbelianGroup.cyclic(3), 2),
+    (8, 5, AbelianGroup.cyclic(5), 3),
+    (12, 3, AbelianGroup.product([2, 4]), 4),
+    (10, 4, AbelianGroup.product([2, 4]), 5),
+], ids=["d3-Z4", "d4-Z3", "d5-Z5", "d3-Z2xZ4", "d4-Z2xZ4"])
+def test_ihara_bass_spectrum_matches_the_dense_operator(n, d, group, seed):
+    base = random_regular(n, d, seed=seed)
+    for sg in (Signing.random(base, group, seed=seed),
+               Signing.identity(base, group)):  # the second is disconnected
+        G = lift(base, sg, allow_disconnected=True)
+        nb = ihara_bass_spectrum(adjacency_spectrum(G), d, G.m - G.n)
+        assert nb.shape == (2 * G.m,)
+        assert multiset_max_distance(nb, _dense_nb_spectrum(G)) <= 1e-10
+
+
+def test_ihara_bass_spectrum_of_a_bipartite_lift():
+    # K_{3,3} with a Z_3 signing: the lift is bipartite, so -3 and -2 occur
+    base = RegularGraph([[3, 4, 5]] * 3 + [[0, 1, 2]] * 3)
+    sg = Signing.random(base, AbelianGroup.cyclic(3), seed=7)
+    G = lift(base, sg)
+    alpha = adjacency_spectrum(G)
+    assert alpha[0] == pytest.approx(-3.0, abs=1e-12)
+    nb = ihara_bass_spectrum(alpha, 3, G.m - G.n)
+    assert np.abs(nb + 2).min() <= 1e-12
+    assert multiset_max_distance(nb, _dense_nb_spectrum(G)) <= 1e-10
+
+
+def _spy_dense_nb(monkeypatch):
+    calls = []
+
+    def spy(G):
+        calls.append(G.n)
+        return nonbacktracking(G)
+    monkeypatch.setattr(spectral, "nonbacktracking", spy)
+    return calls
+
+
+def test_union_check_solves_the_lifted_nb_densely_only_at_the_double_root(
+        monkeypatch):
+    calls = _spy_dense_nb(monkeypatch)
+    # every lift of a cycle has alpha = 2 = 2 sqrt(d - 1): the dense path
+    rep = spectrum_union_check(_signed_triangle())
+    assert calls == [6] and rep.passed
+    # d = 1: a perfect matching has m < n, so no Ihara-Bass excess exists
+    rep = spectrum_union_check(Signing.random(
+        RegularGraph([[1], [0]]), AbelianGroup.cyclic(3), seed=1))
+    assert calls == [6, 6] and rep.passed and rep.nb_distance == 0.0
+    calls.clear()
+    base = random_regular(12, 3, seed=4)
+    rep = spectrum_union_check(Signing.random(base, AbelianGroup.cyclic(4),
+                                              seed=5))
+    assert calls == [] and rep.passed and rep.nb_distance <= 1e-10
+
+
+def test_union_check_gates_the_nb_half_before_any_eigensolve(monkeypatch):
+    base = random_regular(12, 3, seed=4)
+    sg = Signing.random(base, AbelianGroup.cyclic(4), seed=5)  # 2M = 144
+    solves = []
+    for name in ("eigvals", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _s=solve: solves.append(1) or _s(a))
+    monkeypatch.setattr(spectral, "_HUNGARIAN_CAP", 143)
+    rep = spectrum_union_check(sg)
+    assert rep.nb_distance is None and rep.passed
+    solves.clear()
+    with pytest.raises(ValueError, match="144 elements.*cap 143"):
+        spectrum_union_check(sg, include_nonbacktracking=True)
+    assert solves == []
+    monkeypatch.setattr(spectral, "_HUNGARIAN_CAP", 144)
+    assert spectrum_union_check(sg).nb_distance is not None
 
 
 def test_non_transitive_group_has_zero_multiplicity_characters():
