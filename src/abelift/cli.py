@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: gen-base, spectrum, lift-search, hikes, pseudorandom, codes.
-Exit codes: 0 success, 1 a requested check failed (a machine-readable
-failure report is still written), 2 usage errors.  Artifacts are canonical
-JSON with sorted keys and embed the tool version, a hash of the run
-configuration, and hashes of every input file, so reruns are byte
-identical; --timing appends wall-clock data and opts out of that.
+Exit codes: 0 success, 1 a requested check or search failed (a
+machine-readable failure report is still written), 2 usage errors.
+Artifacts are canonical JSON with sorted keys and embed the tool version,
+a hash of the run configuration, and hashes of every input file, so
+reruns are byte identical; --timing appends wall-clock data and opts out
+of that.
 """
 from __future__ import annotations
 
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         parser.exit(2, f"abelift: missing input file: {exc.filename}\n")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:
         print(serial.canonical_json({"failed": True, "error": str(exc)}))
         return 1
 

@@ -326,17 +326,14 @@ def lift(base: RegularGraph, signing: Signing,
             raise ValueError(
                 "signing generates a non-transitive action; the lift would "
                 "be disconnected (pass allow_disconnected=True to override)")
-    perms = [group.perm_of(signing.element(e)) for e in range(base.m)]
-    inv_perms = [np.argsort(p) for p in perms]
-    n, d = base.n, base.d
-    rows = np.empty((n * ell, d), dtype=np.int64)
-    for u in range(n):
-        for j in range(d):
-            v = int(base.adj[u, j])
-            e = base.edge_id(u, v)
-            fiber_map = perms[e] if u < v else inv_perms[e]
-            rows[u * ell:(u + 1) * ell, j] = v * ell + fiber_map
-    return RegularGraph(rows)
+    perms = np.array([group.perm_of(signing.element(e))
+                      for e in range(base.m)])
+    # slot j of u maps fiber i to perms[e][i] when u < v, else the inverse
+    maps = np.stack([perms, np.argsort(perms, axis=1)])
+    backward = base.adj < np.arange(base.n)[:, None]
+    fiber = maps[backward.astype(np.int64), base.eid_table]  # (n, d, ell)
+    rows = base.adj[:, :, None] * ell + fiber
+    return RegularGraph(rows.transpose(0, 2, 1).reshape(base.n * ell, base.d))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +356,8 @@ def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
     A[u, v] = chi(s_e) and A[v, u] its conjugate for each canonical edge
     e = (u, v); B[f, g] = chi(element on g) for each step f = (w -> x),
     g = (x -> y) with y != w, where directed edge 2e + 1 carries the
-    inverse of s_e.  Entries come from the group's character table, so
-    they equal group.char_value bit for bit.
+    inverse of s_e.  Entries come from group.char_table, so they equal
+    group.char_value bit for bit.
     """
     base, group = signing.base, signing.group
     chars = np.asarray(chars, dtype=np.int64)
@@ -376,8 +373,7 @@ def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
         elems = np.stack([signing.values, inverse], axis=1).reshape(dim, -1)
     else:
         raise ValueError("kind must be 'adjacency' or 'nonbacktracking'")
-    cols, col_of = np.unique(group.element_indices(elems), return_inverse=True)
-    vals = group.char_table(cols)[np.ix_(chars, col_of)]
+    vals = group.char_table(chars, group.element_indices(elems))
     stack = np.zeros((chars.size, dim, dim), dtype=np.complex128)
     if kind == "adjacency":
         u, v = np.asarray(base.edges).T

@@ -223,30 +223,38 @@ class WalkSigning:
         }
 
 
-def expander_walk_signing(base: RegularGraph, ell: int, dprime: int = 36,
-                          seed=0) -> WalkSigning:
-    """Sign the base's canonical edges by the vertices of one expander walk.
+def _expander_walks(m: int, ell: int, dprime: int, seed, trials: int):
+    """(aux, aux_lambda, d_eff, walks): the seed's auxiliary expander and
+    `trials` walks of m vertices on it, as rows of a (trials, m) array.
 
     An auxiliary d'-regular graph on [ell] is redrawn until its lambda is
-    at most 3 sqrt(d' - 1); a uniform-start walk of base.m vertices then
-    supplies one Z_ell exponent per canonical edge.
+    at most 3 sqrt(d' - 1); every walk starts at a uniform vertex and takes
+    uniform steps, all walks advancing together.
     """
     d_eff = effective_walk_degree(ell, dprime)
-    ss = np.random.SeedSequence(seed)
-    aux_ss, walk_ss = ss.spawn(2)
+    aux_ss, walk_ss = np.random.SeedSequence(seed).spawn(2)
     aux, aux_lambda = _aux_expander(ell, d_eff, aux_ss)
     rng = np.random.default_rng(walk_ss)
-    start = int(rng.integers(ell))
-    walk = [start]
-    for _ in range(base.m - 1):
-        walk.append(int(aux.adj[walk[-1], rng.integers(d_eff)]))
-    group = AbelianGroup.cyclic(ell)
-    values = np.array(walk, dtype=np.int64).reshape(-1, 1)
-    signing = Signing(base, group, values)
+    walks = np.empty((trials, m), dtype=np.int64)
+    walks[:, 0] = rng.integers(ell, size=trials)
+    for step in range(1, m):
+        walks[:, step] = aux.adj[walks[:, step - 1],
+                                 rng.integers(d_eff, size=trials)]
+    return aux, aux_lambda, d_eff, walks
+
+
+def expander_walk_signing(base: RegularGraph, ell: int, dprime: int = 36,
+                          seed=0) -> WalkSigning:
+    """Sign the base's canonical edges by the vertices of one expander walk:
+    walk vertex e is the Z_ell exponent of canonical edge e.
+    """
+    aux, aux_lambda, d_eff, (walk,) = _expander_walks(base.m, ell, dprime,
+                                                      seed, 1)
+    signing = Signing(base, AbelianGroup.cyclic(ell), walk.reshape(-1, 1))
     return WalkSigning(signing=signing, aux=aux, aux_lambda=aux_lambda,
                        aux_bound=AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1),
-                       dprime_used=d_eff, start=start, walk=tuple(walk),
-                       seed=seed)
+                       dprime_used=d_eff, start=int(walk[0]),
+                       walk=tuple(walk.tolist()), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -275,23 +283,12 @@ def hoeffding_tail_check(base: RegularGraph, ell: int, edge_subset,
         raise ValueError("edge id out of range")
     if trials < 1:
         raise ValueError("trials must be positive")
-    d_eff = effective_walk_degree(ell, dprime)
-    ss = np.random.SeedSequence(seed)
-    aux_ss, walk_ss = ss.spawn(2)
-    aux, _ = _aux_expander(ell, d_eff, aux_ss)
-    rng = np.random.default_rng(walk_ss)
+    *_, values = _expander_walks(base.m, ell, dprime, seed, trials)
     u_size = len(edge_ids)
     if u_size == 0:
         emp_re = emp_im = float(threshold <= 0.0)
         bound = 2.0 if threshold <= 0.0 else 0.0
     else:
-        cur = rng.integers(ell, size=trials)
-        values = np.empty((trials, base.m), dtype=np.int64)
-        values[:, 0] = cur
-        for step in range(1, base.m):
-            draws = rng.integers(d_eff, size=trials)
-            cur = aux.adj[cur, draws]
-            values[:, step] = cur
         angles = 2.0 * np.pi * values[:, edge_ids] / ell
         re = np.cos(angles).sum(axis=1)
         im = np.sin(angles).sum(axis=1)

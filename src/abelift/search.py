@@ -144,15 +144,11 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     if seeds < 1:
         raise ValueError("need at least one walk seed")
     t0 = time.perf_counter()
-    group = AbelianGroup.cyclic(ell)
     lam_base = lambda2(base)
 
     def evaluate(ws):
-        # evaluated against the driver's group, whose character table is
-        # then filled once per search rather than once per walk
-        signing = Signing(base, group, ws.signing.values)
-        lam, _, rhos = lift_lambda(signing, lam_base)
-        return signing, lam, rhos
+        lam, _, rhos = lift_lambda(ws.signing, lam_base)
+        return ws.signing, lam, rhos
 
     walks = (expander_walk_signing(base, ell, dprime, seed=(master_seed, i))
              for i in range(seeds))
@@ -171,9 +167,9 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
         "reference_curve": {"form": "sqrt(d)*log2(d)", "value": ref,
                             "ratio": lam / ref},
     }
-    cert = _certificate("walk", base, group, ws.signing, lam, lam_base, rhos,
-                        target, idx, evaluated, provenance, checks,
-                        max_check_dist)
+    cert = _certificate("walk", base, ws.signing.group, ws.signing, lam,
+                        lam_base, rhos, target, idx, evaluated, provenance,
+                        checks, max_check_dist)
     return SearchResult(ws.signing, lam, cert, runtime)
 
 

@@ -297,6 +297,21 @@ def test_bad_semantic_input_exits_one(tmp_path, capsys):
     assert payload["failed"] is True and "error" in payload
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["lift-search", "--ell", "40", "--seeds", "2"], "stub matching failed"),
+    (["pseudorandom", "biased-set", "--ellp", "2", "--m", "2", "--nu", "0",
+      "--size-budget", "1"], "no nu=0.0 support found"),
+], ids=["walk-aux-expander", "biased-set-budget"])
+def test_failed_search_exits_one_with_a_reason(tmp_path, capsys, argv,
+                                               reason):
+    if argv[0] == "lift-search":
+        argv = argv + ["--graph", _write_graph(
+            tmp_path / "g16.json", random_regular(16, 3, seed=1))]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failed"] is True and reason in payload["error"]
+
+
 @pytest.mark.parametrize("chi", ["9", "1,1", "-1", "0,0"])
 def test_ihara_rejects_a_character_outside_the_group(tmp_path, capsys, chi):
     base = cycle_graph(4)

@@ -216,6 +216,38 @@ def test_lift_vertex_layout_and_neighbor_order():
                 assert row[j] == v * ell + fiber
 
 
+def _reference_lift_table(base, signing):
+    """The lifted neighbor table filled one base slot at a time."""
+    group = signing.group
+    ell = group.fiber_size
+    perms = [group.perm_of(signing.element(e)) for e in range(base.m)]
+    rows = np.empty((base.n * ell, base.d), dtype=np.int64)
+    for u in range(base.n):
+        for j in range(base.d):
+            v = int(base.adj[u, j])
+            e = base.edge_id(u, v)
+            fiber_map = perms[e] if u < v else np.argsort(perms[e])
+            rows[u * ell:(u + 1) * ell, j] = v * ell + fiber_map
+    return rows
+
+
+def test_lift_matches_the_per_slot_reference():
+    split = AbelianGroup([2], [np.array([1, 0, 3, 2])])  # two orbits
+    cases = [(complete_graph(4), AbelianGroup.cyclic(3)),
+             (cycle_graph(5), AbelianGroup.cyclic(7)),
+             (petersen_graph(), AbelianGroup.product([4, 2])),
+             (random_regular(10, 4, seed=1), AbelianGroup.product([3, 3])),
+             (random_regular(16, 3, seed=2), AbelianGroup.cyclic(16)),
+             (random_regular(8, 3, seed=3), split)]
+    for k, (base, group) in enumerate(cases):
+        sg = Signing.random(base, group, seed=k)
+        got = lift(base, sg, allow_disconnected=True).adj
+        want = _reference_lift_table(base, sg)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    with pytest.raises(ValueError, match="non-transitive"):
+        lift(base, sg)  # the last case acts by `split`
+
+
 def test_lift_of_random_signing_is_regular_with_matching_spectrum_size():
     base = complete_graph(4)
     sg = Signing.random(base, AbelianGroup.cyclic(4), seed=3)

@@ -113,12 +113,27 @@ def test_free_and_multiplicities():
 
 def test_char_table_and_element_indices_follow_elements_order():
     group = AbelianGroup.product([2, 3, 4])
-    elems = group.elements()
-    assert np.array_equal(group.element_indices(elems), np.arange(24))
-    table = group.char_table([5, 0, 23, 5])
-    for c, chi in enumerate(group.characters()):
-        for j, g in enumerate([5, 0, 23, 5]):
-            assert table[c, j] == group.char_value(chi, elems[g])
+    assert np.array_equal(group.element_indices(group.elements()),
+                          np.arange(24))
+    rng = np.random.default_rng(0)
+    big = AbelianGroup.cyclic(65536)
+    sampled = np.concatenate([[1, 65535], rng.integers(65536, size=298)])
+    cases = [
+        (group, np.arange(24), [5, 0, 23, 5]),
+        (AbelianGroup.product([3, 3]), np.arange(9), np.arange(9)),
+        # three inexact phases: summing them right to left moves 1,482 bits
+        (AbelianGroup.product([3, 5, 7]), np.arange(105), np.arange(105)),
+        # non-regular: Z2 acting on four points with two orbits
+        (AbelianGroup([2], [np.array([1, 0, 3, 2])]), [1, 0], [0, 1, 1]),
+        (big, sampled, sampled[::-1]),
+    ]
+    for grp, chars, elems in cases:
+        table = grp.char_table(chars, elems)
+        assert table.shape == (len(chars), len(elems))
+        chis, gs = grp.characters(), grp.elements()
+        for c, chi in enumerate(chars):
+            for j, g in enumerate(elems):
+                assert table[c, j] == grp.char_value(chis[chi], gs[g])
 
 
 def test_json_roundtrip_is_one_based():

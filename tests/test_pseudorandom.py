@@ -172,6 +172,16 @@ def test_walk_marginals_are_nearly_uniform():
     assert worst <= 0.05
 
 
+def test_walk_streams_are_pinned():
+    # drawn by the earlier per-step scalar sampler: certificates replay
+    # only while the batched sampler keeps its random stream
+    ws = expander_walk_signing(cycle_graph(10), 16, seed=(0, 3))
+    assert ws.walk == (10, 11, 12, 11, 15, 5, 14, 5, 1, 13)
+    rep = hoeffding_tail_check(cycle_graph(10), 16, range(10), 3.0,
+                               trials=200, seed=1)
+    assert (rep.empirical_re, rep.empirical_im) == (0.145, 0.175)
+
+
 def test_hoeffding_vacuous_threshold():
     rep = hoeffding_tail_check(cycle_graph(10), 16, range(10), 0.0,
                                trials=200, seed=0)

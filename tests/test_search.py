@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from abelift import serial
-from abelift.graphs import (complete_graph, cycle_graph, lift, random_regular)
+from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
+                            random_regular)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import BiasedSet, expander_walk_signing
 from abelift.search import (CERT_SCHEMA, derandomized_lift_search,
                             exponential_regime_build, markov_bound_report,
                             reference_lambda, verify_certificate)
-from abelift.spectral import lift_lambda
+from abelift.spectral import lift_lambda, spectrum_union_check
 
 
 def _all_rows(ell, m):
@@ -190,6 +191,21 @@ def test_walk_build_beats_trivial_bound():
     base = random_regular(10, 3, seed=2)
     res = exponential_regime_build(base, 8, seeds=6, master_seed=1)
     assert res.lam < 3.0  # connected, spectrally nontrivial
+
+
+def test_no_search_path_fills_characters_one_call_at_a_time(monkeypatch):
+    def refuse(self, chi, g):
+        raise AssertionError("char_value called on a batched path")
+
+    monkeypatch.setattr(AbelianGroup, "char_value", refuse)
+    base = random_regular(10, 3, seed=4)
+    for group in (AbelianGroup.cyclic(8), AbelianGroup.product([2, 4])):
+        sg = Signing.random(base, group, seed=1)
+        lift_lambda(sg)
+        assert spectrum_union_check(sg).passed
+    res = exponential_regime_build(base, 8, 3, crosscheck_every=1)
+    assert res.certificate["crosscheck"]["count"] == 3
+    assert verify_certificate(res.certificate)["ok"]
 
 
 def test_markov_report_premise_and_rates():
