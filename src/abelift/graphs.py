@@ -12,11 +12,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from . import serial
-from .groups import AbelianGroup, _validate_element
+from .groups import AbelianGroup, _orbits, _validate_element
 
 MAX_DENSE_DIM = 4096
+PAIRING_TRIES = 20000  # configuration-model pairings per draw
+MATCHING_RESTARTS = 200  # suitable-pair matchings per draw
 
 
 class RegularGraph:
@@ -133,7 +137,7 @@ def disjoint_union(g1: RegularGraph, g2: RegularGraph) -> RegularGraph:
     return RegularGraph(rows)
 
 
-def random_regular(n: int, d: int, seed: int, max_tries: int = 20000) -> RegularGraph:
+def random_regular(n: int, d: int, seed: int) -> RegularGraph:
     """Uniform d-regular graph by configuration-model pairing with rejection.
 
     Draws a random perfect matching on the n*d half-edge stubs and rejects
@@ -146,7 +150,7 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 20000) -> Regular
         raise ValueError("degree must be below n for a simple graph")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         pairs = rng.permutation(stubs).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
@@ -160,11 +164,10 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 20000) -> Regular
             nbrs[int(b)].append(int(a))
         return RegularGraph(nbrs)
     raise RuntimeError(
-        f"no simple pairing found in {max_tries} tries (n={n}, d={d})")
+        f"no simple pairing found in {PAIRING_TRIES} tries (n={n}, d={d})")
 
 
-def random_regular_dense(n: int, d: int, seed: int,
-                         max_restarts: int = 200) -> RegularGraph:
+def random_regular_dense(n: int, d: int, seed: int) -> RegularGraph:
     """d-regular graph by suitable-pair stub matching (Steger-Wormald style).
 
     Unlike plain configuration-model rejection this stays practical when d
@@ -176,7 +179,7 @@ def random_regular_dense(n: int, d: int, seed: int,
     if d >= n:
         raise ValueError("degree must be below n for a simple graph")
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(MATCHING_RESTARTS):
         edges = _try_suitable_pairing(n, d, rng)
         if edges is None:
             continue
@@ -185,7 +188,8 @@ def random_regular_dense(n: int, d: int, seed: int,
             nbrs[u].append(v)
             nbrs[v].append(u)
         return RegularGraph(nbrs)
-    raise RuntimeError(f"stub matching failed after {max_restarts} restarts")
+    raise RuntimeError(
+        f"stub matching failed after {MATCHING_RESTARTS} restarts")
 
 
 def _try_suitable_pairing(n, d, rng):
@@ -219,23 +223,13 @@ def _try_suitable_pairing(n, d, rng):
 
 
 def component_count(adj_lists: Iterable[Sequence[int]] | RegularGraph) -> int:
+    """Connected components of a RegularGraph or loose neighbor lists."""
     rows = _neighbor_rows(adj_lists)
-    n = len(rows)
-    seen = [False] * n
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        seen[s] = True
-        frontier = [s]
-        while frontier:
-            x = frontier.pop()
-            for y in rows[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    frontier.append(y)
-    return comps
+    sizes = [len(row) for row in rows]
+    graph = csr_array((np.ones(sum(sizes)),
+                       np.array([y for row in rows for y in row], dtype=np.int64),
+                       np.cumsum([0] + sizes)), shape=(len(rows), len(rows)))
+    return int(connected_components(graph, directed=False)[0])
 
 
 def _neighbor_rows(obj) -> list[list[int]]:
@@ -318,16 +312,12 @@ def lift(base: RegularGraph, signing: Signing,
     Signings whose elements act non-transitively give disconnected lifts
     and are refused unless allow_disconnected is set.
     """
-    group = signing.group
-    ell = group.fiber_size
-    if not allow_disconnected:
-        if not group.is_transitive([signing.element(e)
-                                    for e in range(base.m)]):
-            raise ValueError(
-                "signing generates a non-transitive action; the lift would "
-                "be disconnected (pass allow_disconnected=True to override)")
-    perms = np.array([group.perm_of(signing.element(e))
-                      for e in range(base.m)])
+    ell = signing.group.fiber_size
+    perms = signing.group.action(signing.values)  # (m, ell) fiber maps
+    if not allow_disconnected and _orbits(perms)[0] != 1:
+        raise ValueError(
+            "signing generates a non-transitive action; the lift would "
+            "be disconnected (pass allow_disconnected=True to override)")
     # slot j of u maps fiber i to perms[e][i] when u < v, else the inverse
     maps = np.stack([perms, np.argsort(perms, axis=1)])
     backward = base.adj < np.arange(base.n)[:, None]
@@ -462,31 +452,33 @@ def _ball(rows: list[list[int]], root: int, radius: int) -> dict[int, int]:
     return dist
 
 
-def ball_excess(rows: list[list[int]], root: int, radius: int) -> int:
-    """Edges minus vertices of the radius-r ball around root."""
-    ball = _ball(rows, root, radius)
-    n_edges = 0
-    for x in ball:
-        for y in rows[x]:
-            if y in ball and y > x:
-                n_edges += 1
-    return n_edges - len(ball)
-
-
 def bicycle_free_radius(graph_or_adj) -> int | float:
     """Largest r such that every radius-r ball has at most one cycle.
 
     A ball has at most one cycle exactly when its edge count minus vertex
     count (the excess) is at most 0.  Returns math.inf when even whole
-    components never exceed one cycle.
+    components never exceed one cycle.  One BFS per root grows its ball a
+    layer at a time and stops at the first radius with positive excess, or
+    at the least such radius an earlier root found.
     """
     rows = _neighbor_rows(graph_or_adj)
-    n = len(rows)
-    if n == 0:
-        return math.inf
-    cap = n  # balls stop growing at the component diameter
-    for r in range(cap + 1):
-        for v in range(n):
-            if ball_excess(rows, v, r) > 0:
-                return r - 1
-    return math.inf
+    first_bad = math.inf  # least radius whose ball has positive excess
+    for root in range(len(rows)):
+        dist, layer, excess, r = {root: 0}, [root], -1, 0  # one vertex
+        while layer and r + 1 < first_bad:
+            r += 1
+            new = []
+            for x in layer:
+                for y in rows[x]:
+                    if y not in dist:
+                        dist[y] = r
+                        new.append(y)
+            # an entry y of x's list (x < y) enters with its later end
+            excess -= len(new)
+            excess += sum(y > x and y in dist for x in new for y in rows[x])
+            excess += sum(y > x and dist[y] == r
+                          for x in layer for y in rows[x])
+            if excess > 0:
+                first_bad = r
+            layer = new
+    return first_bad - 1

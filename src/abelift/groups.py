@@ -13,6 +13,8 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,15 +29,16 @@ def _validate_element(factors: tuple[int, ...], g: Sequence[int]) -> tuple[int, 
     return g
 
 
-def _perm_power(perm: np.ndarray, exp: int) -> np.ndarray:
-    """perm applied exp times, by repeated squaring."""
-    out = np.arange(perm.size)
-    while exp:
-        if exp & 1:
-            out = perm[out]
-        perm = perm[perm]
-        exp >>= 1
-    return out
+def _orbits(perms) -> tuple[int, np.ndarray]:
+    """Orbit count and each fiber point's orbit label under the group the
+    rows of a (k, ell) permutation stack generate: their Schreier graph's
+    connected components."""
+    perms = np.asarray(perms, dtype=np.int64)
+    k, ell = perms.shape
+    graph = csr_array((np.ones(k * ell), perms.T.ravel(),
+                       k * np.arange(ell + 1)), shape=(ell, ell))
+    count, labels = connected_components(graph, directed=False)
+    return int(count), labels
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,12 @@ class AbelianGroup:
                 raise ValueError("generator is not a permutation of the fiber")
         # each generator must have order dividing its factor, and the
         # generators must commute, otherwise the exponent arithmetic lies
-        for p, m in zip(self.generator_perms, self.factors):
-            if not np.array_equal(_perm_power(np.asarray(p), m),
-                                  np.arange(ell)):
-                raise ValueError("generator order does not divide its factor")
-        for i in range(len(self.generator_perms)):
-            a = np.asarray(self.generator_perms[i])
-            for j in range(i + 1, len(self.generator_perms)):
-                b = np.asarray(self.generator_perms[j])
-                if not np.array_equal(a[b], b[a]):
-                    raise ValueError("generator permutations do not commute")
+        if not (self.action(np.diag(self.factors)) == np.arange(ell)).all():
+            raise ValueError("generator order does not divide its factor")
+        gens = np.asarray(self.generator_perms, dtype=np.int64)
+        pairs = gens[:, gens]  # [i, j] = generator i after generator j
+        if not (pairs == pairs.transpose(1, 0, 2)).all():
+            raise ValueError("generator permutations do not commute")
 
     @property
     def fiber_size(self) -> int:
@@ -93,25 +92,12 @@ class AbelianGroup:
     def product(factors: Iterable[int]) -> "AbelianGroup":
         """Z_m1 x ... x Z_mk acting on itself (mixed-radix labels)."""
         factors = tuple(int(m) for m in factors)
-        order = int(np.prod(factors))
-        weights = []
-        w = order
-        for m in factors:
-            w //= m
-            weights.append(w)
-        perms = []
-        for i, m in enumerate(factors):
-            perm = []
-            for label in range(order):
-                digits = []
-                t = label
-                for wgt, mm in zip(weights, factors):
-                    digits.append(t // wgt)
-                    t %= wgt
-                digits[i] = (digits[i] + 1) % m
-                perm.append(sum(d * wgt for d, wgt in zip(digits, weights)))
-            perms.append(tuple(perm))
-        return AbelianGroup(factors, tuple(perms))
+        # generator i sends each label to the label one step further along
+        # axis i of the mixed-radix grid
+        labels = np.arange(int(np.prod(factors))).reshape(factors)
+        return AbelianGroup(factors, tuple(
+            tuple(np.roll(labels, -1, axis=i).ravel().tolist())
+            for i in range(len(factors))))
 
     def compose(self, g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
         g = _validate_element(self.factors, g)
@@ -158,46 +144,65 @@ class AbelianGroup:
         """All |H| characters, the trivial one first."""
         return self.elements()
 
+    def action(self, values, points=None) -> np.ndarray:
+        """(N, len(points)) images of fiber `points` (default: all of them)
+        under N rows of non-negative (not necessarily reduced) exponents.
+
+        Each generator's powers come by repeated squaring, for all rows at
+        once; the generators commute, so their order does not matter.
+        """
+        vals = np.asarray(values, dtype=np.int64)
+        if vals.size == 0:
+            vals = vals.reshape(0, len(self.factors))
+        if vals.ndim != 2 or vals.shape[1] != len(self.factors):
+            raise ValueError("element length does not match group factors")
+        if (vals < 0).any():
+            raise ValueError("exponents must be non-negative")
+        pts = np.arange(self.fiber_size) if points is None else points
+        out = np.tile(np.asarray(pts, dtype=np.int64), (len(vals), 1))
+        for exp, perm in zip(vals.T, self.generator_perms):
+            power = np.asarray(perm, dtype=np.int64)
+            while exp.any():
+                odd = (exp & 1).astype(bool)
+                out[odd] = power[out[odd]]
+                power = power[power]
+                exp = exp >> 1
+        return out
+
     def perm_of(self, g: Sequence[int]) -> np.ndarray:
         """Permutation of the fiber induced by g (as an index map)."""
-        g = _validate_element(self.factors, g)
-        out = np.arange(self.fiber_size)
-        for exp, p in zip(g, self.generator_perms):
-            out = _perm_power(np.asarray(p), exp)[out]
-        return out
+        return self.action([_validate_element(self.factors, g)])[0]
 
     def is_transitive(self, elements: Iterable[Sequence[int]] | None = None
                       ) -> bool:
-        """Does the action reach every fiber point from point 0?
+        """Is the fiber one orbit?
 
         The orbit is taken under the generators, or under the permutations
         of `elements` (the subgroup they generate) when given.
         """
-        ell = self.fiber_size
-        seen = {0}
-        frontier = [0]
-        if elements is None:
-            perms = [np.asarray(p) for p in self.generator_perms]
-        else:
-            perms = [self.perm_of(g) for g in elements]
-        invs = [np.argsort(p) for p in perms]
-        while frontier:
-            x = frontier.pop()
-            for p in perms + invs:
-                y = int(p[x])
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen) == ell
+        perms = self.generator_perms if elements is None else self.action(
+            [_validate_element(self.factors, g) for g in elements])
+        return _orbits(perms)[0] == 1
+
+    def _orbit_fixes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Least point and size of each orbit (by least point), and the
+        (|H|, #orbits) table of whether element g fixes the least point.
+        In an abelian group g fixes all of an orbit or none of it."""
+        _, labels = _orbits(self.generator_perms)
+        least = np.sort(np.unique(labels, return_index=True)[1])
+        sizes = np.bincount(labels)[labels[least]]
+        rows = np.stack(np.unravel_index(np.arange(self.order),
+                                         self.factors), axis=1)
+        return least, sizes, self.action(rows, least) == least
 
     def fixed_point(self) -> tuple[tuple[int, ...], int] | None:
-        """First (nonidentity element, fiber point it fixes), or None."""
-        points = np.arange(self.fiber_size)
-        for g in self.elements()[1:]:
-            fixed = np.flatnonzero(self.perm_of(g) == points)
-            if fixed.size:
-                return g, int(fixed[0])
-        return None
+        """First (nonidentity element, least fiber point it fixes), or None."""
+        least, _, fixes = self._orbit_fixes()
+        hits = np.flatnonzero(fixes[1:].any(axis=1)) + 1
+        if not hits.size:
+            return None
+        g = tuple(int(x) for x in np.unravel_index(hits[0], self.factors))
+        return g, int(least[fixes[hits[0]]].min())
 
     def is_free(self) -> bool:
         """No nonidentity element fixes a fiber point."""
@@ -206,12 +211,12 @@ class AbelianGroup:
     def character_multiplicities(self) -> dict[tuple[int, ...], int]:
         """Multiplicity of each character in the fiber permutation representation.
 
-        m_chi = (1/|H|) sum_h conj(chi(h)) * fix(h); for a transitive
-        (hence regular) abelian action every character appears once.
+        m_chi = (1/|H|) sum_h conj(chi(h)) * fix(h), with fix(h) the total
+        size of the orbits h fixes; for a transitive (hence regular)
+        abelian action every character appears once.
         """
-        ell = self.fiber_size
-        fixes = np.array([int(np.sum(self.perm_of(g) == np.arange(ell)))
-                          for g in self.elements()], dtype=np.int64)
+        _, sizes, fixes = self._orbit_fixes()
+        fixes = fixes.astype(np.int64) @ sizes
         fixed = np.flatnonzero(fixes)  # only fixing elements contribute
         accs = (np.conj(self.char_table(np.arange(self.order), fixed))
                 @ fixes[fixed])

@@ -171,6 +171,7 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
 # ---------------------------------------------------------------------------
 
 AUX_LAMBDA_FACTOR = 3.0
+AUX_ATTEMPTS = 256  # auxiliary graphs drawn before giving up
 
 
 def effective_walk_degree(ell: int, dprime: int) -> int:
@@ -182,13 +183,13 @@ def effective_walk_degree(ell: int, dprime: int) -> int:
     return min(dprime, 2 * ((ell - 1) // 2))
 
 
-def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence,
-                  max_attempts: int = 256) -> tuple[RegularGraph, float]:
+def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence
+                  ) -> tuple[RegularGraph, float]:
     from .spectral import lambda2
     bound = AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1)
-    for _ in range(max_attempts):
+    for _ in range(AUX_ATTEMPTS):
         # spawning one child per attempt yields the same children, in order,
-        # as spawn(max_attempts) without building the unused ones
+        # as spawn(AUX_ATTEMPTS) without building the unused ones
         child, = seed_seq.spawn(1)
         g = random_regular_dense(ell, d_eff, np.random.default_rng(child))
         lam = lambda2(g)

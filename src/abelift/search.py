@@ -96,12 +96,16 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     Stops at the first candidate meeting `target` when one is given,
     otherwise keeps the best.  Every crosscheck_every-th candidate has its
     character spectrum union checked against an explicitly built lift.
-    The group must be a single cyclic factor acting transitively.
+    The group must be one cyclic factor acting transitively; a BiasedSet
+    must be over that Z_ell, plain rows are read mod ell.
     """
     if len(group.factors) != 1:
         raise ValueError("support-driven search expects one cyclic factor")
     if not group.is_transitive():
         raise ValueError("group action must be transitive")
+    if isinstance(support, BiasedSet) and support.ellp != group.order:
+        raise ValueError(f"biased set is over Z_{support.ellp} but the group "
+                         f"is Z_{group.order}")
     rows = _support_rows(support) % group.factors[0]
     if rows.shape[0] == 0:
         raise ValueError("support is empty")

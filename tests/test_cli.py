@@ -147,6 +147,21 @@ def test_lift_search_support_mode_chains_artifacts(tmp_path):
     assert cert["lambda_lift"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_lift_search_refuses_a_support_over_another_group(tmp_path, capsys):
+    bs_out = tmp_path / "bias.json"
+    assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "3",
+                 "--nu", "1.0", "--size-budget", "8",
+                 "--out", str(bs_out)]) == 0
+    gp = _write_graph(tmp_path / "c3.json", cycle_graph(3))
+    capsys.readouterr()
+    code = main(["lift-search", "--graph", gp, "--mode", "support",
+                 "--ell", "8", "--support", str(bs_out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failed"] is True
+    assert "Z_2" in payload["error"] and "Z_8" in payload["error"]
+
+
 def test_hikes_count_and_bounds(tmp_path):
     gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
     out = tmp_path / "h.json"

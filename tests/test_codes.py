@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from abelift import gf2, kernels
-from abelift.codes import (BudgetError, CSSCode, GroupAlgebraMatrix,
-                           LinearCodeF2, _logical_min_weight_exact,
+from abelift.codes import (BudgetError, CSSCode, FreeActionReport,
+                           GroupAlgebraMatrix, LinearCodeF2, _logical_min_weight_exact,
                            _logical_upper_bound, circulant_structure_check,
                            code_dimension, css_valid, free_action_check,
                            group_algebra_from_blocks, lifted_product,
@@ -375,6 +375,41 @@ def test_free_action_names_a_fixed_vertex():
                             Signing.random(complete_graph(4), group, seed=1))
     assert not rep.vertices_free and not rep.ok
     assert rep.witness == ("vertex", (1,), 2)
+
+
+def _reference_free_action_report(base, signing):
+    """The report from the explicitly listed lifted edges and the pair oracle."""
+    group = signing.group
+    pairs = [((u, i), (v, int(group.perm_of(signing.element(e))[i])))
+             for e, (u, v) in enumerate(base.edges)
+             for i in range(group.fiber_size)]
+    fixed = group.fixed_point()
+    witness = None if fixed is None else ("vertex",) + fixed
+    edges_free, edge_witness = pairs_action_free(group, pairs)
+    if not edges_free and witness is None:
+        witness = ("edge",) + edge_witness
+    return FreeActionReport(fixed is None, edges_free,
+                            fixed is None and edges_free, witness)
+
+
+def test_free_action_check_matches_the_lifted_edge_oracle():
+    groups = [AbelianGroup.cyclic(1), AbelianGroup.cyclic(3),
+              AbelianGroup.cyclic(8), AbelianGroup.product([2, 4]),
+              AbelianGroup((2,), ((1, 0, 2),)),  # fixes point 2
+              AbelianGroup([2], [np.array([1, 0, 3, 2])]),  # free, 2 orbits
+              AbelianGroup([4], [np.array([1, 2, 3, 0, 4, 5])]),
+              AbelianGroup([2, 2], [np.array([1, 0, 2, 3]),
+                                    np.array([0, 1, 3, 2])]),
+              AbelianGroup([4], [np.array([1, 0])])]  # (2,) acts trivially
+    outcomes = set()
+    for base in (complete_graph(4), random_regular(12, 3, seed=2)):
+        for group in groups:
+            for seed in range(3):
+                sg = Signing.random(base, group, seed=seed)
+                rep = free_action_check(base, sg)
+                assert rep == _reference_free_action_report(base, sg)
+                outcomes.add(rep.ok)
+    assert outcomes == {True, False}
 
 
 def test_pairs_action_catches_self_pairing_fixed_edge():

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from abelift.graphs import (RegularGraph, Signing, bicycle_free_radius,
-                            complete_graph, component_count, cycle_graph,
+from abelift.graphs import (RegularGraph, Signing, _ball,
+                            bicycle_free_radius, complete_graph,
+                            component_count, cycle_graph, disjoint_union,
                             girth, lift, nonbacktracking, petersen_graph,
                             random_regular, signed_adjacency,
                             signed_nonbacktracking)
@@ -377,3 +378,94 @@ def test_bicycle_free_radius_values():
     assert bicycle_free_radius(complete_graph(4)) == 0
     assert bicycle_free_radius(petersen_graph()) == 1
     assert bicycle_free_radius(cycle_graph(8)) == math.inf
+
+
+def _reference_bicycle_free_radius(rows):
+    """One fresh BFS ball per (radius, root), as in the radius-major scan."""
+    def excess(root, radius):
+        ball = _ball(rows, root, radius)
+        edges = sum(1 for x in ball for y in rows[x] if y in ball and y > x)
+        return edges - len(ball)
+    for r in range(len(rows) + 1):
+        if any(excess(v, r) > 0 for v in range(len(rows))):
+            return r - 1
+    return math.inf
+
+
+def _reference_component_count(rows):
+    seen = [False] * len(rows)
+    comps = 0
+    for s in range(len(rows)):
+        if seen[s]:
+            continue
+        comps += 1
+        seen[s] = True
+        frontier = [s]
+        while frontier:
+            for y in rows[frontier.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    frontier.append(y)
+    return comps
+
+
+def _graph_families():
+    """Regular graphs, forests, unions and loose irregular neighbor lists."""
+    fams = [cycle_graph(3), cycle_graph(8), cycle_graph(31), complete_graph(4),
+            complete_graph(6), petersen_graph(),
+            random_regular(12, 3, seed=1), random_regular(20, 4, seed=2),
+            disjoint_union(cycle_graph(5), cycle_graph(9)),
+            disjoint_union(petersen_graph(), complete_graph(4))]
+    for ell, seed in ((2, 0), (4, 1), (8, 2), (32, 3)):
+        base = random_regular(8, 3, seed=seed)
+        fams.append(lift(base, Signing.random(base, AbelianGroup.cyclic(ell),
+                                              seed=seed),
+                         allow_disconnected=True))
+    fams.append(lift(cycle_graph(5),
+                     Signing.identity(cycle_graph(5), AbelianGroup.cyclic(3)),
+                     allow_disconnected=True))  # three disjoint pentagons
+    loose = [
+        [],  # the empty graph
+        [[]], [[], []],  # isolated vertices
+        [[1], [0, 2], [1]],  # a path
+        [[1, 2, 3], [0], [0, 4, 5], [0], [2], [2]],  # a tree
+        [[1], [0], [3], [2, 4], [3]],  # a forest
+        # bowtie: two triangles sharing vertex 0
+        [[1, 2, 3, 4], [0, 2], [0, 1], [0, 4], [0, 3]],
+        # two triangles joined by a path, plus a pendant path
+        [[1, 2], [0, 2], [0, 1, 3], [2, 4], [3, 5, 6], [4, 6], [4, 5, 7],
+         [6, 8], [7]],
+        # a triangle whose vertex 0 also lists itself; loops add no edge
+        [[0, 1, 2], [0, 2], [0, 1]],
+        # theta graph: two vertices joined by three paths
+        [[2, 3, 4], [5, 6, 4], [0, 5], [0, 6], [0, 1], [2, 1], [3, 1]],
+        # a cycle with a chord far from most roots
+        [[(i - 1) % 12, (i + 1) % 12] + ([6] if i == 0 else [0] if i == 6
+                                         else []) for i in range(12)],
+    ]
+    rng = np.random.default_rng(5)
+    for n, p in ((15, 0.12), (25, 0.08), (40, 0.05)):
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        adj = adj | adj.T
+        loose.append([np.flatnonzero(row).tolist() for row in adj])
+    return fams + loose
+
+
+def test_bicycle_free_radius_and_components_match_the_reference_loops():
+    for graph in _graph_families():
+        rows = ([list(map(int, r)) for r in graph.adj]
+                if isinstance(graph, RegularGraph) else graph)
+        assert bicycle_free_radius(graph) == \
+            _reference_bicycle_free_radius(rows)
+        count = component_count(graph)
+        assert type(count) is int
+        assert count == _reference_component_count(rows)
+
+
+def test_bicycle_free_radius_of_a_long_cycle():
+    # one BFS per root: the radius-major scan of fresh balls took about 30 s
+    assert bicycle_free_radius(cycle_graph(400)) == math.inf
+    rows = cycle_graph(60).neighbor_lists()
+    rows[0].append(30)
+    rows[30].append(0)
+    assert bicycle_free_radius(rows) == _reference_bicycle_free_radius(rows)

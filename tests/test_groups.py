@@ -143,3 +143,145 @@ def test_json_roundtrip_is_one_based():
     back = AbelianGroup.from_json(payload)
     assert back.factors == Z6.factors
     assert np.array_equal(back.generator_perms[0], Z6.generator_perms[0])
+
+
+# cyclic and product groups acting on themselves, plus actions that are not
+# regular: free but not transitive, transitive but not faithful, with fixed
+# points, and several orbits of different sizes
+_ACTIONS = (
+    [AbelianGroup.cyclic(ell) for ell in (1, 2, 3, 4, 5, 8, 12, 16, 64)]
+    + [AbelianGroup.product(f) for f in ([2, 2], [2, 4], [4, 2], [3, 3],
+                                         [2, 3, 4], [4, 4], [2, 2, 2],
+                                         [3, 5])]
+    + [AbelianGroup([2], [np.array([1, 0, 3, 2])]),
+       AbelianGroup((2,), ((1, 0, 2),)),
+       AbelianGroup([1], [np.array([0, 1])]),
+       AbelianGroup([4], [np.array([1, 2, 3, 0, 4, 5])]),
+       AbelianGroup([2, 2], [np.array([1, 0, 2, 3]), np.array([0, 1, 3, 2])]),
+       AbelianGroup([6], [np.array([1, 0, 3, 4, 2])]),
+       AbelianGroup([4], [np.array([1, 0])]),
+       AbelianGroup([2, 3], [np.array([1, 0, 2, 3, 4]),
+                             np.array([0, 1, 3, 4, 2])])])
+
+
+def _reference_perm(group, g):
+    out = np.arange(group.fiber_size)
+    for exp, p in zip(g, group.generator_perms):
+        for _ in range(exp):
+            out = np.asarray(p)[out]
+    return out
+
+
+def _reference_is_transitive(group, elements=None):
+    """Breadth-first orbit of point 0, one permutation per element."""
+    if elements is None:
+        perms = [np.asarray(p) for p in group.generator_perms]
+    else:
+        perms = [_reference_perm(group, g) for g in elements]
+    perms += [np.argsort(p) for p in perms]
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = int(p[x])
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == group.fiber_size
+
+
+def _reference_fixed_point(group):
+    points = np.arange(group.fiber_size)
+    for g in group.elements()[1:]:
+        fixed = np.flatnonzero(_reference_perm(group, g) == points)
+        if fixed.size:
+            return g, int(fixed[0])
+    return None
+
+
+def _reference_multiplicities(group):
+    """m_chi from one fix count per element."""
+    points = np.arange(group.fiber_size)
+    fixes = np.array([int(np.sum(_reference_perm(group, g) == points))
+                      for g in group.elements()], dtype=np.int64)
+    fixed = np.flatnonzero(fixes)
+    accs = (np.conj(group.char_table(np.arange(group.order), fixed))
+            @ fixes[fixed])
+    out = {}
+    for chi, acc in zip(group.characters(), accs):
+        mult = acc / group.order
+        assert abs(mult.imag) < 1e-9 and abs(mult.real - round(mult.real)) < 1e-9
+        out[chi] = int(round(mult.real))
+    return out
+
+
+def _reference_product_perms(factors):
+    """Generator permutations of the mixed-radix self-action, digit by digit."""
+    order = int(np.prod(factors))
+    weights = [order // int(np.prod(factors[:i + 1]))
+               for i in range(len(factors))]
+    perms = []
+    for i, m in enumerate(factors):
+        perm = []
+        for label in range(order):
+            digits = [label // w % mm for w, mm in zip(weights, factors)]
+            digits[i] = (digits[i] + 1) % m
+            perm.append(sum(d * w for d, w in zip(digits, weights)))
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+def test_fiber_action_matches_per_element_reference():
+    rng = np.random.default_rng(9)
+    for group in _ACTIONS:
+        elements = group.elements()
+        rows = group.action(elements)
+        assert rows.shape == (group.order, group.fiber_size)
+        for g, row in zip(elements, rows):
+            assert np.array_equal(group.perm_of(g), _reference_perm(group, g))
+            assert np.array_equal(row, _reference_perm(group, g))
+        points = rng.integers(group.fiber_size, size=3)
+        assert np.array_equal(group.action(elements, points), rows[:, points])
+        got, want = group.fixed_point(), _reference_fixed_point(group)
+        assert got == want
+        if got is not None:
+            assert all(type(x) is int for x in got[0] + (got[1],))
+        assert group.is_free() is (want is None)
+        transitive = group.is_transitive()
+        assert type(transitive) is bool
+        assert transitive == _reference_is_transitive(group)
+        for size in (0, 1, 2):
+            subset = [elements[i]
+                      for i in rng.integers(group.order, size=size)]
+            transitive = group.is_transitive(subset)
+            assert type(transitive) is bool
+            assert transitive == _reference_is_transitive(group, subset)
+        mults = group.character_multiplicities()
+        assert mults == _reference_multiplicities(group)
+        assert all(type(v) is int for v in mults.values())
+
+
+def test_product_perms_match_digit_reference():
+    for factors in ([1], [5], [2, 2], [2, 4], [4, 2], [3, 3], [2, 3, 4],
+                    [2, 2, 2], [3, 1, 5], [64, 64]):
+        group = AbelianGroup.product(factors)
+        want = _reference_product_perms(factors)
+        assert group.generator_perms == want
+        assert all(type(x) is int for p in group.generator_perms for x in p)
+
+
+def test_action_rejects_malformed_rows():
+    with pytest.raises(ValueError, match="length"):
+        Z2xZ2.action([(1, 0, 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Z4.action([(-1,)])
+    with pytest.raises(ValueError, match="out of range"):
+        Z4.is_transitive([(4,)])
+    # exponents past the factor order are powers, as the order check uses
+    assert np.array_equal(Z4.action([(5,)])[0], Z4.perm_of((1,)))
+
+
+def test_orbit_questions_scale_to_a_large_fiber():
+    big = AbelianGroup.cyclic(65536)
+    assert big.fixed_point() is None and big.is_transitive()
+    assert set(big.character_multiplicities().values()) == {1}

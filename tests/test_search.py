@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from abelift import serial
+from abelift.codes import free_action_check
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             random_regular)
 from abelift.groups import AbelianGroup
@@ -206,6 +207,41 @@ def test_no_search_path_fills_characters_one_call_at_a_time(monkeypatch):
     res = exponential_regime_build(base, 8, 3, crosscheck_every=1)
     assert res.certificate["crosscheck"]["count"] == 3
     assert verify_certificate(res.certificate)["ok"]
+
+
+def test_no_path_builds_the_fiber_action_one_element_at_a_time(monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("perm_of called on a batched path")
+
+    monkeypatch.setattr(AbelianGroup, "perm_of", refuse)
+    base = random_regular(10, 3, seed=4)
+    for group in (AbelianGroup.cyclic(8), AbelianGroup.product([2, 4])):
+        sg = Signing.random(base, group, seed=1)
+        assert group.is_transitive(sg.values.tolist()) is True
+        assert lift(base, sg).n == lift(base, sg, allow_disconnected=True).n
+        with pytest.raises(ValueError, match="non-transitive"):
+            lift(base, Signing.identity(base, group))
+        assert group.fixed_point() is None
+        assert set(group.character_multiplicities().values()) == {1}
+        assert spectrum_union_check(sg).passed
+        assert free_action_check(base, sg).ok
+    rows = np.random.default_rng(0).integers(8, size=(6, base.m))
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(8), rows,
+                                   crosscheck_every=1)
+    assert res.certificate["crosscheck"]["count"] == 6
+
+
+def test_support_over_another_group_is_refused():
+    base = cycle_graph(4)
+    dist = BiasedSet(2, base.m, np.eye(base.m, dtype=np.int64), 0.5, {})
+    with pytest.raises(ValueError, match="Z_2.*Z_8"):
+        derandomized_lift_search(base, AbelianGroup.cyclic(8), dist)
+    # the same rows as a plain array are read mod 8, as before
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(8), dist.support)
+    assert res.certificate["candidates_evaluated"] == base.m
+    same = BiasedSet(8, base.m, np.eye(base.m, dtype=np.int64), 0.5, {})
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(8), same)
+    assert res.certificate["provenance"]["dist"]["ellp"] == 8
 
 
 def test_markov_report_premise_and_rates():
