@@ -368,6 +368,7 @@ _NEEDS = [
     ("gen-base", "kind", ("random",), ("n", "d")),
     ("gen-base", "kind", ("cycle", "complete"), ("n",)),
     ("spectrum", "check", ("union", "ihara"), ("signing",)),
+    ("spectrum", "check", ("mixing",), ("set_s", "set_t")),
     ("lift-search", "mode", ("support",), ("support",)),
     ("pseudorandom", "action", ("hoeffding",), ("graph",)),
     ("codes", "action", ("tanner",), ("cert",)),
@@ -381,7 +382,8 @@ def main(argv=None) -> int:
     for command, option, values, needs in _NEEDS:
         if args.command != command or getattr(args, option) not in values:
             continue
-        missing = [f"--{dest}" for dest in needs if getattr(args, dest) is None]
+        missing = [f"--{dest.replace('_', '-')}" for dest in needs
+                   if getattr(args, dest) is None]
         if missing:
             value = getattr(args, option)
             choice = value if option == "action" else f"--{option} {value}"

@@ -1,8 +1,8 @@
 """Regular base graphs, signings, abelian lifts, walk operators.
 
 Vertices are 0-based ints internally; JSON payloads use 1-based labels.
-Edges are stored canonically as (u, v) with u < v, sorted lexicographically,
-and directed edge ids are 2e (u -> v) and 2e + 1 (v -> u).
+Edges are an (m, 2) int64 array of rows (u, v), u < v, sorted
+lexicographically; directed edge ids are 2e (u -> v) and 2e + 1 (v -> u).
 A lifted vertex (v, i) gets index v * fiber + i.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ MATCHING_RESTARTS = 200  # suitable-pair matchings per draw
 
 
 class RegularGraph:
-    """Simple d-regular graph stored as an (n, d) neighbor table."""
+    """Simple d-regular graph: (n, d) neighbor table adj and eid_table."""
 
     def __init__(self, adj: Sequence[Sequence[int]]):
         a = np.asarray(adj, dtype=np.int64)
@@ -50,56 +50,62 @@ class RegularGraph:
         self.n = n
         self.d = d
         ekeys = np.sort(keys[u < v])
-        self.edges = list(zip((ekeys // n).tolist(), (ekeys % n).tolist()))
+        self.edges = np.stack([ekeys // n, ekeys % n], axis=1)
         self.m = len(self.edges)
         if 2 * self.m != n * d:
             raise ValueError("edge count does not match degree")
-        self._eid = dict(zip(self.edges, range(self.m)))
         self.eid_table = np.searchsorted(
             ekeys, np.minimum(u, v) * n + np.maximum(u, v)).reshape(n, d)
 
+    def _lookup(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids and is-edge mask of the pairs (u, v), elementwise: v in
+        slot j of adj[u] has id eid_table[u, j]; u outside [0, n) has none."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        row = np.where((u >= 0) & (u < self.n), u, 0)
+        hit = (self.adj[row] == v[..., None]) & (row == u)[..., None]
+        return self.eid_table[row, hit.argmax(axis=-1)], hit.any(axis=-1)
+
     def edge_id(self, u: int, v: int) -> int:
-        return self._eid[(min(u, v), max(u, v))]
+        e, found = self._lookup(u, v)
+        if not found:
+            raise KeyError((u, v))
+        return int(e)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._eid
+        return bool(self._lookup(u, v)[1])
 
     def directed_index(self, u: int, v: int) -> int:
         """Index of the directed edge u -> v in the 2m ordering."""
         e = self.edge_id(u, v)
         return 2 * e if u < v else 2 * e + 1
 
-    def directed_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, v in self.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return out
+    def directed_edges(self) -> np.ndarray:
+        """(2m, 2) array: row 2e is edge e as (u, v), row 2e + 1 as (v, u)."""
+        return np.stack([self.edges, self.edges[:, ::-1]],
+                        axis=1).reshape(-1, 2)
 
     def adjacency_matrix(self) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            mat[u, v] = 1.0
-            mat[v, u] = 1.0
+        mat[np.arange(self.n)[:, None], self.adj] = 1.0
         return mat
 
     def neighbor_lists(self) -> list[list[int]]:
-        return [list(map(int, row)) for row in self.adj]
+        return self.adj.tolist()
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "d": self.d,
-            "adj": [[int(v) + 1 for v in row] for row in self.adj],
+            "adj": (self.adj + 1).tolist(),
         }
 
     @staticmethod
     def from_json(payload: dict) -> "RegularGraph":
-        n, d = int(payload["n"]), int(payload["d"])
+        n, d = _integer_rows([[payload["n"], payload["d"]]], "graph size")[0]
         adj = payload["adj"]
         if len(adj) != n or any(len(r) != d for r in adj):
             raise ValueError("adjacency table shape does not match n, d")
-        return RegularGraph([[int(v) - 1 for v in row] for row in adj])
+        return RegularGraph(_integer_rows(adj, "adjacency label") - 1)
 
     def content_hash(self) -> str:
         return serial.object_hash(self.to_json())
@@ -132,9 +138,7 @@ def petersen_graph() -> RegularGraph:
 def disjoint_union(g1: RegularGraph, g2: RegularGraph) -> RegularGraph:
     if g1.d != g2.d:
         raise ValueError("degrees differ")
-    rows = g1.neighbor_lists() + [[v + g1.n for v in row]
-                                  for row in g2.neighbor_lists()]
-    return RegularGraph(rows)
+    return RegularGraph(np.concatenate([g1.adj, g2.adj + g1.n]))
 
 
 def random_regular(n: int, d: int, seed: int) -> RegularGraph:
@@ -158,11 +162,7 @@ def random_regular(n: int, d: int, seed: int) -> RegularGraph:
         uniq = np.unique(key, axis=0)
         if uniq.shape[0] != key.shape[0]:
             continue
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for a, b in pairs:
-            nbrs[int(a)].append(int(b))
-            nbrs[int(b)].append(int(a))
-        return RegularGraph(nbrs)
+        return _graph_from_pairs(n, pairs)
     raise RuntimeError(
         f"no simple pairing found in {PAIRING_TRIES} tries (n={n}, d={d})")
 
@@ -183,13 +183,17 @@ def random_regular_dense(n: int, d: int, seed: int) -> RegularGraph:
         edges = _try_suitable_pairing(n, d, rng)
         if edges is None:
             continue
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return RegularGraph(nbrs)
+        return _graph_from_pairs(n, sorted(edges))
     raise RuntimeError(
         f"stub matching failed after {MATCHING_RESTARTS} restarts")
+
+
+def _graph_from_pairs(n: int, pairs) -> RegularGraph:
+    """Row v lists the other end of each pair at v, in pair order."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ends = np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
+    order = np.argsort(ends[:, 0], kind="stable")
+    return RegularGraph(ends[order, 1].reshape(n, -1))
 
 
 def _try_suitable_pairing(n, d, rng):
@@ -230,6 +234,16 @@ def component_count(adj_lists: Iterable[Sequence[int]] | RegularGraph) -> int:
                        np.array([y for row in rows for y in row], dtype=np.int64),
                        np.cumsum([0] + sizes)), shape=(len(rows), len(rows)))
     return int(connected_components(graph, directed=False)[0])
+
+
+def _integer_rows(rows, what: str) -> np.ndarray:
+    """Rectangular JSON rows as an int64 array; a ValueError names the
+    first entry that is not a 64-bit integer (such as 2.9, true or 2**70)."""
+    for x in (y for row in rows for y in row):
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or not -2 ** 63 <= x < 2 ** 63):
+            raise ValueError(f"{what} {x!r} is not a 64-bit integer")
+    return np.array(rows, dtype=np.int64)
 
 
 def _neighbor_rows(obj) -> list[list[int]]:
@@ -284,22 +298,33 @@ class Signing:
         """Serialize as 1-based [u, v, exponents] triples in canonical order."""
         return {
             "group": self.group.to_json(),
-            "edges": [[u + 1, v + 1, [int(x) for x in self.values[e]]]
-                      for e, (u, v) in enumerate(self.base.edges)],
+            "edges": [[u + 1, v + 1, exps] for (u, v), exps in
+                      zip(self.base.edges.tolist(), self.values.tolist())],
         }
 
     @staticmethod
     def from_json(base: RegularGraph, payload: dict) -> "Signing":
+        """Read 1-based [u, v, exponents] triples, one per base edge; a
+        ValueError names the first malformed one."""
         group = AbelianGroup.from_json(payload["group"])
-        values = np.zeros((base.m, len(group.factors)), dtype=np.int64)
-        seen = np.zeros(base.m, dtype=bool)
-        for u1, v1, exps in payload["edges"]:
-            e = base.edge_id(u1 - 1, v1 - 1)
-            values[e] = exps
-            seen[e] = True
-        if not seen.all():
+        k = len(group.factors)
+        for u, v, exps in payload["edges"]:
+            if np.shape(exps) != (k,):
+                raise ValueError(f"signing edge ({u}, {v}) has exponent row "
+                                 f"{exps!r}, but the group has {k} factors")
+        rows = _integer_rows([[u, v, *exps] for u, v, exps in payload["edges"]],
+                             "signing entry").reshape(-1, 2 + k)
+        eids, found = base._lookup(rows[:, 0] - 1, rows[:, 1] - 1)
+        if not found.all():
+            u, v = rows[np.argmin(found), :2].tolist()
+            raise ValueError(f"signing pair ({u}, {v}) is not a base edge")
+        count = np.bincount(eids, minlength=base.m)
+        if count.max() > 1:
+            u, v = (base.edges[np.argmax(count)] + 1).tolist()
+            raise ValueError(f"signing lists edge ({u}, {v}) more than once")
+        if count.min() == 0:
             raise ValueError("signing file misses some base edges")
-        return Signing(base, group, values)
+        return Signing(base, group, rows[np.argsort(eids), 2:])
 
 
 def lift(base: RegularGraph, signing: Signing,
@@ -366,7 +391,7 @@ def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
     vals = group.char_table(chars, group.element_indices(elems))
     stack = np.zeros((chars.size, dim, dim), dtype=np.complex128)
     if kind == "adjacency":
-        u, v = np.asarray(base.edges).T
+        u, v = base.edges.T
         stack[:, u, v] = vals
         stack[:, v, u] = vals.conj()
     else:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import kernels
 from .graphs import RegularGraph, _ball, _neighbor_rows, bicycle_free_radius
 
@@ -78,11 +80,11 @@ def _subgraph_neighbor_lists(G: RegularGraph,
                              sub: EdgeSubgraph | None) -> dict[int, list[int]]:
     """Neighbors in base-graph row order, restricted to the subgraph."""
     if sub is None:
-        return {v: [int(u) for u in G.adj[v]] for v in range(G.n)}
-    for u, v in sub.edges:
-        if not G.has_edge(u, v):
-            raise ValueError("subgraph edge missing from the host graph")
-    return {v: [int(u) for u in G.adj[v] if sub.has_edge(v, int(u))]
+        return dict(enumerate(G.neighbor_lists()))
+    ends = np.array(list(sub.edges), dtype=np.int64).reshape(-1, 2)
+    if not G._lookup(ends[:, 0], ends[:, 1])[1].all():
+        raise ValueError("subgraph edge missing from the host graph")
+    return {v: [u for u in G.adj[v].tolist() if sub.has_edge(v, u)]
             for v in sorted(sub.vertices)}
 
 _GREEN, _YELLOW, _RED = 0, 1, 2
@@ -177,7 +179,7 @@ def encode_graph(G: RegularGraph, sub: EdgeSubgraph | None, start: int,
             parent_of[u] = v
     indices = []
     for (v, u) in trav:
-        row = [int(x) for x in G.adj[v]]
+        row = G.adj[v].tolist()
         j = row.index(u)
         p = parent_of[v]
         if p is None:
@@ -193,7 +195,7 @@ def encode_graph(G: RegularGraph, sub: EdgeSubgraph | None, start: int,
 
 def _neighbor_from_index(G: RegularGraph, v: int, parent: int | None,
                          idx: int) -> int:
-    row = [int(x) for x in G.adj[v]]
+    row = G.adj[v].tolist()
     if parent is None:
         if not 0 <= idx < len(row):
             raise DecodeError("degree index out of range at the start vertex")

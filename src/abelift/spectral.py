@@ -301,7 +301,7 @@ def nb_eigenvector_transport(signing: Signing, chi, f, alpha: float,
         beta = min(roots, key=abs)
     else:
         raise ValueError("root must be 'large' or 'small'")
-    u, v = np.asarray(base.directed_edges()).T
+    u, v = base.directed_edges().T
     g = np.conj(A[u, v]) * f[u] - beta * f[v]
     norm = np.abs(g).max()
     if norm < 1e-12:

@@ -279,6 +279,10 @@ def test_spectrum_check_without_signing_is_a_usage_error(tmp_path, capsys,
     (["codes", "tanner"], "codes tanner needs --cert"),
     (["codes", "css-valid", "--hx", "{k4}"], "codes css-valid needs --hz"),
     (["pseudorandom", "hoeffding"], "pseudorandom hoeffding needs --graph"),
+    (["spectrum", "--graph", "{k4}", "--check", "mixing"],
+     "spectrum --check mixing needs --set-s and --set-t"),
+    (["spectrum", "--graph", "{k4}", "--check", "mixing", "--set-s", "1"],
+     "spectrum --check mixing needs --set-t"),
 ])
 def test_missing_required_option_is_a_usage_error(tmp_path, capsys, argv,
                                                   message):
@@ -287,6 +291,29 @@ def test_missing_required_option_is_a_usage_error(tmp_path, capsys, argv,
         main([a.format(k4=gp) for a in argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["union", "ihara"])
+@pytest.mark.parametrize("edit, error", [
+    (lambda es: es + [es[3]], "signing lists edge (2, 3) more than once"),
+    (lambda es: [[1, 1, [0, 0]]] + es[1:],
+     "signing pair (1, 1) is not a base edge"),
+    (lambda es: [[1, 2 ** 70, [0, 0]]] + es[1:],
+     f"signing entry {2 ** 70} is not a 64-bit integer"),
+], ids=["repeated-edge", "non-edge", "huge-label"])
+def test_malformed_signing_exits_one_naming_the_fault(tmp_path, capsys,
+                                                      check, edit, error):
+    base = random_regular(6, 3, seed=0)
+    gp = _write_graph(tmp_path / "g.json", base)
+    payload = Signing.random(base, AbelianGroup.product([2, 4]),
+                             seed=1).to_json()
+    payload["edges"] = edit(payload["edges"])
+    sp = tmp_path / "signing.json"
+    serial.dump_json(payload, str(sp))
+    assert main(["spectrum", "--graph", gp, "--check", check,
+                 "--signing", str(sp)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"failed": True,
+                                                   "error": error}
 
 
 def test_json_flag_prints_payload(tmp_path, capsys):

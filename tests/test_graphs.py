@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ from abelift.graphs import (RegularGraph, Signing, _ball,
                             bicycle_free_radius, complete_graph,
                             component_count, cycle_graph, disjoint_union,
                             girth, lift, nonbacktracking, petersen_graph,
-                            random_regular, signed_adjacency,
-                            signed_nonbacktracking)
+                            random_regular, random_regular_dense,
+                            signed_adjacency, signed_nonbacktracking)
 from abelift.groups import AbelianGroup
+from abelift.hikes import is_hike
 
 
 def test_complete_graph_k4():
     g = complete_graph(4)
     assert (g.n, g.d, g.m) == (4, 3, 6)
-    assert g.edges == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+                                [2, 3]]
 
 
 def test_cycle_graph_c5():
@@ -87,7 +90,7 @@ def _outcome(build, adj):
 def test_constructor_matches_the_loop_reference():
     def build(adj):
         g = RegularGraph(adj)
-        return g.edges, g._eid, g.eid_table
+        return g, g.edges, g.eid_table
 
     rng = np.random.default_rng(0)
     tables = [cycle_graph(5).adj, complete_graph(6).adj, petersen_graph().adj,
@@ -115,8 +118,11 @@ def test_constructor_matches_the_loop_reference():
             assert got == want
             messages.add(want)
         else:
-            assert got[0] == want[0] and got[1] == want[1]
-            assert all(type(x) is int for e in got[0] for x in e)
+            g = got[0]
+            assert got[1].tolist() == [list(e) for e in want[0]]
+            assert got[1].dtype == np.int64
+            for (u, v), e in want[1].items():
+                assert g.edge_id(u, v) == g.edge_id(v, u) == e
             assert got[2].dtype == want[2].dtype
             assert np.array_equal(got[2], want[2])
     assert messages == {"self-loop found", "repeated neighbor (multi-edge)",
@@ -130,11 +136,23 @@ def test_edge_and_directed_indexing():
         assert g.edge_id(v, u) == e
         assert g.directed_index(u, v) == 2 * e
         assert g.directed_index(v, u) == 2 * e + 1
-    assert g.directed_edges()[:2] == [(0, 1), (1, 0)]
+    assert g.directed_edges()[:2].tolist() == [[0, 1], [1, 0]]
     # eid_table mirrors adj positionwise
     for u in range(g.n):
         for j in range(g.d):
             assert g.eid_table[u, j] == g.edge_id(u, int(g.adj[u, j]))
+
+
+def test_labels_outside_the_vertex_range_are_never_edges():
+    # adj[-1] of this graph holds n - 2, so a wrapped lookup would find it
+    g = random_regular(6, 3, seed=0)
+    n = g.n
+    assert n - 2 in g.adj[-1] and not g.has_edge(-1, n - 2)
+    assert not g.has_edge(-1, n - 1) and not g.has_edge(0, n)
+    for u, v in [(-1, n - 2), (-1, n - 1), (0, n), (n, 0)]:
+        with pytest.raises(KeyError):
+            g.edge_id(u, v)
+    assert not is_hike(g, [0, -1, 0])
 
 
 def test_graph_json_roundtrip_is_one_based():
@@ -147,11 +165,55 @@ def test_graph_json_roundtrip_is_one_based():
     assert back.content_hash() == g.content_hash()
 
 
+def test_graph_json_rejects_non_integer_entries():
+    for bad in (2.9, True, "3", 2 ** 70):
+        payload = petersen_graph().to_json()
+        payload["adj"][4][1] = bad
+        with pytest.raises(ValueError) as exc:
+            RegularGraph.from_json(payload)
+        assert str(exc.value) == (f"adjacency label {bad!r} is not a 64-bit "
+                                  "integer")
+        payload = petersen_graph().to_json()
+        payload["n"] = bad
+        with pytest.raises(ValueError) as exc:
+            RegularGraph.from_json(payload)
+        assert str(exc.value) == f"graph size {bad!r} is not a 64-bit integer"
+
+
+def _appended_rows(n, pairs):
+    """The per-pair append loop the generators once ran."""
+    nbrs = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[int(a)].append(int(b))
+        nbrs[int(b)].append(int(a))
+    return nbrs
+
+
+def test_generators_match_the_append_loop_reference(monkeypatch):
+    import abelift.graphs as graphs
+    seen = []
+    build = graphs._graph_from_pairs
+
+    def spy(n, pairs):
+        g = build(n, pairs)
+        seen.append((g.adj.tolist(), _appended_rows(n, pairs)))
+        return g
+    monkeypatch.setattr(graphs, "_graph_from_pairs", spy)
+    for seed in range(12):
+        for n, d in [(2, 1), (4, 3), (10, 3), (12, 5), (20, 4), (50, 3)]:
+            random_regular(n, d, seed=seed)
+        for n, d in [(2, 1), (16, 14), (30, 14), (9, 4), (20, 6)]:
+            random_regular_dense(n, d, seed=seed)
+    assert len(seen) == 12 * 11
+    for got, want in seen:
+        assert got == want
+
+
 def test_random_regular_on_four_vertices_is_k4():
     # K4 is the only simple 3-regular graph on 4 vertices
     for seed in range(5):
         g = random_regular(4, 3, seed=seed)
-        assert g.edges == complete_graph(4).edges
+        assert np.array_equal(g.edges, complete_graph(4).edges)
 
 
 def test_random_regular_rejects_odd_parity():
@@ -249,6 +311,20 @@ def test_lift_matches_the_per_slot_reference():
         lift(base, sg)  # the last case acts by `split`
 
 
+def test_lift_keeps_little_memory():
+    # the lifted graph keeps adj, eid_table and edges: 3.4 MiB at l = 4096
+    base = random_regular(16, 3, seed=0)
+    sg = Signing.random(base, AbelianGroup.cyclic(4096), seed=0)
+    tracemalloc.start()
+    try:
+        g = lift(base, sg)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 16 * 4096
+    assert kept <= 8 * 2 ** 20
+
+
 def test_lift_of_random_signing_is_regular_with_matching_spectrum_size():
     base = complete_graph(4)
     sg = Signing.random(base, AbelianGroup.cyclic(4), seed=3)
@@ -274,6 +350,11 @@ def test_signing_json_roundtrip():
     assert min(item[0] for item in payload["edges"]) == 1
     back = Signing.from_json(base, payload)
     assert np.array_equal(back.values, sg.values)
+    # triples in any order and orientation land on their own edges
+    es = payload["edges"]
+    payload["edges"] = [[v, u, exps] for u, v, exps in es[2:] + es[:2]]
+    back = Signing.from_json(base, payload)
+    assert np.array_equal(back.values, sg.values)
 
 
 def test_signing_json_rejects_missing_edges():
@@ -283,6 +364,51 @@ def test_signing_json_rejects_missing_edges():
     payload["edges"] = payload["edges"][:-1]
     with pytest.raises(ValueError, match="misses"):
         Signing.from_json(base, payload)
+
+
+def _edit_signing(edit):
+    """Z2 x Z4 signing of random_regular(6, 3, seed=0) whose triples,
+    edge (1, 2) first, went through `edit`."""
+    base = random_regular(6, 3, seed=0)
+    payload = Signing.random(base, AbelianGroup.product([2, 4]),
+                             seed=1).to_json()
+    payload["edges"] = edit(payload["edges"])
+    return base, payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda es: [es[0][:2] + [[1]]] + es[1:],
+     "signing edge (1, 2) has exponent row [1], but the group has 2 "
+     "factors"),
+    (lambda es: [es[0][:2] + [3]] + es[1:],
+     "signing edge (1, 2) has exponent row 3"),
+    (lambda es: es + [es[3]], "signing lists edge (2, 3) more than once"),
+    (lambda es: es + [[es[3][1], es[3][0], [0, 0]]],
+     "signing lists edge (2, 3) more than once"),
+    (lambda es: [[1, 1, [0, 0]]] + es[1:],
+     "signing pair (1, 1) is not a base edge"),
+    (lambda es: [[1, 3, [0, 0]]] + es[1:],
+     "signing pair (1, 3) is not a base edge"),
+    # label 0 is vertex -1: a lookup wrapping to adj[-1] would find 5
+    (lambda es: [[0, 5, [0, 0]]] + es[1:],
+     "signing pair (0, 5) is not a base edge"),
+    (lambda es: [[1, 7, [0, 0]]] + es[1:],
+     "signing pair (1, 7) is not a base edge"),
+    (lambda es: [[1, 2.9, [0, 0]]] + es[1:],
+     "signing entry 2.9 is not a 64-bit integer"),
+    (lambda es: [[1, 2, [0, 1.5]]] + es[1:],
+     "signing entry 1.5 is not a 64-bit integer"),
+    (lambda es: [[1, 2 ** 70, [0, 0]]] + es[1:],
+     f"signing entry {2 ** 70} is not a 64-bit integer"),
+    (lambda es: es[1:], "signing file misses some base edges"),
+], ids=["short-row", "scalar-row", "repeated", "repeated-reversed",
+        "loop-pair", "non-edge", "label-zero", "label-above-n",
+        "float-label", "float-exponent", "huge-label", "missing"])
+def test_signing_json_names_the_malformed_triple(edit, message):
+    base, payload = _edit_signing(edit)
+    with pytest.raises(ValueError) as exc:
+        Signing.from_json(base, payload)
+    assert str(exc.value).startswith(message)
 
 
 def test_action_transitivity_detection():

@@ -64,7 +64,8 @@ def test_dfs_trace_shape_on_whole_graphs():
         for start in range(g.n):
             trav, sigma = dfs(g, start)
             assert len(trav) == g.m  # each edge once
-            assert sorted((min(u, v), max(u, v)) for u, v in trav) == g.edges
+            assert (sorted([min(u, v), max(u, v)] for u, v in trav)
+                    == g.edges.tolist())
             assert len(sigma) == 2 * g.m
             assert sigma.count("R") == g.m and sigma.count("B") == g.m
 

@@ -1,6 +1,8 @@
-"""The benchmark tracer wraps library functions by name; keep those names."""
+"""Names looked up at run time, by the benchmark tracer and by the CLI's
+usage table, must resolve."""
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,3 +18,20 @@ def test_every_traced_name_resolves_in_abelift():
                if not callable(getattr(
                    importlib.import_module("abelift." + mod), attr, None))]
     assert missing == []
+
+
+def test_every_usage_rule_names_real_options():
+    """cli._NEEDS rows are matched by name at run time, so a misspelt
+    command, option, value or destination would switch a rule off."""
+    import argparse
+
+    from abelift import cli
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, option, values, needs in cli._NEEDS:
+        assert command in commands, command
+        actions = {a.dest: a for a in commands[command]._actions}
+        assert option in actions, (command, option)
+        assert set(values) <= set(actions[option].choices), (command, values)
+        assert set(needs) <= set(actions), (command, needs)
