@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands: gen-base, spectrum, lift-search, hikes, pseudorandom, codes.
-Exit codes: 0 success, 1 a requested check or search failed (a
-machine-readable failure report is still written), 2 usage errors.
-Artifacts are canonical JSON with sorted keys and embed the tool version,
-a hash of the run configuration, and hashes of every input file, so
-reruns are byte identical; --timing appends wall-clock data and opts out
-of that.
+Exit codes: 0 success, 1 a requested check or search failed or an input
+was rejected (a machine-readable failure report is still written), 2
+usage errors.  Each cmd_* returns (payload, input paths, failed); main
+alone stamps, writes and exits.  Artifacts are canonical JSON with sorted
+keys and embed the tool version, a hash of the run configuration, and
+hashes of every input file, so reruns are byte identical; --timing
+appends wall-clock data and opts out of that.
 """
 from __future__ import annotations
 
@@ -18,39 +19,30 @@ import numpy as np
 
 from . import codes, hikes, pseudorandom, search, serial, spectral
 from .graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
-                     lift, petersen_graph, random_regular)
+                     petersen_graph, random_regular)
 from .groups import AbelianGroup
 
 
 def _meta(args: argparse.Namespace, input_paths: list[str]) -> dict:
-    from . import __version__
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "json", "out", "timing")}
     return {
-        "tool": {"name": "abelift", "version": __version__},
+        "tool": search._tool_stamp(),
         "config_hash": serial.object_hash(config),
         "inputs": {p: "sha256:" + serial.file_hash(p)
                    for p in sorted(set(input_paths))},
     }
 
 
-def _emit(args, payload: dict, started: float) -> None:
-    if getattr(args, "timing", False):
-        payload = dict(payload)
-        payload["runtime"] = {"seconds": time.perf_counter() - started}
-    text = serial.canonical_json(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json or not args.out:
-        print(text)
-
-
-def _load_graph(path: str) -> RegularGraph:
+def _read(path: str, key: str | None = None) -> dict:
+    """The JSON object in *path*, or the one an artifact nests under *key*."""
     payload = serial.load_json(path)
-    if isinstance(payload.get("graph"), dict):
-        payload = payload["graph"]
-    return RegularGraph.from_json(payload)
+    if isinstance(payload, dict) and key in payload:
+        payload = payload[key]
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, found "
+                         f"{type(payload).__name__}")
+    return payload
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -64,8 +56,7 @@ def _parse_ints(text: str) -> list[int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_base(args) -> int:
-    started = time.perf_counter()
+def cmd_gen_base(args):
     if args.kind == "random":
         g = random_regular(args.n, args.d, seed=args.seed)
     elif args.kind == "cycle":
@@ -74,28 +65,24 @@ def cmd_gen_base(args) -> int:
         g = complete_graph(args.n)
     else:
         g = petersen_graph()
-    payload = {"meta": _meta(args, []), "graph": g.to_json(),
-               "graph_hash": g.content_hash()}
-    _emit(args, payload, started)
-    return 0
+    return {"graph": g.to_json(), "graph_hash": g.content_hash()}, [], False
 
 
-def _signing_from_file(base: RegularGraph, path: str) -> Signing:
-    return Signing.from_json(base, serial.load_json(path))
-
-
-def cmd_spectrum(args) -> int:
-    started = time.perf_counter()
-    base = _load_graph(args.graph)
+def cmd_spectrum(args):
+    base = RegularGraph.from_json(_read(args.graph, "graph"))
     inputs = [args.graph]
     payload: dict = {"check": args.check}
-    failed = False
+    if args.check == "mixing":
+        rep = spectral.mixing_check(base, _parse_ints(args.set_s),
+                                    _parse_ints(args.set_t))
+        payload.update(edge_count=rep.edge_count, lhs=rep.lhs, rhs=rep.rhs,
+                       passed=rep.passed)
+        return payload, inputs, not rep.passed
+    signing = Signing.from_json(base, _read(args.signing))
+    inputs.append(args.signing)
     if args.check == "union":
-        signing = _signing_from_file(base, args.signing)
-        inputs.append(args.signing)
         rep = spectral.spectrum_union_check(signing, tol=args.tol)
-        eigs = spectral.adjacency_spectrum(
-            lift(base, signing, allow_disconnected=True))
+        eigs = rep.eigenvalues
         # ascending eigvalsh: drop one copy of the top eigenvalue d
         payload.update(adjacency_distance=rep.adjacency_distance,
                        nb_distance=rep.nb_distance, tol=rep.tol,
@@ -103,31 +90,16 @@ def cmd_spectrum(args) -> int:
                        lambda_modulus=float(np.abs(eigs[:-1]).max()),
                        lambda_signed=float(eigs[-2]),
                        eigenvalues=[[float(x), 0.0] for x in eigs])
-        failed = not rep.passed
-    elif args.check == "ihara":
-        signing = _signing_from_file(base, args.signing)
-        inputs.append(args.signing)
+    else:  # ihara
         chi = _parse_ints(args.chi) if args.chi else None
         rep = spectral.ihara_check(signing, chi)
         payload.update(lhs=rep.lhs, rho_b=rep.rho_b, bound=rep.bound,
                        trivial=rep.trivial, passed=rep.passed)
-        failed = not rep.passed
-    else:  # mixing
-        rep = spectral.mixing_check(base, _parse_ints(args.set_s),
-                                    _parse_ints(args.set_t))
-        payload.update(edge_count=rep.edge_count, lhs=rep.lhs, rhs=rep.rhs,
-                       passed=rep.passed)
-        failed = not rep.passed
-    payload["meta"] = _meta(args, inputs)
-    if failed:
-        payload["failed"] = True
-    _emit(args, payload, started)
-    return 1 if failed else 0
+    return payload, inputs, not rep.passed
 
 
-def cmd_lift_search(args) -> int:
-    started = time.perf_counter()
-    base = _load_graph(args.graph)
+def cmd_lift_search(args):
+    base = RegularGraph.from_json(_read(args.graph, "graph"))
     inputs = [args.graph]
     if args.mode == "walk":
         result = search.exponential_regime_build(
@@ -135,95 +107,63 @@ def cmd_lift_search(args) -> int:
             master_seed=args.master_seed, target=args.target,
             crosscheck_every=args.crosscheck_every)
     else:
-        payload = serial.load_json(args.support)
-        if isinstance(payload.get("biased_set"), dict):
-            payload = payload["biased_set"]
-        dist = pseudorandom.BiasedSet.from_json(payload)
+        dist = pseudorandom.BiasedSet.from_json(
+            _read(args.support, "biased_set"))
         inputs.append(args.support)
-        group = AbelianGroup.cyclic(args.ell)
         result = search.derandomized_lift_search(
-            base, group, dist, target=args.target,
+            base, AbelianGroup.cyclic(args.ell), dist, target=args.target,
             crosscheck_every=args.crosscheck_every)
-    payload = {"meta": _meta(args, inputs), "certificate": result.certificate}
     failed = args.target is not None and not result.certificate["met_target"]
-    if failed:
-        payload["failed"] = True
-    _emit(args, payload, started)
-    return 1 if failed else 0
+    return {"certificate": result.certificate}, inputs, failed
 
 
-def cmd_hikes(args) -> int:
-    started = time.perf_counter()
-    payload: dict = {}
-    inputs = []
-    failed = False
-    base = _load_graph(args.graph)
-    inputs.append(args.graph)
+def cmd_hikes(args):
+    base = RegularGraph.from_json(_read(args.graph, "graph"))
     if args.action == "count":
         count = hikes.enumerate_hikes(base, args.k,
                                       singleton_free_only=not args.all_walks)
-        payload.update(k=args.k, count=count,
+        payload = dict(k=args.k, count=count,
                        singleton_free=not args.all_walks)
     elif args.action == "bounds":
         b = hikes.count_bounds(base.n, base.d, args.k, args.r,
                                delta=args.delta)
-        payload.update(k=args.k, gamma1=b.gamma1, bound1=b.bound1,
+        payload = dict(k=args.k, gamma1=b.gamma1, bound1=b.bound1,
                        gamma2=b.gamma2, bound2=b.bound2, r_used=b.r_used,
                        r_floored=b.r_floored)
     elif args.action == "check-bound":
         count = hikes.enumerate_hikes(base, args.k - 1,
                                       singleton_free_only=True)
         b = hikes.count_bounds(base.n, base.d, args.k, args.r)
-        ok = count <= b.bound1
-        payload.update(k=args.k, count=count, bound1=b.bound1, passed=ok)
-        failed = not ok
-    else:  # mop
+        payload = dict(k=args.k, count=count, bound1=b.bound1,
+                       passed=count <= b.bound1)
+    else:  # mop: passed is None when the hypothesis fails
         rep = hikes.mop_excess_check(base, args.r)
-        payload.update(n_vertices=rep.n_vertices, excess=rep.excess,
+        payload = dict(n_vertices=rep.n_vertices, excess=rep.excess,
                        bound=rep.bound, hypothesis_ok=rep.hypothesis_ok,
                        passed=rep.passed)
-        failed = rep.passed is False
-    payload["meta"] = _meta(args, inputs)
-    if failed:
-        payload["failed"] = True
-    _emit(args, payload, started)
-    return 1 if failed else 0
+    return payload, [args.graph], payload.get("passed") is False
 
 
-def cmd_pseudorandom(args) -> int:
-    started = time.perf_counter()
-    inputs = []
-    failed = False
+def cmd_pseudorandom(args):
     if args.action == "biased-set":
         bs = pseudorandom.biased_set_search(
             args.ellp, args.m, args.nu, args.size_budget,
             trial_budget=args.trial_budget, seed=args.seed)
-        payload = {"biased_set": bs.to_json()}
-    else:  # hoeffding
-        base = _load_graph(args.graph)
-        inputs.append(args.graph)
-        edge_ids = (_parse_ints(args.edges) if args.edges
-                    else list(range(min(args.edge_count, base.m))))
-        rep = pseudorandom.hoeffding_tail_check(
-            base, args.ell, edge_ids, args.threshold, trials=args.trials,
-            seed=args.seed, dprime=args.dprime)
-        payload = {"trials": rep.trials, "threshold": rep.threshold,
-                   "empirical_re": rep.empirical_re,
-                   "empirical_im": rep.empirical_im,
-                   "bound": rep.bound, "sigma": rep.sigma,
-                   "passed": rep.passed}
-        failed = not rep.passed
-    payload["meta"] = _meta(args, inputs)
-    if failed:
-        payload["failed"] = True
-    _emit(args, payload, started)
-    return 1 if failed else 0
+        return {"biased_set": bs.to_json()}, [], False
+    base = RegularGraph.from_json(_read(args.graph, "graph"))
+    edge_ids = (_parse_ints(args.edges) if args.edges
+                else list(range(min(args.edge_count, base.m))))
+    rep = pseudorandom.hoeffding_tail_check(
+        base, args.ell, edge_ids, args.threshold, trials=args.trials,
+        seed=args.seed, dprime=args.dprime)
+    payload = {"trials": rep.trials, "threshold": rep.threshold,
+               "empirical_re": rep.empirical_re,
+               "empirical_im": rep.empirical_im,
+               "bound": rep.bound, "sigma": rep.sigma, "passed": rep.passed}
+    return payload, [args.graph], not rep.passed
 
 
-def cmd_codes(args) -> int:
-    started = time.perf_counter()
-    inputs = []
-    failed = False
+def cmd_codes(args):
     if args.action == "toric":
         code = codes.toric_code(args.ell)
         dist = None
@@ -232,37 +172,25 @@ def cmd_codes(args) -> int:
                                      trials=args.trials, seed=args.seed)
             dist = {"mode": rep.mode, "value": rep.value,
                     "certified": rep.certified, "dx": rep.dx, "dz": rep.dz}
-        payload = {"css": code.to_json(distance=dist)}
-    elif args.action == "tanner":
-        cert_payload = serial.load_json(args.cert)
-        inputs.append(args.cert)
-        cert = cert_payload.get("certificate", cert_payload)
-        d = RegularGraph.from_json(cert["base"]).d
-        local = (codes.LinearCodeF2.even_weight(d)
-                 if args.local == "even-weight"
-                 else codes.LinearCodeF2.repetition(d))
-        ell = AbelianGroup.from_json(cert["group"]).fiber_size
-        H = codes.tanner_from_certificate(cert, local)
-        payload = {"tanner": {"rows": int(H.shape[0]), "cols": int(H.shape[1]),
-                              "dimension": codes.code_dimension(H),
-                              "circulant": codes.circulant_structure_check(
-                                  H, ell),
-                              "parity_hash": serial.object_hash(H.tolist())}}
-        if args.alist:
-            codes.write_alist(H, args.alist)
-            payload["tanner"]["alist"] = args.alist
-    else:  # css-valid
-        a = serial.load_json(args.hx)
-        b = serial.load_json(args.hz)
-        inputs.extend([args.hx, args.hz])
-        ok = codes.css_valid(np.asarray(a), np.asarray(b))
-        payload = {"css_valid": ok}
-        failed = not ok
-    payload["meta"] = _meta(args, inputs)
-    if failed:
-        payload["failed"] = True
-    _emit(args, payload, started)
-    return 1 if failed else 0
+        return {"css": code.to_json(distance=dist)}, [], False
+    if args.action == "css-valid":
+        ok = codes.css_valid(np.asarray(serial.load_json(args.hx)),
+                             np.asarray(serial.load_json(args.hz)))
+        return {"css_valid": ok}, [args.hx, args.hz], not ok
+    cert = _read(args.cert, "certificate")
+    d = RegularGraph.from_json(cert["base"]).d
+    local = (codes.LinearCodeF2.even_weight(d) if args.local == "even-weight"
+             else codes.LinearCodeF2.repetition(d))
+    ell = AbelianGroup.from_json(cert["group"]).fiber_size
+    H = codes.tanner_from_certificate(cert, local)
+    tanner = {"rows": int(H.shape[0]), "cols": int(H.shape[1]),
+              "dimension": codes.code_dimension(H),
+              "circulant": codes.circulant_structure_check(H, ell),
+              "parity_hash": serial.object_hash(H.tolist())}
+    if args.alist:
+        codes.write_alist(H, args.alist)
+        tanner["alist"] = args.alist
+    return {"tanner": tanner}, [args.cert], False
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +316,27 @@ def main(argv=None) -> int:
             value = getattr(args, option)
             choice = value if option == "action" else f"--{option} {value}"
             parser.error(f"{command} {choice} needs {' and '.join(missing)}")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        payload, inputs, failed = args.func(args)
+        payload["meta"] = _meta(args, inputs)
+        if failed:
+            payload["failed"] = True
+        if args.timing:
+            payload["runtime"] = {"seconds": time.perf_counter() - started}
+        text = (serial.dump_json(payload, args.out) if args.out
+                else serial.canonical_json(payload))
     except FileNotFoundError as exc:
+        if exc.filename in (args.out, getattr(args, "alist", None)):
+            parser.exit(2, f"abelift: cannot write output file: "
+                           f"{exc.filename} (no such directory)\n")
         parser.exit(2, f"abelift: missing input file: {exc.filename}\n")
     except (ValueError, KeyError, RuntimeError) as exc:
         print(serial.canonical_json({"failed": True, "error": str(exc)}))
         return 1
+    if args.json or not args.out:
+        print(text)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

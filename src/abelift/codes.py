@@ -333,8 +333,11 @@ def _hex_row(s: str, n: int) -> np.ndarray:
 
 
 def lifted_product(A: GroupAlgebraMatrix, B: GroupAlgebraMatrix) -> CSSCode:
-    """CSS code from two group-algebra matrices via their expansions.
+    """Hypergraph product of the binary expansions of A and B.
 
+    This is not Panteleev-Kalachev's lifted product, the quotient of this
+    code by the diagonal Z_l action: (1 + x, 1 + x) over Z_l gives the
+    2 l^2-qubit toric code here, where theirs has 2 l qubits.
     With H1 = expand(A) and H2 = expand(B*) = expand(B)^T,
     H_X = [H1 x I | I x H2^T] and H_Z = [I x H2 | H1^T x I]; the mixed
     Kronecker identity makes the pair commute entrywise over F2.

@@ -115,23 +115,12 @@ def _full_product(ellp: int, m: int) -> np.ndarray:
 def _random_support(rng, ellp: int, m: int, size: int) -> np.ndarray:
     total = ellp ** m
     size = min(size, total)
-    if total <= EXACT_CHAR_CAP:
-        idx = np.sort(rng.choice(total, size=size, replace=False))
-        out = np.empty((size, m), dtype=np.int64)
-        t = idx.copy()
-        for i in range(m):
-            out[:, i] = t % ellp
-            t //= ellp
-        return out
-    seen: set[bytes] = set()
-    rows = []
-    while len(rows) < size:
-        tup = rng.integers(0, ellp, size=m, dtype=np.int64)
-        key = tup.tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(tup)
-    return np.array(rows, dtype=np.int64)
+    idx = np.sort(rng.choice(total, size=size, replace=False))
+    out = np.empty((size, m), dtype=np.int64)
+    for i in range(m):
+        out[:, i] = idx % ellp
+        idx //= ellp
+    return out
 
 
 def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
@@ -141,7 +130,9 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
     Deterministic for fixed arguments: the identity singleton first (bias
     exactly 1), the full product set when it fits the budget (bias exactly
     0), then random supports of budget size.  Every returned set carries
-    the verification report that admitted it.
+    the exact verification report that admitted it: a sampled bias is only
+    a lower estimate, so spaces above EXACT_CHAR_CAP characters are refused
+    before any draw.
     """
     if ellp < 2 or m < 1:
         raise ValueError("need ellp >= 2 and m >= 1")
@@ -149,8 +140,12 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
         raise ValueError("nu must lie in [0, 1]")
     if size_budget < 1:
         raise ValueError("size budget must be positive")
-    rng = np.random.default_rng(seed)
     total = ellp ** m
+    if total > EXACT_CHAR_CAP:
+        raise ValueError(f"(Z_{ellp})^{m} has {total} characters, above the "
+                         f"exact bias cap {EXACT_CHAR_CAP}; a sampled bias "
+                         "cannot certify a set")
+    rng = np.random.default_rng(seed)
     for trial in range(trial_budget):
         if trial == 0:
             support = np.zeros((1, m), dtype=np.int64)

@@ -144,6 +144,7 @@ class UnionReport:
     nb_distance: float | None
     tol: float
     passed: bool
+    eigenvalues: np.ndarray  # the lift's adjacency spectrum, ascending
 
 
 def ihara_bass_spectrum(alpha, d: int, excess: int) -> np.ndarray:
@@ -204,7 +205,7 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
         # as rows: 0.04 s against 0.6 s at 2M = 1920 (n = 80, l = 8)
         nb_dist = multiset_max_distance(union, nb)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
-    return UnionReport(adj_dist, nb_dist, tol, passed)
+    return UnionReport(adj_dist, nb_dist, tol, passed, alpha)
 
 
 def lift_lambda(signing: Signing, lam_base: float | None = None

@@ -343,7 +343,8 @@ def test_bad_semantic_input_exits_one(tmp_path, capsys):
     (["lift-search", "--ell", "40", "--seeds", "2"], "stub matching failed"),
     (["pseudorandom", "biased-set", "--ellp", "2", "--m", "2", "--nu", "0",
       "--size-budget", "1"], "no nu=0.0 support found"),
-], ids=["walk-aux-expander", "biased-set-budget"])
+    (["pseudorandom", "biased-set", "--m", "21"], "above the exact bias cap"),
+], ids=["walk-aux-expander", "biased-set-budget", "biased-set-above-cap"])
 def test_failed_search_exits_one_with_a_reason(tmp_path, capsys, argv,
                                                reason):
     if argv[0] == "lift-search":
@@ -365,3 +366,130 @@ def test_ihara_rejects_a_character_outside_the_group(tmp_path, capsys, chi):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["failed"] is True and "error" in payload
+
+
+def test_spectrum_union_builds_one_lift(tmp_path, monkeypatch):
+    # the artifact's eigenvalues come from the union check's own lift
+    from abelift import graphs
+    original = graphs.lift
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("abelift")
+                and getattr(module, "lift", None) is original):
+            monkeypatch.setattr(module, "lift", counting)
+    base = complete_graph(4)
+    sg = Signing.random(base, AbelianGroup.cyclic(3), seed=2)
+    assert main(["spectrum", "--graph", _write_graph(tmp_path / "k4.json",
+                                                      base),
+                 "--signing", _write_signing(tmp_path / "sg.json", sg),
+                 "--check", "union", "--out", str(tmp_path / "u.json")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, name, found", [
+    (["spectrum", "--graph", "{bad}", "--check", "mixing", "--set-s", "0",
+      "--set-t", "1"], "list.json", "list"),
+    (["spectrum", "--graph", "{k4}", "--signing", "{bad}"], "list.json",
+     "list"),
+    (["codes", "tanner", "--cert", "{cert5}"], "cert5.json", "int"),
+], ids=["graph-list", "signing-list", "cert-int"])
+def test_non_object_json_input_exits_one_naming_the_file(tmp_path, capsys,
+                                                         argv, name, found):
+    paths = {"k4": _write_graph(tmp_path / "k4.json", complete_graph(4)),
+             "bad": str(tmp_path / "list.json"),
+             "cert5": str(tmp_path / "cert5.json")}
+    serial.dump_json([1, 2], paths["bad"])
+    serial.dump_json({"certificate": 5}, paths["cert5"])
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "failed": True,
+        "error": f"{tmp_path / name}: expected a JSON object, found {found}"}
+
+
+@pytest.mark.parametrize("option", ["--out", "--alist"])
+def test_missing_output_directory_names_the_output(tmp_path, capsys,
+                                                   option):
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    cert = tmp_path / "cert.json"
+    assert main(["lift-search", "--graph", gp, "--ell", "3", "--seeds", "1",
+                 "--out", str(cert)]) == 0
+    target = str(tmp_path / "nodir" / "x")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["codes", "tanner", "--cert", str(cert), option, target])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"abelift: cannot write output file: {target} (no such directory)\n")
+
+
+@pytest.fixture(scope="module")
+def runner_inputs(tmp_path_factory):
+    """One file of each input kind the subcommands read."""
+    root = tmp_path_factory.mktemp("runner")
+    base = complete_graph(4)
+    paths = {"graph": _write_graph(root / "k4.json", base),
+             "signing": _write_signing(root / "sg.json", Signing.random(
+                 base, AbelianGroup.cyclic(3), seed=2)),
+             "cert": str(root / "cert.json"), "bias": str(root / "bias.json"),
+             "h_ok": str(root / "h_ok.json"), "h_bad": str(root / "h_bad.json")}
+    serial.dump_json([[1, 1]], paths["h_ok"])
+    serial.dump_json([[1, 0]], paths["h_bad"])
+    assert main(["lift-search", "--graph", paths["graph"], "--ell", "3",
+                 "--seeds", "2", "--out", paths["cert"]]) == 0
+    assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "6",
+                 "--nu", "0.6", "--size-budget", "32",
+                 "--out", paths["bias"]]) == 0
+    return paths
+
+
+# id: (argv, exit code); the failing rows cover every check that can fail
+RUNNER_CASES = {
+    "gen-base": ("gen-base --kind complete --n 4", 0),
+    "spectrum-union": ("spectrum --graph {graph} --signing {signing}", 0),
+    "spectrum-union-failed": ("spectrum --graph {graph} --signing {signing} "
+                              "--tol -1", 1),
+    "spectrum-ihara": ("spectrum --graph {graph} --signing {signing} "
+                       "--check ihara --chi 1", 0),
+    "spectrum-mixing": ("spectrum --graph {graph} --check mixing "
+                        "--set-s 1 --set-t 2", 0),
+    "lift-search-walk": ("lift-search --graph {graph} --ell 3 --seeds 2", 0),
+    "lift-search-unmet-target": ("lift-search --graph {graph} --ell 3 "
+                                 "--seeds 2 --target 0.1", 1),
+    "lift-search-support": ("lift-search --graph {graph} --mode support "
+                            "--ell 2 --support {bias}", 0),
+    "hikes-count": ("hikes count --graph {graph} --k 1", 0),
+    "hikes-bounds": ("hikes bounds --graph {graph} --k 3", 0),
+    "hikes-check-bound": ("hikes check-bound --graph {graph} --k 2", 0),
+    "hikes-mop": ("hikes mop --graph {graph}", 0),
+    "pseudorandom-biased-set": ("pseudorandom biased-set --m 3 --nu 1.0", 0),
+    "pseudorandom-hoeffding": ("pseudorandom hoeffding --graph {graph} "
+                               "--ell 16 --threshold 8 --trials 200", 0),
+    "codes-toric": ("codes toric --ell 2 --distance exact", 0),
+    "codes-tanner": ("codes tanner --cert {cert}", 0),
+    "codes-css-valid": ("codes css-valid --hx {h_ok} --hz {h_ok}", 0),
+    "codes-css-invalid": ("codes css-valid --hx {h_bad} --hz {h_bad}", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_CASES))
+def test_runner_stamps_every_command_alike(tmp_path, runner_inputs, case):
+    argv, code = RUNNER_CASES[case]
+    argv = argv.format(**runner_inputs).split() + ["--out",
+                                                   str(tmp_path / "a.json")]
+    assert main(argv) == code
+    first = (tmp_path / "a.json").read_bytes()
+    assert main(argv) == code
+    assert (tmp_path / "a.json").read_bytes() == first
+    payload = json.loads(first)
+    assert "runtime" not in payload
+    assert payload.get("failed", False) is (code == 1)
+    assert set(payload["meta"]) == {"tool", "config_hash", "inputs"}
+    assert main(argv + ["--timing"]) == code
+    timed = json.loads((tmp_path / "a.json").read_bytes())
+    assert timed.pop("runtime")["seconds"] >= 0.0
+    assert timed["meta"] == payload["meta"]

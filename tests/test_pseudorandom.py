@@ -106,6 +106,15 @@ def test_search_budget_exhaustion():
         biased_set_search(2, 2, nu=0.0, size_budget=2, trial_budget=6, seed=0)
 
 
+@pytest.mark.parametrize("nu, budget", [(0.5, 64), (0.4, 128)])
+def test_search_refuses_a_space_above_the_exact_cap(nu, budget):
+    # a sampled bias is a lower estimate: with seed 0 these budgets once
+    # returned sets sampled at 0.406 and 0.297 whose exact biases are 0.625
+    # and 0.4375
+    with pytest.raises(ValueError, match="above the exact bias cap"):
+        biased_set_search(2, 21, nu, budget)
+
+
 def test_effective_walk_degree():
     assert effective_walk_degree(8, 36) == 6
     assert effective_walk_degree(64, 36) == 36

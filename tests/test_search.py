@@ -270,6 +270,17 @@ def test_markov_report_full_support_satisfies_premise():
     assert rep["nu_achieved"] == 0.0
 
 
+def test_markov_report_premise_needs_an_exact_bias():
+    base = complete_graph(4)
+    full = np.array(list(itertools.product(range(2), repeat=6)),
+                    dtype=np.int64)
+    dist = BiasedSet(2, 6, full, 0.0, {"mode": "sampled", "value": 0.0,
+                                       "trials": 64, "seed": 0})
+    rep = markov_bound_report(base, dist, k=3, eps=0.5)
+    assert rep["nu_mode"] == "sampled" and rep["nu_achieved"] == 0.0
+    assert not rep["premise_satisfied"]
+
+
 def test_markov_report_rejects_mismatched_width():
     base = complete_graph(4)
     dist = BiasedSet(2, 5, np.zeros((1, 5), dtype=np.int64), 1.0, {})
