@@ -18,6 +18,8 @@ from .graphs import RegularGraph, Signing, random_regular_dense
 from .groups import AbelianGroup
 
 EXACT_CHAR_CAP = 1 << 20
+# float slack allowed between an exact bias and the nu it is held to
+BIAS_SLACK = 1e-12
 _SAMPLED_TRIALS = 2048
 
 
@@ -155,7 +157,7 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
             support = _random_support(rng, ellp, m, size_budget)
         cand = BiasedSet(ellp, m, support, claimed_bias=nu, verified={})
         report = cand.verify(seed=seed)
-        if report["value"] <= nu + 1e-12:
+        if report["value"] <= nu + BIAS_SLACK:
             cand.verified = report
             return cand
     raise RuntimeError(f"no nu={nu} support found within {trial_budget} trials")

@@ -6,6 +6,13 @@ signings (exponential fiber size).  Both emit a certificate holding the
 base, group, winning signing, per-character radii and provenance, and
 both re-verify the character decomposition against an actual lift on a
 fixed cadence.
+
+Both share one scan, which keeps the first candidate of least lambda.
+Since lambda is a max over lambda(base) and the per-character radii, a
+candidate is out as soon as one of them reaches the best lambda so far;
+the scan solves characters one at a time and stops there (see _scan), so
+the winner and its certificate are those of a full solve of every
+candidate.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serial
+from . import serial, spectral
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .hikes import count_bounds
@@ -38,10 +45,15 @@ def reference_lambda(d: int) -> float:
 
 @dataclass
 class SearchResult:
+    """A search's winner and certificate.  runtime_seconds and
+    candidates_pruned (scanned candidates ruled out before a full solve)
+    stay in process: the certificate holds neither."""
+
     signing: Signing
     lam: float
     certificate: dict
     runtime_seconds: float
+    candidates_pruned: int
 
 
 def _support_rows(support) -> np.ndarray:
@@ -63,29 +75,66 @@ def _crosscheck(signing: Signing) -> float:
     return dist
 
 
-def _scan(candidates, evaluate, target, crosscheck_every):
-    """Evaluate candidates in order and keep the first with the least lambda.
+def _scan(signings, lam_base, target, crosscheck_every):
+    """Scan signings in order and keep the first with the least lambda.
 
-    evaluate(candidate) gives (signing, lambda, radii).  The scan stops
-    after the first candidate meeting `target`; every crosscheck_every-th
-    candidate has its character decomposition checked against a built lift.
-    Returns ((index, candidate, lambda, radii) of the winner, candidates
-    evaluated, crosschecks run, largest crosscheck distance).
+    lambda is max(lam_base, radii over the nontrivial characters).  The
+    first signing is solved in full.  After it, with `best` the least
+    lambda so far, a signing is pruned unsolved when lam_base >= best;
+    otherwise its characters are solved one at a time, the one that
+    pruned the previous signing first, and it is pruned at the first
+    radius >= best.  A pruned signing has lambda >= best, so it could
+    neither replace the first strict minimum nor meet a target (that would
+    need best <= target, and the scan stops there): the winner keeps its
+    index, lambda and radii.  A signing never pruned has every radius
+    below best, so it is the new best, and each one-character solve equals
+    that character's row of a batched solve, so its radii are the floats
+    lift_lambda gives.  The scan stops after the first signing meeting
+    `target`; every crosscheck_every-th signing, pruned or not, has its
+    character decomposition checked against a built lift.  Returns
+    ((index, signing, lambda, radii) of the winner, signings evaluated,
+    signings pruned, crosschecks run, largest crosscheck distance).
     """
     best = None
-    evaluated = checks = 0
+    evaluated = pruned = checks = 0
     max_check_dist = 0.0
-    for i, cand in enumerate(candidates):
-        signing, lam, rhos = evaluate(cand)
+    order = None  # nontrivial character indices, the last pruner first
+    for i, signing in enumerate(signings):
         evaluated += 1
         if crosscheck_every and i % crosscheck_every == 0:
             max_check_dist = max(max_check_dist, _crosscheck(signing))
             checks += 1
-        if best is None or lam < best[2]:
-            best = (i, cand, lam, rhos)
+        if best is None:
+            lam, _, rhos = lift_lambda(signing, lam_base)
+            order = list(range(len(rhos)))
+        else:
+            rhos = (None if lam_base >= best[2]
+                    else _radii_below(signing, best[2], order))
+            if rhos is None:
+                pruned += 1
+                continue
+            lam = max([lam_base] + rhos)
+        best = (i, signing, lam, rhos)
         if target is not None and lam <= target:
             break
-    return best, evaluated, checks, max_check_dist
+    return best, evaluated, pruned, checks, max_check_dist
+
+
+def _radii_below(signing, bound, order):
+    """Every nontrivial character's radius if all lie below `bound`, else None.
+
+    Characters are solved one at a time in `order` (indices into the
+    nontrivial characters); the first whose radius reaches `bound` moves
+    to the front of `order`, so the next signing tries it first.
+    """
+    rhos = [0.0] * len(order)
+    for pos, k in enumerate(order):
+        eigs = spectral.character_spectra(signing, [k + 1], "adjacency")
+        rhos[k] = float(np.abs(eigs[0]).max())
+        if rhos[k] >= bound:
+            order.insert(0, order.pop(pos))
+            return None
+    return rhos
 
 
 def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
@@ -113,14 +162,9 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
         raise ValueError("support rows must have one exponent per edge")
     t0 = time.perf_counter()
     lam_base = lambda2(base)
-
-    def evaluate(signing):
-        lam, _, rhos = lift_lambda(signing, lam_base)
-        return signing, lam, rhos
-
-    candidates = (Signing(base, group, row.reshape(-1, 1)) for row in rows)
-    best, evaluated, checks, max_check_dist = _scan(
-        candidates, evaluate, target, crosscheck_every)
+    signings = (Signing(base, group, row.reshape(-1, 1)) for row in rows)
+    best, evaluated, pruned, checks, max_check_dist = _scan(
+        signings, lam_base, target, crosscheck_every)
     best_idx, signing, best_lam, best_rhos = best
     runtime = time.perf_counter() - t0
     provenance = {"kind": "biased-support"}
@@ -132,7 +176,7 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     cert = _certificate("derandomized", base, group, signing, best_lam,
                         lam_base, best_rhos, target, best_idx, evaluated,
                         provenance, checks, max_check_dist)
-    return SearchResult(signing, best_lam, cert, runtime)
+    return SearchResult(signing, best_lam, cert, runtime, pruned)
 
 
 def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
@@ -149,16 +193,14 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
         raise ValueError("need at least one walk seed")
     t0 = time.perf_counter()
     lam_base = lambda2(base)
-
-    def evaluate(ws):
-        lam, _, rhos = lift_lambda(ws.signing, lam_base)
-        return ws.signing, lam, rhos
-
-    walks = (expander_walk_signing(base, ell, dprime, seed=(master_seed, i))
-             for i in range(seeds))
-    best, evaluated, checks, max_check_dist = _scan(
-        walks, evaluate, target, crosscheck_every)
-    idx, ws, lam, rhos = best
+    signings = (expander_walk_signing(base, ell, dprime,
+                                      seed=(master_seed, i)).signing
+                for i in range(seeds))
+    best, evaluated, pruned, checks, max_check_dist = _scan(
+        signings, lam_base, target, crosscheck_every)
+    idx, signing, lam, rhos = best
+    # the winner's walk, replayed from its seed pair for the provenance
+    ws = expander_walk_signing(base, ell, dprime, seed=(master_seed, idx))
     runtime = time.perf_counter() - t0
     ref = reference_lambda(base.d)
     provenance = {
@@ -171,10 +213,10 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
         "reference_curve": {"form": "sqrt(d)*log2(d)", "value": ref,
                             "ratio": lam / ref},
     }
-    cert = _certificate("walk", base, ws.signing.group, ws.signing, lam,
-                        lam_base, rhos, target, idx, evaluated, provenance,
-                        checks, max_check_dist)
-    return SearchResult(ws.signing, lam, cert, runtime)
+    cert = _certificate("walk", base, signing.group, signing, lam, lam_base,
+                        rhos, target, idx, evaluated, provenance, checks,
+                        max_check_dist)
+    return SearchResult(signing, lam, cert, runtime, pruned)
 
 
 def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,

@@ -5,14 +5,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from abelift import serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             random_regular)
-from abelift.spectral import lambda2, lambda2_signed
 from abelift.groups import AbelianGroup
+from abelift.pseudorandom import BiasedSet
+from abelift.spectral import lambda2, lambda2_signed
 
 
 def _write_graph(path, g):
@@ -145,6 +147,42 @@ def test_lift_search_support_mode_chains_artifacts(tmp_path):
     cert = json.loads(cert_out.read_bytes())["certificate"]
     assert cert["mode"] == "derandomized"
     assert cert["lambda_lift"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_lift_search_refuses_a_support_whose_bias_is_unproved(tmp_path,
+                                                              capsys):
+    def run(graph, dist):
+        path = tmp_path / "bias.json"
+        serial.dump_json({"biased_set": dist.to_json()}, str(path))
+        capsys.readouterr()
+        code = main(["lift-search", "--graph", graph, "--mode", "support",
+                     "--ell", "2", "--support", str(path)])
+        return code, json.loads(capsys.readouterr().out)
+
+    # (Z_2)^21 is above the exact cap: only a sampled (lower) estimate exists
+    g21 = _write_graph(tmp_path / "g21.json", random_regular(14, 3, seed=0))
+    support = np.random.default_rng(0).integers(2, size=(64, 21))
+    sampled = BiasedSet(2, 21, support, 0.5, {})
+    sampled.verified = sampled.verify()
+    assert sampled.verified["mode"] == "sampled"
+    code, payload = run(g21, sampled)
+    assert code == 1 and payload["failed"] is True
+    assert "claimed_bias 0.5 cannot be proved" in payload["error"]
+    # a claim below the exact bias, hand-edited into a written file
+    bs_out = tmp_path / "made.json"
+    assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "6",
+                 "--nu", "0.6", "--size-budget", "32",
+                 "--out", str(bs_out)]) == 0
+    made = BiasedSet.from_json(json.loads(bs_out.read_bytes())["biased_set"])
+    g6 = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    assert run(g6, made)[0] == 0
+    made.claimed_bias = made.verified["value"] / 2
+    code, payload = run(g6, made)
+    assert code == 1 and payload["failed"] is True
+    assert "exceeds claimed_bias" in payload["error"]
+    # an honest claim with no recorded verification is re-measured
+    singleton = BiasedSet(2, 6, np.zeros((1, 6), dtype=np.int64), 1.0, {})
+    assert run(g6, singleton)[0] == 0
 
 
 def test_lift_search_refuses_a_support_over_another_group(tmp_path, capsys):

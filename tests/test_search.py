@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from abelift import serial
+from abelift import search, serial, spectral
 from abelift.codes import free_action_check
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             random_regular)
@@ -286,3 +286,121 @@ def test_markov_report_rejects_mismatched_width():
     dist = BiasedSet(2, 5, np.zeros((1, 5), dtype=np.int64), 1.0, {})
     with pytest.raises(ValueError, match="match base edges"):
         markov_bound_report(base, dist, k=3, eps=0.5)
+
+
+def _unpruned_scan(signings, lam_base, target, crosscheck_every):
+    """The scan before pruning: every character of every signing solved."""
+    best = None
+    evaluated = checks = 0
+    max_check_dist = 0.0
+    for i, signing in enumerate(signings):
+        lam, _, rhos = lift_lambda(signing, lam_base)
+        evaluated += 1
+        if crosscheck_every and i % crosscheck_every == 0:
+            max_check_dist = max(max_check_dist, search._crosscheck(signing))
+            checks += 1
+        if best is None or lam < best[2]:
+            best = (i, signing, lam, rhos)
+        if target is not None and lam <= target:
+            break
+    return best, evaluated, 0, checks, max_check_dist
+
+
+def _pruned_and_reference(monkeypatch, run):
+    """run() with the pruning scan, then with the unpruned reference."""
+    pruned = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_scan", _unpruned_scan)
+        reference = run()
+    return pruned, reference
+
+
+def _assert_same_certificate(a, b):
+    assert a.certificate == b.certificate
+    assert (serial.canonical_json(a.certificate)
+            == serial.canonical_json(b.certificate))
+    assert 0 <= a.candidates_pruned < a.certificate["candidates_evaluated"]
+
+
+@pytest.mark.parametrize("crosscheck_every", [0, 1, 50])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 8, 16])
+def test_pruned_scan_matches_the_unpruned_reference(monkeypatch, ell,
+                                                    crosscheck_every):
+    base = random_regular(12, 3, seed=5)
+    group = AbelianGroup.cyclic(ell)
+    rows = np.random.default_rng(ell).integers(ell, size=(40, base.m))
+    # each row twice in a row: the copy ties, so the first index must win
+    doubled = np.repeat(rows[:20], 2, axis=0)
+    for support in (rows, doubled):
+        half = derandomized_lift_search(base, group, support[:20],
+                                        crosscheck_every=0).lam
+        for target in (None, half, 0.5):  # none, met, unmet
+            new, ref = _pruned_and_reference(
+                monkeypatch, lambda: derandomized_lift_search(
+                    base, group, support, target=target,
+                    crosscheck_every=crosscheck_every))
+            _assert_same_certificate(new, ref)
+            assert (new.certificate["crosscheck"]["count"]
+                    == ref.certificate["crosscheck"]["count"])
+            if target == half:
+                assert new.certificate["met_target"] is True
+
+
+@pytest.mark.parametrize("master_seed", [1, 7])
+def test_pruned_walk_scan_matches_the_unpruned_reference(monkeypatch,
+                                                         master_seed):
+    base = random_regular(10, 3, seed=2)
+    met = exponential_regime_build(base, 8, seeds=4,
+                                   master_seed=master_seed).lam
+    for target, crosscheck_every in ((None, 50), (met, 1), (0.5, 3)):
+        new, ref = _pruned_and_reference(
+            monkeypatch, lambda: exponential_regime_build(
+                base, 8, seeds=12, master_seed=master_seed, target=target,
+                crosscheck_every=crosscheck_every))
+        _assert_same_certificate(new, ref)
+        # the provenance is the winner's own walk
+        winner = new.certificate["winner_index"]
+        walk = expander_walk_signing(base, 8, 36, seed=(master_seed, winner))
+        assert new.certificate["provenance"]["walk"] == walk.certificate()
+        assert np.array_equal(new.signing.values, walk.signing.values)
+    assert winner > 0
+
+
+def _count_solves(monkeypatch):
+    """Record the signing values and characters of every character solve."""
+    solves = []
+    solve = spectral.character_spectra
+
+    def counting(signing, chars, kind):
+        solves.append((signing.values.ravel().tolist(), len(chars)))
+        return solve(signing, chars, kind)
+
+    monkeypatch.setattr(spectral, "character_spectra", counting)
+    return solves
+
+
+def test_rows_after_one_attaining_lambda_base_are_pruned_unsolved(monkeypatch):
+    # lambda_base of an even cycle is d = 2, and a signing whose exponents
+    # sum to a unit of Z_5 has every radius below 2: row 0 attains it
+    base = cycle_graph(8)
+    rows = np.random.default_rng(3).integers(5, size=(30, base.m))
+    rows[0] = [1] + [0] * (base.m - 1)
+    solves = _count_solves(monkeypatch)
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(5), rows,
+                                   crosscheck_every=0)
+    assert res.lam == res.certificate["lambda_base"] == pytest.approx(2.0)
+    assert res.certificate["winner_index"] == 0
+    assert res.certificate["candidates_evaluated"] == 30
+    assert res.candidates_pruned == 29
+    assert solves == [(rows[0].tolist(), 4)]
+
+
+def test_pruning_solves_under_half_the_characters(monkeypatch):
+    base = random_regular(50, 3, seed=0)
+    rows = np.random.default_rng(0).integers(16, size=(200, base.m))
+    solves = _count_solves(monkeypatch)
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(16), rows,
+                                   crosscheck_every=0)
+    solved = sum(count for _, count in solves)
+    assert solved < 200 * 15 // 2
+    assert res.candidates_pruned > 100
