@@ -76,16 +76,17 @@ class EdgeSubgraph:
 # DFS traversal with the three-state coloring and its string trace
 # ---------------------------------------------------------------------------
 
-def _subgraph_neighbor_lists(G: RegularGraph,
-                             sub: EdgeSubgraph | None) -> dict[int, list[int]]:
-    """Neighbors in base-graph row order, restricted to the subgraph."""
+def _subgraph_neighbor_sets(G: RegularGraph,
+                            sub: EdgeSubgraph | None) -> dict[int, set[int]]:
+    """Each traversed vertex's neighbors, restricted to the subgraph."""
     if sub is None:
-        return dict(enumerate(G.neighbor_lists()))
+        return {v: set(row) for v, row in enumerate(G.adj.tolist())}
     ends = np.array(list(sub.edges), dtype=np.int64).reshape(-1, 2)
-    if not G._lookup(ends[:, 0], ends[:, 1])[1].all():
-        raise ValueError("subgraph edge missing from the host graph")
-    return {v: [u for u in G.adj[v].tolist() if sub.has_edge(v, u)]
-            for v in sorted(sub.vertices)}
+    if (any(not 0 <= v < G.n for v in sub.vertices)
+            or not G._lookup(ends[:, 0], ends[:, 1])[1].all()):
+        raise ValueError("subgraph vertex or edge missing from the host graph")
+    return {v: {u for u in G.adj[v].tolist() if sub.has_edge(v, u)}
+            for v in sub.vertices}
 
 _GREEN, _YELLOW, _RED = 0, 1, 2
 
@@ -104,59 +105,58 @@ def dfs(G: RegularGraph, start: int,
 
 
 def _dfs_run(G, start, subgraph):
-    nbrs = _subgraph_neighbor_lists(G, subgraph)
+    """The traversal plus, per forward step, its degree index (the slot in
+    the host row with the parent's slot removed) and, per vertex in visit
+    order, its recursive call count."""
+    nbrs = _subgraph_neighbor_sets(G, subgraph)
     if start not in nbrs:
         raise ValueError("start vertex not in the traversed vertex set")
+    rows = G.adj.tolist()
     color = {v: _GREEN for v in nbrs}
     trav: list[tuple[int, int]] = []
     sigma: list[str] = []
-    rec_counts: dict[int, int] = {}
-    visit_order: list[int] = []
+    indices: list[int] = []
+    rec_counts = {start: 0}  # insertion order is visit order
 
     color[start] = _YELLOW
-    visit_order.append(start)
-    rec_counts[start] = 0
-    stack: list[list] = [[start, None, 0]]
+    # frame: vertex, its host row without the parent, next slot to try
+    stack: list[list] = [[start, rows[start], 0]]
     while stack:
         frame = stack[-1]
-        v, parent, pos = frame
-        row = nbrs[v]
-        advanced = False
-        while pos < len(row):
-            u = row[pos]
-            pos += 1
-            if color[u] != _RED and u != parent:
-                frame[2] = pos
-                sigma.append("R")
-                rec_counts[v] += 1
-                trav.append((v, u))
-                if color[u] == _GREEN:
-                    color[u] = _YELLOW
-                    visit_order.append(u)
-                    rec_counts[u] = 0
-                    stack.append([u, v, 0])
-                else:
-                    sigma.append("B")
-                advanced = True
+        v, row, pos = frame
+        for j in range(pos, len(row)):
+            u = row[j]
+            if u in nbrs[v] and color[u] != _RED:
                 break
-        if advanced:
+        else:
+            color[v] = _RED
+            sigma.append("B")
+            stack.pop()
             continue
-        frame[2] = pos
-        color[v] = _RED
-        sigma.append("B")
-        stack.pop()
+        frame[2] = j + 1
+        sigma.append("R")
+        rec_counts[v] += 1
+        trav.append((v, u))
+        indices.append(j)
+        if color[u] == _GREEN:
+            color[u] = _YELLOW
+            rec_counts[u] = 0
+            stack.append([u, [x for x in rows[u] if x != v], 0])
+        else:
+            sigma.append("B")
     if any(c != _RED for c in color.values()):
         raise ValueError("traversal did not reach every vertex (disconnected)")
-    return trav, "".join(sigma[:-1]), visit_order, rec_counts
+    return trav, "".join(sigma[:-1]), indices, tuple(rec_counts.values())
 
 
 @dataclass(frozen=True)
 class GraphEncoding:
     """DFS shape encoding of a connected subgraph.
 
-    mode 1 stores the full R/B trace, mode 2 stores per-vertex recursive
-    call counts in visitation order; both carry the degree index of every
-    forward step (position among the host row minus the parent slot).
+    One DFS records the R/B trace, the per-vertex recursive call counts in
+    visitation order and the degree index of every forward step (its slot
+    in the host row with the parent's slot removed).  mode 1 keeps the
+    trace, mode 2 the counts; both keep the degree indices.
     """
 
     mode: int
@@ -170,26 +170,9 @@ def encode_graph(G: RegularGraph, sub: EdgeSubgraph | None, start: int,
                  mode: int = 1) -> GraphEncoding:
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    trav, sigma, visit_order, rec_counts = _dfs_run(G, start, sub)
-    parent_of: dict[int, int | None] = {start: None}
-    seen = {start}
-    for (v, u) in trav:
-        if u not in seen:
-            seen.add(u)
-            parent_of[u] = v
-    indices = []
-    for (v, u) in trav:
-        row = G.adj[v].tolist()
-        j = row.index(u)
-        p = parent_of[v]
-        if p is None:
-            indices.append(j)
-        else:
-            pj = row.index(p)
-            indices.append(j - 1 if pj < j else j)
+    _, sigma, indices, counts = _dfs_run(G, start, sub)
     if mode == 1:
         return GraphEncoding(1, start, tuple(indices), sigma=sigma)
-    counts = tuple(rec_counts[v] for v in visit_order)
     return GraphEncoding(2, start, tuple(indices), counts=counts)
 
 
@@ -207,93 +190,66 @@ def _neighbor_from_index(G: RegularGraph, v: int, parent: int | None,
 
 
 def decode_graph(G: RegularGraph, enc: GraphEncoding) -> EdgeSubgraph:
-    """Rebuild the subgraph a GraphEncoding describes; inverse of encode_graph."""
+    """Rebuild the subgraph a GraphEncoding describes; inverse of encode_graph.
+
+    One replay serves both modes: the top vertex of the stack steps along
+    its next degree index or returns.  Mode 1 reads that choice from the
+    trace (R or B) and must bounce back after a revisit; mode 2 steps while
+    the vertex has recursive calls left.
+    """
     if not 0 <= enc.start < G.n:
         raise DecodeError("start vertex out of range")
-    if enc.mode == 1:
-        return _decode_sigma(G, enc)
-    if enc.mode == 2:
-        return _decode_counts(G, enc)
-    raise DecodeError("unknown encoding mode")
-
-
-def _decode_sigma(G, enc):
+    if enc.mode not in (1, 2):
+        raise DecodeError("unknown encoding mode")
     sigma = enc.sigma or ""
-    stack = [enc.start]
-    parent: dict[int, int | None] = {enc.start: None}
-    edges: set[tuple[int, int]] = set()
-    deg_ptr = 0
+    remaining = list(enc.counts or ())
+    if enc.mode == 2 and not remaining:
+        raise DecodeError("empty count sequence")
+    stack = [(enc.start, None, 0)]  # vertex, its parent, its visit index
+    seen = {enc.start}
+    edges: set[tuple[int, int]] = set()  # one per degree index used
     pos = 0
-    while pos < len(sigma):
+    while (pos < len(sigma)) if enc.mode == 1 else stack:
         if not stack:
             raise DecodeError("stack underflow (too many B symbols)")
-        v = stack[-1]
-        c = sigma[pos]
-        pos += 1
-        if c == "R":
-            if deg_ptr >= len(enc.degree_indices):
-                raise DecodeError("degree index sequence exhausted")
-            u = _neighbor_from_index(G, v, parent[v], enc.degree_indices[deg_ptr])
-            deg_ptr += 1
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                raise DecodeError("edge repeated in trace")
-            edges.add(e)
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-            else:
-                # stepping onto an open vertex bounces straight back
-                if pos >= len(sigma) or sigma[pos] != "B":
-                    raise DecodeError("missing forced backtrack after a revisit")
-                pos += 1
-        elif c == "B":
-            stack.pop()
+        v, p, j = stack[-1]
+        if enc.mode == 1:
+            c = sigma[pos]
+            pos += 1
+            if c not in ("R", "B"):
+                raise DecodeError(f"bad trace symbol {c!r}")
+            steps = c == "R"
         else:
-            raise DecodeError(f"bad trace symbol {c!r}")
-    if stack != [enc.start]:
+            steps = remaining[j] > 0
+            if steps:
+                remaining[j] -= 1
+        if not steps:
+            stack.pop()
+            continue
+        if len(edges) >= len(enc.degree_indices):
+            raise DecodeError("degree index sequence exhausted")
+        u = _neighbor_from_index(G, v, p, enc.degree_indices[len(edges)])
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise DecodeError("edge repeated in trace")
+        edges.add(e)
+        if u not in seen:
+            if enc.mode == 2 and len(seen) >= len(remaining):
+                raise DecodeError("more vertices visited than counted")
+            stack.append((u, v, len(seen)))
+            seen.add(u)
+        elif enc.mode == 1:
+            # stepping onto an open vertex bounces straight back
+            if sigma[pos:pos + 1] != "B":
+                raise DecodeError("missing forced backtrack after a revisit")
+            pos += 1
+    if enc.mode == 1 and len(stack) != 1:
         raise DecodeError("trace ended mid-traversal")
-    if deg_ptr != len(enc.degree_indices):
+    if len(edges) != len(enc.degree_indices):
         raise DecodeError("unused degree indices")
-    return EdgeSubgraph.from_edges(edges, extra_vertices=[enc.start])
-
-
-def _decode_counts(G, enc):
-    counts = list(enc.counts or ())
-    if not counts:
-        raise DecodeError("empty count sequence")
-    remaining = counts.copy()
-    order_of = {enc.start: 0}
-    parent: dict[int, int | None] = {enc.start: None}
-    stack = [enc.start]
-    edges: set[tuple[int, int]] = set()
-    deg_ptr = 0
-    while stack:
-        v = stack[-1]
-        j = order_of[v]
-        if remaining[j] > 0:
-            remaining[j] -= 1
-            if deg_ptr >= len(enc.degree_indices):
-                raise DecodeError("degree index sequence exhausted")
-            u = _neighbor_from_index(G, v, parent[v], enc.degree_indices[deg_ptr])
-            deg_ptr += 1
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                raise DecodeError("edge repeated in trace")
-            edges.add(e)
-            if u not in order_of:
-                if len(order_of) >= len(counts):
-                    raise DecodeError("more vertices visited than counted")
-                order_of[u] = len(order_of)
-                parent[u] = v
-                stack.append(u)
-        else:
-            stack.pop()
-    if deg_ptr != len(enc.degree_indices):
-        raise DecodeError("unused degree indices")
-    if len(order_of) != len(counts):
+    if enc.mode == 2 and len(seen) != len(remaining):
         raise DecodeError("fewer vertices visited than counted")
-    if any(remaining):
+    if enc.mode == 2 and any(remaining):
         raise DecodeError("unconsumed recursive calls")
     return EdgeSubgraph.from_edges(edges, extra_vertices=[enc.start])
 
@@ -446,8 +402,9 @@ def hike_encoding(G: RegularGraph, walk: Sequence[int], r: int) -> HikeEncoding:
                 c += 1
             elif (y, x) == (v_min, succ):
                 c -= 1
-        if abs(c) > r // 2:
-            raise AssertionError("winding count exceeded r/2")
+        # r steps wind at most ceil(r / L) times around a cycle of length L
+        if abs(c) > -(-r // len(core)):
+            raise AssertionError("winding count exceeded ceil(r / cycle length)")
         winding.append(c)
     return HikeEncoding(r=r, endpoints=tuple(endpoints), winding=tuple(winding))
 
@@ -538,6 +495,8 @@ def mop_excess_check(subject, r: int) -> MopReport:
     r >= 10 ln |V|; when it fails the report says so instead of judging.
     Accepts an EdgeSubgraph, a RegularGraph, or loose neighbor lists.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     if isinstance(subject, EdgeSubgraph):
         _, rows = subject.neighbor_rows()
     else:

@@ -11,7 +11,7 @@ import pytest
 from abelift import serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
-                            random_regular)
+                            petersen_graph, random_regular)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import BiasedSet
 from abelift.spectral import lambda2, lambda2_signed
@@ -223,6 +223,14 @@ def test_hikes_mop(tmp_path):
     payload = json.loads(out.read_bytes())
     assert payload["hypothesis_ok"] and payload["passed"]
     assert payload["bound"] == pytest.approx(11.210340371976182)
+
+
+def test_hikes_mop_rejects_r_below_one(tmp_path, capsys):
+    gp = _write_graph(tmp_path / "petersen.json", petersen_graph())
+    for r in ("0", "-1"):
+        assert main(["hikes", "mop", "--graph", gp, "--r", r]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"failed": True, "error": "r must be >= 1"}
 
 
 def test_pseudorandom_hoeffding(tmp_path):

@@ -1,7 +1,9 @@
 """DFS traces, subgraph encodings, hike enumeration, and counting bounds."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -70,6 +72,16 @@ def test_dfs_trace_shape_on_whole_graphs():
             assert sigma.count("R") == g.m and sigma.count("B") == g.m
 
 
+def test_dfs_rejects_subgraph_vertices_outside_the_host():
+    g = complete_graph(4)
+    for v in (99, 4, -1):
+        sub = EdgeSubgraph(frozenset({0, v}), frozenset())
+        with pytest.raises(ValueError, match="missing from the host graph"):
+            dfs(g, 0, sub)
+    with pytest.raises(ValueError, match="missing from the host graph"):
+        encode_graph(g, EdgeSubgraph.from_edges([(0, 99)]), 0)
+
+
 def test_dfs_rejects_disconnected():
     g = complete_graph(4)
     sub = EdgeSubgraph.from_edges([(0, 1), (2, 3)])
@@ -132,6 +144,85 @@ def test_encodings_are_injective_per_start():
                 key = (enc.start, enc.degree_indices, enc.sigma, enc.counts)
                 assert key not in by_start.get(start, {}), "encoding collision"
                 by_start.setdefault(start, {})[key] = sub
+
+
+def test_encodings_match_the_recorded_hash():
+    # SHA-256 of every encoding of the connected subgraphs of K4 with at
+    # most 4 edges and of Petersen with at most 3, from every start in both
+    # modes: any change to an encoding changes it
+    records = []
+    for g, max_edges in ((complete_graph(4), 4), (petersen_graph(), 3)):
+        for sub in _connected_subgraphs(g, max_edges):
+            for start in sorted(sub.vertices):
+                for mode in (1, 2):
+                    enc = encode_graph(g, sub, start, mode=mode)
+                    records.append([
+                        sorted([int(u), int(v)] for u, v in sub.edges),
+                        int(start), int(enc.mode), int(enc.start),
+                        [int(i) for i in enc.degree_indices], enc.sigma,
+                        None if enc.counts is None
+                        else [int(c) for c in enc.counts]])
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert len(records) == 1168
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5cef645b3474dd5631497317b9f09bd363d44a20b8074664b44a665f9a4f15db")
+
+
+# one malformed encoding on K4 (rows 0: 1 2 3, 1: 0 2 3, 2: 0 1 3) per
+# DecodeError message, in each mode the message belongs to
+_MALFORMED = [
+    (GraphEncoding(1, 4, (), sigma="RB"), "start vertex out of range"),
+    (GraphEncoding(2, -1, (), counts=(0,)), "start vertex out of range"),
+    (GraphEncoding(3, 0, (0,), sigma="RB"), "unknown encoding mode"),
+    (GraphEncoding(1, 0, (), sigma="RB"), "degree index sequence exhausted"),
+    (GraphEncoding(2, 0, (), counts=(1, 0)),
+     "degree index sequence exhausted"),
+    (GraphEncoding(1, 0, (3,), sigma="RB"),
+     "degree index out of range at the start vertex"),
+    (GraphEncoding(2, 0, (-1,), counts=(1, 0)),
+     "degree index out of range at the start vertex"),
+    (GraphEncoding(1, 0, (0, 2), sigma="RRBB"), "degree index out of range"),
+    (GraphEncoding(2, 0, (0, 2), counts=(1, 1, 0)),
+     "degree index out of range"),
+    # 0 -> 1 -> 2 -> 0 closes the triangle, then 2 -> 0 again
+    (GraphEncoding(1, 0, (0, 0, 0, 0), sigma="RRRBRB"),
+     "edge repeated in trace"),
+    (GraphEncoding(2, 0, (0, 0, 0, 0), counts=(1, 1, 2)),
+     "edge repeated in trace"),
+    (GraphEncoding(1, 0, (0, 0), sigma="RB"), "unused degree indices"),
+    (GraphEncoding(2, 0, (0, 0), counts=(1, 0)), "unused degree indices"),
+    (GraphEncoding(1, 0, (0,), sigma="BB"),
+     "stack underflow (too many B symbols)"),
+    (GraphEncoding(1, 0, (0, 0, 0), sigma="RRRR"),
+     "missing forced backtrack after a revisit"),
+    (GraphEncoding(1, 0, (), sigma="X"), "bad trace symbol 'X'"),
+    (GraphEncoding(1, 0, (0,), sigma="R"), "trace ended mid-traversal"),
+    (GraphEncoding(2, 0, ()), "empty count sequence"),
+    (GraphEncoding(2, 0, (0,), counts=(1,)),
+     "more vertices visited than counted"),
+    (GraphEncoding(2, 0, (), counts=(0, 0)),
+     "fewer vertices visited than counted"),
+    (GraphEncoding(2, 0, (), counts=(-1,)), "unconsumed recursive calls"),
+    # two faults at once: the message names the one checked first
+    (GraphEncoding(3, 4, ()), "start vertex out of range"),
+    (GraphEncoding(1, 0, (0, 0), sigma="R"), "trace ended mid-traversal"),
+    (GraphEncoding(2, 0, (0,), counts=(0, 0)), "unused degree indices"),
+    (GraphEncoding(2, 0, (0,), counts=(-1,)), "unused degree indices"),
+    (GraphEncoding(2, 0, (), counts=(-1, 0)),
+     "fewer vertices visited than counted"),
+]
+
+
+def test_malformed_table_covers_every_decode_error():
+    assert len({message for _, message in _MALFORMED}) == 15
+
+
+@pytest.mark.parametrize("enc, message", _MALFORMED,
+                         ids=[f"mode{e.mode}-{m}" for e, m in _MALFORMED])
+def test_decode_rejects_malformed_encoding(enc, message):
+    with pytest.raises(DecodeError) as excinfo:
+        decode_graph(complete_graph(4), enc)
+    assert str(excinfo.value) == message
 
 
 def test_decode_malformed_sigma_underflows():
@@ -260,6 +351,12 @@ def test_mop_excess_hypothesis_failure_is_reported():
     assert rep.passed is None
 
 
+def test_mop_excess_rejects_r_below_one():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            mop_excess_check(petersen_graph(), r)
+
+
 def test_mop_excess_on_tree():
     star = EdgeSubgraph.from_edges([(0, 1), (0, 2), (0, 3)])
     rep = mop_excess_check(star, 14)  # 10 ln 4 = 13.86
@@ -289,3 +386,11 @@ def test_hike_encoding_rejects_non_hikes():
     g = cycle_graph(8)
     with pytest.raises(ValueError, match="not a hike"):
         hike_encoding(g, [0, 1, 2, 3], 4)
+
+
+def test_hike_encoding_on_the_triangle_at_radius_one():
+    # every radius-1 ball is the whole triangle; the one-step segment 0 -> 1
+    # crosses the reference edge once, within ceil(1 / 3) turns
+    enc = hike_encoding(cycle_graph(3), (0, 1, 2, 1, 0), 1)
+    assert enc.endpoints == (1, 2, 1, 0)
+    assert enc.winding == (1, 0, 0, -1)
