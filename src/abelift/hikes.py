@@ -28,6 +28,12 @@ class EdgeSubgraph:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
+    def __post_init__(self):
+        if any(u not in self.vertices or v not in self.vertices
+               for u, v in self.edges):
+            raise ValueError("subgraph edge endpoint missing from its "
+                             "vertices")
+
     @staticmethod
     def from_edges(edges: Iterable[tuple[int, int]],
                    extra_vertices: Iterable[int] = ()) -> "EdgeSubgraph":

@@ -180,19 +180,85 @@ def effective_walk_degree(ell: int, dprime: int) -> int:
     return min(dprime, 2 * ((ell - 1) // 2))
 
 
-def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence
-                  ) -> tuple[RegularGraph, float]:
+def _regular_or_complement(ell: int, d: int, rng) -> RegularGraph:
+    """A random d-regular graph on [ell]; for d > (ell - 1) / 2 the
+    complement of a random (ell - 1 - d)-regular one, since stub matching
+    stalls as d nears ell."""
+    dc = ell - 1 - d
+    if d <= dc:
+        return random_regular_dense(ell, d, rng)
+    keep = ~np.eye(ell, dtype=bool)
+    if dc:
+        sparse = random_regular_dense(ell, dc, rng)
+        keep[np.arange(ell)[:, None], sparse.adj] = False
+    return RegularGraph(np.nonzero(keep)[1].reshape(ell, d))
+
+
+def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence,
+                  draw=random_regular_dense) -> tuple[RegularGraph, float]:
+    """(graph, lambda): the first draw(ell, d_eff, rng) with lambda at most
+    3 sqrt(d_eff - 1), one child of seed_seq per attempt."""
     from .spectral import lambda2
     bound = AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1)
     for _ in range(AUX_ATTEMPTS):
         # spawning one child per attempt yields the same children, in order,
         # as spawn(AUX_ATTEMPTS) without building the unused ones
         child, = seed_seq.spawn(1)
-        g = random_regular_dense(ell, d_eff, np.random.default_rng(child))
+        g = draw(ell, d_eff, np.random.default_rng(child))
         lam = lambda2(g)
         if lam <= bound:
             return g, lam
     raise RuntimeError("no auxiliary expander met the spectral bound")
+
+
+def _walks(aux: RegularGraph, m: int, rng, trials: int) -> np.ndarray:
+    """`trials` walks of m vertices on aux, as rows of a (trials, m) array:
+    each starts at a uniform vertex and takes uniform steps, all walks
+    advancing together."""
+    walks = np.empty((trials, m), dtype=np.int64)
+    walks[:, 0] = rng.integers(aux.n, size=trials)
+    for step in range(1, m):
+        walks[:, step] = aux.adj[walks[:, step - 1],
+                                 rng.integers(aux.d, size=trials)]
+    return walks
+
+
+@dataclass(frozen=True)
+class AuxExpander:
+    """A walk search's one auxiliary expander; walk i is drawn on it by
+    the walk stream of the seed pair (master_seed, i)."""
+
+    graph: RegularGraph
+    lam: float
+    master_seed: int
+
+    @property
+    def bound(self) -> float:
+        return AUX_LAMBDA_FACTOR * math.sqrt(self.graph.d - 1)
+
+    def walk(self, m: int, i: int) -> np.ndarray:
+        """Walk i, m vertices long: the walk expander_walk_signing draws
+        for seed (master_seed, i), taken on this graph."""
+        _, walk_ss = np.random.SeedSequence((self.master_seed, i)).spawn(2)
+        return _walks(self.graph, m, np.random.default_rng(walk_ss), 1)[0]
+
+    def provenance(self) -> dict:
+        return {"dprime_used": self.graph.d,
+                "aux_hash": self.graph.content_hash(),
+                "aux_lambda": self.lam, "aux_bound": self.bound}
+
+
+def auxiliary_expander(ell: int, dprime: int, master_seed: int) -> AuxExpander:
+    """The auxiliary d'-regular expander of a walk search over Z_ell.
+
+    Drawn, like expander_walk_signing's, from the auxiliary half of the
+    seed (here master_seed) until its lambda is at most 3 sqrt(d' - 1);
+    a degree above (ell - 1) / 2 is drawn as a complement.
+    """
+    d_eff = effective_walk_degree(ell, dprime)
+    aux_ss, _ = np.random.SeedSequence(master_seed).spawn(2)
+    aux, lam = _aux_expander(ell, d_eff, aux_ss, _regular_or_complement)
+    return AuxExpander(aux, lam, master_seed)
 
 
 @dataclass(frozen=True)
@@ -208,50 +274,31 @@ class WalkSigning:
     walk: tuple[int, ...]
     seed: object
 
-    def certificate(self) -> dict:
-        return {
-            "kind": "expander-walk",
-            "ell": self.signing.group.fiber_size,
-            "dprime_used": self.dprime_used,
-            "aux_hash": self.aux.content_hash(),
-            "aux_lambda": self.aux_lambda,
-            "aux_bound": self.aux_bound,
-            "start": self.start,
-            "seed": list(self.seed) if isinstance(self.seed, tuple) else self.seed,
-        }
-
 
 def _expander_walks(m: int, ell: int, dprime: int, seed, trials: int):
-    """(aux, aux_lambda, d_eff, walks): the seed's auxiliary expander and
-    `trials` walks of m vertices on it, as rows of a (trials, m) array.
-
-    An auxiliary d'-regular graph on [ell] is redrawn until its lambda is
-    at most 3 sqrt(d' - 1); every walk starts at a uniform vertex and takes
-    uniform steps, all walks advancing together.
-    """
-    d_eff = effective_walk_degree(ell, dprime)
+    """(aux, aux_lambda, walks): the seed's own auxiliary expander, a
+    d'-regular graph on [ell] redrawn from the seed's auxiliary half until
+    its lambda is at most 3 sqrt(d' - 1), and `trials` walks on it drawn
+    from the seed's walk half."""
     aux_ss, walk_ss = np.random.SeedSequence(seed).spawn(2)
-    aux, aux_lambda = _aux_expander(ell, d_eff, aux_ss)
-    rng = np.random.default_rng(walk_ss)
-    walks = np.empty((trials, m), dtype=np.int64)
-    walks[:, 0] = rng.integers(ell, size=trials)
-    for step in range(1, m):
-        walks[:, step] = aux.adj[walks[:, step - 1],
-                                 rng.integers(d_eff, size=trials)]
-    return aux, aux_lambda, d_eff, walks
+    aux, aux_lambda = _aux_expander(ell, effective_walk_degree(ell, dprime),
+                                    aux_ss)
+    return aux, aux_lambda, _walks(aux, m, np.random.default_rng(walk_ss),
+                                   trials)
 
 
 def expander_walk_signing(base: RegularGraph, ell: int, dprime: int = 36,
                           seed=0) -> WalkSigning:
     """Sign the base's canonical edges by the vertices of one expander walk:
-    walk vertex e is the Z_ell exponent of canonical edge e.
+    walk vertex e is the Z_ell exponent of canonical edge e.  The
+    auxiliary expander is the seed's own (see auxiliary_expander for the
+    one a walk search shares across its seeds).
     """
-    aux, aux_lambda, d_eff, (walk,) = _expander_walks(base.m, ell, dprime,
-                                                      seed, 1)
+    aux, aux_lambda, (walk,) = _expander_walks(base.m, ell, dprime, seed, 1)
     signing = Signing(base, AbelianGroup.cyclic(ell), walk.reshape(-1, 1))
     return WalkSigning(signing=signing, aux=aux, aux_lambda=aux_lambda,
-                       aux_bound=AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1),
-                       dprime_used=d_eff, start=int(walk[0]),
+                       aux_bound=AUX_LAMBDA_FACTOR * math.sqrt(aux.d - 1),
+                       dprime_used=aux.d, start=int(walk[0]),
                        walk=tuple(walk.tolist()), seed=seed)
 
 

@@ -26,10 +26,12 @@ from . import serial, spectral
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .hikes import count_bounds
-from .pseudorandom import BiasedSet, expander_walk_signing
+from .pseudorandom import BiasedSet, auxiliary_expander
 from .spectral import lambda2, lift_lambda, spectrum_union_check
 
-CERT_SCHEMA = "abelift.lift-certificate.v1"
+CERT_SCHEMA = "abelift.lift-certificate.v2"
+# still verified, without the provenance replay of v2 walk certificates
+CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
 CROSSCHECK_TOL = 1e-8
 
 
@@ -185,36 +187,39 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
                              crosscheck_every: int = 50) -> SearchResult:
     """Draw expander-walk signings and keep the spectrally best lift.
 
-    Walk i is replayable from the pair seed (master_seed, i); the
-    certificate records the winner's pair so `verify_certificate` can
-    rebuild it byte for byte.
+    One auxiliary d'-regular expander on [ell] is drawn from master_seed
+    (pseudorandom.auxiliary_expander) and every seed walks on it: walk i
+    depends only on the graph and the pair (master_seed, i), so a prefix
+    of the seeds draws the same walks.  The certificate records the graph
+    once (dprime_used, aux_hash, aux_lambda, aux_bound) and the winner's
+    pair as winner_seed, from which `verify_certificate` rebuilds both the
+    graph and the winning walk.
     """
     if seeds < 1:
         raise ValueError("need at least one walk seed")
     t0 = time.perf_counter()
+    aux = auxiliary_expander(ell, dprime, master_seed)
     lam_base = lambda2(base)
-    signings = (expander_walk_signing(base, ell, dprime,
-                                      seed=(master_seed, i)).signing
+    group = AbelianGroup.cyclic(ell)
+    signings = (Signing(base, group, aux.walk(base.m, i).reshape(-1, 1))
                 for i in range(seeds))
     best, evaluated, pruned, checks, max_check_dist = _scan(
         signings, lam_base, target, crosscheck_every)
     idx, signing, lam, rhos = best
-    # the winner's walk, replayed from its seed pair for the provenance
-    ws = expander_walk_signing(base, ell, dprime, seed=(master_seed, idx))
     runtime = time.perf_counter() - t0
     ref = reference_lambda(base.d)
     provenance = {
         "kind": "expander-walk",
         "master_seed": master_seed,
         "dprime": dprime,
+        **aux.provenance(),
         "seeds_requested": seeds,
         "winner_seed": [master_seed, idx],
-        "walk": ws.certificate(),
         "reference_curve": {"form": "sqrt(d)*log2(d)", "value": ref,
                             "ratio": lam / ref},
     }
-    cert = _certificate("walk", base, signing.group, signing, lam, lam_base,
-                        rhos, target, idx, evaluated, provenance, checks,
+    cert = _certificate("walk", base, group, signing, lam, lam_base, rhos,
+                        target, idx, evaluated, provenance, checks,
                         max_check_dist)
     return SearchResult(signing, lam, cert, runtime, pruned)
 
@@ -248,20 +253,28 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     """Recompute a certificate's spectral claims from its own payload.
 
     Besides the recomputed errors, the certificate's bookkeeping must hold:
-    this module's schema, a known mode, one radius per nontrivial
+    a known schema (v2, or v1), a known mode, one radius per nontrivial
     character, met_target equal to lambda_lift <= target (None without a
-    target), and a winner_index among the candidates_evaluated.  Each
-    violated rule is named under "invalid" with ok false.
+    target), and a winner_index among the candidates_evaluated.  A v2
+    walk certificate also replays its provenance: the auxiliary expander
+    rebuilt from (master_seed, dprime, ell) must match dprime_used,
+    aux_hash, aux_bound and (within tol) aux_lambda, winner_seed must be
+    [master_seed, winner_index], and the walk it draws on that graph must
+    equal the signing.  v1 certificates are not replayed.  Each violated
+    rule is named under "invalid" with ok false.
     """
     base = RegularGraph.from_json(cert["base"])
     group = AbelianGroup.from_json(cert["group"])
     signing = Signing(base, group, np.asarray(cert["signing"]))
     lam, lam_base, rhos = lift_lambda(signing)
     invalid = {}
-    if cert["schema"] != CERT_SCHEMA:
-        invalid["schema"] = f"{cert['schema']!r}, expected {CERT_SCHEMA!r}"
+    if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V1):
+        invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r} "
+                             f"or {CERT_SCHEMA_V1!r}")
     if cert["mode"] not in ("derandomized", "walk"):
         invalid["mode"] = f"{cert['mode']!r}, expected derandomized or walk"
+    elif cert["mode"] == "walk" and cert["schema"] == CERT_SCHEMA:
+        invalid.update(_walk_replay_faults(cert, signing, tol))
     claimed = cert["per_character_rho"]
     if len(claimed) == len(rhos):
         rho_err = max((abs(a - b) for a, b in
@@ -297,6 +310,36 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     if invalid:
         report["invalid"] = invalid
     return report
+
+
+def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:
+    """Named mismatches between a v2 walk provenance and its replay."""
+    prov = cert["provenance"]
+    try:
+        aux = auxiliary_expander(signing.group.fiber_size, prov["dprime"],
+                                 prov["master_seed"])
+        expected_seed = [prov["master_seed"], cert["winner_index"]]
+        walk = (aux.walk(signing.base.m, cert["winner_index"])
+                if prov["winner_seed"] == expected_seed else None)
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        return {"provenance": f"cannot be replayed: {exc!r}"}
+    faults = {}
+    for key, value in aux.provenance().items():
+        claimed = prov.get(key)
+        close = (key == "aux_lambda" and isinstance(claimed, float)
+                 and abs(claimed - value) <= tol)
+        if claimed != value and not close:
+            faults[key] = f"{claimed!r}, rebuilt {value!r}"
+    if walk is None:
+        faults["winner_seed"] = (f"{prov['winner_seed']!r}, expected "
+                                 f"[master_seed, winner_index] = "
+                                 f"{expected_seed!r}")
+    else:
+        differ = int((signing.values != walk[:, None]).any(axis=1).sum())
+        if differ:
+            faults["signing"] = (f"{differ} of {walk.size} entries differ "
+                                 "from the walk replayed from winner_seed")
+    return faults
 
 
 def markov_bound_report(base: RegularGraph, dist: BiasedSet, k: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import BiasedSet
+from abelift.search import verify_certificate
 from abelift.spectral import lambda2, lambda2_signed
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _write_graph(path, g):
@@ -284,11 +288,35 @@ def test_codes_tanner_from_certificate(tmp_path):
     assert payload["circulant"] is True
     assert (payload["rows"], payload["cols"]) == (12, 18)
     assert alist.read_text().splitlines()[0] == "18 12"
-    # pinned: building the parity another way must leave artifacts unchanged
-    assert payload["parity_hash"] == ("00ac1e50c8372d0a8f5c4bb22b8a540f"
-                                      "27500689b14cb42d3d49b692ad1606c2")
+    # pinned: building the parity another way must leave artifacts unchanged.
+    # At l = 3 the only 2-regular auxiliary graph is the triangle, and walk
+    # i keeps the stream of the seed pair (0, i), so the v2 certificate
+    # signs the base as the v1 fixture does and both give one hash
+    v1_hash = ("00ac1e50c8372d0a8f5c4bb22b8a540f"
+               "27500689b14cb42d3d49b692ad1606c2")
+    v2_hash = v1_hash
+    assert payload["parity_hash"] == v2_hash
     assert serial.file_hash(str(alist)) == (
         "25baf0fae1c466684b8272b6cd30d4b498c0d1946cd2fd25510e247dc2193ddf")
+    v1_out = tmp_path / "tanner_v1.json"
+    assert main(["codes", "tanner", "--cert",
+                 str(FIXTURES / "walk_cert_v1.json"), "--local",
+                 "even-weight", "--out", str(v1_out)]) == 0
+    assert json.loads(v1_out.read_bytes())["tanner"]["parity_hash"] == v1_hash
+
+
+def test_walk_search_at_fiber_size_forty_succeeds_and_replays(tmp_path):
+    gp = _write_graph(tmp_path / "g16.json", random_regular(16, 3, seed=1))
+    runs = []
+    for _ in range(2):
+        out = tmp_path / "cert.json"
+        assert main(["lift-search", "--graph", gp, "--ell", "40",
+                     "--seeds", "2", "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    cert = json.loads(runs[0])["certificate"]
+    assert cert["provenance"]["dprime_used"] == 36
+    assert verify_certificate(cert)["ok"]
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -386,7 +414,8 @@ def test_bad_semantic_input_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["lift-search", "--ell", "40", "--seeds", "2"], "stub matching failed"),
+    (["lift-search", "--ell", "2", "--seeds", "2"],
+     "walk signings need fiber size >= 3"),
     (["pseudorandom", "biased-set", "--ellp", "2", "--m", "2", "--nu", "0",
       "--size-budget", "1"], "no nu=0.0 support found"),
     (["pseudorandom", "biased-set", "--m", "21"], "above the exact bias cap"),

@@ -82,6 +82,15 @@ def test_dfs_rejects_subgraph_vertices_outside_the_host():
         encode_graph(g, EdgeSubgraph.from_edges([(0, 99)]), 0)
 
 
+def test_subgraph_edge_endpoints_must_be_among_its_vertices():
+    for vertices, edges in (({0}, {(0, 1)}), (set(), {(2, 3)}),
+                            ({0, 2}, {(0, 1), (0, 2)})):
+        with pytest.raises(ValueError, match="edge endpoint missing"):
+            EdgeSubgraph(frozenset(vertices), frozenset(edges))
+    sub = EdgeSubgraph(frozenset({0, 1, 2}), frozenset({(0, 1)}))
+    assert sub.excess() == -2
+
+
 def test_dfs_rejects_disconnected():
     g = complete_graph(4)
     sub = EdgeSubgraph.from_edges([(0, 1), (2, 3)])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from abelift.graphs import RegularGraph, cycle_graph, random_regular_dense
-from abelift.pseudorandom import (BiasedSet, _aux_expander, bias_exact,
+from abelift.pseudorandom import (BiasedSet, _aux_expander,
+                                  auxiliary_expander, bias_exact,
                                   bias_sampled,
                                   biased_set_search, effective_walk_degree,
                                   expander_walk_signing, hoeffding_tail_check)
@@ -138,9 +139,6 @@ def test_walk_signing_reproducible_and_certified():
     # consecutive walk values are adjacent in the auxiliary expander
     for x, y in zip(a.walk, a.walk[1:]):
         assert a.aux.has_edge(x, y)
-    cert = a.certificate()
-    assert cert["aux_hash"] == a.aux.content_hash()
-    assert cert["kind"] == "expander-walk"
 
 
 def test_aux_expander_children_are_spawned_lazily_in_bulk_order():
@@ -156,6 +154,43 @@ def test_aux_expander_children_are_spawned_lazily_in_bulk_order():
     first_child = np.random.SeedSequence(11).spawn(256)[0]
     first = random_regular_dense(16, 14, np.random.default_rng(first_child))
     assert np.array_equal(aux.adj, first.adj)
+
+
+def test_run_expander_above_half_degree_is_a_complement():
+    # l = 3 and 5: the complement of the empty graph; l = 16: of a matching
+    for ell, dprime in ((3, 36), (5, 36), (16, 36), (40, 36), (41, 36),
+                        (64, 36), (9, 4)):
+        aux = auxiliary_expander(ell, dprime, 0)
+        d = effective_walk_degree(ell, dprime)
+        assert aux.graph.n == ell and aux.graph.d == d
+        assert aux.lam <= aux.bound == 3.0 * math.sqrt(d - 1)
+    assert np.array_equal(auxiliary_expander(5, 36, 0).graph.adjacency_matrix(),
+                          1 - np.eye(5))
+
+
+def test_run_expander_below_half_degree_is_the_seed_expander():
+    ws = expander_walk_signing(cycle_graph(10), 80, 36, seed=5)
+    aux = auxiliary_expander(80, 36, 5)
+    assert np.array_equal(aux.graph.adj, ws.aux.adj)
+    assert (aux.lam, aux.bound) == (ws.aux_lambda, ws.aux_bound)
+    assert aux.provenance() == {
+        "dprime_used": 36, "aux_hash": ws.aux.content_hash(),
+        "aux_lambda": ws.aux_lambda, "aux_bound": ws.aux_bound}
+
+
+def test_run_walks_keep_the_streams_of_their_seed_pairs():
+    # on the triangle, the one 2-regular graph on [3], the walk of seed i
+    # is the walk expander_walk_signing draws for the pair (master, i)
+    base = cycle_graph(10)
+    aux = auxiliary_expander(3, 36, 7)
+    for i in range(4):
+        ws = expander_walk_signing(base, 3, seed=(7, i))
+        assert np.array_equal(ws.aux.adj, aux.graph.adj)
+        assert tuple(aux.walk(base.m, i).tolist()) == ws.walk
+    walk = aux.walk(base.m, 0)
+    assert np.array_equal(walk, aux.walk(base.m, 0))
+    for x, y in zip(walk, walk[1:]):
+        assert aux.graph.has_edge(x, y)
 
 
 def test_walk_on_single_edge_base_is_just_the_start():

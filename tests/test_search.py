@@ -3,25 +3,42 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abelift import search, serial, spectral
 from abelift.codes import free_action_check
-from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
-                            random_regular)
+from abelift.graphs import (RegularGraph, Signing, complete_graph,
+                            cycle_graph, lift, random_regular)
 from abelift.groups import AbelianGroup
-from abelift.pseudorandom import BiasedSet, expander_walk_signing
-from abelift.search import (CERT_SCHEMA, derandomized_lift_search,
+from abelift.pseudorandom import (BiasedSet, auxiliary_expander,
+                                  biased_set_search, effective_walk_degree)
+from abelift.search import (CERT_SCHEMA, CERT_SCHEMA_V1,
+                            derandomized_lift_search,
                             exponential_regime_build, markov_bound_report,
                             reference_lambda, verify_certificate)
 from abelift.spectral import lift_lambda, spectrum_union_check
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
 def _all_rows(ell, m):
     return np.array(list(itertools.product(range(ell), repeat=m)),
                     dtype=np.int64)
+
+
+def _replayed_walk(cert):
+    """The winner's walk rebuilt from a walk certificate's provenance."""
+    prov = cert["provenance"]
+    ell = AbelianGroup.from_json(cert["group"]).fiber_size
+    aux = auxiliary_expander(ell, prov["dprime"], prov["master_seed"])
+    assert aux.provenance()["aux_hash"] == prov["aux_hash"]
+    master_seed, idx = prov["winner_seed"]
+    assert master_seed == prov["master_seed"]
+    return aux.walk(RegularGraph.from_json(cert["base"]).m, idx)
 
 
 def test_all_two_lifts_of_triangle_share_lambda_two():
@@ -126,6 +143,7 @@ def test_verify_names_a_forged_schema_and_mode():
     assert not report["ok"]
     assert report["invalid"] == {
         "schema": "'abelift.lift-certificate.v9', expected "
+                  "'abelift.lift-certificate.v2' or "
                   "'abelift.lift-certificate.v1'",
         "mode": "'bogus', expected derandomized or walk"}
     sound = verify_certificate(cert)
@@ -156,9 +174,10 @@ def test_support_monotonicity():
 def test_walk_build_single_seed_matches_direct_evaluation():
     base = cycle_graph(10)
     res = exponential_regime_build(base, 8, seeds=1, master_seed=3)
-    ws = expander_walk_signing(base, 8, 36, seed=(3, 0))
-    assert np.array_equal(res.signing.values, ws.signing.values)
-    assert res.lam == pytest.approx(lift_lambda(ws.signing)[0], abs=1e-12)
+    walk = Signing(base, AbelianGroup.cyclic(8),
+                   _replayed_walk(res.certificate).reshape(-1, 1))
+    assert np.array_equal(res.signing.values, walk.values)
+    assert res.lam == pytest.approx(lift_lambda(walk)[0], abs=1e-12)
     assert res.certificate["winner_index"] == 0
 
 
@@ -167,11 +186,9 @@ def test_walk_build_replay_is_byte_identical():
     a = exponential_regime_build(base, 8, seeds=6, master_seed=1)
     b = exponential_regime_build(base, 8, seeds=6, master_seed=1)
     assert serial.canonical_json(a.certificate) == serial.canonical_json(b.certificate)
-    assert a.lam == pytest.approx(2.798598801755662, abs=1e-9)
-    idx = a.certificate["winner_index"]
-    replay = expander_walk_signing(base, 8, 36, seed=(1, idx))
-    assert np.array_equal(replay.signing.values,
-                          np.asarray(a.certificate["signing"]))
+    assert a.lam == pytest.approx(2.729208666447012, abs=1e-9)
+    assert np.array_equal(_replayed_walk(a.certificate),
+                          np.asarray(a.certificate["signing"])[:, 0])
     assert verify_certificate(a.certificate)["ok"]
 
 
@@ -186,6 +203,83 @@ def test_walk_budget_monotonicity_and_reference_curve():
     assert prov["reference_curve"]["ratio"] == pytest.approx(
         big.lam / reference_lambda(3))
     assert reference_lambda(3) == pytest.approx(math.sqrt(3) * math.log2(3))
+
+
+def test_walk_build_succeeds_and_verifies_at_every_small_fiber_size():
+    # d' = 36 exceeds (ell - 1) / 2 throughout, so every auxiliary graph
+    # here is drawn as a complement: direct stub matching gives up at
+    # ell in {30, 36, 38, 39, 40, 41}
+    base = random_regular(8, 3, seed=1)
+    for ell in range(3, 65):
+        res = exponential_regime_build(base, ell, seeds=2,
+                                       crosscheck_every=0)
+        prov = res.certificate["provenance"]
+        assert prov["dprime_used"] == effective_walk_degree(ell, 36)
+        assert prov["aux_lambda"] <= prov["aux_bound"]
+        assert verify_certificate(res.certificate)["ok"], ell
+
+
+def _forged(cert, **provenance):
+    return dict(cert, provenance=dict(cert["provenance"], **provenance))
+
+
+def test_verify_replays_the_walk_provenance():
+    base = random_regular(10, 3, seed=2)
+    cert = exponential_regime_build(base, 8, seeds=6,
+                                    master_seed=1).certificate
+    idx = cert["winner_index"]
+    assert verify_certificate(cert)["ok"] and idx > 0
+    edited = [list(row) for row in cert["signing"]]
+    edited[4][0] = (edited[4][0] + 1) % 8
+    aux_hash = cert["provenance"]["aux_hash"]
+    cases = [
+        (_forged(cert, winner_seed=[1, idx - 1]),
+         {"winner_seed": f"[1, {idx - 1}], expected [master_seed, "
+                         f"winner_index] = [1, {idx}]"}),
+        (_forged(cert, aux_hash="0" * 64),
+         {"aux_hash": f"'{'0' * 64}', rebuilt '{aux_hash}'"}),
+        (dict(cert, signing=edited),
+         {"signing": "1 of 15 entries differ from the walk replayed from "
+                     "winner_seed"}),
+        (_forged(cert, dprime=7),
+         {"provenance": "cannot be replayed: ValueError('dprime must be an "
+                        "even integer >= 2')"}),
+    ]
+    for forged, invalid in cases:
+        report = verify_certificate(forged)
+        assert not report["ok"]
+        assert report["invalid"] == invalid
+    # another master seed rebuilds another graph and another seed pair
+    moved = verify_certificate(_forged(cert, master_seed=2))["invalid"]
+    assert {"aux_hash", "winner_seed"} <= set(moved)
+    # aux_lambda is a float solve: it is held to tol, not to the bit
+    close = cert["provenance"]["aux_lambda"] + 1e-12
+    assert verify_certificate(_forged(cert, aux_lambda=close))["ok"]
+
+
+def test_v1_walk_certificates_are_not_replayed():
+    cert = serial.load_json(str(FIXTURES / "walk_cert_v1.json"))["certificate"]
+    assert cert["schema"] == CERT_SCHEMA_V1
+    forged = _forged(cert, winner_seed=[5, 5], master_seed=9)
+    assert verify_certificate(forged) == verify_certificate(cert)
+
+
+@pytest.mark.parametrize("mode", ["walk", "support"])
+def test_v1_fixtures_verify_to_their_recorded_reports(mode):
+    cert = serial.load_json(str(FIXTURES / f"{mode}_cert_v1.json"))
+    report = verify_certificate(cert["certificate"])
+    assert (serial.canonical_json(report) + "\n"
+            == (FIXTURES / f"{mode}_report_v1.json").read_text())
+
+
+def test_support_certificates_changed_only_their_schema():
+    v1 = serial.load_json(str(FIXTURES / "support_cert_v1.json"))
+    dist = biased_set_search(3, 6, 0.6, 40)  # as the fixture's CLI run drew it
+    cert = derandomized_lift_search(complete_graph(4), AbelianGroup.cyclic(3),
+                                    dist).certificate
+    assert cert["schema"] == CERT_SCHEMA
+    assert (serial.canonical_json(dict(cert, schema=CERT_SCHEMA_V1))
+            == serial.canonical_json(v1["certificate"]))
 
 
 def test_walk_build_beats_trivial_bound():
@@ -358,11 +452,12 @@ def test_pruned_walk_scan_matches_the_unpruned_reference(monkeypatch,
                 base, 8, seeds=12, master_seed=master_seed, target=target,
                 crosscheck_every=crosscheck_every))
         _assert_same_certificate(new, ref)
-        # the provenance is the winner's own walk
+        # the provenance replays the winner's own walk
         winner = new.certificate["winner_index"]
-        walk = expander_walk_signing(base, 8, 36, seed=(master_seed, winner))
-        assert new.certificate["provenance"]["walk"] == walk.certificate()
-        assert np.array_equal(new.signing.values, walk.signing.values)
+        assert (new.certificate["provenance"]["winner_seed"]
+                == [master_seed, winner])
+        assert np.array_equal(new.signing.values[:, 0],
+                              _replayed_walk(new.certificate))
     assert winner > 0
 
 
