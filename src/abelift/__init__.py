@@ -8,10 +8,10 @@ from .graphs import (RegularGraph, Signing, bicycle_free_radius,
                      complete_graph, cycle_graph, girth, lift,
                      nonbacktracking, petersen_graph, random_regular,
                      signed_adjacency, signed_nonbacktracking)
-from .spectral import (adjacency_spectrum, boolean_rayleigh_max, ihara_check,
-                       lambda2, lift_lambda, mixing_check,
-                       multiset_max_distance, nb_eigenvector_transport,
-                       spectrum_union_check)
+from .spectral import (adjacency_spectrum, boolean_rayleigh_max,
+                       decomposition_probe, ihara_check, lambda2, lift_lambda,
+                       mixing_check, multiset_max_distance,
+                       nb_eigenvector_transport, spectrum_union_check)
 from .hikes import (EdgeSubgraph, GraphEncoding, count_bounds, decode_graph,
                     dfs, encode_graph, enumerate_hikes, hike_encoding,
                     hike_encoding_count, hike_graph, is_hike,
@@ -34,7 +34,8 @@ __all__ = [
     "bicycle_free_radius", "complete_graph", "cycle_graph", "girth", "lift",
     "nonbacktracking", "petersen_graph", "random_regular",
     "signed_adjacency", "signed_nonbacktracking",
-    "adjacency_spectrum", "boolean_rayleigh_max", "ihara_check", "lambda2",
+    "adjacency_spectrum", "boolean_rayleigh_max", "decomposition_probe",
+    "ihara_check", "lambda2",
     "lift_lambda", "mixing_check", "multiset_max_distance",
     "nb_eigenvector_transport", "spectrum_union_check",
     "EdgeSubgraph", "GraphEncoding", "count_bounds", "decode_graph", "dfs",

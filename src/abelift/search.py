@@ -4,8 +4,8 @@ Two regimes: scanning the support of a small-bias distribution candidate
 by candidate (derandomized), and drawing a batch of expander-walk
 signings (exponential fiber size).  Both emit a certificate holding the
 base, group, winning signing, per-character radii and provenance, and
-both re-verify the character decomposition against an actual lift on a
-fixed cadence.
+both check the character decomposition against a built lift by a
+Fourier probe (spectral.decomposition_probe) on a fixed cadence.
 
 Both share one scan, which keeps the first candidate of least lambda.
 Since lambda is a max over lambda(base) and the per-character radii, a
@@ -27,12 +27,21 @@ from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .hikes import count_bounds
 from .pseudorandom import BiasedSet, auxiliary_expander
-from .spectral import lambda2, lift_lambda, spectrum_union_check
+from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
+                       spectrum_union_check)
 
-CERT_SCHEMA = "abelift.lift-certificate.v2"
-# still verified, without the provenance replay of v2 walk certificates
+CERT_SCHEMA = "abelift.lift-certificate.v3"
+# still verified: v2 differs only in its crosscheck block, and v1
+# certificates are not replayed
+CERT_SCHEMA_V2 = "abelift.lift-certificate.v2"
 CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
+# bound on the verifier's dense spectrum-union distance (n l <= 1024)
 CROSSCHECK_TOL = 1e-8
+# the fields verify_certificate reads
+REQUIRED_FIELDS = ("schema", "mode", "base", "base_hash", "group", "signing",
+                   "lambda_base", "per_character_rho", "lambda_lift",
+                   "target", "met_target", "winner_index",
+                   "candidates_evaluated", "provenance")
 
 
 def _tool_stamp() -> dict:
@@ -67,14 +76,15 @@ def _support_rows(support) -> np.ndarray:
     return rows
 
 
-def _crosscheck(signing: Signing) -> float:
-    dist = spectrum_union_check(
-        signing, CROSSCHECK_TOL,
-        include_nonbacktracking=False).adjacency_distance
-    if dist > CROSSCHECK_TOL:
+def _crosscheck(signing: Signing, index: int) -> float:
+    """The decomposition probe's error on candidate `index`, probed with
+    seed `index` so that reruns write the same certificate."""
+    err = decomposition_probe(signing, seed=index)
+    if err > PROBE_TOL:
         raise RuntimeError(
-            f"character decomposition disagrees with a built lift ({dist:.3e})")
-    return dist
+            f"character decomposition disagrees with a built lift (probe "
+            f"error {err:.3e})")
+    return err
 
 
 def _scan(signings, lam_base, target, crosscheck_every):
@@ -93,18 +103,19 @@ def _scan(signings, lam_base, target, crosscheck_every):
     that character's row of a batched solve, so its radii are the floats
     lift_lambda gives.  The scan stops after the first signing meeting
     `target`; every crosscheck_every-th signing, pruned or not, has its
-    character decomposition checked against a built lift.  Returns
-    ((index, signing, lambda, radii) of the winner, signings evaluated,
-    signings pruned, crosschecks run, largest crosscheck distance).
+    character decomposition checked against a built lift by a Fourier
+    probe.  Returns ((index, signing, lambda, radii) of the winner,
+    signings evaluated, signings pruned, crosschecks run, largest probe
+    error).
     """
     best = None
     evaluated = pruned = checks = 0
-    max_check_dist = 0.0
+    max_check_err = 0.0
     order = None  # nontrivial character indices, the last pruner first
     for i, signing in enumerate(signings):
         evaluated += 1
         if crosscheck_every and i % crosscheck_every == 0:
-            max_check_dist = max(max_check_dist, _crosscheck(signing))
+            max_check_err = max(max_check_err, _crosscheck(signing, i))
             checks += 1
         if best is None:
             lam, _, rhos = lift_lambda(signing, lam_base)
@@ -119,7 +130,13 @@ def _scan(signings, lam_base, target, crosscheck_every):
         best = (i, signing, lam, rhos)
         if target is not None and lam <= target:
             break
-    return best, evaluated, pruned, checks, max_check_dist
+    return best, evaluated, pruned, checks, max_check_err
+
+
+def _check_cadence(crosscheck_every: int) -> None:
+    if crosscheck_every < 0:
+        raise ValueError(f"crosscheck_every must be >= 0 (0 turns "
+                         f"crosschecks off), got {crosscheck_every}")
 
 
 def _radii_below(signing, bound, order):
@@ -145,11 +162,13 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     """Scan signings drawn from a support, in row order, for small lambda.
 
     Stops at the first candidate meeting `target` when one is given,
-    otherwise keeps the best.  Every crosscheck_every-th candidate has its
-    character spectrum union checked against an explicitly built lift.
-    The group must be one cyclic factor acting transitively; a BiasedSet
-    must be over that Z_ell, plain rows are read mod ell.
+    otherwise keeps the best.  Every crosscheck_every-th candidate (none
+    at 0; a negative cadence is refused) has its character decomposition
+    checked against a built lift by a Fourier probe.  The group must be
+    one cyclic factor acting transitively; a BiasedSet must be over that
+    Z_ell, plain rows are read mod ell.
     """
+    _check_cadence(crosscheck_every)
     if len(group.factors) != 1:
         raise ValueError("support-driven search expects one cyclic factor")
     if not group.is_transitive():
@@ -165,7 +184,7 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     t0 = time.perf_counter()
     lam_base = lambda2(base)
     signings = (Signing(base, group, row.reshape(-1, 1)) for row in rows)
-    best, evaluated, pruned, checks, max_check_dist = _scan(
+    best, evaluated, pruned, checks, max_check_err = _scan(
         signings, lam_base, target, crosscheck_every)
     best_idx, signing, best_lam, best_rhos = best
     runtime = time.perf_counter() - t0
@@ -177,7 +196,7 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
         provenance["support_hash"] = serial.object_hash(rows.tolist())
     cert = _certificate("derandomized", base, group, signing, best_lam,
                         lam_base, best_rhos, target, best_idx, evaluated,
-                        provenance, checks, max_check_dist)
+                        provenance, checks, max_check_err)
     return SearchResult(signing, best_lam, cert, runtime, pruned)
 
 
@@ -197,13 +216,14 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     """
     if seeds < 1:
         raise ValueError("need at least one walk seed")
+    _check_cadence(crosscheck_every)
     t0 = time.perf_counter()
     aux = auxiliary_expander(ell, dprime, master_seed)
     lam_base = lambda2(base)
     group = AbelianGroup.cyclic(ell)
     signings = (Signing(base, group, aux.walk(base.m, i).reshape(-1, 1))
                 for i in range(seeds))
-    best, evaluated, pruned, checks, max_check_dist = _scan(
+    best, evaluated, pruned, checks, max_check_err = _scan(
         signings, lam_base, target, crosscheck_every)
     idx, signing, lam, rhos = best
     runtime = time.perf_counter() - t0
@@ -220,12 +240,12 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     }
     cert = _certificate("walk", base, group, signing, lam, lam_base, rhos,
                         target, idx, evaluated, provenance, checks,
-                        max_check_dist)
+                        max_check_err)
     return SearchResult(signing, lam, cert, runtime, pruned)
 
 
 def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
-                 winner_index, evaluated, provenance, checks, max_check_dist):
+                 winner_index, evaluated, provenance, checks, max_check_err):
     met = None if target is None else bool(lam <= target)
     return {
         "schema": CERT_SCHEMA,
@@ -243,8 +263,8 @@ def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
         "winner_index": int(winner_index),
         "candidates_evaluated": int(evaluated),
         "provenance": provenance,
-        "crosscheck": {"count": checks, "max_distance": float(max_check_dist),
-                       "tol": CROSSCHECK_TOL},
+        "crosscheck": {"kind": "fourier-probe", "count": checks,
+                       "max_error": float(max_check_err), "tol": PROBE_TOL},
     }
 
 
@@ -253,27 +273,42 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     """Recompute a certificate's spectral claims from its own payload.
 
     Besides the recomputed errors, the certificate's bookkeeping must hold:
-    a known schema (v2, or v1), a known mode, one radius per nontrivial
-    character, met_target equal to lambda_lift <= target (None without a
-    target), and a winner_index among the candidates_evaluated.  A v2
-    walk certificate also replays its provenance: the auxiliary expander
-    rebuilt from (master_seed, dprime, ell) must match dprime_used,
-    aux_hash, aux_bound and (within tol) aux_lambda, winner_seed must be
+    every one of REQUIRED_FIELDS present, a known schema (v3, v2 or v1), a
+    known mode, one radius per nontrivial character, met_target equal to
+    lambda_lift <= target (None without a target), and a winner_index
+    among the candidates_evaluated.  A v3 or v2 walk certificate also
+    replays its provenance: the auxiliary expander rebuilt from
+    (master_seed, dprime, ell) must match dprime_used, aux_hash,
+    aux_bound and (within tol) aux_lambda, winner_seed must be
     [master_seed, winner_index], and the walk it draws on that graph must
     equal the signing.  v1 certificates are not replayed.  Each violated
-    rule is named under "invalid" with ok false.
+    rule is named under "invalid" with ok false; a missing field is named
+    before anything is recomputed.
+
+    The lift is checked against the character decomposition by the dense
+    spectrum_union_check when check_lift is True, or when it is None and
+    n l <= 1024 (lift_union_distance within CROSSCHECK_TOL).  Above that
+    size a None check_lift runs spectral.decomposition_probe instead and
+    reports lift_probe_error, which must be within PROBE_TOL.
     """
+    missing = [key for key in REQUIRED_FIELDS if key not in cert]
+    if missing:
+        return {"ok": False, "hash_ok": None, "lambda_error": None,
+                "lambda_base_error": None, "rho_error": None,
+                "lift_union_distance": None,
+                "invalid": {key: "missing" for key in missing}}
     base = RegularGraph.from_json(cert["base"])
     group = AbelianGroup.from_json(cert["group"])
     signing = Signing(base, group, np.asarray(cert["signing"]))
     lam, lam_base, rhos = lift_lambda(signing)
     invalid = {}
-    if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V1):
-        invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r} "
-                             f"or {CERT_SCHEMA_V1!r}")
+    if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1):
+        invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r}, "
+                             f"{CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}")
     if cert["mode"] not in ("derandomized", "walk"):
         invalid["mode"] = f"{cert['mode']!r}, expected derandomized or walk"
-    elif cert["mode"] == "walk" and cert["schema"] == CERT_SCHEMA:
+    elif cert["mode"] == "walk" and cert["schema"] in (CERT_SCHEMA,
+                                                       CERT_SCHEMA_V2):
         invalid.update(_walk_replay_faults(cert, signing, tol))
     claimed = cert["per_character_rho"]
     if len(claimed) == len(rhos):
@@ -294,19 +329,26 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     lam_err = abs(lam - cert["lambda_lift"])
     base_err = abs(lam_base - cert["lambda_base"])
     hash_ok = base.content_hash() == cert["base_hash"]
-    lift_dist = None
-    if check_lift is None:
-        check_lift = base.n * group.fiber_size <= 1024
-    if check_lift:
+    lift_dist = probe_err = None
+    probe = check_lift is None and base.n * group.fiber_size > 1024
+    if probe:
+        try:
+            probe_err = decomposition_probe(signing)
+        except ValueError as exc:
+            invalid["group"] = str(exc)
+    elif check_lift is None or check_lift:
         lift_dist = spectrum_union_check(
             signing, CROSSCHECK_TOL,
             include_nonbacktracking=False).adjacency_distance
     ok = (not invalid and hash_ok and rho_err <= tol and lam_err <= tol
           and base_err <= tol
-          and (lift_dist is None or lift_dist <= CROSSCHECK_TOL))
+          and (lift_dist is None or lift_dist <= CROSSCHECK_TOL)
+          and (probe_err is None or probe_err <= PROBE_TOL))
     report = {"ok": bool(ok), "hash_ok": hash_ok, "lambda_error": lam_err,
               "lambda_base_error": base_err, "rho_error": rho_err,
               "lift_union_distance": lift_dist}
+    if probe:
+        report["lift_probe_error"] = probe_err
     if invalid:
         report["invalid"] = invalid
     return report

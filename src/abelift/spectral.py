@@ -11,6 +11,10 @@ spectrum from the lift's adjacency eigenvalues by the Ihara-Bass theorem
 (ihara_bass_spectrum) and solves only the small per-character B(chi)
 directly; near the double root alpha^2 = 4 (d - 1), where the root
 formula loses accuracy, it solves the lifted NB operator densely instead.
+
+The decomposition probe checks the same decomposition as an operator
+identity on one random vector, with no eigensolve: it is how searches and
+the verifier above the dense cap check a built lift.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from . import kernels
 from .graphs import (RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking,
                      signed_operators)
-from .groups import _validate_element
+from .groups import TWO_PI, _validate_element
 
 _HUNGARIAN_CAP = 3000
 # Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
@@ -40,6 +44,13 @@ IHARA_BASS_MIN_DISC = 1e-6
 # Largest (characters, n, n) complex128 operator stack built at once; the
 # characters of a larger group are solved in chunks that fit.
 STACK_BYTES = 1 << 24
+# Largest relative error decomposition_probe passes.  On an honest lift
+# both sides are the same sums of d terms, apart from the FFT's rounding
+# (about eps log2 l relative), so the error stays near 1e-15 up to
+# l = 2^16; one edge whose shift s' in the lift disagrees with the
+# signing's s moves two entries of each character's product by
+# |chi(s') - chi(s)| times a probe entry, an O(1) relative error.
+PROBE_TOL = 1e-10
 
 
 def adjacency_spectrum(G: RegularGraph) -> np.ndarray:
@@ -206,6 +217,63 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
         nb_dist = multiset_max_distance(union, nb)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
     return UnionReport(adj_dist, nb_dist, tol, passed, alpha)
+
+
+def decomposition_probe(signing: Signing, lifted: RegularGraph | None = None,
+                        seed: int = 0) -> float:
+    """Relative error of A_lift = F (+)_chi A(chi) F^-1 on one random probe.
+
+    The fiber is ordered by group element, element g at the point g.0
+    that it carries 0 to, and transformed along it by np.fft.fftn over the
+    factor axes: Zhat[:, chi] = sum_g conj(chi(g)) Z[:, g].  Then
+    (A_lift Z)hat[:, chi] = A(chi) Zhat[:, chi] for every character if and
+    only if the decomposition holds, and a complex Gaussian Z drawn from
+    `seed` exposes any difference with probability 1.  A_lift is one
+    gather over `lifted.adj` (the signing's lift, built when not given);
+    A(chi) is applied edge by edge, chi(s_e) forward and its conjugate on
+    reversed edges, as in signed_operators.  Returns
+    max |lhs - rhs| / max |rhs|; equal operators have equal spectra, so
+    passing PROBE_TOL is at least as strong as spectrum_union_check's
+    adjacency half.  The action must be regular, else ValueError.
+    """
+    base, group = signing.base, signing.group
+    ell, n = group.fiber_size, base.n
+    elems = np.stack(np.unravel_index(np.arange(group.order), group.factors),
+                     axis=1)
+    point = group.action(elems, [0])[:, 0]
+    reached = np.unique(point).size
+    if group.order != ell or reached != ell:
+        raise ValueError(
+            f"decomposition probe needs a regular action: a group of order "
+            f"{group.order} carries point 0 to {reached} of {ell} fiber "
+            "points")
+    if lifted is None:
+        lifted = lift(base, signing, allow_disconnected=True)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n * ell) + 1j * rng.standard_normal(n * ell)
+    shape = (n,) + group.factors
+
+    def fourier(v):
+        by_element = v.reshape(n, ell)[:, point].reshape(shape)
+        return np.fft.fftn(by_element, axes=range(1, len(shape))
+                           ).reshape(n, ell)
+
+    lhs = fourier(z[lifted.adj].sum(axis=1))
+    zhat = fourier(z)
+    # chi(s_e) with each term c x / m reduced mod 1 in integers first:
+    # char_table's unreduced angles drift by about l eps (a probe error of
+    # 1.4e-12 at l = 4096), the FFT's twiddles do not
+    chars = np.unravel_index(np.arange(ell), group.factors)
+    turns = sum(np.multiply.outer(c, x) % m / m for c, x, m in
+                zip(chars, signing.values.T, group.factors))
+    vals = np.exp(TWO_PI * 1j * turns)  # (ell, m)
+    phase = vals.T[base.eid_table]  # (n, d, ell): chi(s_e) on slot (u, j)
+    backward = base.adj < np.arange(n)[:, None]
+    phase[backward] = phase[backward].conj()
+    rhs = (phase * zhat[base.adj]).sum(axis=1)
+    scale = np.abs(rhs).max(initial=0.0)
+    err = np.abs(lhs - rhs).max(initial=0.0)
+    return float(err / scale) if scale else float(err)
 
 
 def lift_lambda(signing: Signing, lam_base: float | None = None

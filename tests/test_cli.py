@@ -419,7 +419,10 @@ def test_bad_semantic_input_exits_one(tmp_path, capsys):
     (["pseudorandom", "biased-set", "--ellp", "2", "--m", "2", "--nu", "0",
       "--size-budget", "1"], "no nu=0.0 support found"),
     (["pseudorandom", "biased-set", "--m", "21"], "above the exact bias cap"),
-], ids=["walk-aux-expander", "biased-set-budget", "biased-set-above-cap"])
+    (["lift-search", "--ell", "5", "--seeds", "3", "--crosscheck-every", "-1"],
+     "crosscheck_every must be >= 0"),
+], ids=["walk-aux-expander", "biased-set-budget", "biased-set-above-cap",
+        "negative-crosscheck-cadence"])
 def test_failed_search_exits_one_with_a_reason(tmp_path, capsys, argv,
                                                reason):
     if argv[0] == "lift-search":

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from abelift.graphs import (RegularGraph, Signing, complete_graph,
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import (BiasedSet, auxiliary_expander,
                                   biased_set_search, effective_walk_degree)
-from abelift.search import (CERT_SCHEMA, CERT_SCHEMA_V1,
+from abelift.search import (CERT_SCHEMA, CERT_SCHEMA_V1, CERT_SCHEMA_V2,
                             derandomized_lift_search,
                             exponential_regime_build, markov_bound_report,
                             reference_lambda, verify_certificate)
@@ -143,6 +144,7 @@ def test_verify_names_a_forged_schema_and_mode():
     assert not report["ok"]
     assert report["invalid"] == {
         "schema": "'abelift.lift-certificate.v9', expected "
+                  "'abelift.lift-certificate.v3', "
                   "'abelift.lift-certificate.v2' or "
                   "'abelift.lift-certificate.v1'",
         "mode": "'bogus', expected derandomized or walk"}
@@ -159,7 +161,7 @@ def test_decomposition_matches_built_lift_on_the_winner():
     lam_direct, _, _ = lift_lambda(res.signing)
     assert res.lam == pytest.approx(lam_direct, abs=1e-8)
     assert res.certificate["crosscheck"]["count"] >= 1
-    assert res.certificate["crosscheck"]["max_distance"] <= 1e-8
+    assert res.certificate["crosscheck"]["max_error"] <= 1e-8
 
 
 def test_support_monotonicity():
@@ -264,22 +266,165 @@ def test_v1_walk_certificates_are_not_replayed():
     assert verify_certificate(forged) == verify_certificate(cert)
 
 
+def _fixture_cert(name):
+    return serial.load_json(str(FIXTURES / f"{name}.json"))["certificate"]
+
+
+def _assert_fixture_report(mode, version):
+    report = verify_certificate(_fixture_cert(f"{mode}_cert_{version}"))
+    assert (serial.canonical_json(report) + "\n"
+            == (FIXTURES / f"{mode}_report_{version}.json").read_text())
+
+
 @pytest.mark.parametrize("mode", ["walk", "support"])
 def test_v1_fixtures_verify_to_their_recorded_reports(mode):
-    cert = serial.load_json(str(FIXTURES / f"{mode}_cert_v1.json"))
-    report = verify_certificate(cert["certificate"])
-    assert (serial.canonical_json(report) + "\n"
-            == (FIXTURES / f"{mode}_report_v1.json").read_text())
+    _assert_fixture_report(mode, "v1")
 
 
-def test_support_certificates_changed_only_their_schema():
-    v1 = serial.load_json(str(FIXTURES / "support_cert_v1.json"))
-    dist = biased_set_search(3, 6, 0.6, 40)  # as the fixture's CLI run drew it
-    cert = derandomized_lift_search(complete_graph(4), AbelianGroup.cyclic(3),
-                                    dist).certificate
-    assert cert["schema"] == CERT_SCHEMA
-    assert (serial.canonical_json(dict(cert, schema=CERT_SCHEMA_V1))
-            == serial.canonical_json(v1["certificate"]))
+@pytest.mark.parametrize("mode", ["walk", "support"])
+def test_v2_fixtures_verify_to_their_recorded_reports(mode):
+    assert _fixture_cert(f"{mode}_cert_v2")["schema"] == CERT_SCHEMA_V2
+    _assert_fixture_report(mode, "v2")
+
+
+def test_v2_walk_fixture_replays_its_provenance():
+    cert = _fixture_cert("walk_cert_v2")
+    idx = cert["winner_index"]
+    report = verify_certificate(_forged(cert, winner_seed=[0, idx + 1]))
+    assert not report["ok"]
+    assert report["invalid"] == {
+        "winner_seed": f"[0, {idx + 1}], expected [master_seed, "
+                       f"winner_index] = [0, {idx}]"}
+
+
+@pytest.mark.parametrize("mode", ["walk", "support"])
+def test_v2_fixtures_with_an_unknown_schema_are_rejected(mode):
+    cert = _fixture_cert(f"{mode}_cert_v2")
+    report = verify_certificate(dict(cert,
+                                     schema="abelift.lift-certificate.v4"))
+    assert not report["ok"] and set(report["invalid"]) == {"schema"}
+
+
+@pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
+                                  "walk_cert_v2", "support_cert_v2"])
+def test_verify_names_each_missing_field(name):
+    cert = _fixture_cert(name)
+    assert verify_certificate(cert)["ok"]
+    for key in search.REQUIRED_FIELDS:
+        report = verify_certificate({k: v for k, v in cert.items()
+                                     if k != key})
+        assert report["ok"] is False
+        assert report["invalid"] == {key: "missing"}
+
+
+def _without_schema_and_crosscheck(cert):
+    return serial.canonical_json({k: v for k, v in cert.items()
+                                  if k not in ("schema", "crosscheck")})
+
+
+def test_certificates_changed_only_their_schema_and_crosscheck():
+    # the searches the fixtures' CLI runs made
+    dist = biased_set_search(3, 6, 0.6, 40)
+    support = derandomized_lift_search(
+        complete_graph(4), AbelianGroup.cyclic(3), dist).certificate
+    walk = exponential_regime_build(complete_graph(4), 3, 2).certificate
+    for cert, olds in ((support, ("support_cert_v1", "support_cert_v2")),
+                       (walk, ("walk_cert_v2",))):
+        assert cert["schema"] == CERT_SCHEMA
+        check = cert["crosscheck"]
+        assert check == {"kind": "fourier-probe", "count": 1,
+                         "max_error": check["max_error"],
+                         "tol": spectral.PROBE_TOL}
+        assert check["max_error"] <= 1e-12
+        for name in olds:
+            old = _fixture_cert(name)
+            assert set(old) == set(cert)
+            assert (_without_schema_and_crosscheck(cert)
+                    == _without_schema_and_crosscheck(old))
+
+
+def test_negative_crosscheck_cadence_is_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the cadence was checked")
+
+    monkeypatch.setattr(search, "auxiliary_expander", refuse)
+    monkeypatch.setattr(search, "lambda2", refuse)
+    base = random_regular(10, 3, seed=2)
+    with pytest.raises(ValueError, match="crosscheck_every must be >= 0"):
+        exponential_regime_build(base, 5, 3, crosscheck_every=-1)
+    with pytest.raises(ValueError, match="crosscheck_every must be >= 0"):
+        derandomized_lift_search(base, AbelianGroup.cyclic(5),
+                                 np.zeros((3, base.m), dtype=np.int64),
+                                 crosscheck_every=-1)
+
+
+def _one_shift_changed(monkeypatch):
+    """Make every lift built for a check disagree with its signing on edge 0."""
+    real = spectral.lift
+
+    def wrong(base, signing, allow_disconnected=False):
+        values = signing.values.copy()
+        values[0] = (values[0] + 1) % np.asarray(signing.group.factors)
+        return real(base, Signing(base, signing.group, values),
+                    allow_disconnected)
+
+    monkeypatch.setattr(spectral, "lift", wrong)
+
+
+def test_large_certificates_are_checked_by_the_probe(monkeypatch):
+    # n l = 65536: above the verifier's dense cap, where a dense l x l
+    # character table alone would take 268 MB
+    base = random_regular(16, 3, seed=1)
+    group = AbelianGroup.cyclic(4096)
+    rows = np.random.default_rng(0).integers(4096, size=(2, base.m))
+    res = derandomized_lift_search(base, group, rows)
+    assert res.certificate["crosscheck"]["count"] == 1
+    assert res.certificate["crosscheck"]["max_error"] <= 1e-12
+    tracemalloc.start()
+    try:
+        report = verify_certificate(res.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"] and report["lift_union_distance"] is None
+    assert report["lift_probe_error"] <= 1e-12
+    assert peak < 64 << 20
+    # check_lift pins the dense check, or none: no probe key then
+    assert "lift_probe_error" not in verify_certificate(res.certificate,
+                                                        check_lift=False)
+    _one_shift_changed(monkeypatch)
+    report = verify_certificate(res.certificate)
+    assert not report["ok"]
+    assert report["lift_probe_error"] > spectral.PROBE_TOL
+    with pytest.raises(RuntimeError, match="disagrees with a built lift"):
+        derandomized_lift_search(base, group, rows)
+
+
+def test_verify_names_a_group_the_probe_refuses():
+    # n l = 2048 takes the probe; two 64-cycles are a Z_128 action, but
+    # not a transitive one
+    base = random_regular(16, 3, seed=1)
+    rows = np.random.default_rng(0).integers(128, size=(2, base.m))
+    cert = derandomized_lift_search(base, AbelianGroup.cyclic(128),
+                                    rows).certificate
+    assert verify_certificate(cert)["lift_probe_error"] <= 1e-12
+    two_cycles = [(i + 1) % 64 + 64 * (i >= 64) for i in range(128)]
+    forged = dict(cert, group=AbelianGroup((128,), (tuple(two_cycles),)
+                                           ).to_json())
+    report = verify_certificate(forged)
+    assert not report["ok"] and report["lift_probe_error"] is None
+    assert report["invalid"]["group"].startswith(
+        "decomposition probe needs a regular action")
+
+
+def test_small_searches_crosscheck_by_the_probe(monkeypatch):
+    base = random_regular(16, 3, seed=1)
+    cert = exponential_regime_build(base, 16, 3, crosscheck_every=1
+                                    ).certificate
+    assert cert["crosscheck"]["count"] == 3
+    _one_shift_changed(monkeypatch)
+    with pytest.raises(RuntimeError, match="disagrees with a built lift"):
+        exponential_regime_build(base, 16, 3, crosscheck_every=1)
 
 
 def test_walk_build_beats_trivial_bound():
@@ -391,7 +536,8 @@ def _unpruned_scan(signings, lam_base, target, crosscheck_every):
         lam, _, rhos = lift_lambda(signing, lam_base)
         evaluated += 1
         if crosscheck_every and i % crosscheck_every == 0:
-            max_check_dist = max(max_check_dist, search._crosscheck(signing))
+            max_check_dist = max(max_check_dist,
+                                 search._crosscheck(signing, i))
             checks += 1
         if best is None or lam < best[2]:
             best = (i, signing, lam, rhos)

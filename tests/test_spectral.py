@@ -287,6 +287,66 @@ def test_large_group_peak_memory_stays_within_the_stack_cap():
         assert rhos[c - 1] == float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
+def _relabelled(group, seed):
+    """The same group acting through a random relabelling of its fiber, so
+    that fiber point order is not group element order."""
+    sigma = np.random.default_rng(seed).permutation(group.fiber_size)
+    inv = np.argsort(sigma)
+    return AbelianGroup(group.factors, tuple(
+        tuple(sigma[np.asarray(p)[inv]].tolist())
+        for p in group.generator_perms))
+
+
+_PROBE_GROUPS = {
+    "Z2": AbelianGroup.cyclic(2),
+    "Z3": AbelianGroup.cyclic(3),
+    "Z16": AbelianGroup.cyclic(16),
+    "Z2xZ4": AbelianGroup.product([2, 4]),
+    "Z16-relabelled": _relabelled(AbelianGroup.cyclic(16), 1),
+    "Z2xZ4-relabelled": _relabelled(AbelianGroup.product([2, 4]), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROBE_GROUPS))
+def test_decomposition_probe_agrees_with_the_union_check(name):
+    group = _PROBE_GROUPS[name]
+    if name.endswith("relabelled"):
+        elems = np.stack(np.unravel_index(np.arange(group.order),
+                                          group.factors), axis=1)
+        point = group.action(elems, [0])[:, 0]
+        assert (point != np.arange(group.fiber_size)).any()
+    base = random_regular(12, 3, seed=5)
+    for seed in range(3):
+        sg = Signing.random(base, group, seed=seed)
+        assert spectrum_union_check(sg).passed
+        assert spectral.decomposition_probe(sg, seed=seed) <= 1e-12
+
+
+@pytest.mark.parametrize("ell", [16, 4096])
+def test_decomposition_probe_fails_on_a_lift_with_one_shift_changed(ell):
+    base = random_regular(16, 3, seed=1)
+    group = AbelianGroup.cyclic(ell)
+    sg = Signing.random(base, group, seed=2)
+    assert spectral.decomposition_probe(sg, seed=5) <= 1e-12
+    values = sg.values.copy()
+    values[3] = (values[3] + 1) % ell
+    wrong = lift(base, Signing(base, group, values), allow_disconnected=True)
+    errs = [spectral.decomposition_probe(sg, wrong, seed=s)
+            for s in (5, 5, 6)]
+    assert min(errs) > 0.01 > spectral.PROBE_TOL
+    assert errs[0] == errs[1] != errs[2]  # the seed alone fixes the probe
+
+
+@pytest.mark.parametrize("group", [
+    AbelianGroup((2,), ((1, 0, 3, 2),)),  # not transitive
+    AbelianGroup((2, 2), ((1, 0), (1, 0))),  # not free
+    ], ids=["Z2-on-four-points", "Z2xZ2-on-two-points"])
+def test_decomposition_probe_refuses_a_non_regular_action(group):
+    sg = Signing.random(cycle_graph(5), group, seed=0)
+    with pytest.raises(ValueError, match="needs a regular action"):
+        spectral.decomposition_probe(sg)
+
+
 def test_nb_perron_root_is_degree_minus_one():
     for g in (complete_graph(4), petersen_graph()):
         assert spectral_radius(nonbacktracking(g)) == pytest.approx(
