@@ -19,6 +19,7 @@ from . import serial
 from .groups import AbelianGroup, _orbits, _validate_element
 
 MAX_DENSE_DIM = 4096
+DENSE_BYTES = 8 * MAX_DENSE_DIM ** 2  # one float64 matrix at the dense cap
 PAIRING_TRIES = 20000  # configuration-model pairings per draw
 MATCHING_RESTARTS = 200  # suitable-pair matchings per draw
 
@@ -85,6 +86,10 @@ class RegularGraph:
                         axis=1).reshape(-1, 2)
 
     def adjacency_matrix(self) -> np.ndarray:
+        if 8 * self.n * self.n > DENSE_BYTES:
+            raise ValueError(f"dense adjacency matrix of n = {self.n} takes "
+                             f"{8 * self.n * self.n} bytes, above the dense "
+                             f"cap of {DENSE_BYTES}")
         mat = np.zeros((self.n, self.n), dtype=np.float64)
         mat[np.arange(self.n)[:, None], self.adj] = 1.0
         return mat

@@ -330,10 +330,12 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     """Count (or list) the k-hikes of G, every start vertex counted separately."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    states = G.n * G.d * max(1, (G.d - 1)) ** (2 * k - 1)
-    # a bound on the count's work: its blocks keep memory near
-    # kernels.BLOCK_BYTES whatever the number of walk states
-    if states > 2 * 10 ** 7 or states * G.m > 2 * 10 ** 8:
+    # a bound on the count's work, checked before anything is allocated:
+    # it enumerates n h non-backtracking k-walks, h per origin, and tests
+    # at most n h^2 ordered pairs of them; its blocks keep memory near
+    # kernels.BLOCK_BYTES whatever these numbers are
+    h = G.d * (G.d - 1) ** (k - 1)
+    if G.n * h > 2 * 10 ** 7 or G.n * h * h > 2 * 10 ** 8:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
     if return_walks:
         walks = list(_iter_hikes(G, k, singleton_free_only))

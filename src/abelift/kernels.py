@@ -5,7 +5,9 @@ the trace-method bound, the minimum weight of an affine F2 space for code
 distance, the boolean Rayleigh quotient for expander mixing, and the
 maximum nontrivial character bias of a signing support.  The hike, mask
 and character scans run in blocks whose live arrays take about
-BLOCK_BYTES, so their memory does not grow with the scan.
+BLOCK_BYTES, so their memory does not grow with the scan.  The hike
+count's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
+144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges.
 """
 from __future__ import annotations
 
@@ -14,65 +16,56 @@ import numpy as np
 IMPL = "python"  # implementation name, recorded in benchmark environment blocks
 
 BLOCK_BYTES = 32 << 20
-# Peak bytes of the hike frontier per base edge and per walk state, with
-# d (d-1)^(2k-1) states per start vertex: an int16 edge-count row per walk
-# prefix, held in three generations at the last step, plus index vectors.
-# Measured with tracemalloc at 10.6 on cubic graphs.
-_HIKE_STATE_EDGE_BYTES = 11
 
 
 # ---------------------------------------------------------------------------
 # closed non-backtracking walk counting
 # ---------------------------------------------------------------------------
 
-def _count_hikes_block(adj, eid, n_edges, two_k, exempt, singleton_free,
-                       start_lo, start_hi):
-    """Vectorized frontier expansion over the walk prefixes of some starts."""
-    d = adj.shape[1]
-    start = np.arange(start_lo, start_hi, dtype=np.int64)
-    cur = start.copy()
-    prev = np.full(cur.shape, -1, dtype=np.int64)
-    origin = start.copy()
-    counts = np.zeros((cur.size, n_edges), dtype=np.int16)
-    for p in range(1, two_k + 1):
-        nxt = adj[cur].reshape(-1)
-        eids = eid[cur].reshape(-1)
-        cur_r = np.repeat(cur, d)
-        prev_r = np.repeat(prev, d)
-        origin_r = np.repeat(origin, d)
-        counts_r = np.repeat(counts, d, axis=0)
-        if p >= 2 and p != exempt:
-            keep = nxt != prev_r
-            nxt, eids = nxt[keep], eids[keep]
-            cur_r, origin_r = cur_r[keep], origin_r[keep]
-            counts_r = counts_r[keep]
-        counts_r[np.arange(nxt.size), eids] += 1
-        prev, cur, origin, counts = cur_r, nxt, origin_r, counts_r
-    ok = cur == origin
-    if singleton_free:
-        ok &= ~(counts == 1).any(axis=1)
-    return int(ok.sum())
-
-
 def count_hikes(adj, eid_table, n_edges: int, k: int,
                 singleton_free: bool = True) -> int:
     """Count closed 2k-step walks that are non-backtracking except at step k+1.
 
-    With singleton_free=True only walks whose undirected edge multiset has
-    no multiplicity-1 edge are counted.  Start vertices are expanded in
-    blocks of about BLOCK_BYTES of frontier, at least one start per block.
+    Meet in the middle: steps 1..k and, reversed, steps 2k..k+1 of a hike
+    from o are non-backtracking k-walks from o to one midpoint, joined by
+    the exempt step, so hikes are the ordered pairs of half-walks with one
+    origin and one endpoint.  A pair is singleton-free when the summed edge
+    counts of its halves have no entry 1; (P, P) always is, and (P, Q)
+    exactly when (Q, P) is, so only pairs i < j of a group are tested.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj = np.ascontiguousarray(adj, dtype=np.int64)
-    eid = np.ascontiguousarray(eid_table, dtype=np.int64)
+    adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
     n, d = adj.shape
-    start_bytes = (_HIKE_STATE_EDGE_BYTES * n_edges
-                   * d * max(1, d - 1) ** (2 * k - 1))
-    block = max(1, BLOCK_BYTES // start_bytes)
-    return sum(_count_hikes_block(adj, eid, n_edges, 2 * k, k + 1,
-                                  singleton_free, lo, min(lo + block, n))
-               for lo in range(0, n, block))
+    origins = max(1, BLOCK_BYTES // 2 // max(1, d * (d - 1) ** (k - 1)
+                                             * (144 + 2 * n_edges)))
+    cap = max(1, BLOCK_BYTES // 2 // (32 + 4 * n_edges))  # pairs per block
+    total = 0
+    for start in range(0, n, origins):
+        origin = np.arange(start, min(start + origins, n))
+        cur, prev = origin, np.full_like(origin, -1)
+        counts = np.zeros((origin.size, n_edges), dtype=np.int8)
+        for _ in range(k):
+            rows, slots = np.nonzero(adj[cur] != prev[:, None])
+            prev, cur, origin = cur[rows], adj[cur[rows], slots], origin[rows]
+            counts, i, e = counts[rows], np.arange(rows.size), eid[prev, slots]
+            counts[i, e] += counts[i, e] < 2  # saturates: 2 means two or more
+        order = np.argsort(origin * n + cur)
+        key = (origin * n + cur)[order]
+        end = np.searchsorted(key, key, side="right")  # one past each group
+        partners = end - np.arange(end.size) - 1
+        cum = np.concatenate([[0], np.cumsum(partners)])
+        # the sum of the squared group sizes: pairs i = j once, i < j twice
+        total += end.size + 2 * int(cum[-1])
+        counts = counts[order]
+        lo = 0
+        while singleton_free and lo < end.size:  # blocks of whole rows i
+            hi = max(lo + 1, np.searchsorted(cum, cum[lo] + cap, "right") - 1)
+            i = np.repeat(np.arange(lo, hi), partners[lo:hi])
+            j = np.arange(cum[lo], cum[hi]) - cum[i] + i + 1
+            total -= 2 * int((counts[i] + counts[j] == 1).any(axis=1).sum())
+            lo = hi
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -40,3 +40,23 @@ def session_start() -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _nb_walk_counts(g, k):
+    """(n, n) counts of the non-backtracking k-walks from o to v, by the
+    recurrence over directed edges: a walk ending on u -> v extends by
+    each v -> w with w != u."""
+    tails = np.repeat(np.arange(g.n), g.d)
+    heads = g.adj.reshape(-1)
+    follows = ((heads[:, None] == tails[None, :])
+               & (heads[None, :] != tails[:, None])).astype(np.int64)
+    # walks[o, i]: walks from o whose last step is directed edge i
+    walks = (tails[None, :] == np.arange(g.n)[:, None]).astype(np.int64)
+    for _ in range(k - 1):
+        walks = walks @ follows
+    return walks @ (heads[:, None] == np.arange(g.n)[None, :])
+
+
+@pytest.fixture
+def nb_walk_counts():
+    return _nb_walk_counts

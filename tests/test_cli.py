@@ -219,6 +219,26 @@ def test_hikes_count_and_bounds(tmp_path):
     assert json.loads(out.read_bytes())["bound1"] == pytest.approx(4478976.0)
 
 
+def test_hikes_count_at_k10_and_above_the_budget(tmp_path, capsys,
+                                                 nb_walk_counts):
+    g = random_regular(40, 3, seed=5)
+    gp = _write_graph(tmp_path / "g40.json", g)
+    out = tmp_path / "h.json"
+    assert main(["hikes", "count", "--graph", gp, "--k", "10", "--all-walks",
+                 "--out", str(out)]) == 0
+    every = json.loads(out.read_bytes())["count"]
+    assert every == int((nb_walk_counts(g, 10) ** 2).sum())
+    assert main(["hikes", "count", "--graph", gp, "--k", "10",
+                 "--out", str(out)]) == 0
+    assert 0 < json.loads(out.read_bytes())["count"] < every
+    # 10 (3 * 2^11)^2 = 3.8e8 ordered pairs of half-walks
+    pp = _write_graph(tmp_path / "petersen.json", petersen_graph())
+    assert main(["hikes", "count", "--graph", pp, "--k", "12"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"failed": True, "error": "hike enumeration budget "
+                       "exceeded for these n, d, k"}
+
+
 def test_hikes_mop(tmp_path):
     gp = _write_graph(tmp_path / "c100.json", cycle_graph(100))
     out = tmp_path / "mop.json"

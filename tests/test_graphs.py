@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abelift.graphs import (RegularGraph, Signing, _ball,
+from abelift.graphs import (MAX_DENSE_DIM, RegularGraph, Signing, _ball,
                             bicycle_free_radius, complete_graph,
                             component_count, cycle_graph, disjoint_union,
                             girth, lift, nonbacktracking, petersen_graph,
@@ -15,6 +15,7 @@ from abelift.graphs import (RegularGraph, Signing, _ball,
                             signed_adjacency, signed_nonbacktracking)
 from abelift.groups import AbelianGroup
 from abelift.hikes import is_hike
+from abelift.spectral import lambda2
 
 
 def test_complete_graph_k4():
@@ -323,6 +324,21 @@ def test_lift_keeps_little_memory():
         tracemalloc.stop()
     assert g.n == 16 * 4096
     assert kept <= 8 * 2 ** 20
+
+
+def test_adjacency_matrix_refuses_above_the_dense_cap():
+    with pytest.raises(ValueError, match="above the dense cap"):
+        cycle_graph(MAX_DENSE_DIM + 1).adjacency_matrix()
+    # lambda2 of a 65536-vertex graph would otherwise allocate 32 GiB
+    g = cycle_graph(65536)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the dense cap"):
+            lambda2(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_lift_of_random_signing_is_regular_with_matching_spectrum_size():

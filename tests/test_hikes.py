@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from abelift.graphs import complete_graph, cycle_graph, petersen_graph
+from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
+                            random_regular)
 from abelift.hikes import (DecodeError, EdgeSubgraph, GraphEncoding,
                            binary_entropy, count_bounds, decode_graph, dfs,
                            encode_graph, enumerate_hikes, hike_encoding,
@@ -285,6 +287,17 @@ def test_enumerated_walks_agree_with_counts():
 def test_enumeration_guard():
     with pytest.raises(ValueError, match="budget"):
         enumerate_hikes(petersen_graph(), 12)
+
+
+def test_enumeration_at_k10_is_quick_and_matches_the_oracle(nb_walk_counts):
+    # 40 (3 * 2^9)^2 = 9.4e7 worst-case ordered pairs, inside the budget
+    g = random_regular(40, 3, seed=0)
+    t0 = time.perf_counter()
+    every = enumerate_hikes(g, 10, singleton_free_only=False)
+    free = enumerate_hikes(g, 10)
+    assert time.perf_counter() - t0 < 1.0
+    assert every == int((nb_walk_counts(g, 10) ** 2).sum())
+    assert 0 < free < every
 
 
 def test_hike_graph_shapes():

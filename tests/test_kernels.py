@@ -8,7 +8,7 @@ import pytest
 from abelift import gf2, kernels
 from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
                             random_regular)
-from abelift.hikes import enumerate_hikes
+from abelift.hikes import _iter_hikes, enumerate_hikes
 
 
 @pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
@@ -26,6 +26,16 @@ def test_count_hikes_matches_walk_enumeration(monkeypatch, block_bytes):
                 assert got == len(walks)
 
 
+def test_count_hikes_edge_counts_do_not_wrap():
+    # on C4 with k = 4 * 128 + 2 the two half-walks from a vertex meet at
+    # the opposite one; each uses two edges 129 times and two 128 times, so
+    # their sum is 257 on every edge: 1 in eight-bit arithmetic
+    c4 = cycle_graph(4)
+    for sf in (True, False):
+        assert kernels.count_hikes(c4.adj, c4.eid_table, c4.m, 514,
+                                   singleton_free=sf) == 16
+
+
 def _value_and_peak(fn, *args):
     """fn(*args) and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
@@ -36,15 +46,41 @@ def _value_and_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_count_hikes_memory_stays_within_one_block():
+def test_count_hikes_memory_stays_within_one_block(monkeypatch):
     g = random_regular(40, 3, seed=3)
+    # unblocked, the pair tests of these 61,440 half-walks peak near 160 MB
     count, peak = _value_and_peak(kernels.count_hikes, g.adj, g.eid_table,
-                                  g.m, 6)
-    # unblocked, these 40 starts would peak near 160 MB
+                                  g.m, 10)
     assert peak <= kernels.BLOCK_BYTES + (4 << 20)
-    assert count == sum(
-        kernels._count_hikes_block(g.adj, g.eid_table, g.m, 12, 7, True,
-                                   v, v + 1) for v in range(g.n))
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 2 << 20)
+    blocked, peak = _value_and_peak(kernels.count_hikes, g.adj, g.eid_table,
+                                    g.m, 10)
+    assert blocked == count
+    assert peak <= kernels.BLOCK_BYTES + (2 << 20)
+
+
+@pytest.mark.parametrize("n, k", [(40, 7), (30, 6), (40, 10)])
+def test_count_hikes_matches_the_walk_count_oracle(nb_walk_counts, n, k):
+    # every hike is one ordered pair of non-backtracking k-walks from its
+    # start that meet at the midpoint, so sum_(o, v) N_k(o, v)^2 counts them
+    g = random_regular(n, 3, seed=n + k)
+    assert kernels.count_hikes(g.adj, g.eid_table, g.m, k,
+                               singleton_free=False) == int(
+        (nb_walk_counts(g, k) ** 2).sum())
+
+
+def test_count_hikes_matches_the_walk_enumeration_at_k5(nb_walk_counts):
+    # from k = 5 on K4 and on this random graph, a half can use an edge
+    # twice that the other half does not use, and Q can cover every edge
+    # that P uses once while P misses an edge that Q uses once
+    for g in (complete_graph(4), cycle_graph(5), petersen_graph(),
+              random_regular(10, 3, seed=1)):
+        for sf in (True, False):
+            assert kernels.count_hikes(g.adj, g.eid_table, g.m, 5,
+                                       singleton_free=sf) == sum(
+                1 for _ in _iter_hikes(g, 5, sf))
+        assert sum(1 for _ in _iter_hikes(g, 5, False)) == int(
+            (nb_walk_counts(g, 5) ** 2).sum())
 
 
 def _span_weights(base, basis):
