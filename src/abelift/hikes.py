@@ -296,33 +296,37 @@ def singleton_free(walk: Sequence[int]) -> bool:
 
 
 def _iter_hikes(G: RegularGraph, k: int, singleton_free_only: bool):
+    """The 2k-step hikes of G in depth-first order, by an explicit stack:
+    slots[p - 1] is the next host slot to try from the walk's p-th vertex,
+    so no k is limited by the recursion depth."""
     two_k = 2 * k
     exempt = k + 1
-    adj, eidt, d = G.adj, G.eid_table, G.d
+    adj, eidt, d = G.adj.tolist(), G.eid_table.tolist(), G.d
     for v0 in range(G.n):
-        walk = [v0]
+        walk, edges, slots = [v0], [], [0]
         ec: dict[int, int] = {}
-
-        def rec(p):
-            if p > two_k:
-                if walk[-1] == v0 and (
+        while slots:
+            p, j = len(walk), slots[-1]
+            if p > two_k or j == d:
+                if p > two_k and walk[-1] == v0 and (
                         not singleton_free_only
                         or all(c != 1 for c in ec.values())):
                     yield tuple(walk)
-                return
+                slots.pop()
+                if edges:
+                    walk.pop()
+                    ec[edges.pop()] -= 1
+                continue
+            slots[-1] = j + 1
             u = walk[-1]
-            for j in range(d):
-                w = int(adj[u, j])
-                if p >= 2 and p != exempt and w == walk[-2]:
-                    continue
-                e = int(eidt[u, j])
-                ec[e] = ec.get(e, 0) + 1
-                walk.append(w)
-                yield from rec(p + 1)
-                walk.pop()
-                ec[e] -= 1
-
-        yield from rec(1)
+            w = adj[u][j]
+            if p >= 2 and p != exempt and w == walk[-2]:
+                continue
+            e = eidt[u][j]
+            ec[e] = ec.get(e, 0) + 1
+            edges.append(e)
+            walk.append(w)
+            slots.append(0)
 
 
 def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,

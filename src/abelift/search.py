@@ -38,9 +38,9 @@ CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
 # bound on the verifier's dense spectrum-union distance (n l <= 1024)
 CROSSCHECK_TOL = 1e-8
 # the fields verify_certificate reads
-REQUIRED_FIELDS = ("schema", "mode", "base", "base_hash", "group", "signing",
-                   "lambda_base", "per_character_rho", "lambda_lift",
-                   "target", "met_target", "winner_index",
+REQUIRED_FIELDS = ("schema", "tool", "mode", "base", "base_hash", "group",
+                   "signing", "lambda_base", "per_character_rho",
+                   "lambda_lift", "target", "met_target", "winner_index",
                    "candidates_evaluated", "provenance")
 
 
@@ -274,16 +274,16 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
 
     Besides the recomputed errors, the certificate's bookkeeping must hold:
     every one of REQUIRED_FIELDS present, a known schema (v3, v2 or v1), a
-    known mode, one radius per nontrivial character, met_target equal to
-    lambda_lift <= target (None without a target), and a winner_index
-    among the candidates_evaluated.  A v3 or v2 walk certificate also
-    replays its provenance: the auxiliary expander rebuilt from
-    (master_seed, dprime, ell) must match dprime_used, aux_hash,
-    aux_bound and (within tol) aux_lambda, winner_seed must be
-    [master_seed, winner_index], and the walk it draws on that graph must
-    equal the signing.  v1 certificates are not replayed.  Each violated
-    rule is named under "invalid" with ok false; a missing field is named
-    before anything is recomputed.
+    tool object whose name is "abelift", a known mode, one radius per
+    nontrivial character, met_target equal to lambda_lift <= target (None
+    without a target), and a winner_index among the candidates_evaluated.
+    A v3 or v2 walk certificate also replays its provenance: the auxiliary
+    expander rebuilt from (master_seed, dprime, ell) must match
+    dprime_used, aux_hash, aux_bound and (within tol) aux_lambda,
+    winner_seed must be [master_seed, winner_index], and the walk it draws
+    on that graph must equal the signing.  v1 certificates are not
+    replayed.  Each violated rule is named under "invalid" with ok false; a
+    missing field is named before anything is recomputed.
 
     The lift is checked against the character decomposition by the dense
     spectrum_union_check when check_lift is True, or when it is None and
@@ -305,6 +305,11 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1):
         invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r}, "
                              f"{CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}")
+    tool = cert["tool"]
+    if not isinstance(tool, dict):
+        invalid["tool"] = f"{tool!r}, expected an object named 'abelift'"
+    elif tool.get("name") != "abelift":
+        invalid["tool"] = f"name {tool.get('name')!r}, expected 'abelift'"
     if cert["mode"] not in ("derandomized", "walk"):
         invalid["mode"] = f"{cert['mode']!r}, expected derandomized or walk"
     elif cert["mode"] == "walk" and cert["schema"] in (CERT_SCHEMA,

@@ -9,8 +9,10 @@ The spectrum-union check compares a built lift with the union of its
 signed character spectra.  Its non-backtracking half takes the lift's NB
 spectrum from the lift's adjacency eigenvalues by the Ihara-Bass theorem
 (ihara_bass_spectrum) and solves only the small per-character B(chi)
-directly; near the double root alpha^2 = 4 (d - 1), where the root
-formula loses accuracy, it solves the lifted NB operator densely instead.
+directly, one solve per conjugate pair {chi, -chi} (B(-chi) is the
+conjugate of B(chi)) and a real solve per self-conjugate chi; near the
+double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
+it solves the lifted NB operator densely instead.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -133,20 +135,48 @@ def character_spectra(signing: Signing, chars, kind: str) -> np.ndarray:
     """Spectra of graphs.signed_operators(signing, chars, kind), one row per
     character: ascending eigvalsh rows for "adjacency", eigvals rows for
     "nonbacktracking".  Stacks of at most STACK_BYTES (one operator at
-    least) are solved by one batched call each, so every row equals the
-    solve of that character's operator alone.
+    least) are solved by one batched call each, so every solved row equals
+    the solve of that character's operator alone.
+
+    Non-backtracking rows are solved once per conjugate pair: B(-chi) is
+    the entrywise conjugate of B(chi), so when both are requested only the
+    smaller index is solved and the other row is its exact conjugate.  A
+    self-conjugate B(chi) (2 chi = 0) has entries +-1 up to char_table's
+    rounding and is solved as the real matrix B(chi).real.  A character
+    whose partner is not requested is solved alone, in complex.
     """
     chars = np.asarray(chars, dtype=np.int64)
-    hermitian = kind == "adjacency"
-    dim = signing.base.n if hermitian else 2 * signing.base.m
-    solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
-    per = max(1, STACK_BYTES // (16 * dim * dim))
-    out = np.empty((chars.size, dim),
-                   dtype=np.float64 if hermitian else np.complex128)
-    for lo in range(0, chars.size, per):
-        out[lo:lo + per] = solve(
-            signed_operators(signing, chars[lo:lo + per], kind))
+    if kind == "adjacency":
+        out = np.empty((chars.size, signing.base.n))
+        _solve_rows(signing, chars, kind, np.linalg.eigvalsh, out,
+                    np.arange(chars.size))
+        return out
+    factors = signing.group.factors
+    neg = np.ravel_multi_index(
+        tuple(-c % m for c, m in zip(np.unravel_index(chars, factors),
+                                     factors)), factors)
+    real = neg == chars
+    partner = ~real & (neg < chars) & np.isin(neg, chars)
+    out = np.empty((chars.size, 2 * signing.base.m), dtype=np.complex128)
+    _solve_rows(signing, chars, kind, lambda s: np.linalg.eigvals(s.real),
+                out, np.flatnonzero(real))
+    _solve_rows(signing, chars, kind, np.linalg.eigvals, out,
+                np.flatnonzero(~real & ~partner))
+    order = np.argsort(chars, kind="stable")
+    rep = order[np.searchsorted(chars[order], neg[partner])]
+    out[partner] = out[rep].conj()
     return out
+
+
+def _solve_rows(signing: Signing, chars: np.ndarray, kind: str, solve,
+                out: np.ndarray, rows: np.ndarray) -> None:
+    """out[rows] = solve of the operators of chars[rows], in stacks of at
+    most STACK_BYTES of complex128 (one operator at least)."""
+    dim = out.shape[1]
+    per = max(1, STACK_BYTES // (16 * dim * dim))
+    for lo in range(0, rows.size, per):
+        part = rows[lo:lo + per]
+        out[part] = solve(signed_operators(signing, chars[part], kind))
 
 
 @dataclass(frozen=True)
@@ -183,7 +213,10 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     before any eigensolve.  The lift's NB spectrum is ihara_bass_spectrum
     of its adjacency eigenvalues, unless some eigenvalue lies within
     IHARA_BASS_MIN_DISC of the double root (or d = 1): then the lifted NB
-    operator is solved densely.  Every B(chi) is solved directly.
+    operator is solved densely.  The B(chi) spectra are solved directly,
+    never derived from A(chi): one complex solve per conjugate pair
+    {chi, -chi}, whose partner row is its exact conjugate, and one real
+    solve per self-conjugate chi (see character_spectra).
     """
     base = signing.base
     nb_dim = 2 * base.m * signing.group.fiber_size
@@ -321,10 +354,10 @@ def ihara_check(signing: Signing, chi=None) -> IharaReport:
         lhs = lambda2(base)
         rho_b = nb_radius_nontrivial(nonbacktracking(base))
     else:
-        lhs = float(np.abs(np.linalg.eigvalsh(
-            signed_adjacency(signing, chi).matrix)).max())
-        rho_b = float(np.abs(np.linalg.eigvals(
-            signed_nonbacktracking(signing, chi).matrix)).max())
+        idx = signing.group.element_indices([chi])
+        lhs = float(np.abs(character_spectra(signing, idx, "adjacency")).max())
+        rho_b = float(np.abs(
+            character_spectra(signing, idx, "nonbacktracking")).max())
     bound = 2.0 * max(math.sqrt(d - 1), rho_b)
     return IharaReport(lhs, rho_b, bound, trivial,
                        passed=lhs <= bound + 1e-9)

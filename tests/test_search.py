@@ -317,6 +317,24 @@ def test_verify_names_each_missing_field(name):
         assert report["invalid"] == {key: "missing"}
 
 
+@pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
+                                  "walk_cert_v2", "support_cert_v2"])
+def test_verify_names_a_forged_tool(name):
+    cert = _fixture_cert(name)
+    honest = verify_certificate(cert)
+    assert honest["ok"]
+    for tool, reason in (
+            ("abelift", "'abelift', expected an object named 'abelift'"),
+            (["abelift"], "['abelift'], expected an object named 'abelift'"),
+            (dict(cert["tool"], name="other"),
+             "name 'other', expected 'abelift'"),
+            ({"version": "0.1.0"}, "name None, expected 'abelift'")):
+        report = verify_certificate(dict(cert, tool=tool))
+        assert report["ok"] is False
+        assert report["invalid"] == {"tool": reason}
+        assert report["rho_error"] == honest["rho_error"]
+
+
 def _without_schema_and_crosscheck(cert):
     return serial.canonical_json({k: v for k, v in cert.items()
                                   if k not in ("schema", "crosscheck")})

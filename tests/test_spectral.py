@@ -119,13 +119,36 @@ def _reference_nonbacktracking(signing, chi):
 
 
 def _reference_spectra(signing):
-    """The per-character loops the batched engine must reproduce exactly:
-    eigvalsh rows of every A(chi), eigvals rows of every B(chi)."""
+    """The per-character loops: eigvalsh rows of every A(chi), which the
+    batched engine reproduces exactly, and eigvals rows of every B(chi)."""
     chars = signing.group.characters()
     return (np.array([np.linalg.eigvalsh(_reference_adjacency(signing, chi))
                       for chi in chars]),
             np.array([np.linalg.eigvals(_reference_nonbacktracking(signing, chi))
                       for chi in chars]))
+
+
+def _assert_paired_nb_rows(signing, chars, got, nb_ref):
+    """The contract of character_spectra's non-backtracking rows.
+
+    A self-conjugate character's row is the real solve of B(chi) alone and
+    a representative's (or lone character's) the complex solve, bit for
+    bit; a requested -chi > chi gets the exact conjugate of chi's row.
+    Every row is the reference loop's row as a multiset within 1e-12.
+    """
+    group = signing.group
+    chars = [int(c) for c in chars]
+    for i, c in enumerate(chars):
+        chi = group.characters()[c]
+        neg = group.element_indices([group.inverse(chi)])[0]
+        mat = _reference_nonbacktracking(signing, chi)
+        if neg == c:
+            assert np.array_equal(got[i], np.linalg.eigvals(mat.real))
+        elif neg < c and neg in chars:
+            assert np.array_equal(got[i], got[chars.index(neg)].conj())
+        else:
+            assert np.array_equal(got[i], np.linalg.eigvals(mat))
+        assert multiset_max_distance(got[i], nb_ref[c]) <= 1e-12
 
 
 @pytest.mark.parametrize("group", [
@@ -138,8 +161,8 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     ref, nb_ref = _reference_spectra(sg)
     every = np.arange(group.order)
     assert np.array_equal(character_spectra(sg, every, "adjacency"), ref)
-    assert np.array_equal(character_spectra(sg, every, "nonbacktracking"),
-                          nb_ref)
+    nb_rows = character_spectra(sg, every, "nonbacktracking")
+    _assert_paired_nb_rows(sg, every, nb_rows, nb_ref)
 
     lam, lam_base, rhos = lift_lambda(sg)
     assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
@@ -159,7 +182,7 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     rep = spectrum_union_check(sg, include_nonbacktracking=True)
     assert rep.adjacency_distance == multiset_max_distance(alpha, union(ref))
     assert rep.nb_distance == multiset_max_distance(
-        union(nb_ref),
+        union(nb_rows),
         ihara_bass_spectrum(alpha, base.d, lifted.m - lifted.n))
     assert multiset_max_distance(union(nb_ref),
                                  np.linalg.eigvals(nonbacktracking(lifted))
@@ -254,16 +277,53 @@ def test_non_transitive_group_has_zero_multiplicity_characters():
 def test_chunked_stacks_equal_one_stack(monkeypatch):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, AbelianGroup.cyclic(16), seed=6)
-    refs = _reference_spectra(sg)
-    for kind, dim, ref in zip(["adjacency", "nonbacktracking"],
-                              [base.n, 2 * base.m], refs):
+    ref, nb_ref = _reference_spectra(sg)
+    assert np.array_equal(character_spectra(sg, np.arange(16), "adjacency"),
+                          ref)
+    _assert_paired_nb_rows(
+        sg, np.arange(16),
+        character_spectra(sg, np.arange(16), "nonbacktracking"), nb_ref)
+    for kind, dim in zip(["adjacency", "nonbacktracking"],
+                         [base.n, 2 * base.m]):
         whole = character_spectra(sg, np.arange(16), kind)
-        assert np.array_equal(whole, ref)
-        # three operators per stack: chunks of 3, 3, 3, 3, 3 and 1
+        # three operators per stack: adjacency chunks of 3, 3, 3, 3, 3 and
+        # 1; non-backtracking real chunk {0, 8}, complex 3, 3 and 1 of 1..7
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "STACK_BYTES", 3 * 16 * dim ** 2 + 1)
             assert np.array_equal(character_spectra(sg, np.arange(16), kind),
                                   whole)
+
+
+@pytest.mark.parametrize("group, real, complex_", [
+    (AbelianGroup.cyclic(8), 2, 3),
+    (AbelianGroup.product([2, 4]), 4, 2),
+    (AbelianGroup.cyclic(2), 2, 0),
+    ], ids=["Z8", "Z2xZ4", "Z2"])
+def test_union_check_solves_one_b_per_conjugate_pair(monkeypatch, group,
+                                                      real, complex_):
+    base = random_regular(12, 3, seed=4)
+    sg = Signing.random(base, group, seed=5)
+    seen = {"f": 0, "c": 0}
+    solve = np.linalg.eigvals
+
+    def spy(a):
+        if a.shape[-1] == 2 * base.m:  # B(chi) stacks, not a lifted operator
+            seen[a.dtype.kind] += a.size // a.shape[-1] ** 2
+        return solve(a)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    assert spectrum_union_check(sg, include_nonbacktracking=True).passed
+    assert seen == {"f": real, "c": complex_}
+
+
+def test_a_character_without_its_partner_is_solved_alone():
+    sg = Signing.random(random_regular(12, 3, seed=4), AbelianGroup.cyclic(8),
+                        seed=5)
+    alone = np.linalg.eigvals(_reference_nonbacktracking(sg, (1,)))
+    assert np.array_equal(character_spectra(sg, [1], "nonbacktracking"),
+                          alone[None])
+    # with its partner 7 the row is unchanged and 7 gets its conjugate
+    both = character_spectra(sg, [7, 1], "nonbacktracking")
+    assert np.array_equal(both, np.stack([alone.conj(), alone]))
 
 
 def test_large_group_peak_memory_stays_within_the_stack_cap():
@@ -367,6 +427,11 @@ def test_ihara_sweep_random_z4_signing():
     for chi in sg.group.characters():
         rep = ihara_check(sg, chi)
         assert rep.passed, (chi, rep)
+        if any(chi):
+            # rho(B(chi)) as one complex solve of the operator alone
+            rho = np.abs(np.linalg.eigvals(
+                _reference_nonbacktracking(sg, chi))).max()
+            assert rep.rho_b == pytest.approx(rho, abs=1e-12)
 
 
 def test_transport_perron_large_root():
