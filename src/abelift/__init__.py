@@ -16,9 +16,9 @@ from .hikes import (EdgeSubgraph, GraphEncoding, count_bounds, decode_graph,
                     dfs, encode_graph, enumerate_hikes, hike_encoding,
                     hike_encoding_count, hike_graph, is_hike,
                     mop_excess_check, singleton_free)
-from .pseudorandom import (BiasedSet, bias_exact, bias_sampled,
-                           biased_set_search, expander_walk_signing,
-                           hoeffding_tail_check)
+from .pseudorandom import (AuxExpander, BiasedSet, auxiliary_expander,
+                           bias_exact, bias_sampled, biased_set_search,
+                           expander_walk_signing, hoeffding_tail_check)
 from .search import (derandomized_lift_search, exponential_regime_build,
                      markov_bound_report, verify_certificate)
 from .codes import (BudgetError, CSSCode, GroupAlgebraMatrix, LinearCodeF2,
@@ -42,8 +42,9 @@ __all__ = [
     "encode_graph", "enumerate_hikes", "hike_encoding",
     "hike_encoding_count", "hike_graph", "is_hike", "mop_excess_check",
     "singleton_free",
-    "BiasedSet", "bias_exact", "bias_sampled", "biased_set_search",
-    "expander_walk_signing", "hoeffding_tail_check",
+    "AuxExpander", "BiasedSet", "auxiliary_expander", "bias_exact",
+    "bias_sampled", "biased_set_search", "expander_walk_signing",
+    "hoeffding_tail_check",
     "derandomized_lift_search", "exponential_regime_build",
     "markov_bound_report", "verify_certificate",
     "BudgetError", "CSSCode", "GroupAlgebraMatrix", "LinearCodeF2",

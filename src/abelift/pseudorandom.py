@@ -3,7 +3,11 @@
 The bias of a set against a character is the magnitude of the character
 sum averaged over the set; a nu-biased set keeps every nontrivial bias
 at most nu.  Signings drawn by a random walk on an auxiliary expander
-inherit tail bounds strong enough for the derandomized searches.
+inherit tail bounds strong enough for the derandomized searches.  Every
+walk is drawn on the `auxiliary_expander` of a master seed: all seeds of
+a walk search walk on its one graph (`expander_walk_signing` reads walk
+i as a signing), and `hoeffding_tail_check` draws its batch of walks on
+the graph of its seed.
 """
 from __future__ import annotations
 
@@ -30,9 +34,14 @@ def bias_exact(support, ellp: int) -> float:
 
 def bias_sampled(support, ellp: int, trials: int = _SAMPLED_TRIALS,
                  seed: int = 0) -> float:
-    """Lower estimate of the max bias from random nontrivial characters."""
+    """Lower estimate of the max bias from random nontrivial characters;
+    0.0, as from bias_exact, when the space has no nontrivial character."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     sup = np.ascontiguousarray(support, dtype=np.int64) % ellp
     n_sup, m = sup.shape
+    if ellp == 1 or m == 0:
+        return 0.0
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(ellp) / ellp
     cos_t, sin_t = np.cos(angles), np.sin(angles)
@@ -194,23 +203,6 @@ def _regular_or_complement(ell: int, d: int, rng) -> RegularGraph:
     return RegularGraph(np.nonzero(keep)[1].reshape(ell, d))
 
 
-def _aux_expander(ell: int, d_eff: int, seed_seq: np.random.SeedSequence,
-                  draw=random_regular_dense) -> tuple[RegularGraph, float]:
-    """(graph, lambda): the first draw(ell, d_eff, rng) with lambda at most
-    3 sqrt(d_eff - 1), one child of seed_seq per attempt."""
-    from .spectral import lambda2
-    bound = AUX_LAMBDA_FACTOR * math.sqrt(d_eff - 1)
-    for _ in range(AUX_ATTEMPTS):
-        # spawning one child per attempt yields the same children, in order,
-        # as spawn(AUX_ATTEMPTS) without building the unused ones
-        child, = seed_seq.spawn(1)
-        g = draw(ell, d_eff, np.random.default_rng(child))
-        lam = lambda2(g)
-        if lam <= bound:
-            return g, lam
-    raise RuntimeError("no auxiliary expander met the spectral bound")
-
-
 def _walks(aux: RegularGraph, m: int, rng, trials: int) -> np.ndarray:
     """`trials` walks of m vertices on aux, as rows of a (trials, m) array:
     each starts at a uniform vertex and takes uniform steps, all walks
@@ -225,7 +217,7 @@ def _walks(aux: RegularGraph, m: int, rng, trials: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AuxExpander:
-    """A walk search's one auxiliary expander; walk i is drawn on it by
+    """The auxiliary expander of master_seed; walk i is drawn on it by
     the walk stream of the seed pair (master_seed, i)."""
 
     graph: RegularGraph
@@ -237,8 +229,9 @@ class AuxExpander:
         return AUX_LAMBDA_FACTOR * math.sqrt(self.graph.d - 1)
 
     def walk(self, m: int, i: int) -> np.ndarray:
-        """Walk i, m vertices long: the walk expander_walk_signing draws
-        for seed (master_seed, i), taken on this graph."""
+        """Walk i, m vertices long: a uniform start and uniform steps on
+        this graph, drawn from the walk half of SeedSequence((master_seed,
+        i)), so it depends only on the graph and the pair."""
         _, walk_ss = np.random.SeedSequence((self.master_seed, i)).spawn(2)
         return _walks(self.graph, m, np.random.default_rng(walk_ss), 1)[0]
 
@@ -249,57 +242,36 @@ class AuxExpander:
 
 
 def auxiliary_expander(ell: int, dprime: int, master_seed: int) -> AuxExpander:
-    """The auxiliary d'-regular expander of a walk search over Z_ell.
+    """The auxiliary d'-regular expander on [ell] that every walk is drawn on.
 
-    Drawn, like expander_walk_signing's, from the auxiliary half of the
-    seed (here master_seed) until its lambda is at most 3 sqrt(d' - 1);
-    a degree above (ell - 1) / 2 is drawn as a complement.
+    Attempt k draws from the k-th child of the auxiliary half of
+    SeedSequence(master_seed) (children spawned one per attempt, in the
+    order of spawn(AUX_ATTEMPTS)) and is kept once its lambda is at most
+    3 sqrt(d' - 1).  A degree above (ell - 1) / 2 is drawn as the
+    complement of a random (ell - 1 - d')-regular graph, so every ell >= 3
+    draws.
     """
+    from .spectral import lambda2
     d_eff = effective_walk_degree(ell, dprime)
     aux_ss, _ = np.random.SeedSequence(master_seed).spawn(2)
-    aux, lam = _aux_expander(ell, d_eff, aux_ss, _regular_or_complement)
-    return AuxExpander(aux, lam, master_seed)
+    for _ in range(AUX_ATTEMPTS):
+        child, = aux_ss.spawn(1)
+        g = _regular_or_complement(ell, d_eff, np.random.default_rng(child))
+        aux = AuxExpander(g, lambda2(g), master_seed)
+        if aux.lam <= aux.bound:
+            return aux
+    raise RuntimeError("no auxiliary expander met the spectral bound")
 
 
-@dataclass(frozen=True)
-class WalkSigning:
-    """A Z_ell signing read off a random walk on an auxiliary expander."""
-
-    signing: Signing
-    aux: RegularGraph
-    aux_lambda: float
-    aux_bound: float
-    dprime_used: int
-    start: int
-    walk: tuple[int, ...]
-    seed: object
-
-
-def _expander_walks(m: int, ell: int, dprime: int, seed, trials: int):
-    """(aux, aux_lambda, walks): the seed's own auxiliary expander, a
-    d'-regular graph on [ell] redrawn from the seed's auxiliary half until
-    its lambda is at most 3 sqrt(d' - 1), and `trials` walks on it drawn
-    from the seed's walk half."""
-    aux_ss, walk_ss = np.random.SeedSequence(seed).spawn(2)
-    aux, aux_lambda = _aux_expander(ell, effective_walk_degree(ell, dprime),
-                                    aux_ss)
-    return aux, aux_lambda, _walks(aux, m, np.random.default_rng(walk_ss),
-                                   trials)
-
-
-def expander_walk_signing(base: RegularGraph, ell: int, dprime: int = 36,
-                          seed=0) -> WalkSigning:
-    """Sign the base's canonical edges by the vertices of one expander walk:
-    walk vertex e is the Z_ell exponent of canonical edge e.  The
-    auxiliary expander is the seed's own (see auxiliary_expander for the
-    one a walk search shares across its seeds).
-    """
-    aux, aux_lambda, (walk,) = _expander_walks(base.m, ell, dprime, seed, 1)
-    signing = Signing(base, AbelianGroup.cyclic(ell), walk.reshape(-1, 1))
-    return WalkSigning(signing=signing, aux=aux, aux_lambda=aux_lambda,
-                       aux_bound=AUX_LAMBDA_FACTOR * math.sqrt(aux.d - 1),
-                       dprime_used=aux.d, start=int(walk[0]),
-                       walk=tuple(walk.tolist()), seed=seed)
+def expander_walk_signing(base: RegularGraph, group: AbelianGroup,
+                          aux: AuxExpander, i: int) -> Signing:
+    """Walk i on aux read as a signing: walk vertex e is the Z_ell
+    exponent of canonical edge e, so group must be Z_ell with ell the
+    auxiliary graph's order."""
+    if tuple(group.factors) != (aux.graph.n,):
+        raise ValueError(f"a walk on [{aux.graph.n}] signs over "
+                         f"Z_{aux.graph.n}, not {tuple(group.factors)}")
+    return Signing(base, group, aux.walk(base.m, i).reshape(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -328,7 +300,9 @@ def hoeffding_tail_check(base: RegularGraph, ell: int, edge_subset,
         raise ValueError("edge id out of range")
     if trials < 1:
         raise ValueError("trials must be positive")
-    *_, values = _expander_walks(base.m, ell, dprime, seed, trials)
+    graph = auxiliary_expander(ell, dprime, seed).graph
+    _, walk_ss = np.random.SeedSequence(seed).spawn(2)
+    values = _walks(graph, base.m, np.random.default_rng(walk_ss), trials)
     u_size = len(edge_ids)
     if u_size == 0:
         emp_re = emp_im = float(threshold <= 0.0)

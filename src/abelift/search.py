@@ -26,7 +26,8 @@ from . import serial, spectral
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .hikes import count_bounds
-from .pseudorandom import BiasedSet, auxiliary_expander
+from .pseudorandom import (BiasedSet, auxiliary_expander,
+                           expander_walk_signing)
 from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
                        spectrum_union_check)
 
@@ -207,12 +208,13 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     """Draw expander-walk signings and keep the spectrally best lift.
 
     One auxiliary d'-regular expander on [ell] is drawn from master_seed
-    (pseudorandom.auxiliary_expander) and every seed walks on it: walk i
-    depends only on the graph and the pair (master_seed, i), so a prefix
-    of the seeds draws the same walks.  The certificate records the graph
-    once (dprime_used, aux_hash, aux_lambda, aux_bound) and the winner's
-    pair as winner_seed, from which `verify_certificate` rebuilds both the
-    graph and the winning walk.
+    (pseudorandom.auxiliary_expander) and seed i is its walk i read as a
+    signing (pseudorandom.expander_walk_signing): it depends only on the
+    graph and the pair (master_seed, i), so a prefix of the seeds draws
+    the same walks.  The certificate records the graph once (dprime_used,
+    aux_hash, aux_lambda, aux_bound) and the winner's pair as winner_seed,
+    from which `verify_certificate` rebuilds both the graph and the
+    winning walk.
     """
     if seeds < 1:
         raise ValueError("need at least one walk seed")
@@ -221,7 +223,7 @@ def exponential_regime_build(base: RegularGraph, ell: int, seeds: int,
     aux = auxiliary_expander(ell, dprime, master_seed)
     lam_base = lambda2(base)
     group = AbelianGroup.cyclic(ell)
-    signings = (Signing(base, group, aux.walk(base.m, i).reshape(-1, 1))
+    signings = (expander_walk_signing(base, group, aux, i)
                 for i in range(seeds))
     best, evaluated, pruned, checks, max_check_err = _scan(
         signings, lam_base, target, crosscheck_every)
@@ -366,8 +368,9 @@ def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:
         aux = auxiliary_expander(signing.group.fiber_size, prov["dprime"],
                                  prov["master_seed"])
         expected_seed = [prov["master_seed"], cert["winner_index"]]
-        walk = (aux.walk(signing.base.m, cert["winner_index"])
-                if prov["winner_seed"] == expected_seed else None)
+        replay = (expander_walk_signing(signing.base, signing.group, aux,
+                                        cert["winner_index"])
+                  if prov["winner_seed"] == expected_seed else None)
     except (KeyError, TypeError, ValueError, RuntimeError) as exc:
         return {"provenance": f"cannot be replayed: {exc!r}"}
     faults = {}
@@ -377,15 +380,16 @@ def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:
                  and abs(claimed - value) <= tol)
         if claimed != value and not close:
             faults[key] = f"{claimed!r}, rebuilt {value!r}"
-    if walk is None:
+    if replay is None:
         faults["winner_seed"] = (f"{prov['winner_seed']!r}, expected "
                                  f"[master_seed, winner_index] = "
                                  f"{expected_seed!r}")
     else:
-        differ = int((signing.values != walk[:, None]).any(axis=1).sum())
+        differ = int((signing.values != replay.values).any(axis=1).sum())
         if differ:
-            faults["signing"] = (f"{differ} of {walk.size} entries differ "
-                                 "from the walk replayed from winner_seed")
+            faults["signing"] = (f"{differ} of {signing.base.m} entries "
+                                 "differ from the walk replayed from "
+                                 "winner_seed")
     return faults
 
 

@@ -567,6 +567,9 @@ RUNNER_CASES = {
     "pseudorandom-biased-set": ("pseudorandom biased-set --m 3 --nu 1.0", 0),
     "pseudorandom-hoeffding": ("pseudorandom hoeffding --graph {graph} "
                                "--ell 16 --threshold 8 --trials 200", 0),
+    # d' = 36 at l = 40 is a complement draw: direct stub matching gave up
+    "pseudorandom-hoeffding-ell40": ("pseudorandom hoeffding --graph {graph} "
+                                     "--ell 40 --threshold 2 --trials 10", 0),
     "codes-toric": ("codes toric --ell 2 --distance exact", 0),
     "codes-tanner": ("codes tanner --cert {cert}", 0),
     "codes-css-valid": ("codes css-valid --hx {h_ok} --hz {h_ok}", 0),

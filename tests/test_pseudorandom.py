@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from abelift import pseudorandom, spectral
 from abelift.graphs import RegularGraph, cycle_graph, random_regular_dense
-from abelift.pseudorandom import (BiasedSet, _aux_expander,
-                                  auxiliary_expander, bias_exact,
-                                  bias_sampled,
-                                  biased_set_search, effective_walk_degree,
+from abelift.groups import AbelianGroup
+from abelift.pseudorandom import (BiasedSet, auxiliary_expander, bias_exact,
+                                  bias_sampled, biased_set_search,
+                                  effective_walk_degree,
                                   expander_walk_signing, hoeffding_tail_check)
 
 
@@ -38,6 +39,19 @@ def test_bias_sampled_matches_trivial_cases():
     assert bias_sampled(_full_product(2, 3), 2, trials=500, seed=1) <= 1e-12
     assert bias_sampled(np.zeros((1, 3), dtype=np.int64), 2,
                         trials=100, seed=0) == pytest.approx(1.0)
+
+
+def test_bias_sampled_of_a_one_character_space_is_zero():
+    # the only character is trivial: there is no nontrivial one to draw
+    assert bias_sampled(np.zeros((3, 2), dtype=np.int64), 1) == 0.0
+    assert bias_exact(np.zeros((3, 2), dtype=np.int64), 1) == 0.0
+    assert bias_sampled(np.zeros((3, 0), dtype=np.int64), 4, trials=1) == 0.0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_bias_sampled_refuses_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        bias_sampled(_full_product(2, 3), 2, trials=trials)
 
 
 def test_bias_sampled_never_exceeds_exact():
@@ -126,22 +140,40 @@ def test_effective_walk_degree():
         effective_walk_degree(8, 7)
 
 
+def _walk_signing(base, ell, master_seed, i, dprime=36):
+    aux = auxiliary_expander(ell, dprime, master_seed)
+    return aux, expander_walk_signing(base, AbelianGroup.cyclic(ell), aux, i)
+
+
 def test_walk_signing_reproducible_and_certified():
     base = cycle_graph(10)
-    a = expander_walk_signing(base, 64, seed=123)
-    b = expander_walk_signing(base, 64, seed=123)
-    assert a.walk == b.walk
-    assert np.array_equal(a.signing.values, b.signing.values)
-    assert a.aux_lambda <= a.aux_bound
-    assert a.dprime_used == 36
-    assert len(a.walk) == base.m
-    assert a.signing.group.fiber_size == 64
+    aux, a = _walk_signing(base, 64, 123, 0)
+    _, b = _walk_signing(base, 64, 123, 0)
+    assert np.array_equal(a.values, b.values)
+    assert aux.lam <= aux.bound
+    assert aux.graph.d == 36
+    assert a.values.shape == (base.m, 1)
+    assert a.group.fiber_size == 64
+    walk = a.values[:, 0]
+    assert np.array_equal(walk, aux.walk(base.m, 0))
     # consecutive walk values are adjacent in the auxiliary expander
-    for x, y in zip(a.walk, a.walk[1:]):
-        assert a.aux.has_edge(x, y)
+    for x, y in zip(walk, walk[1:]):
+        assert aux.graph.has_edge(x, y)
 
 
-def test_aux_expander_children_are_spawned_lazily_in_bulk_order():
+def test_walk_signing_needs_the_cyclic_group_of_the_expander():
+    aux = auxiliary_expander(8, 36, 0)
+    for group in (AbelianGroup.cyclic(16), AbelianGroup.product([2, 4])):
+        with pytest.raises(ValueError, match="signs over Z_8"):
+            expander_walk_signing(cycle_graph(10), group, aux, 0)
+
+
+def _bulk_children(master_seed):
+    aux_ss, _ = np.random.SeedSequence(master_seed).spawn(2)
+    return aux_ss.spawn(pseudorandom.AUX_ATTEMPTS)
+
+
+def test_auxiliary_expander_spawns_children_lazily_in_bulk_order(monkeypatch):
     # one child spawned per attempt must replay spawn(256)[:k] exactly
     lazy = np.random.SeedSequence([7, 3])
     bulk = np.random.SeedSequence([7, 3]).spawn(256)
@@ -150,10 +182,23 @@ def test_aux_expander_children_are_spawned_lazily_in_bulk_order():
         assert child.spawn_key == bulk[k].spawn_key
         assert np.array_equal(child.generate_state(4),
                               bulk[k].generate_state(4))
-    aux, _ = _aux_expander(16, 14, np.random.SeedSequence(11))
-    first_child = np.random.SeedSequence(11).spawn(256)[0]
-    first = random_regular_dense(16, 14, np.random.default_rng(first_child))
-    assert np.array_equal(aux.adj, first.adj)
+    # below half degree attempt k is the direct draw of child k: refuse
+    # the first two draws and the third child's graph is kept
+    real, calls = spectral.lambda2, []
+
+    def refuse_two(g):
+        calls.append(g)
+        return math.inf if len(calls) <= 2 else real(g)
+
+    monkeypatch.setattr(spectral, "lambda2", refuse_two)
+    aux = auxiliary_expander(80, 36, 5)
+    third = random_regular_dense(80, 36,
+                                 np.random.default_rng(_bulk_children(5)[2]))
+    assert len(calls) == 3
+    assert np.array_equal(aux.graph.adj, third.adj)
+    assert aux.provenance() == {
+        "dprime_used": 36, "aux_hash": third.content_hash(),
+        "aux_lambda": real(third), "aux_bound": 3.0 * math.sqrt(35)}
 
 
 def test_run_expander_above_half_degree_is_a_complement():
@@ -166,49 +211,46 @@ def test_run_expander_above_half_degree_is_a_complement():
         assert aux.lam <= aux.bound == 3.0 * math.sqrt(d - 1)
     assert np.array_equal(auxiliary_expander(5, 36, 0).graph.adjacency_matrix(),
                           1 - np.eye(5))
-
-
-def test_run_expander_below_half_degree_is_the_seed_expander():
-    ws = expander_walk_signing(cycle_graph(10), 80, 36, seed=5)
-    aux = auxiliary_expander(80, 36, 5)
-    assert np.array_equal(aux.graph.adj, ws.aux.adj)
-    assert (aux.lam, aux.bound) == (ws.aux_lambda, ws.aux_bound)
-    assert aux.provenance() == {
-        "dprime_used": 36, "aux_hash": ws.aux.content_hash(),
-        "aux_lambda": ws.aux_lambda, "aux_bound": ws.aux_bound}
+    matching = random_regular_dense(16, 1,
+                                    np.random.default_rng(_bulk_children(0)[0]))
+    assert np.array_equal(auxiliary_expander(16, 36, 0).graph.adjacency_matrix(),
+                          1 - np.eye(16) - matching.adjacency_matrix())
 
 
 def test_run_walks_keep_the_streams_of_their_seed_pairs():
-    # on the triangle, the one 2-regular graph on [3], the walk of seed i
-    # is the walk expander_walk_signing draws for the pair (master, i)
+    # walk i takes a uniform start and uniform steps from the walk half of
+    # SeedSequence((master, i)), drawn one scalar at a time here
     base = cycle_graph(10)
-    aux = auxiliary_expander(3, 36, 7)
+    aux = auxiliary_expander(16, 36, 7)
+    group = AbelianGroup.cyclic(16)
     for i in range(4):
-        ws = expander_walk_signing(base, 3, seed=(7, i))
-        assert np.array_equal(ws.aux.adj, aux.graph.adj)
-        assert tuple(aux.walk(base.m, i).tolist()) == ws.walk
-    walk = aux.walk(base.m, 0)
-    assert np.array_equal(walk, aux.walk(base.m, 0))
-    for x, y in zip(walk, walk[1:]):
-        assert aux.graph.has_edge(x, y)
+        _, walk_ss = np.random.SeedSequence((7, i)).spawn(2)
+        rng = np.random.default_rng(walk_ss)
+        expected = [int(rng.integers(16))]
+        for _ in range(base.m - 1):
+            expected.append(int(aux.graph.adj[expected[-1],
+                                              rng.integers(aux.graph.d)]))
+        assert aux.walk(base.m, i).tolist() == expected
+        signing = expander_walk_signing(base, group, aux, i)
+        assert signing.values[:, 0].tolist() == expected
 
 
 def test_walk_on_single_edge_base_is_just_the_start():
     base = RegularGraph([[1], [0]])
-    ws = expander_walk_signing(base, 8, seed=5)
-    assert ws.walk == (ws.start,)
-    assert ws.signing.values.shape == (1, 1)
+    aux, signing = _walk_signing(base, 8, 5, 0)
+    assert signing.values.shape == (1, 1)
+    assert signing.values[0, 0] == aux.walk(1, 0)[0]
 
 
 def test_walk_marginals_are_nearly_uniform():
     base = cycle_graph(10)
-    ws = expander_walk_signing(base, 16, seed=0)
+    aux = auxiliary_expander(16, 36, 0)
     rng = np.random.default_rng(99)
     trials = 10000
     cur = rng.integers(16, size=trials)
     cols = [cur.copy()]
     for _ in range(base.m - 1):
-        cur = ws.aux.adj[cur, rng.integers(ws.dprime_used, size=trials)]
+        cur = aux.graph.adj[cur, rng.integers(aux.graph.d, size=trials)]
         cols.append(cur.copy())
     values = np.stack(cols, axis=1)
     phases = np.exp(2j * np.pi * values / 16)
@@ -217,13 +259,33 @@ def test_walk_marginals_are_nearly_uniform():
 
 
 def test_walk_streams_are_pinned():
-    # drawn by the earlier per-step scalar sampler: certificates replay
-    # only while the batched sampler keeps its random stream
-    ws = expander_walk_signing(cycle_graph(10), 16, seed=(0, 3))
-    assert ws.walk == (10, 11, 12, 11, 15, 5, 14, 5, 1, 13)
+    # the walk stream of the earlier per-step scalar sampler, taken on the
+    # complement draw of l = 16, d' = 14: certificates replay only while
+    # the batched sampler keeps its random stream
+    _, signing = _walk_signing(cycle_graph(10), 16, 0, 3)
+    assert tuple(signing.values[:, 0].tolist()) == (10, 11, 12, 11, 15, 4,
+                                                    14, 5, 1, 13)
     rep = hoeffding_tail_check(cycle_graph(10), 16, range(10), 3.0,
                                trials=200, seed=1)
-    assert (rep.empirical_re, rep.empirical_im) == (0.145, 0.175)
+    assert (rep.empirical_re, rep.empirical_im) == (0.15, 0.155)
+
+
+@pytest.mark.parametrize("ell", [16, 40, 64])
+def test_hoeffding_walks_on_the_auxiliary_expander_of_its_seed(monkeypatch,
+                                                               ell):
+    graphs = []
+    real = pseudorandom._walks
+
+    def spy(aux, m, rng, trials):
+        graphs.append(aux)
+        return real(aux, m, rng, trials)
+
+    monkeypatch.setattr(pseudorandom, "_walks", spy)
+    rep = hoeffding_tail_check(cycle_graph(10), ell, range(10), 3.0,
+                               trials=50, seed=4)
+    assert rep.trials == 50
+    assert [g.content_hash() for g in graphs] == [
+        auxiliary_expander(ell, 36, 4).provenance()["aux_hash"]]
 
 
 def test_hoeffding_vacuous_threshold():

@@ -15,7 +15,8 @@ from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             cycle_graph, lift, random_regular)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import (BiasedSet, auxiliary_expander,
-                                  biased_set_search, effective_walk_degree)
+                                  biased_set_search, effective_walk_degree,
+                                  expander_walk_signing)
 from abelift.search import (CERT_SCHEMA, CERT_SCHEMA_V1, CERT_SCHEMA_V2,
                             derandomized_lift_search,
                             exponential_regime_build, markov_bound_report,
@@ -183,6 +184,19 @@ def test_walk_build_single_seed_matches_direct_evaluation():
     assert res.certificate["winner_index"] == 0
 
 
+@pytest.mark.parametrize("ell, dprime, master_seed",
+                         [(8, 36, 0), (16, 36, 5), (40, 36, 2), (64, 8, 9)])
+def test_one_seed_walk_build_is_the_walk_signing(ell, dprime, master_seed):
+    base = random_regular(10, 3, seed=2)
+    res = exponential_regime_build(base, ell, 1, dprime=dprime,
+                                   master_seed=master_seed)
+    group = AbelianGroup.cyclic(ell)
+    direct = expander_walk_signing(
+        base, group, auxiliary_expander(ell, dprime, master_seed), 0)
+    assert res.signing.group == group
+    assert np.array_equal(res.signing.values, direct.values)
+
+
 def test_walk_build_replay_is_byte_identical():
     base = random_regular(10, 3, seed=2)
     a = exponential_regime_build(base, 8, seeds=6, master_seed=1)
@@ -251,6 +265,17 @@ def test_verify_replays_the_walk_provenance():
         report = verify_certificate(forged)
         assert not report["ok"]
         assert report["invalid"] == invalid
+    # a forged group rebuilds the graph of its fiber size, and a walk on
+    # [8] cannot sign over Z_4 acting by two 4-cycles
+    moved = verify_certificate(
+        dict(cert, group=AbelianGroup.cyclic(16).to_json()))["invalid"]
+    assert {"aux_hash", "dprime_used", "aux_bound", "signing"} <= set(moved)
+    two_cycles = tuple((i + 1) % 4 + 4 * (i >= 4) for i in range(8))
+    moved = verify_certificate(
+        dict(cert, group=AbelianGroup((4,), (two_cycles,)).to_json()))
+    assert moved["invalid"]["provenance"] == (
+        "cannot be replayed: ValueError('a walk on [8] signs over Z_8, "
+        "not (4,)')")
     # another master seed rebuilds another graph and another seed pair
     moved = verify_certificate(_forged(cert, master_seed=2))["invalid"]
     assert {"aux_hash", "winner_seed"} <= set(moved)
