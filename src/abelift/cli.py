@@ -111,16 +111,15 @@ def cmd_lift_search(args):
             _read(args.support, "biased_set"))
         inputs.append(args.support)
         # the claimed bias goes into the certificate, so prove it first
-        bias = dist.verify()
-        if bias["mode"] != "exact":
+        if dist.ellp ** dist.m > pseudorandom.EXACT_CHAR_CAP:
             raise ValueError(
                 f"{args.support}: (Z_{dist.ellp})^{dist.m} is too large for "
                 f"an exact bias, so claimed_bias {dist.claimed_bias!r} "
                 "cannot be proved")
-        if bias["value"] > dist.claimed_bias + pseudorandom.BIAS_SLACK:
-            raise ValueError(
-                f"{args.support}: exact bias {bias['value']!r} exceeds "
-                f"claimed_bias {dist.claimed_bias!r}")
+        bias = pseudorandom.bias_exact(dist.support, dist.ellp)
+        if bias > dist.claimed_bias + pseudorandom.BIAS_SLACK:
+            raise ValueError(f"{args.support}: exact bias {bias!r} exceeds "
+                             f"claimed_bias {dist.claimed_bias!r}")
         result = search.derandomized_lift_search(
             base, AbelianGroup.cyclic(args.ell), dist, target=args.target,
             crosscheck_every=args.crosscheck_every)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import serial
 from .groups import AbelianGroup, _orbits, _validate_element
@@ -232,13 +230,13 @@ def _try_suitable_pairing(n, d, rng):
 
 
 def component_count(adj_lists: Iterable[Sequence[int]] | RegularGraph) -> int:
-    """Connected components of a RegularGraph or loose neighbor lists."""
+    """Connected components of a RegularGraph or loose neighbor lists: the
+    orbits of the neighbor table's columns, short rows padded by loops."""
     rows = _neighbor_rows(adj_lists)
-    sizes = [len(row) for row in rows]
-    graph = csr_array((np.ones(sum(sizes)),
-                       np.array([y for row in rows for y in row], dtype=np.int64),
-                       np.cumsum([0] + sizes)), shape=(len(rows), len(rows)))
-    return int(connected_components(graph, directed=False)[0])
+    width = max(map(len, rows), default=0)
+    table = np.array([row + [v] * (width - len(row))
+                      for v, row in enumerate(rows)], dtype=np.int64)
+    return _orbits(table.reshape(len(rows), width).T)[0]
 
 
 def _integer_rows(rows, what: str) -> np.ndarray:
@@ -274,8 +272,10 @@ class Signing:
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
-        if vals.shape != (self.base.m, len(self.group.factors)):
-            raise ValueError("one exponent row per canonical edge required")
+        want = (self.base.m, len(self.group.factors))
+        if vals.shape != want:
+            raise ValueError(f"exponent rows of shape {vals.shape}, but one "
+                             f"row per canonical edge needs {want}")
         mods = np.array(self.group.factors, dtype=np.int64)
         self.values = vals % mods
     @staticmethod
@@ -339,21 +339,24 @@ def lift(base: RegularGraph, signing: Signing,
     Canonical edge (u, v) with element s yields edges (u, i) ~ (v, s.i)
     for every fiber point i.  Vertex (v, i) sits at index v * fiber + i,
     and lifted neighbor order follows the base neighbor order.
-    Signings whose elements act non-transitively give disconnected lifts
-    and are refused unless allow_disconnected is set.
+    A lift with more components than the base is refused unless
+    allow_disconnected is set.
     """
     ell = signing.group.fiber_size
     perms = signing.group.action(signing.values)  # (m, ell) fiber maps
-    if not allow_disconnected and _orbits(perms)[0] != 1:
-        raise ValueError(
-            "signing generates a non-transitive action; the lift would "
-            "be disconnected (pass allow_disconnected=True to override)")
     # slot j of u maps fiber i to perms[e][i] when u < v, else the inverse
     maps = np.stack([perms, np.argsort(perms, axis=1)])
     backward = base.adj < np.arange(base.n)[:, None]
     fiber = maps[backward.astype(np.int64), base.eid_table]  # (n, d, ell)
     rows = base.adj[:, :, None] * ell + fiber
-    return RegularGraph(rows.transpose(0, 2, 1).reshape(base.n * ell, base.d))
+    table = rows.transpose(0, 2, 1).reshape(base.n * ell, base.d)
+    # the columns of a neighbor table, as maps, have its components as orbits
+    if not allow_disconnected and _orbits(table.T)[0] > _orbits(base.adj.T)[0]:
+        raise ValueError(
+            "signing's cycle voltages generate a non-transitive action; the "
+            "lift would be disconnected (pass allow_disconnected=True to "
+            "override)")
+    return RegularGraph(table)
 
 
 # ---------------------------------------------------------------------------

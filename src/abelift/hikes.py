@@ -38,13 +38,9 @@ class EdgeSubgraph:
     def from_edges(edges: Iterable[tuple[int, int]],
                    extra_vertices: Iterable[int] = ()) -> "EdgeSubgraph":
         es = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        vs = set(extra_vertices)
-        for u, v in es:
-            if u == v:
-                raise ValueError("self-loop in edge set")
-            vs.add(u)
-            vs.add(v)
-        return EdgeSubgraph(frozenset(vs), es)
+        if any(u == v for u, v in es):
+            raise ValueError("self-loop in edge set")
+        return EdgeSubgraph(frozenset(extra_vertices).union(*es), es)
 
     @property
     def n_vertices(self) -> int:
@@ -301,30 +297,22 @@ def _iter_hikes(G: RegularGraph, k: int, singleton_free_only: bool):
     so no k is limited by the recursion depth."""
     two_k = 2 * k
     exempt = k + 1
-    adj, eidt, d = G.adj.tolist(), G.eid_table.tolist(), G.d
+    adj, d = G.adj.tolist(), G.d
     for v0 in range(G.n):
-        walk, edges, slots = [v0], [], [0]
-        ec: dict[int, int] = {}
+        walk, slots = [v0], [0]
         while slots:
             p, j = len(walk), slots[-1]
             if p > two_k or j == d:
                 if p > two_k and walk[-1] == v0 and (
-                        not singleton_free_only
-                        or all(c != 1 for c in ec.values())):
+                        not singleton_free_only or singleton_free(walk)):
                     yield tuple(walk)
                 slots.pop()
-                if edges:
-                    walk.pop()
-                    ec[edges.pop()] -= 1
+                walk.pop()
                 continue
             slots[-1] = j + 1
-            u = walk[-1]
-            w = adj[u][j]
+            w = adj[walk[-1]][j]
             if p >= 2 and p != exempt and w == walk[-2]:
                 continue
-            e = eidt[u][j]
-            ec[e] = ec.get(e, 0) + 1
-            edges.append(e)
             walk.append(w)
             slots.append(0)
 
@@ -342,8 +330,7 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     if G.n * h > 2 * 10 ** 7 or G.n * h * h > 2 * 10 ** 8:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
     if return_walks:
-        walks = list(_iter_hikes(G, k, singleton_free_only))
-        return walks
+        return list(_iter_hikes(G, k, singleton_free_only))
     return kernels.count_hikes(G.adj, G.eid_table, G.m, k,
                                singleton_free=singleton_free_only)
 
@@ -364,19 +351,12 @@ class HikeEncoding:
 def _ball_cycle(rows: list[list[int]], root: int, radius: int):
     """Vertex set and the unique cycle (if any) of the radius-r ball."""
     inside = set(_ball(rows, root, radius))
-    deg = {v: sum(1 for y in rows[v] if y in inside) for v in inside}
-    n_edges = sum(deg.values()) // 2
+    n_edges = sum(y in inside for v in inside for y in rows[v]) // 2
     if n_edges - len(inside) > 0:
         raise ValueError("ball carries more than one independent cycle")
-    core = set(inside)
-    trimmed = True
-    while trimmed:
-        trimmed = False
-        for v in list(core):
-            alive = [y for y in rows[v] if y in core]
-            if len(alive) <= 1:
-                core.discard(v)
-                trimmed = True
+    core = set(inside)  # the 2-core: strip vertices of degree <= 1
+    while leaves := {v for v in core if sum(y in core for y in rows[v]) < 2}:
+        core -= leaves
     return inside, core
 
 

@@ -8,6 +8,8 @@ and character scans run in blocks whose live arrays take about
 BLOCK_BYTES, so their memory does not grow with the scan.  The hike
 count's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
 144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges.
+The sampled bias and the sampled Rayleigh quotient evaluate their draws
+by the same blocks (_bias_max, _rayleigh_max).
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import numpy as np
 IMPL = "python"  # implementation name, recorded in benchmark environment blocks
 
 BLOCK_BYTES = 32 << 20
+EXACT_CHAR_CAP = 1 << 20  # most characters the exact bias scan takes
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +118,7 @@ def rayleigh_01_max(mat) -> float:
 
     For each support of u the optimal v is a prefix of the sorted column
     sums on the complement, so the scan is exact.  Supports of one size are
-    handled together: one matmul gives their column sums, and the prefixes
-    are cumulative sums from both ends of each sorted row.
+    handled together by _rayleigh_max.
     """
     m = np.ascontiguousarray(mat, dtype=np.float64)
     n = m.shape[0]
@@ -124,29 +126,40 @@ def rayleigh_01_max(mat) -> float:
         raise ValueError("square matrix required")
     if n > 20:
         raise ValueError("exhaustive scan capped at n=20")
-    if n == 0:
-        return 0.0
     masks = np.arange(1, 1 << n, dtype=np.int32)
     sizes = np.bitwise_count(masks)
     bits = np.arange(n, dtype=np.int32)
-    root = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
-    # at most four float64 columns per mask of a block live at once: the
-    # 0/1 rows and their column sums, or the complement and two prefix sums
-    rows = max(1, BLOCK_BYTES // (8 * 4 * n))
     best = 0.0
     for s in range(1, n):
         group = masks[sizes == s]
-        for lo in range(0, group.size, rows):
-            sel = (group[lo:lo + rows, None] >> bits) & 1 == 1
-            w = sel.astype(np.float64) @ m
-            comp = w[~sel].reshape(sel.shape[0], n - s)
-            del sel, w
-            comp.sort(axis=1)
-            for prefix in (np.cumsum(comp, axis=1),
-                           np.cumsum(comp[:, ::-1], axis=1)):
-                np.abs(prefix, out=prefix)
-                prefix /= root[:n - s]
-                best = max(best, float(prefix.max() / np.sqrt(s)))
+        best = max(best, _rayleigh_max(
+            m, s, group.size,
+            lambda lo, hi, group=group: (group[lo:hi, None] >> bits) & 1 == 1))
+    return best
+
+
+def _rayleigh_max(m: np.ndarray, s: int, count: int, supports) -> float:
+    """max |u^T M v| / sqrt(s |v|) over the `count` supports u of size s,
+    0 < s < n, that supports(lo, hi) gives as boolean rows lo..hi-1, in
+    blocks: one matmul gives their column sums, and the best v are the
+    prefixes of each sorted complement row, summed from both ends."""
+    n = m.shape[0]
+    root = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
+    # at most four float64 columns per support of a block live at once: the
+    # 0/1 rows and their column sums, or the complement and two prefix sums
+    rows = max(1, BLOCK_BYTES // (8 * 4 * n))
+    best = 0.0
+    for lo in range(0, count, rows):
+        sel = supports(lo, min(lo + rows, count))
+        w = sel.astype(np.float64) @ m
+        comp = w[~sel].reshape(sel.shape[0], n - s)
+        del sel, w
+        comp.sort(axis=1)
+        for prefix in (np.cumsum(comp, axis=1),
+                       np.cumsum(comp[:, ::-1], axis=1)):
+            np.abs(prefix, out=prefix)
+            prefix /= root[:n - s]
+            best = max(best, float(prefix.max() / np.sqrt(s)))
     return best
 
 
@@ -155,7 +168,23 @@ def rayleigh_01_max(mat) -> float:
 # ---------------------------------------------------------------------------
 
 def bias_scan(support, ellp: int) -> float:
-    """Exact maximum bias over all nontrivial characters of (Z_ellp)^m.
+    """Exact maximum bias over all nontrivial characters of (Z_ellp)^m: the
+    characters 1 .. ellp^m - 1 by index, as base-ellp digit rows."""
+    sup = np.ascontiguousarray(support, dtype=np.int64)
+    if sup.ndim != 2 or sup.size == 0:
+        raise ValueError("support must be a nonempty (N, m) array")
+    n_chars = ellp ** sup.shape[1]
+    if n_chars > EXACT_CHAR_CAP:
+        raise ValueError("character space too large for the exact scan")
+    place = ellp ** np.arange(sup.shape[1], dtype=np.int64)
+    return _bias_max(sup % ellp, ellp, n_chars - 1, lambda lo, hi: np.arange(
+        lo + 1, hi + 1, dtype=np.int64)[:, None] // place % ellp)
+
+
+def _bias_max(sup: np.ndarray, ellp: int, count: int, characters) -> float:
+    """max |sum_x chi(x)| / N over `count` characters of (Z_ellp)^m that
+    characters(lo, hi) gives as exponent rows lo..hi-1, on a support sup
+    reduced mod ellp.
 
     Character sums whose residue counts are constant on a full subgroup
     coset are reported as exact 0, a single occupied residue as exact 1,
@@ -163,32 +192,23 @@ def bias_scan(support, ellp: int) -> float:
     are taken in blocks: one integer matmul gives the residues of a block,
     a bincount their counts per residue.
     """
-    sup = np.ascontiguousarray(support, dtype=np.int64)
-    if sup.ndim != 2 or sup.size == 0:
-        raise ValueError("support must be a nonempty (N, m) array")
     n_sup, m = sup.shape
-    n_chars = ellp ** m
-    if n_chars > 1 << 20:
-        raise ValueError("character space too large for the exact scan")
-    sup = sup % ellp
     angles = 2.0 * np.pi * np.arange(ellp) / ellp
     cos_t, sin_t = np.cos(angles), np.sin(angles)
-    place = ellp ** np.arange(m, dtype=np.int64)
     residues = np.arange(ellp)
     # live int64/float64 columns per character of a block: digits and
     # residues, then counts, their shift and one product of width ellp
     rows = max(1, BLOCK_BYTES // (8 * (m + n_sup + 3 * ellp)))
     best = 0.0
-    for lo in range(1, n_chars, rows):
-        chars = np.arange(lo, min(lo + rows, n_chars), dtype=np.int64)
-        digits = chars[:, None] // place
-        digits %= ellp
+    for lo in range(0, count, rows):
+        digits = characters(lo, min(lo + rows, count))
+        k = digits.shape[0]
         res = digits @ sup.T
         del digits
         res %= ellp
-        res += ellp * np.arange(chars.size)[:, None]
-        counts = np.bincount(res.reshape(-1), minlength=chars.size * ellp
-                             ).reshape(chars.size, ellp)
+        res += ellp * np.arange(k)[:, None]
+        counts = np.bincount(res.reshape(-1), minlength=k * ellp
+                             ).reshape(k, ellp)
         del res
         occupied = (counts > 0).sum(axis=1)
         if np.any(occupied == 1):

@@ -2,7 +2,10 @@
 
 The bias of a set against a character is the magnitude of the character
 sum averaged over the set; a nu-biased set keeps every nontrivial bias
-at most nu.  Signings drawn by a random walk on an auxiliary expander
+at most nu.  bias_exact takes every nontrivial character and
+bias_sampled random ones, both evaluated in the blocks of the exact scan
+(kernels._bias_max), so a sampled bias keeps its exact 0 and 1 and its
+memory bound.  Signings drawn by a random walk on an auxiliary expander
 inherit tail bounds strong enough for the derandomized searches.  Every
 walk is drawn on the `auxiliary_expander` of a master seed: all seeds of
 a walk search walk on its one graph (`expander_walk_signing` reads walk
@@ -21,7 +24,7 @@ from . import kernels
 from .graphs import RegularGraph, Signing, random_regular_dense
 from .groups import AbelianGroup
 
-EXACT_CHAR_CAP = 1 << 20
+EXACT_CHAR_CAP = kernels.EXACT_CHAR_CAP
 # float slack allowed between an exact bias and the nu it is held to
 BIAS_SLACK = 1e-12
 _SAMPLED_TRIALS = 2048
@@ -39,24 +42,20 @@ def bias_sampled(support, ellp: int, trials: int = _SAMPLED_TRIALS,
     if trials < 1:
         raise ValueError("trials must be positive")
     sup = np.ascontiguousarray(support, dtype=np.int64) % ellp
-    n_sup, m = sup.shape
+    if sup.ndim != 2 or sup.shape[0] == 0:
+        raise ValueError("support must be a nonempty (N, m) array")
+    m = sup.shape[1]
     if ellp == 1 or m == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    angles = 2.0 * np.pi * np.arange(ellp) / ellp
-    cos_t, sin_t = np.cos(angles), np.sin(angles)
     best = 0.0
     done = 0
     while done < trials:
         chars = rng.integers(0, ellp, size=(trials - done, m))
         chars = chars[np.any(chars != 0, axis=1)]
-        if chars.shape[0] == 0:
-            continue
         done += chars.shape[0]
-        res = (sup @ chars.T) % ellp
-        re = cos_t[res].sum(axis=0)
-        im = sin_t[res].sum(axis=0)
-        best = max(best, float(np.hypot(re, im).max() / n_sup))
+        best = max(best, kernels._bias_max(
+            sup, ellp, len(chars), lambda lo, hi, chars=chars: chars[lo:hi]))
     return best
 
 
@@ -124,14 +123,10 @@ def _full_product(ellp: int, m: int) -> np.ndarray:
 
 
 def _random_support(rng, ellp: int, m: int, size: int) -> np.ndarray:
+    """size distinct points, as base-ellp digit rows of sorted indices."""
     total = ellp ** m
-    size = min(size, total)
-    idx = np.sort(rng.choice(total, size=size, replace=False))
-    out = np.empty((size, m), dtype=np.int64)
-    for i in range(m):
-        out[:, i] = idx % ellp
-        idx //= ellp
-    return out
+    idx = np.sort(rng.choice(total, size=min(size, total), replace=False))
+    return idx[:, None] // ellp ** np.arange(m, dtype=np.int64) % ellp
 
 
 def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,

@@ -285,7 +285,9 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     winner_seed must be [master_seed, winner_index], and the walk it draws
     on that graph must equal the signing.  v1 certificates are not
     replayed.  Each violated rule is named under "invalid" with ok false; a
-    missing field is named before anything is recomputed.
+    missing field, or a base, group or signing that cannot be read (the
+    signing over that base and group), is named before anything is
+    recomputed.
 
     The lift is checked against the character decomposition by the dense
     spectrum_union_check when check_lift is True, or when it is None and
@@ -293,17 +295,21 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     size a None check_lift runs spectral.decomposition_probe instead and
     reports lift_probe_error, which must be within PROBE_TOL.
     """
-    missing = [key for key in REQUIRED_FIELDS if key not in cert]
-    if missing:
+    invalid = {key: "missing" for key in REQUIRED_FIELDS if key not in cert}
+    try:
+        key = "base"
+        base = RegularGraph.from_json(cert["base"])
+        key = "group"
+        group = AbelianGroup.from_json(cert["group"])
+        key = "signing"
+        signing = Signing(base, group, np.asarray(cert["signing"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        invalid = invalid or {key: f"cannot be read: {exc!r}"}
+    if invalid:
         return {"ok": False, "hash_ok": None, "lambda_error": None,
                 "lambda_base_error": None, "rho_error": None,
-                "lift_union_distance": None,
-                "invalid": {key: "missing" for key in missing}}
-    base = RegularGraph.from_json(cert["base"])
-    group = AbelianGroup.from_json(cert["group"])
-    signing = Signing(base, group, np.asarray(cert["signing"]))
+                "lift_union_distance": None, "invalid": invalid}
     lam, lam_base, rhos = lift_lambda(signing)
-    invalid = {}
     if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1):
         invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r}, "
                              f"{CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}")

@@ -426,8 +426,8 @@ def boolean_rayleigh_max(mat, mode: str = "exhaustive", trials: int = 2000,
     """max |1_S^T M 1_T| / sqrt(|S| |T|) over disjoint vertex subsets.
 
     The exhaustive mode scans every support of S exactly; the sampled mode
-    draws random S and still solves T exactly, so it never exceeds the
-    exhaustive value.
+    draws random S and, grouped by size, solves T exactly as the exhaustive
+    scan does, so it never exceeds the exhaustive value.
     """
     m = np.asarray(mat, dtype=np.float64)
     if mode == "exhaustive":
@@ -435,20 +435,16 @@ def boolean_rayleigh_max(mat, mode: str = "exhaustive", trials: int = 2000,
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     n = m.shape[0]
-    if n == 0:
-        return 0.0
     rng = np.random.default_rng(seed)
+    draws = (rng.integers(0, 2, size=n).astype(bool) for _ in range(trials))
+    kept = [u for u in draws if u.any() and not u.all()]
+    sel = np.array(kept, dtype=bool).reshape(len(kept), n)
+    sizes = sel.sum(axis=1)
     best = 0.0
-    for _ in range(trials):
-        sel = rng.integers(0, 2, size=n).astype(bool)
-        if not sel.any() or sel.all():
-            continue
-        w = m[sel].sum(axis=0)
-        arr = np.sort(w[~sel])
-        roots = np.sqrt(np.arange(1, arr.size + 1, dtype=np.float64))
-        inner = max(np.abs(np.cumsum(arr) / roots).max(),
-                    np.abs(np.cumsum(arr[::-1]) / roots).max())
-        best = max(best, float(inner / np.sqrt(sel.sum())))
+    for s in np.unique(sizes).tolist():
+        group = sel[sizes == s]
+        best = max(best, kernels._rayleigh_max(
+            m, s, len(group), lambda lo, hi, group=group: group[lo:hi]))
     return best
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import serial
+from abelift import pseudorandom, serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
@@ -43,6 +43,20 @@ def test_gen_base_writes_reproducible_artifact(tmp_path):
     assert payload["graph_hash"]
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["--kind", "random", "--n", "10", "--d", "3", "--seed", "4"],
+     random_regular(10, 3, seed=4)),
+    (["--kind", "cycle", "--n", "7"], cycle_graph(7)),
+    (["--kind", "petersen"], petersen_graph())],
+    ids=["random", "cycle", "petersen"])
+def test_gen_base_kinds(tmp_path, argv, graph):
+    out = tmp_path / "g.json"
+    assert main(["gen-base", *argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_bytes())
+    assert payload["graph"] == graph.to_json()
+    assert payload["graph_hash"] == graph.content_hash()
 
 
 def test_spectrum_union_roundtrip(tmp_path):
@@ -189,6 +203,26 @@ def test_lift_search_refuses_a_support_whose_bias_is_unproved(tmp_path,
     assert run(g6, singleton)[0] == 0
 
 
+def test_lift_search_refuses_an_unprovable_support_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a bias it cannot use")
+
+    monkeypatch.setattr(pseudorandom, "bias_sampled", refuse)
+    path = tmp_path / "bias.json"
+    support = np.random.default_rng(0).integers(2, size=(64, 21))
+    serial.dump_json({"biased_set": BiasedSet(2, 21, support, 0.5,
+                                              {}).to_json()}, str(path))
+    g21 = _write_graph(tmp_path / "g21.json", random_regular(14, 3, seed=0))
+    capsys.readouterr()
+    assert main(["lift-search", "--graph", g21, "--mode", "support",
+                 "--ell", "2", "--support", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == (
+        f"{path}: (Z_2)^21 is too large for an exact bias, so claimed_bias "
+        "0.5 cannot be proved")
+
+
 def test_lift_search_refuses_a_support_over_another_group(tmp_path, capsys):
     bs_out = tmp_path / "bias.json"
     assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "3",
@@ -323,6 +357,25 @@ def test_codes_tanner_from_certificate(tmp_path):
                  str(FIXTURES / "walk_cert_v1.json"), "--local",
                  "even-weight", "--out", str(v1_out)]) == 0
     assert json.loads(v1_out.read_bytes())["tanner"]["parity_hash"] == v1_hash
+
+
+def test_codes_tanner_refuses_a_non_canonical_group(tmp_path, capsys):
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    cert_out = tmp_path / "cert.json"
+    assert main(["lift-search", "--graph", gp, "--mode", "walk",
+                 "--ell", "3", "--seeds", "2", "--out", str(cert_out)]) == 0
+    cert = json.loads(cert_out.read_bytes())["certificate"]
+    # Z_3 acting by the backward rotation: regular, but not the canonical
+    # rotation whose fiber shifts the Tanner expansion assumes
+    cert["group"] = AbelianGroup((3,), ((2, 0, 1),)).to_json()
+    forged = tmp_path / "forged.json"
+    serial.dump_json({"certificate": cert}, str(forged))
+    capsys.readouterr()
+    assert main(["codes", "tanner", "--cert", str(forged)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "failed": True,
+        "error": "certificate group is not the canonical cyclic rotation "
+                 "action"}
 
 
 def test_walk_search_at_fiber_size_forty_succeeds_and_replays(tmp_path):

@@ -241,6 +241,28 @@ def test_identity_signing_gives_disjoint_copies():
     assert component_count(doubled) == 2
 
 
+def test_lift_refuses_exactly_the_lifts_with_more_components():
+    # 1 on the three edges at vertex 0 of K4: the edge elements generate
+    # Z_2, but every cycle voltage is 0, so the lift is two copies of K4
+    base = complete_graph(4)
+    at_zero = (base.edges == 0).any(axis=1).astype(np.int64)
+    sg = Signing(base, AbelianGroup.cyclic(2), at_zero)
+    assert sg.group.is_transitive(sg.values.tolist())
+    with pytest.raises(ValueError, match="non-transitive"):
+        lift(base, sg)
+    assert component_count(lift(base, sg, allow_disconnected=True)) == 2
+    # one flip on a cycle of K4 gives a connected double cover
+    flip = np.zeros(base.m, dtype=np.int64)
+    flip[0] = 1
+    assert component_count(lift(base, Signing(base, sg.group, flip))) == 1
+    # a disconnected base keeps its count: each K4 copy lifts connectedly
+    two = disjoint_union(base, base)
+    doubled = lift(two, Signing(two, sg.group, np.tile(flip, 2)))
+    assert component_count(doubled) == 2
+    with pytest.raises(ValueError, match="non-transitive"):
+        lift(two, Signing(two, sg.group, np.tile(at_zero, 2)))
+
+
 def test_single_flip_on_triangle_lifts_to_c6():
     base = cycle_graph(3)
     sg = Signing.identity(base, AbelianGroup.cyclic(2))

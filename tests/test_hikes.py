@@ -450,3 +450,12 @@ def test_hike_encoding_on_the_triangle_at_radius_one():
     enc = hike_encoding(cycle_graph(3), (0, 1, 2, 1, 0), 1)
     assert enc.endpoints == (1, 2, 1, 0)
     assert enc.winding == (1, 0, 0, -1)
+
+
+def test_hike_encoding_on_petersen_at_radius_one():
+    # girth 5: every radius-1 ball is a star, a tree trimmed to an empty
+    # 2-core, so each one-step segment winds zero times
+    walk = (0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0)  # the outer pentagon, twice
+    enc = hike_encoding(petersen_graph(), walk, 1)
+    assert enc.endpoints == walk[1:]
+    assert enc.winding == (0,) * 10

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from abelift import pseudorandom, spectral
+from abelift import kernels, pseudorandom, spectral
 from abelift.graphs import RegularGraph, cycle_graph, random_regular_dense
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import (BiasedSet, auxiliary_expander, bias_exact,
@@ -54,6 +55,11 @@ def test_bias_sampled_refuses_no_trials(trials):
         bias_sampled(_full_product(2, 3), 2, trials=trials)
 
 
+def test_bias_sampled_refuses_an_empty_support():
+    with pytest.raises(ValueError, match="nonempty"):
+        bias_sampled(np.zeros((0, 3), dtype=np.int64), 2)
+
+
 def test_bias_sampled_never_exceeds_exact():
     rng = np.random.default_rng(7)
     for seed in range(5):
@@ -61,6 +67,57 @@ def test_bias_sampled_never_exceeds_exact():
         exact = bias_exact(sup, 4)
         low = bias_sampled(sup, 4, trials=300, seed=seed)
         assert low <= exact + 1e-12
+
+
+def test_bias_sampled_is_exact_on_full_products_and_singletons():
+    # the draws go through the exact scan's block, with its exact rules
+    assert bias_sampled(_full_product(2, 3), 2) == 0.0
+    assert bias_sampled(_full_product(3, 2), 3, trials=40, seed=2) == 0.0
+    assert bias_sampled(np.zeros((1, 3), dtype=np.int64), 2) == 1.0
+    assert bias_sampled(np.array([[3, 1]]), 4, trials=5, seed=9) == 1.0
+
+
+def test_bias_sampled_evaluates_through_the_exact_kernel(monkeypatch):
+    rng = np.random.default_rng(11)
+    sup = rng.integers(0, 5, size=(20, 3))
+    value = bias_sampled(sup, 5, trials=300, seed=4)
+    blocks = []
+
+    def spy(sup_, ellp, count, characters):
+        def recorded(lo, hi):
+            blocks.append(hi - lo)
+            return characters(lo, hi)
+        return evaluate(sup_, ellp, count, recorded)
+
+    evaluate = kernels._bias_max
+    monkeypatch.setattr(kernels, "_bias_max", spy)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 1)  # one character a block
+    assert bias_sampled(sup, 5, trials=300, seed=4) == value
+    assert blocks == [1] * 300
+    assert 0.0 < value <= bias_exact(sup, 5)
+
+
+def test_bias_sampled_memory_stays_within_one_block(monkeypatch):
+    # all 2048 draws on 4000 points of (Z_2)^21 at once would take about
+    # 32 KiB per point, over 120 MB
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 4 << 20)
+    sup = np.random.default_rng(0).integers(2, size=(4000, 21))
+    tracemalloc.start()
+    try:
+        value = bias_sampled(sup, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1.0
+    assert peak <= kernels.BLOCK_BYTES + (4 << 20)
+
+
+def test_one_exact_character_cap():
+    assert pseudorandom.EXACT_CHAR_CAP is kernels.EXACT_CHAR_CAP
+    # the scan takes a space of exactly the cap and refuses one more
+    assert bias_exact(np.zeros((1, 20), dtype=np.int64), 2) == 1.0
+    with pytest.raises(ValueError, match="too large"):
+        bias_exact(np.zeros((1, 2), dtype=np.int64), 1025)
 
 
 def test_bias_translation_invariance():

@@ -14,6 +14,7 @@ from abelift.codes import free_action_check
 from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             cycle_graph, lift, random_regular)
 from abelift.groups import AbelianGroup
+from abelift.hikes import count_bounds
 from abelift.pseudorandom import (BiasedSet, auxiliary_expander,
                                   biased_set_search, effective_walk_degree,
                                   expander_walk_signing)
@@ -342,6 +343,36 @@ def test_verify_names_each_missing_field(name):
         assert report["invalid"] == {key: "missing"}
 
 
+# a signing is read over its base and group, so a group with another
+# factor count leaves the signing unreadable
+@pytest.mark.parametrize("field, value, named, reason", [
+    ("group", AbelianGroup.product([2, 4]).to_json(), "signing",
+     "ValueError('exponent rows of shape (6, 1), but one row per canonical "
+     "edge needs (6, 2)')"),
+    ("group", {"factors": [3]}, "group", "KeyError('generators')"),
+    ("base", {"n": 3, "d": 1, "adj": [[2], [1], [1]]}, "base",
+     "ValueError('adjacency is not symmetric')"),
+    ("base", {"n": 4, "d": 3}, "base", "KeyError('adj')"),
+    ("base", 5, "base", 'TypeError("\'int\' object is not subscriptable")'),
+    ("signing", [[0], [1]], "signing", "ValueError('exponent rows of shape "
+     "(2, 1), but one row per canonical edge needs (6, 1)')"),
+    ("signing", [[2 ** 70]] * 6, "signing", "OverflowError(")],
+    ids=["group-of-two-factors", "group-without-generators",
+         "base-asymmetric", "base-without-adj", "base-not-an-object",
+         "signing-of-two-rows", "signing-beyond-int64"])
+def test_verify_names_a_part_that_cannot_be_read(field, value, named, reason):
+    cert = _fixture_cert("walk_cert_v2")
+    assert verify_certificate(cert)["ok"]
+    report = verify_certificate(dict(cert, **{field: value}))
+    assert report["ok"] is False and report["lambda_error"] is None
+    assert list(report["invalid"]) == [named]
+    assert report["invalid"][named].startswith(f"cannot be read: {reason}")
+    # a missing field is still named first, alone
+    del cert["tool"]
+    report = verify_certificate(dict(cert, **{field: value}))
+    assert report["invalid"] == {"tool": "missing"}
+
+
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
                                   "walk_cert_v2", "support_cert_v2"])
 def test_verify_names_a_forged_tool(name):
@@ -561,6 +592,20 @@ def test_markov_report_premise_needs_an_exact_bias():
     rep = markov_bound_report(base, dist, k=3, eps=0.5)
     assert rep["nu_mode"] == "sampled" and rep["nu_achieved"] == 0.0
     assert not rep["premise_satisfied"]
+
+
+def test_markov_report_second_rate():
+    base = complete_graph(4)
+    ident = BiasedSet(3, 6, np.zeros((1, 6), dtype=np.int64), 1.0, {})
+    # the second rate needs 3 <= k <= exp(delta r): k = 3, delta = 0.2, r = 6
+    rep = markov_bound_report(base, ident, k=3, eps=0.5, delta=0.2, r=6)
+    bounds = count_bounds(4, 3, 3, 6, delta=0.2)
+    assert rep["gamma2"] == bounds.gamma2
+    assert rep["gamma2_prime"] == bounds.gamma2 + math.log2(3 * 9) / 6.0
+    assert rep["lambda_bound2"] == (2.0 ** rep["gamma2_prime"]
+                                    * math.sqrt(2) + 0.5)
+    assert "lambda_bound2" not in markov_bound_report(base, ident, k=3,
+                                                      eps=0.5, r=6)
 
 
 def test_markov_report_rejects_mismatched_width():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abelift import spectral
+from abelift import kernels, spectral
 from abelift.graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
                             disjoint_union, lift, nonbacktracking,
                             petersen_graph, random_regular, signed_adjacency)
@@ -506,6 +506,37 @@ def test_rayleigh_sampled_never_exceeds_exhaustive():
         exact = boolean_rayleigh_max(m)
         low = boolean_rayleigh_max(m, mode="sampled", trials=200, seed=seed)
         assert low <= exact + 1e-12
+
+
+def test_rayleigh_sampled_evaluates_through_the_exhaustive_kernel(
+        monkeypatch):
+    m = np.random.default_rng(5).standard_normal((5, 5))
+    m = m + m.T
+    value = boolean_rayleigh_max(m, mode="sampled", trials=400, seed=1)
+    # 400 draws of 5 bits hit all 30 proper supports of S
+    assert value == pytest.approx(boolean_rayleigh_max(m), rel=1e-12)
+    calls, blocks = [], []
+
+    def spy(mat, s, count, supports):
+        def recorded(lo, hi):
+            sel = supports(lo, hi)
+            assert (sel.sum(axis=1) == s).all()
+            blocks.append(hi - lo)
+            return sel
+        calls.append(s)
+        return evaluate(mat, s, count, recorded)
+
+    evaluate = kernels._rayleigh_max
+    monkeypatch.setattr(kernels, "_rayleigh_max", spy)
+    assert boolean_rayleigh_max(m, mode="sampled", trials=400,
+                                seed=1) == value
+    assert calls == [1, 2, 3, 4] and len(blocks) == 4  # one block a size
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 1)  # one support a block
+    blocks.clear()
+    assert boolean_rayleigh_max(m, mode="sampled", trials=400,
+                                seed=1) == pytest.approx(value, rel=1e-12)
+    assert set(blocks) == {1} and len(blocks) <= 400
+    assert boolean_rayleigh_max(np.ones((1, 1)), mode="sampled") == 0.0
 
 
 def test_rayleigh_guard():
