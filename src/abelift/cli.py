@@ -188,14 +188,15 @@ def cmd_codes(args):
                              np.asarray(serial.load_json(args.hz)))
         return {"css_valid": ok}, [args.hx, args.hz], not ok
     cert = _read(args.cert, "certificate")
-    d = RegularGraph.from_json(cert["base"]).d
+    signing = search.certificate_signing(cert)
+    d = signing.base.d
     local = (codes.LinearCodeF2.even_weight(d) if args.local == "even-weight"
              else codes.LinearCodeF2.repetition(d))
-    ell = AbelianGroup.from_json(cert["group"]).fiber_size
     H = codes.tanner_from_certificate(cert, local)
     tanner = {"rows": int(H.shape[0]), "cols": int(H.shape[1]),
               "dimension": codes.code_dimension(H),
-              "circulant": codes.circulant_structure_check(H, ell),
+              "circulant": codes.circulant_structure_check(
+                  H, signing.group.fiber_size),
               "parity_hash": serial.object_hash(H.tolist())}
     if args.alist:
         codes.write_alist(H, args.alist)

@@ -17,6 +17,7 @@ import numpy as np
 from . import gf2, kernels
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
+from .search import certificate_signing
 
 EXACT_DIM_CAP = 24
 EXACT_DISTANCE_BUDGET = 1 << 26
@@ -527,16 +528,17 @@ def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
     e's shift.  Expanded, columns sit at (base edge e, fiber f) ->
     e * ell + f and rows at ((v * checks + c) * ell + i).  Needs the
     canonical cyclic action, whose fiber shifts are exactly these rotations.
+    The certificate is read by search.certificate_signing.
     """
-    base = RegularGraph.from_json(cert["base"])
-    group = AbelianGroup.from_json(cert["group"])
+    signing = certificate_signing(cert)
+    base, group = signing.base, signing.group
     ell = group.fiber_size
     canonical = AbelianGroup.cyclic(ell)
     if group.factors != canonical.factors or \
             group.generator_perms != canonical.generator_perms:
         raise ValueError("certificate group is not the canonical cyclic "
                          "rotation action")
-    shifts = Signing(base, group, np.asarray(cert["signing"])).values[:, 0]
+    shifts = signing.values[:, 0]
     exps = np.where(np.arange(base.n)[:, None] < base.adj, 0,
                     -shifts[base.eid_table] % ell)
     return _tanner_matrix(base, local, ell, exps).expand()

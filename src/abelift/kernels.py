@@ -169,9 +169,10 @@ def _rayleigh_max(m: np.ndarray, s: int, count: int, supports) -> float:
 
 def bias_scan(support, ellp: int) -> float:
     """Exact maximum bias over all nontrivial characters of (Z_ellp)^m: the
-    characters 1 .. ellp^m - 1 by index, as base-ellp digit rows."""
+    characters 1 .. ellp^m - 1 by index, as base-ellp digit rows; 0.0
+    when there is none (m = 0 or ellp = 1)."""
     sup = np.ascontiguousarray(support, dtype=np.int64)
-    if sup.ndim != 2 or sup.size == 0:
+    if sup.ndim != 2 or sup.shape[0] == 0:
         raise ValueError("support must be a nonempty (N, m) array")
     n_chars = ellp ** sup.shape[1]
     if n_chars > EXACT_CHAR_CAP:

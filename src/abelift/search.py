@@ -36,13 +36,43 @@ CERT_SCHEMA = "abelift.lift-certificate.v3"
 # certificates are not replayed
 CERT_SCHEMA_V2 = "abelift.lift-certificate.v2"
 CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
-# bound on the verifier's dense spectrum-union distance (n l <= 1024)
+# bound on the dense spectrum-union distance: a v1 or v2 certificate's
+# crosscheck and the verifier's check_lift=True
 CROSSCHECK_TOL = 1e-8
 # the fields verify_certificate reads
 REQUIRED_FIELDS = ("schema", "tool", "mode", "base", "base_hash", "group",
                    "signing", "lambda_base", "per_character_rho",
                    "lambda_lift", "target", "met_target", "winner_index",
-                   "candidates_evaluated", "provenance")
+                   "candidates_evaluated", "provenance", "crosscheck")
+
+
+class CertificateFieldError(ValueError):
+    """A certificate's base, group or signing cannot be read; `field`
+    names it and `reason` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"certificate {field} {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def certificate_signing(cert: dict) -> Signing:
+    """The signing a certificate claims, read over its own base and group.
+
+    Raises CertificateFieldError naming the first of base, group and
+    signing that cannot be read; a signing that does not fit its base and
+    group is named as the signing.
+    """
+    field = "base"
+    try:
+        base = RegularGraph.from_json(cert[field])
+        field = "group"
+        group = AbelianGroup.from_json(cert[field])
+        field = "signing"
+        return Signing(base, group, np.asarray(cert[field]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CertificateFieldError(field, f"cannot be read: {exc!r}"
+                                    ) from exc
 
 
 def _tool_stamp() -> dict:
@@ -174,6 +204,10 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
         raise ValueError("support-driven search expects one cyclic factor")
     if not group.is_transitive():
         raise ValueError("group action must be transitive")
+    if group.order != group.fiber_size:
+        raise ValueError(f"group action must be regular: a group of order "
+                         f"{group.order} acts on {group.fiber_size} fiber "
+                         "points")
     if isinstance(support, BiasedSet) and support.ellp != group.order:
         raise ValueError(f"biased set is over Z_{support.ellp} but the group "
                          f"is Z_{group.order}")
@@ -271,44 +305,42 @@ def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
 
 
 def verify_certificate(cert: dict, tol: float = 1e-9,
-                       check_lift: bool | None = None) -> dict:
+                       check_lift: bool = False) -> dict:
     """Recompute a certificate's spectral claims from its own payload.
 
     Besides the recomputed errors, the certificate's bookkeeping must hold:
     every one of REQUIRED_FIELDS present, a known schema (v3, v2 or v1), a
     tool object whose name is "abelift", a known mode, one radius per
     nontrivial character, met_target equal to lambda_lift <= target (None
-    without a target), and a winner_index among the candidates_evaluated.
-    A v3 or v2 walk certificate also replays its provenance: the auxiliary
-    expander rebuilt from (master_seed, dprime, ell) must match
-    dprime_used, aux_hash, aux_bound and (within tol) aux_lambda,
-    winner_seed must be [master_seed, winner_index], and the walk it draws
-    on that graph must equal the signing.  v1 certificates are not
-    replayed.  Each violated rule is named under "invalid" with ok false; a
-    missing field, or a base, group or signing that cannot be read (the
-    signing over that base and group), is named before anything is
-    recomputed.
+    without a target), a winner_index among the candidates_evaluated, and
+    a crosscheck block that the search could have written (see
+    _crosscheck_fault).  A v3 or v2 walk certificate also replays its
+    provenance: the auxiliary expander rebuilt from (master_seed, dprime,
+    ell) must match dprime_used, aux_hash, aux_bound and (within tol)
+    aux_lambda, winner_seed must be [master_seed, winner_index], and the
+    walk it draws on that graph must equal the signing.  v1 certificates
+    are not replayed.  Each violated rule is named under "invalid" with ok
+    false; a missing field, or a base, group or signing that cannot be
+    read (certificate_signing), is named before anything is recomputed.
 
-    The lift is checked against the character decomposition by the dense
-    spectrum_union_check when check_lift is True, or when it is None and
-    n l <= 1024 (lift_union_distance within CROSSCHECK_TOL).  Above that
-    size a None check_lift runs spectral.decomposition_probe instead and
-    reports lift_probe_error, which must be within PROBE_TOL.
+    The lift is checked against the character decomposition by
+    spectral.decomposition_probe at every size: lift_probe_error must be
+    within PROBE_TOL, and a group whose action is not regular is named
+    under "group".  check_lift=True also builds the lift and solves it
+    densely (spectrum_union_check): lift_union_distance, null otherwise,
+    must be within CROSSCHECK_TOL.
     """
     invalid = {key: "missing" for key in REQUIRED_FIELDS if key not in cert}
-    try:
-        key = "base"
-        base = RegularGraph.from_json(cert["base"])
-        key = "group"
-        group = AbelianGroup.from_json(cert["group"])
-        key = "signing"
-        signing = Signing(base, group, np.asarray(cert["signing"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        invalid = invalid or {key: f"cannot be read: {exc!r}"}
+    if not invalid:
+        try:
+            signing = certificate_signing(cert)
+        except CertificateFieldError as exc:
+            invalid[exc.field] = exc.reason
     if invalid:
         return {"ok": False, "hash_ok": None, "lambda_error": None,
                 "lambda_base_error": None, "rho_error": None,
-                "lift_union_distance": None, "invalid": invalid}
+                "lift_union_distance": None, "lift_probe_error": None,
+                "invalid": invalid}
     lam, lam_base, rhos = lift_lambda(signing)
     if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1):
         invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r}, "
@@ -339,32 +371,65 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     if not 0 <= winner < evaluated:
         invalid["candidates_evaluated"] = (
             f"{evaluated} evaluated cannot include winner_index {winner}")
+        evaluated = None  # named already: it bounds no crosscheck count
+    if "schema" not in invalid:
+        fault = _crosscheck_fault(cert["schema"], cert["crosscheck"],
+                                  evaluated)
+        if fault:
+            invalid["crosscheck"] = fault
     lam_err = abs(lam - cert["lambda_lift"])
     base_err = abs(lam_base - cert["lambda_base"])
-    hash_ok = base.content_hash() == cert["base_hash"]
-    lift_dist = probe_err = None
-    probe = check_lift is None and base.n * group.fiber_size > 1024
-    if probe:
-        try:
-            probe_err = decomposition_probe(signing)
-        except ValueError as exc:
-            invalid["group"] = str(exc)
-    elif check_lift is None or check_lift:
+    hash_ok = signing.base.content_hash() == cert["base_hash"]
+    probe_err = lift_dist = None
+    try:
+        probe_err = decomposition_probe(signing)
+    except ValueError as exc:
+        invalid["group"] = str(exc)
+    if check_lift:
         lift_dist = spectrum_union_check(
             signing, CROSSCHECK_TOL,
             include_nonbacktracking=False).adjacency_distance
     ok = (not invalid and hash_ok and rho_err <= tol and lam_err <= tol
-          and base_err <= tol
-          and (lift_dist is None or lift_dist <= CROSSCHECK_TOL)
-          and (probe_err is None or probe_err <= PROBE_TOL))
+          and base_err <= tol and probe_err <= PROBE_TOL
+          and (lift_dist is None or lift_dist <= CROSSCHECK_TOL))
     report = {"ok": bool(ok), "hash_ok": hash_ok, "lambda_error": lam_err,
               "lambda_base_error": base_err, "rho_error": rho_err,
-              "lift_union_distance": lift_dist}
-    if probe:
-        report["lift_probe_error"] = probe_err
+              "lift_union_distance": lift_dist, "lift_probe_error": probe_err}
     if invalid:
         report["invalid"] = invalid
     return report
+
+
+def _crosscheck_fault(schema: str, block, evaluated) -> str | None:
+    """Why a crosscheck block could not have come from its search, or None.
+
+    A v3 block records the Fourier probe (kind "fourier-probe", tol
+    PROBE_TOL, max_error), a v1 or v2 block the dense union check (tol
+    CROSSCHECK_TOL, max_distance).  The error lies in [0, tol] and count
+    is an integer in [0, evaluated], or only >= 0 when evaluated is None.
+    """
+    if not isinstance(block, dict):
+        return f"{block!r}, expected an object"
+    if schema == CERT_SCHEMA:
+        tol, err_key = PROBE_TOL, "max_error"
+        if block.get("kind") != "fourier-probe":
+            return f"kind {block.get('kind')!r}, expected 'fourier-probe'"
+    else:
+        tol, err_key = CROSSCHECK_TOL, "max_distance"
+    if block.get("tol") != tol:
+        return f"tol {block.get('tol')!r}, expected {tol!r}"
+    err, count = block.get(err_key), block.get("count")
+    if not (_is_number(err) and 0 <= err <= tol):
+        return f"{err_key} {err!r}, expected within [0, {tol!r}]"
+    if not (_is_number(count) and isinstance(count, int) and 0 <= count
+            and (evaluated is None or count <= evaluated)):
+        return (f"count {count!r}, expected an integer within [0, "
+                f"candidates_evaluated = {evaluated!r}]")
+    return None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:

@@ -430,6 +430,8 @@ def boolean_rayleigh_max(mat, mode: str = "exhaustive", trials: int = 2000,
     scan does, so it never exceeds the exhaustive value.
     """
     m = np.asarray(mat, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("square matrix required")
     if mode == "exhaustive":
         return kernels.rayleigh_01_max(m)
     if mode != "sampled":

@@ -378,6 +378,27 @@ def test_codes_tanner_refuses_a_non_canonical_group(tmp_path, capsys):
                  "action"}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base", 5), ("base", None), ("group", "x"), ("group", [1, 2]),
+    ("signing", None), ("signing", {})],
+    ids=["base-int", "base-null", "group-string", "group-list",
+         "signing-null", "signing-empty-object"])
+def test_codes_tanner_names_a_certificate_part_that_cannot_be_read(
+        tmp_path, capsys, field, value):
+    cert = serial.load_json(str(FIXTURES / "walk_cert_v3.json"))
+    cert["certificate"][field] = value
+    forged = tmp_path / "forged.json"
+    serial.dump_json(cert, str(forged))
+    capsys.readouterr()
+    assert main(["codes", "tanner", "--cert", str(forged)]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["failed"] is True and set(payload) == {"failed", "error"}
+    assert payload["error"].startswith(f"certificate {field} cannot be "
+                                       "read: ")
+    assert captured.err == ""
+
+
 def test_walk_search_at_fiber_size_forty_succeeds_and_replays(tmp_path):
     gp = _write_graph(tmp_path / "g16.json", random_regular(16, 3, seed=1))
     runs = []

@@ -252,3 +252,13 @@ def test_bias_scan_memory_stays_within_one_block():
 def test_bias_scan_guard():
     with pytest.raises(ValueError):
         kernels.bias_scan(np.zeros((1, 21), dtype=np.int64), 2)
+
+
+def test_bias_scan_of_no_coordinates_is_zero_but_no_rows_is_refused():
+    # (Z_3)^0 has only the trivial character, as (Z_1)^m does
+    assert kernels.bias_scan(np.zeros((3, 0), dtype=np.int64), 3) == 0.0
+    assert kernels.bias_scan(np.zeros((3, 2), dtype=np.int64), 1) == 0.0
+    for rows in (np.zeros((0, 3), dtype=np.int64),
+                 np.zeros((0, 0), dtype=np.int64)):
+        with pytest.raises(ValueError, match="nonempty"):
+            kernels.bias_scan(rows, 3)

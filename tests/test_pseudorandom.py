@@ -47,6 +47,7 @@ def test_bias_sampled_of_a_one_character_space_is_zero():
     assert bias_sampled(np.zeros((3, 2), dtype=np.int64), 1) == 0.0
     assert bias_exact(np.zeros((3, 2), dtype=np.int64), 1) == 0.0
     assert bias_sampled(np.zeros((3, 0), dtype=np.int64), 4, trials=1) == 0.0
+    assert bias_exact(np.zeros((3, 0), dtype=np.int64), 4) == 0.0
 
 
 @pytest.mark.parametrize("trials", [0, -1])

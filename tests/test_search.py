@@ -153,7 +153,8 @@ def test_verify_names_a_forged_schema_and_mode():
     sound = verify_certificate(cert)
     assert sound["ok"] and set(sound) == {
         "ok", "hash_ok", "lambda_error", "lambda_base_error", "rho_error",
-        "lift_union_distance"}
+        "lift_union_distance", "lift_probe_error"}
+    assert sound["lift_union_distance"] is None
 
 
 def test_decomposition_matches_built_lift_on_the_winner():
@@ -313,6 +314,27 @@ def test_v2_fixtures_verify_to_their_recorded_reports(mode):
     _assert_fixture_report(mode, "v2")
 
 
+@pytest.mark.parametrize("mode", ["walk", "support"])
+def test_v3_fixtures_verify_to_their_recorded_reports(mode):
+    assert _fixture_cert(f"{mode}_cert_v3")["schema"] == CERT_SCHEMA
+    _assert_fixture_report(mode, "v3")
+
+
+# the dense distances the v1 and v2 fixture reports recorded before the
+# probe became the verifier's only default lift check
+@pytest.mark.parametrize("mode, distance", [
+    ("walk", 8.881784197001252e-16), ("support", 1.3322676295501878e-15)])
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_check_lift_reproduces_the_recorded_dense_distances(mode, distance,
+                                                            version):
+    cert = _fixture_cert(f"{mode}_cert_{version}")
+    default = verify_certificate(cert)
+    assert default["lift_union_distance"] is None
+    dense = verify_certificate(cert, check_lift=True)
+    assert dense["ok"] and dense["lift_union_distance"] == distance
+    assert dense == dict(default, lift_union_distance=distance)
+
+
 def test_v2_walk_fixture_replays_its_provenance():
     cert = _fixture_cert("walk_cert_v2")
     idx = cert["winner_index"]
@@ -332,7 +354,8 @@ def test_v2_fixtures_with_an_unknown_schema_are_rejected(mode):
 
 
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
-                                  "walk_cert_v2", "support_cert_v2"])
+                                  "walk_cert_v2", "support_cert_v2",
+                                  "walk_cert_v3", "support_cert_v3"])
 def test_verify_names_each_missing_field(name):
     cert = _fixture_cert(name)
     assert verify_certificate(cert)["ok"]
@@ -374,7 +397,8 @@ def test_verify_names_a_part_that_cannot_be_read(field, value, named, reason):
 
 
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
-                                  "walk_cert_v2", "support_cert_v2"])
+                                  "walk_cert_v2", "support_cert_v2",
+                                  "walk_cert_v3", "support_cert_v3"])
 def test_verify_names_a_forged_tool(name):
     cert = _fixture_cert(name)
     honest = verify_certificate(cert)
@@ -402,9 +426,12 @@ def test_certificates_changed_only_their_schema_and_crosscheck():
     support = derandomized_lift_search(
         complete_graph(4), AbelianGroup.cyclic(3), dist).certificate
     walk = exponential_regime_build(complete_graph(4), 3, 2).certificate
-    for cert, olds in ((support, ("support_cert_v1", "support_cert_v2")),
-                       (walk, ("walk_cert_v2",))):
+    for cert, name, olds in (
+            (support, "support_cert_v3",
+             ("support_cert_v1", "support_cert_v2")),
+            (walk, "walk_cert_v3", ("walk_cert_v2",))):
         assert cert["schema"] == CERT_SCHEMA
+        assert cert == _fixture_cert(name)
         check = cert["crosscheck"]
         assert check == {"kind": "fourier-probe", "count": 1,
                          "max_error": check["max_error"],
@@ -446,8 +473,8 @@ def _one_shift_changed(monkeypatch):
 
 
 def test_large_certificates_are_checked_by_the_probe(monkeypatch):
-    # n l = 65536: above the verifier's dense cap, where a dense l x l
-    # character table alone would take 268 MB
+    # n l = 65536, where a dense l x l character table alone would take
+    # 268 MB
     base = random_regular(16, 3, seed=1)
     group = AbelianGroup.cyclic(4096)
     rows = np.random.default_rng(0).integers(4096, size=(2, base.m))
@@ -463,9 +490,8 @@ def test_large_certificates_are_checked_by_the_probe(monkeypatch):
     assert report["ok"] and report["lift_union_distance"] is None
     assert report["lift_probe_error"] <= 1e-12
     assert peak < 64 << 20
-    # check_lift pins the dense check, or none: no probe key then
-    assert "lift_probe_error" not in verify_certificate(res.certificate,
-                                                        check_lift=False)
+    # check_lift=False is the default: the probe alone
+    assert verify_certificate(res.certificate, check_lift=False) == report
     _one_shift_changed(monkeypatch)
     report = verify_certificate(res.certificate)
     assert not report["ok"]
@@ -475,20 +501,126 @@ def test_large_certificates_are_checked_by_the_probe(monkeypatch):
 
 
 def test_verify_names_a_group_the_probe_refuses():
-    # n l = 2048 takes the probe; two 64-cycles are a Z_128 action, but
-    # not a transitive one
+    # n l = 256 or 2048: the probe checks every size; two (l/2)-cycles are
+    # a Z_l action, but not a transitive one
     base = random_regular(16, 3, seed=1)
-    rows = np.random.default_rng(0).integers(128, size=(2, base.m))
-    cert = derandomized_lift_search(base, AbelianGroup.cyclic(128),
-                                    rows).certificate
-    assert verify_certificate(cert)["lift_probe_error"] <= 1e-12
-    two_cycles = [(i + 1) % 64 + 64 * (i >= 64) for i in range(128)]
-    forged = dict(cert, group=AbelianGroup((128,), (tuple(two_cycles),)
-                                           ).to_json())
-    report = verify_certificate(forged)
-    assert not report["ok"] and report["lift_probe_error"] is None
-    assert report["invalid"]["group"].startswith(
-        "decomposition probe needs a regular action")
+    for ell in (16, 128):
+        rows = np.random.default_rng(0).integers(ell, size=(2, base.m))
+        cert = derandomized_lift_search(base, AbelianGroup.cyclic(ell),
+                                        rows).certificate
+        assert verify_certificate(cert)["lift_probe_error"] <= 1e-12
+        half = ell // 2
+        two_cycles = tuple((i + 1) % half + half * (i >= half)
+                           for i in range(ell))
+        forged = dict(cert, group=AbelianGroup((ell,), (two_cycles,)
+                                               ).to_json())
+        report = verify_certificate(forged)
+        assert not report["ok"] and report["lift_probe_error"] is None
+        assert report["invalid"]["group"].startswith(
+            "decomposition probe needs a regular action")
+
+
+def test_small_certificates_are_checked_by_the_probe(monkeypatch):
+    # n l = 256: the verifier probes here too, and builds no dense lift
+    # spectrum unless check_lift asks for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default verify solved the lift densely")
+
+    base = random_regular(16, 3, seed=1)
+    cert = exponential_regime_build(base, 16, 3).certificate
+    honest = verify_certificate(cert)
+    assert honest["ok"] and honest["lift_union_distance"] is None
+    assert honest["lift_probe_error"] <= 1e-12
+    _one_shift_changed(monkeypatch)
+    dense = verify_certificate(cert, check_lift=True)
+    assert not dense["ok"] and "invalid" not in dense
+    assert dense["lift_union_distance"] > search.CROSSCHECK_TOL
+    assert dense["lift_probe_error"] > spectral.PROBE_TOL
+    monkeypatch.setattr(search, "spectrum_union_check", refuse)
+    report = verify_certificate(cert)
+    assert not report["ok"] and "invalid" not in report
+    assert report == dict(dense, lift_union_distance=None)
+
+
+@pytest.mark.parametrize("name", ["support_cert_v3", "walk_cert_v3"])
+@pytest.mark.parametrize("block, reason", [
+    ({"kind": "fourier-probe", "count": 99, "max_error": 5.0, "tol": 1e9},
+     "tol 1000000000.0, expected 1e-10"),
+    ({"kind": "fourier-probe", "count": 1, "max_error": 5.0, "tol": 1e-10},
+     "max_error 5.0, expected within [0, 1e-10]"),
+    ({"kind": "fourier-probe", "count": 1, "max_error": -1e-16,
+      "tol": 1e-10}, "max_error -1e-16, expected within [0, 1e-10]"),
+    ({"kind": "fourier-probe", "count": 1, "max_error": "0", "tol": 1e-10},
+     "max_error '0', expected within [0, 1e-10]"),
+    ({"kind": "fourier-probe", "count": 99, "max_error": 0.0, "tol": 1e-10},
+     "count 99, expected an integer within [0, candidates_evaluated = "),
+    ({"kind": "fourier-probe", "count": -1, "max_error": 0.0, "tol": 1e-10},
+     "count -1, expected an integer within [0, candidates_evaluated = "),
+    ({"kind": "fourier-probe", "count": 1.0, "max_error": 0.0, "tol": 1e-10},
+     "count 1.0, expected an integer"),
+    ({"kind": "fourier-probe", "count": True, "max_error": 0.0,
+      "tol": 1e-10}, "count True, expected an integer"),
+    ({"count": 1, "max_error": 0.0, "tol": 1e-10},
+     "kind None, expected 'fourier-probe'"),
+    ({"count": 1, "max_distance": 0.0, "tol": 1e-8},
+     "kind None, expected 'fourier-probe'"),
+    ("x", "'x', expected an object"),
+    (None, "None, expected an object"),
+    ({}, "kind None, expected 'fourier-probe'")],
+    ids=["forged-tol", "error-above-tol", "negative-error", "string-error",
+         "count-above-evaluated", "negative-count", "float-count",
+         "bool-count", "no-kind", "dense-block", "string", "null", "empty"])
+def test_verify_names_a_forged_crosscheck_block(name, block, reason):
+    cert = _fixture_cert(name)
+    assert verify_certificate(cert)["ok"]
+    report = verify_certificate(dict(cert, crosscheck=block))
+    assert report["ok"] is False
+    assert list(report["invalid"]) == ["crosscheck"]
+    assert report["invalid"]["crosscheck"].startswith(reason)
+    cut = {k: v for k, v in cert.items() if k != "crosscheck"}
+    assert verify_certificate(cut)["invalid"] == {"crosscheck": "missing"}
+
+
+@pytest.mark.parametrize("name", ["support_cert_v1", "walk_cert_v2"])
+def test_verify_holds_a_dense_crosscheck_block_to_its_tolerance(name):
+    cert = _fixture_cert(name)
+    block = cert["crosscheck"]
+    assert set(block) == {"count", "max_distance", "tol"}
+    for forged, reason in (
+            (dict(block, tol=1.0), "tol 1.0, expected 1e-08"),
+            (dict(block, max_distance=1e-7),
+             "max_distance 1e-07, expected within [0, 1e-08]"),
+            (dict(block, max_distance=float("nan")),
+             "max_distance nan, expected within [0, 1e-08]"),
+            (dict(block, count=cert["candidates_evaluated"] + 1),
+             f"count {cert['candidates_evaluated'] + 1}, expected an "
+             "integer within [0, candidates_evaluated = "),
+            (dict(block, kind="fourier-probe", tol=1e-10),
+             "tol 1e-10, expected 1e-08")):
+        report = verify_certificate(dict(cert, crosscheck=forged))
+        assert report["ok"] is False
+        assert list(report["invalid"]) == ["crosscheck"]
+        assert report["invalid"]["crosscheck"].startswith(reason)
+    assert verify_certificate(dict(cert, crosscheck=dict(block, count=0)))[
+        "ok"]
+
+
+def test_search_refuses_a_non_regular_group_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the group was checked")
+
+    monkeypatch.setattr(search, "lambda2", refuse)
+    # Z_4 acting on 2 points through Z_2: transitive, but characters 1 and
+    # 3 do not occur in its lifts
+    group = AbelianGroup((4,), ((1, 0),))
+    assert group.is_transitive() and group.fiber_size == 2
+    base = complete_graph(4)
+    for every in (50, 0):
+        with pytest.raises(ValueError, match="group action must be regular: "
+                           "a group of order 4 acts on 2 fiber points"):
+            derandomized_lift_search(base, group,
+                                     np.zeros((3, base.m), dtype=np.int64),
+                                     crosscheck_every=every)
 
 
 def test_small_searches_crosscheck_by_the_probe(monkeypatch):

@@ -544,6 +544,13 @@ def test_rayleigh_guard():
         boolean_rayleigh_max(np.zeros((21, 21)))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,)])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_rayleigh_refuses_a_non_square_matrix_in_both_modes(shape, mode):
+    with pytest.raises(ValueError, match="square matrix required"):
+        boolean_rayleigh_max(np.ones(shape), mode=mode)
+
+
 def test_signed_norm_bounded_by_parts():
     # ||A(chi)|| <= 2 max(||C||, ||D||) for A = C + iD
     base = petersen_graph()
