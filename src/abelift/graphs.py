@@ -106,6 +106,10 @@ class RegularGraph:
     def from_json(payload: dict) -> "RegularGraph":
         n, d = _integer_rows([[payload["n"], payload["d"]]], "graph size")[0]
         adj = payload["adj"]
+        if not (isinstance(adj, list)
+                and all(isinstance(r, list) for r in adj)):
+            raise ValueError(f"graph adj must be a list of neighbor rows, "
+                             f"found {adj!r:.40}")
         if len(adj) != n or any(len(r) != d for r in adj):
             raise ValueError("adjacency table shape does not match n, d")
         return RegularGraph(_integer_rows(adj, "adjacency label") - 1)
@@ -313,11 +317,16 @@ class Signing:
         ValueError names the first malformed one."""
         group = AbelianGroup.from_json(payload["group"])
         k = len(group.factors)
-        for u, v, exps in payload["edges"]:
+        edges = payload["edges"]
+        if not (isinstance(edges, list) and all(
+                isinstance(t, list) and len(t) == 3 for t in edges)):
+            raise ValueError(f"signing edges must be a list of [u, v, "
+                             f"exponents] triples, found {edges!r:.40}")
+        for u, v, exps in edges:
             if np.shape(exps) != (k,):
                 raise ValueError(f"signing edge ({u}, {v}) has exponent row "
                                  f"{exps!r}, but the group has {k} factors")
-        rows = _integer_rows([[u, v, *exps] for u, v, exps in payload["edges"]],
+        rows = _integer_rows([[u, v, *exps] for u, v, exps in edges],
                              "signing entry").reshape(-1, 2 + k)
         eids, found = base._lookup(rows[:, 0] - 1, rows[:, 1] - 1)
         if not found.all():

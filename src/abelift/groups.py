@@ -237,6 +237,10 @@ class AbelianGroup:
 
     @staticmethod
     def from_json(payload: dict) -> "AbelianGroup":
-        factors = tuple(int(m) for m in payload["factors"])
-        perms = tuple(tuple(int(x) - 1 for x in p) for p in payload["generators"])
+        try:
+            factors = tuple(int(m) for m in payload["factors"])
+            perms = tuple(tuple(int(x) - 1 for x in p)
+                          for p in payload["generators"])
+        except TypeError as exc:  # null or a scalar where a list belongs
+            raise ValueError(f"group is malformed: {exc}") from exc
         return AbelianGroup(factors, perms)

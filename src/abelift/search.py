@@ -9,10 +9,13 @@ Fourier probe (spectral.decomposition_probe) on a fixed cadence.
 
 Both share one scan, which keeps the first candidate of least lambda.
 Since lambda is a max over lambda(base) and the per-character radii, a
-candidate is out as soon as one of them reaches the best lambda so far;
-the scan solves characters one at a time and stops there (see _scan), so
-the winner and its certificate are those of a full solve of every
-candidate.
+candidate is out as soon as one of them reaches the best lambda so far.
+The scan decides characters one at a time and stops there (see _scan):
+two Choleskys decide whether a radius lies below the best
+(spectral.radius_below), a radius within their small relative margin of
+it is solved by eigvalsh, and only a candidate that passes every
+character is solved in full.  So the winner and its certificate are
+those of a full solve of every candidate.
 """
 from __future__ import annotations
 
@@ -124,40 +127,36 @@ def _scan(signings, lam_base, target, crosscheck_every):
     lambda is max(lam_base, radii over the nontrivial characters).  The
     first signing is solved in full.  After it, with `best` the least
     lambda so far, a signing is pruned unsolved when lam_base >= best;
-    otherwise its characters are solved one at a time, the one that
-    pruned the previous signing first, and it is pruned at the first
-    radius >= best.  A pruned signing has lambda >= best, so it could
-    neither replace the first strict minimum nor meet a target (that would
-    need best <= target, and the scan stops there): the winner keeps its
-    index, lambda and radii.  A signing never pruned has every radius
-    below best, so it is the new best, and each one-character solve equals
-    that character's row of a batched solve, so its radii are the floats
-    lift_lambda gives.  The scan stops after the first signing meeting
-    `target`; every crosscheck_every-th signing, pruned or not, has its
-    character decomposition checked against a built lift by a Fourier
-    probe.  Returns ((index, signing, lambda, radii) of the winner,
-    signings evaluated, signings pruned, crosschecks run, largest probe
-    error).
+    otherwise _Pruner decides its characters one at a time, the one that
+    pruned the previous signing first, by two Choleskys each
+    (spectral.radius_below) and by eigvalsh inside their margin, and
+    prunes it at the first radius >= best.  Every decision is the one a
+    solve of that character would make (spectral.radius_margin), and a
+    pruned signing has lambda >= best, so it could neither replace the
+    first strict minimum nor meet a target (that would need best <=
+    target, and the scan stops there).  A signing never pruned has every
+    radius below best: it is the new best, solved in full by lift_lambda,
+    so the winner keeps its index, lambda and radii.  The scan stops
+    after the first signing meeting `target`; every crosscheck_every-th
+    signing, pruned or not, has its character decomposition checked
+    against a built lift by a Fourier probe.  Returns ((index, signing,
+    lambda, radii) of the winner, signings evaluated, signings pruned,
+    crosschecks run, largest probe error).
     """
-    best = None
+    best = pruner = None
     evaluated = pruned = checks = 0
     max_check_err = 0.0
-    order = None  # nontrivial character indices, the last pruner first
     for i, signing in enumerate(signings):
         evaluated += 1
         if crosscheck_every and i % crosscheck_every == 0:
             max_check_err = max(max_check_err, _crosscheck(signing, i))
             checks += 1
         if best is None:
-            lam, _, rhos = lift_lambda(signing, lam_base)
-            order = list(range(len(rhos)))
-        else:
-            rhos = (None if lam_base >= best[2]
-                    else _radii_below(signing, best[2], order))
-            if rhos is None:
-                pruned += 1
-                continue
-            lam = max([lam_base] + rhos)
+            pruner = _Pruner(signing)
+        elif lam_base >= best[2] or not pruner.all_below(signing, best[2]):
+            pruned += 1
+            continue
+        lam, _, rhos = lift_lambda(signing, lam_base)
         best = (i, signing, lam, rhos)
         if target is not None and lam <= target:
             break
@@ -170,21 +169,58 @@ def _check_cadence(crosscheck_every: int) -> None:
                          f"crosschecks off), got {crosscheck_every}")
 
 
-def _radii_below(signing, bound, order):
-    """Every nontrivial character's radius if all lie below `bound`, else None.
+class _Pruner:
+    """Whether a scanned signing's radii all lie below a bound, character
+    by character, over the base and group of the scan's first signing.
 
-    Characters are solved one at a time in `order` (indices into the
-    nontrivial characters); the first whose radius reaches `bound` moves
-    to the front of `order`, so the next signing tries it first.
+    Each A(chi) is written into one n x n buffer, chi(s_e) at (u, v) and
+    its conjugate at (v, u) for each canonical edge e = (u, v), as
+    graphs.signed_operators writes it.  chi's values on every group
+    element are kept per character, up to STACK_BYTES of them; past that
+    a character is evaluated on the signing's entries alone.
     """
-    rhos = [0.0] * len(order)
-    for pos, k in enumerate(order):
-        eigs = spectral.character_spectra(signing, [k + 1], "adjacency")
-        rhos[k] = float(np.abs(eigs[0]).max())
-        if rhos[k] >= bound:
-            order.insert(0, order.pop(pos))
-            return None
-    return rhos
+
+    def __init__(self, signing: Signing):
+        self.group = signing.group
+        self.u, self.v = signing.base.edges.T
+        self.mat = np.zeros((signing.base.n,) * 2, dtype=np.complex128)
+        # nontrivial character indices less one, the last pruner first
+        self.order = list(range(self.group.order - 1))
+        self.columns = {}
+        self.room = spectral.STACK_BYTES // (16 * self.group.order)
+
+    def _values(self, k: int, elems: np.ndarray) -> np.ndarray:
+        column = self.columns.get(k)
+        if column is None:
+            if len(self.columns) >= self.room:
+                return self.group.char_table([k + 1], elems)[0]
+            column = self.columns[k] = self.group.char_table(
+                [k + 1], np.arange(self.group.order))[0]
+        return column[elems]
+
+    def all_below(self, signing: Signing, bound: float) -> bool:
+        """Whether every nontrivial radius of `signing` is below `bound`.
+
+        Characters are tried in `order`.  spectral.radius_below decides
+        each, and one it leaves undecided is solved by
+        spectral.character_spectra; the first whose radius reaches
+        `bound` moves to the front of `order`, so the next signing tries
+        it first.
+        """
+        elems = self.group.element_indices(signing.values)
+        for pos, k in enumerate(self.order):
+            vals = self._values(k, elems)
+            self.mat[self.u, self.v] = vals
+            self.mat[self.v, self.u] = vals.conj()
+            below = spectral.radius_below(self.mat, bound)
+            if below is None:
+                eigs = spectral.character_spectra(signing, [k + 1],
+                                                  "adjacency")
+                below = float(np.abs(eigs).max()) < bound
+            if not below:
+                self.order.insert(0, self.order.pop(pos))
+                return False
+        return True
 
 
 def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
@@ -355,30 +391,38 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     elif cert["mode"] == "walk" and cert["schema"] in (CERT_SCHEMA,
                                                        CERT_SCHEMA_V2):
         invalid.update(_walk_replay_faults(cert, signing, tol))
+    invalid.update(_number_faults(cert))
     claimed = cert["per_character_rho"]
-    if len(claimed) == len(rhos):
-        rho_err = max((abs(a - b) for a, b in
-                       zip(sorted(rhos), sorted(claimed))), default=0.0)
-    else:
-        rho_err = None
-        invalid["per_character_rho"] = (
-            f"{len(claimed)} radii, expected {len(rhos)}")
+    rho_err = None
+    if "per_character_rho" not in invalid:
+        if len(claimed) == len(rhos):
+            rho_err = max((abs(a - b) for a, b in
+                           zip(sorted(rhos), sorted(claimed))), default=0.0)
+        else:
+            invalid["per_character_rho"] = (
+                f"{len(claimed)} radii, expected {len(rhos)}")
     target = cert["target"]
-    met = None if target is None else bool(cert["lambda_lift"] <= target)
-    if cert["met_target"] is not met:
-        invalid["met_target"] = f"{cert['met_target']!r}, expected {met!r}"
+    if not invalid.keys() & {"lambda_lift", "target"}:
+        met = None if target is None else bool(cert["lambda_lift"] <= target)
+        if cert["met_target"] is not met:
+            invalid["met_target"] = (f"{cert['met_target']!r}, expected "
+                                     f"{met!r}")
     winner, evaluated = cert["winner_index"], cert["candidates_evaluated"]
-    if not 0 <= winner < evaluated:
+    if invalid.keys() & {"winner_index", "candidates_evaluated"}:
+        evaluated = None  # named already: it bounds no crosscheck count
+    elif not 0 <= winner < evaluated:
         invalid["candidates_evaluated"] = (
             f"{evaluated} evaluated cannot include winner_index {winner}")
-        evaluated = None  # named already: it bounds no crosscheck count
+        evaluated = None
     if "schema" not in invalid:
         fault = _crosscheck_fault(cert["schema"], cert["crosscheck"],
                                   evaluated)
         if fault:
             invalid["crosscheck"] = fault
-    lam_err = abs(lam - cert["lambda_lift"])
-    base_err = abs(lam_base - cert["lambda_base"])
+    lam_err = (None if "lambda_lift" in invalid
+               else abs(lam - cert["lambda_lift"]))
+    base_err = (None if "lambda_base" in invalid
+                else abs(lam_base - cert["lambda_base"]))
     hash_ok = signing.base.content_hash() == cert["base_hash"]
     probe_err = lift_dist = None
     try:
@@ -430,6 +474,30 @@ def _crosscheck_fault(schema: str, block, evaluated) -> str | None:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_faults(cert: dict) -> dict:
+    """The fields that must hold numbers but hold something else, named:
+    lambda_base, lambda_lift and target (or null) are numbers, winner_index
+    and candidates_evaluated integers, per_character_rho a list of
+    numbers."""
+    faults = {}
+    for key, kind in (("lambda_base", "a number"),
+                      ("lambda_lift", "a number"),
+                      ("target", "a number or null"),
+                      ("winner_index", "an integer"),
+                      ("candidates_evaluated", "an integer")):
+        value = cert[key]
+        if key == "target" and value is None:
+            continue
+        if not _is_number(value) or (kind == "an integer"
+                                     and not isinstance(value, int)):
+            faults[key] = f"{value!r:.40}, expected {kind}"
+    rhos = cert["per_character_rho"]
+    if not (isinstance(rhos, list) and all(_is_number(r) for r in rhos)):
+        faults["per_character_rho"] = (f"{rhos!r:.40}, expected a list of "
+                                       "numbers")
+    return faults
 
 
 def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
@@ -177,6 +178,61 @@ def _solve_rows(signing: Signing, chars: np.ndarray, kind: str, solve,
     for lo in range(0, rows.size, per):
         part = rows[lo:lo + per]
         out[part] = solve(signed_operators(signing, chars[part], kind))
+
+
+def radius_margin(n: int) -> float:
+    """The relative band radius_below leaves undecided for n x n input.
+
+    With u = eps / 2 and gamma_k = k u / (1 - k u): a Cholesky
+    factorisation of an n x n Hermitian H with every diagonal entry t that
+    runs to completion factors H + E, |E_ij| <= gamma_{n+1} t /
+    (1 - gamma_{n+1}) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 10.1), so H > -c t I with
+    c = n gamma_{n+1} / (1 - gamma_{n+1}), about n (n + 1) u; and it runs
+    to completion whenever H > c t I (ibid., Demmel's theorem).  Complex
+    arithmetic errs by at most sqrt(2) gamma_4 per operation where real
+    errs by u (section 3.6), so c stays under 6 n (n + 1) u =
+    3 n (n + 1) eps.  The margin 8 n (n + 1) eps covers that and leaves
+    5 n (n + 1) eps for eigvalsh, whose eigenvalues err by p(n) u ||A||
+    for a p(n) growing modestly with n (LAPACK Users' Guide, section
+    4.7): whatever radius_below decides, an eigvalsh radius of the same
+    matrix decides alike.  It is 4.5e-12 at n = 50 and 3e-8 at the dense
+    cap of 4096.
+    """
+    return 8.0 * n * (n + 1) * np.finfo(np.float64).eps
+
+
+def radius_below(mat: np.ndarray, t: float) -> bool | None:
+    """Whether the spectral radius of the Hermitian `mat` lies below t > 0.
+
+    By Sylvester's law of inertia, rho(mat) < t exactly when tI - mat and
+    tI + mat are both positive definite.  Both are factored by Cholesky
+    (LAPACK potrf, which reports failure in `info` and raises nothing), at
+    t (1 - delta) and, for a sign that fails there, at t (1 + delta), with
+    delta = radius_margin(n).  True: both factor at t (1 - delta), so
+    rho < t.  False: one fails at t (1 + delta), so rho > t.  None: too
+    close to call, within about delta t of t; a caller solves then.
+    """
+    n = mat.shape[0]
+    delta = radius_margin(n)
+    work = np.empty(mat.shape, dtype=mat.dtype)
+    diag = work.reshape(-1)[::n + 1]
+    potrf, = get_lapack_funcs(("potrf",), (work,))
+
+    def factors(shift: float, sign: float) -> bool:
+        np.multiply(mat, sign, out=work)
+        np.add(diag, shift, out=diag)
+        # work.T is Fortran-ordered, so potrf factors it in place; it is
+        # the conjugate of the Hermitian work, with the same eigenvalues
+        return potrf(work.T, overwrite_a=1, clean=0)[1] == 0
+
+    verdict = True
+    for sign in (-1.0, 1.0):
+        if not factors(t * (1.0 - delta), sign):
+            if not factors(t * (1.0 + delta), sign):
+                return False
+            verdict = None
+    return verdict
 
 
 @dataclass(frozen=True)

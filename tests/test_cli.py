@@ -378,6 +378,48 @@ def test_codes_tanner_refuses_a_non_canonical_group(tmp_path, capsys):
                  "action"}
 
 
+@pytest.mark.parametrize("adj, found", [
+    (None, "None"), ([1, 2, 3, 4], "[1, 2, 3, 4]")],
+    ids=["adj-null", "adj-of-labels"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--check", "mixing", "--set-s", "1", "--set-t", "2"],
+    ["lift-search", "--ell", "4", "--seeds", "2"],
+    ["hikes", "count", "--k", "3"]], ids=["spectrum", "lift-search", "hikes"])
+def test_graph_readers_name_a_malformed_graph(tmp_path, capsys, argv, adj,
+                                              found):
+    graph = tmp_path / "g.json"
+    serial.dump_json({"graph": {"n": 4, "d": 3, "adj": adj}}, str(graph))
+    capsys.readouterr()
+    assert main(argv + ["--graph", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "failed": True,
+        "error": f"graph adj must be a list of neighbor rows, found {found}"}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("signing, error", [
+    ({"group": AbelianGroup.cyclic(2).to_json(), "edges": None},
+     "signing edges must be a list of [u, v, exponents] triples, found "
+     "None"),
+    ({"group": AbelianGroup.cyclic(2).to_json(), "edges": [[1, 2]]},
+     "signing edges must be a list of [u, v, exponents] triples, found "
+     "[[1, 2]]"),
+    ({"group": None, "edges": []},
+     "group is malformed: 'NoneType' object is not subscriptable")],
+    ids=["edges-null", "edges-of-pairs", "group-null"])
+def test_spectrum_names_a_malformed_signing(tmp_path, capsys, signing,
+                                            error):
+    graph = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    path = tmp_path / "s.json"
+    serial.dump_json(signing, str(path))
+    capsys.readouterr()
+    assert main(["spectrum", "--graph", graph, "--signing", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"failed": True, "error": error}
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("field, value", [
     ("base", 5), ("base", None), ("group", "x"), ("group", [1, 2]),
     ("signing", None), ("signing", {})],

@@ -415,6 +415,29 @@ def test_verify_names_a_forged_tool(name):
         assert report["rho_error"] == honest["rho_error"]
 
 
+# each value below used to raise TypeError out of verify_certificate
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("lambda_base", "lambda_lift",
+                                   "candidates_evaluated", "winner_index")
+      for value in (None, "x", [], {})),
+    *(("target", value) for value in ("x", [], {})),
+    *(("per_character_rho", value) for value in (None, True, 1.5, ["x"]))])
+def test_verify_names_a_field_that_is_not_a_number(field, value):
+    cert = _fixture_cert("walk_cert_v3")
+    assert verify_certificate(cert)["ok"]
+    report = verify_certificate(dict(cert, **{field: value}))
+    assert report["ok"] is False
+    assert report["invalid"][field].startswith(f"{value!r}, expected ")
+    # a bad winner_index also fails the walk replay of winner_seed
+    assert set(report["invalid"]) <= {field, "winner_seed"}
+
+
+def test_verify_keeps_a_null_target_valid():
+    cert = _fixture_cert("support_cert_v3")
+    report = verify_certificate(dict(cert, target=None, met_target=None))
+    assert report["ok"] and "invalid" not in report
+
+
 def _without_schema_and_crosscheck(cert):
     return serial.canonical_json({k: v for k, v in cert.items()
                                   if k not in ("schema", "crosscheck")})
@@ -856,12 +879,76 @@ def test_rows_after_one_attaining_lambda_base_are_pruned_unsolved(monkeypatch):
     assert solves == [(rows[0].tolist(), 4)]
 
 
+def _recording_verdicts(monkeypatch):
+    """Record every verdict of the scan's definiteness test."""
+    verdicts = []
+    decide = spectral.radius_below
+
+    def recording(mat, t):
+        verdicts.append(decide(mat, t))
+        return verdicts[-1]
+
+    monkeypatch.setattr(spectral, "radius_below", recording)
+    return verdicts
+
+
 def test_pruning_solves_under_half_the_characters(monkeypatch):
     base = random_regular(50, 3, seed=0)
+    group = AbelianGroup.cyclic(16)
     rows = np.random.default_rng(0).integers(16, size=(200, base.m))
-    solves = _count_solves(monkeypatch)
-    res = derandomized_lift_search(base, AbelianGroup.cyclic(16), rows,
-                                   crosscheck_every=0)
+
+    def run():
+        return derandomized_lift_search(base, group, rows, crosscheck_every=0)
+
+    with monkeypatch.context() as mp:
+        verdicts = _recording_verdicts(mp)
+        solves = _count_solves(mp)
+        res = run()
     solved = sum(count for _, count in solves)
     assert solved < 200 * 15 // 2
     assert res.candidates_pruned > 100
+    # one 15-character solve per new best, the first row's included, and
+    # one 1-character solve per verdict left inside the margin
+    lam_base = spectral.lambda2(base)
+    lams = [lift_lambda(Signing(base, group, row.reshape(-1, 1)),
+                        lam_base)[0] for row in rows]
+    new_bests = sum(lam < min(lams[:i], default=math.inf)
+                    for i, lam in enumerate(lams))
+    assert sorted(count for _, count in solves) == (
+        [1] * verdicts.count(None) + [15] * new_bests)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_scan", _unpruned_scan)
+        _assert_same_certificate(res, run())
+
+
+def test_ties_fall_inside_the_margin_and_are_solved(monkeypatch):
+    base = random_regular(12, 3, seed=5)
+    rows = np.random.default_rng(8).integers(8, size=(20, base.m))
+    doubled = np.repeat(rows, 2, axis=0)
+    verdicts = _recording_verdicts(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    new = derandomized_lift_search(base, AbelianGroup.cyclic(8), doubled,
+                                   crosscheck_every=0)
+    band = verdicts.count(None)
+    assert band > 0
+    assert sum(count == 1 for _, count in solves) == band
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_scan", _unpruned_scan)
+        ref = derandomized_lift_search(base, AbelianGroup.cyclic(8), doubled,
+                                       crosscheck_every=0)
+    _assert_same_certificate(new, ref)
+
+
+def test_scan_without_cached_character_columns_is_unchanged(monkeypatch):
+    base = random_regular(12, 3, seed=5)
+    rows = np.random.default_rng(4).integers(8, size=(60, base.m))
+
+    def run():
+        return derandomized_lift_search(base, AbelianGroup.cyclic(8), rows,
+                                        crosscheck_every=0)
+
+    cached = run()
+    monkeypatch.setattr(spectral, "STACK_BYTES", 0)
+    uncached = run()
+    _assert_same_certificate(uncached, cached)
+    assert uncached.candidates_pruned == cached.candidates_pruned > 0

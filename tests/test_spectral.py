@@ -326,6 +326,35 @@ def test_a_character_without_its_partner_is_solved_alone():
     assert np.array_equal(both, np.stack([alone.conj(), alone]))
 
 
+def _hermitian_with_extreme(n, extreme, complex_, seed=0):
+    """An n x n Hermitian matrix, real symmetric unless complex_, with one
+    eigenvalue `extreme` and the others spread over [-0.5, 0.5]."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n))
+    if complex_:
+        z = z + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    eigs = np.linspace(-0.5, 0.5, n)
+    eigs[0] = extreme
+    mat = (q * eigs) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["top", "bottom"])
+@pytest.mark.parametrize("ratio, verdict", [
+    (1 + 1e-6, False), (1 - 1e-6, True), (1 - 1e-15, None)],
+    ids=["above", "below", "inside-the-margin"])
+def test_radius_below_decides_outside_its_margin_only(complex_, side, ratio,
+                                                      verdict):
+    t = 1.7
+    mat = _hermitian_with_extreme(8, side * t * ratio, complex_)
+    kept = mat.copy()
+    assert spectral.radius_margin(8) > 1e-14  # the margin holds 1e-15
+    assert spectral.radius_below(mat, t) is verdict
+    assert np.array_equal(mat, kept)
+
+
 def test_large_group_peak_memory_stays_within_the_stack_cap():
     base = random_regular(24, 3, seed=1)
     group = AbelianGroup.cyclic(4096)
