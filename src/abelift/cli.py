@@ -187,12 +187,11 @@ def cmd_codes(args):
         ok = codes.css_valid(np.asarray(serial.load_json(args.hx)),
                              np.asarray(serial.load_json(args.hz)))
         return {"css_valid": ok}, [args.hx, args.hz], not ok
-    cert = _read(args.cert, "certificate")
-    signing = search.certificate_signing(cert)
+    signing = search.read_signing(_read(args.cert, "certificate"))
     d = signing.base.d
     local = (codes.LinearCodeF2.even_weight(d) if args.local == "even-weight"
              else codes.LinearCodeF2.repetition(d))
-    H = codes.tanner_from_certificate(cert, local)
+    H = codes.tanner_from_certificate(signing, local)
     tanner = {"rows": int(H.shape[0]), "cols": int(H.shape[1]),
               "dimension": codes.code_dimension(H),
               "circulant": codes.circulant_structure_check(

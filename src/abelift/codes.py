@@ -17,7 +17,7 @@ import numpy as np
 from . import gf2, kernels
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
-from .search import certificate_signing
+from .search import read_signing
 
 EXACT_DIM_CAP = 24
 EXACT_DISTANCE_BUDGET = 1 << 26
@@ -520,7 +520,8 @@ def free_action_check(base: RegularGraph, signing: Signing) -> FreeActionReport:
                             None if free else ("vertex",) + fixed)
 
 
-def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
+def tanner_from_certificate(cert: dict | Signing,
+                            local: LinearCodeF2) -> np.ndarray:
     """Tanner parity of a certified lift, built over F2[Z_ell] and expanded.
 
     The base graph's Tanner code with the local-code bit of edge e at x^0
@@ -528,9 +529,10 @@ def tanner_from_certificate(cert: dict, local: LinearCodeF2) -> np.ndarray:
     e's shift.  Expanded, columns sit at (base edge e, fiber f) ->
     e * ell + f and rows at ((v * checks + c) * ell + i).  Needs the
     canonical cyclic action, whose fiber shifts are exactly these rotations.
-    The certificate is read by search.certificate_signing.
+    `cert` is a certificate, read by search.read_signing, or the Signing
+    read from one.
     """
-    signing = certificate_signing(cert)
+    signing = cert if isinstance(cert, Signing) else read_signing(cert)
     base, group = signing.base, signing.group
     ell = group.fiber_size
     canonical = AbelianGroup.cyclic(ell)

@@ -8,6 +8,7 @@ cyclic group of order l acts on itself by rotation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -238,9 +239,16 @@ class AbelianGroup:
     @staticmethod
     def from_json(payload: dict) -> "AbelianGroup":
         try:
-            factors = tuple(int(m) for m in payload["factors"])
-            perms = tuple(tuple(int(x) - 1 for x in p)
+            factors = tuple(map(_json_int, payload["factors"]))
+            perms = tuple(tuple(_json_int(x) - 1 for x in p)
                           for p in payload["generators"])
-        except TypeError as exc:  # null or a scalar where a list belongs
+        except TypeError as exc:  # a null, scalar or non-integer entry
             raise ValueError(f"group is malformed: {exc}") from exc
         return AbelianGroup(factors, perms)
+
+
+def _json_int(x) -> int:
+    """operator.index, which also refuses true and false."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return operator.index(x)

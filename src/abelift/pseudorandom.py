@@ -21,8 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import RegularGraph, Signing, random_regular_dense
+from .graphs import RegularGraph, Signing, _integer_rows, random_regular_dense
 from .groups import AbelianGroup
+from .serial import is_integer, is_number
 
 EXACT_CHAR_CAP = kernels.EXACT_CHAR_CAP
 # float slack allowed between an exact bias and the nu it is held to
@@ -111,10 +112,20 @@ class BiasedSet:
 
     @staticmethod
     def from_json(payload: dict) -> "BiasedSet":
-        return BiasedSet(int(payload["ellp"]), int(payload["m"]),
-                         np.asarray(payload["support"], dtype=np.int64),
-                         float(payload["claimed_bias"]),
-                         dict(payload["verified"]))
+        """Read a to_json payload; a ValueError names a malformed field."""
+        for key, holds, expected in (
+                ("ellp", lambda x: is_integer(x) and x > 0, "an integer > 0"),
+                ("m", is_integer, "an integer"),
+                ("claimed_bias", is_number, "a number"),
+                ("support", lambda x: isinstance(x, list) and all(
+                    isinstance(row, list) for row in x), "a list of rows"),
+                ("verified", lambda x: isinstance(x, dict), "an object")):
+            if not holds(payload.get(key)):
+                raise ValueError(f"biased set {key} {payload.get(key)!r:.40}"
+                                 f", expected {expected}")
+        return BiasedSet(payload["ellp"], payload["m"],
+                         _integer_rows(payload["support"], "support entry"),
+                         float(payload["claimed_bias"]), payload["verified"])
 
 
 def _full_product(ellp: int, m: int) -> np.ndarray:

@@ -20,17 +20,20 @@ those of a full solve of every candidate.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 
 import numpy as np
 
 from . import serial, spectral
-from .graphs import RegularGraph, Signing
+from .graphs import RegularGraph, Signing, _integer_rows
 from .groups import AbelianGroup
 from .hikes import count_bounds
 from .pseudorandom import (BiasedSet, auxiliary_expander,
                            expander_walk_signing)
+from .serial import is_integer, is_number
 from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
                        spectrum_union_check)
 
@@ -42,40 +45,6 @@ CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
 # bound on the dense spectrum-union distance: a v1 or v2 certificate's
 # crosscheck and the verifier's check_lift=True
 CROSSCHECK_TOL = 1e-8
-# the fields verify_certificate reads
-REQUIRED_FIELDS = ("schema", "tool", "mode", "base", "base_hash", "group",
-                   "signing", "lambda_base", "per_character_rho",
-                   "lambda_lift", "target", "met_target", "winner_index",
-                   "candidates_evaluated", "provenance", "crosscheck")
-
-
-class CertificateFieldError(ValueError):
-    """A certificate's base, group or signing cannot be read; `field`
-    names it and `reason` says why."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"certificate {field} {reason}")
-        self.field = field
-        self.reason = reason
-
-
-def certificate_signing(cert: dict) -> Signing:
-    """The signing a certificate claims, read over its own base and group.
-
-    Raises CertificateFieldError naming the first of base, group and
-    signing that cannot be read; a signing that does not fit its base and
-    group is named as the signing.
-    """
-    field = "base"
-    try:
-        base = RegularGraph.from_json(cert[field])
-        field = "group"
-        group = AbelianGroup.from_json(cert[field])
-        field = "signing"
-        return Signing(base, group, np.asarray(cert[field]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CertificateFieldError(field, f"cannot be read: {exc!r}"
-                                    ) from exc
 
 
 def _tool_stamp() -> dict:
@@ -340,90 +309,206 @@ def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
     }
 
 
+_SCHEMAS = (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1)
+
+
+class _Unread(Exception):
+    """A rule read a field that did not pass its own row."""
+
+
+class _Read(dict):
+    """The fields read so far; reading any other raises _Unread."""
+
+    def __missing__(self, field):
+        raise _Unread(field)
+
+
+def _counted(size: int, r):
+    """A scan of `size` candidates evaluates them all, or fewer only when
+    it stopped on a met target."""
+    evaluated, met = r["candidates_evaluated"], r["met_target"]
+    return (evaluated == size or met is True and evaluated <= size or
+            f"{size} candidates, expected {'at least ' if met else ''}"
+            f"candidates_evaluated = {evaluated}")
+
+
+def _dist(x, r):
+    """A support provenance's dist, read, or True when it names its rows
+    by support_size and support_hash instead."""
+    if x is None and "support_size" in r["provenance"]:
+        return True
+    dist, signing, index = (BiasedSet.from_json(x), r["signing"],
+                            r["winner_index"])
+    if (dist.m, (dist.ellp,)) != (signing.base.m, signing.group.factors):
+        return (f"a set in (Z_{dist.ellp})^{dist.m}, expected one in "
+                f"(Z_{signing.group.order})^{signing.base.m}")
+    if (counted := _counted(dist.size, r)) is not True:
+        return counted
+    if (dist.support[index] != signing.values[:, 0]).any():
+        return f"support row {index} is not the signing"
+    return dist
+
+
+# read_certificate's rows, in order: (field, rule, expected).  A field is
+# a top-level key or "<key>.<key in its object>", after an optional
+# "<scope>:", a glob that "<mode> <schema version>" must match.
+# rule(x, read) gets the field's value x (None for a key its object lacks)
+# and the fields read so far, and returns True (x is read), a value parsed
+# from x, False ("<x!r>, expected <expected>") or a reason; a rule that
+# raises names its field "cannot be read", and one that reads a field that
+# was not read is skipped.  Faults within tool and crosscheck are named
+# under those keys, and within provenance under their own.
+_TABLE = [
+    ("schema", lambda x, r: x in _SCHEMAS,
+     f"{CERT_SCHEMA!r}, {CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}"),
+    ("tool", lambda x, r: isinstance(x, dict), "an object named 'abelift'"),
+    ("tool.name", lambda x, r: x == "abelift", "'abelift'"),
+    ("mode", lambda x, r: x in ("derandomized", "walk"),
+     "derandomized or walk"),
+    ("base", lambda x, r: RegularGraph.from_json(x), None),
+    ("base_hash", lambda x, r: x == r["base"].content_hash(), "its hash"),
+    ("group", lambda x, r: AbelianGroup.from_json(x), None),
+    ("signing", lambda x, r: Signing(r["base"], r["group"],
+                                     _integer_rows(x, "signing entry")), None),
+    ("lambda_base", lambda x, r: is_number(x), "a number"),
+    ("lambda_lift", lambda x, r: is_number(x), "a number"),
+    ("per_character_rho", lambda x, r: isinstance(x, list) and all(
+        map(is_number, x)) and (len(x) == (k := r["signing"].group.order - 1)
+                                or f"{len(x)} radii, expected {k}"),
+     "a list of numbers"),
+    ("target", lambda x, r: x is None or is_number(x), "a number or null"),
+    ("met_target", lambda x, r: x is (None if r["target"] is None else
+                                      r["lambda_lift"] <= r["target"]),
+     "lambda_lift <= target, or null without a target"),
+    ("candidates_evaluated", lambda x, r: is_integer(x) and x > 0,
+     "a positive integer"),
+    ("winner_index", lambda x, r: is_integer(x) and 0 <= x < r[
+        "candidates_evaluated"], "an integer in [0, candidates_evaluated)"),
+    ("provenance", lambda x, r: isinstance(x, dict), "an object"),
+    ("walk *:provenance.kind", lambda x, r: x == "expander-walk",
+     "'expander-walk'"),
+    ("walk *:provenance.seeds_requested", lambda x, r: is_integer(x) and
+     _counted(x, r), "an integer"),
+    ("walk *:provenance.reference_curve", lambda x, r: x == {
+        "form": "sqrt(d)*log2(d)", "value": (v := reference_lambda(
+            r["base"].d)), "ratio": r["lambda_lift"] / v},
+     "sqrt(d)*log2(d) and lambda_lift's ratio to it"),
+    ("walk v[23]:provenance.master_seed", lambda x, r: is_integer(x) and
+     x >= 0, "a non-negative integer"),
+    ("walk v[23]:provenance.dprime", lambda x, r: is_integer(x),
+     "an integer"),
+    ("derandomized *:provenance.kind", lambda x, r: x == "biased-support",
+     "'biased-support'"),
+    ("derandomized *:provenance.dist", _dist, None),
+    ("derandomized *:provenance.support_size", lambda x, r: "dist" in r[
+        "provenance"] or is_integer(x) and _counted(x, r), "an integer"),
+    ("derandomized *:provenance.support_hash", lambda x, r: "dist" in r[
+        "provenance"] or isinstance(x, str) and re.fullmatch(
+        "[0-9a-f]{64}", x) is not None, "a sha256 hex digest"),
+    ("crosscheck", lambda x, r: isinstance(x, dict), "an object"),
+    ("* v3:crosscheck.kind", lambda x, r: x == "fourier-probe",
+     "'fourier-probe'"),
+    ("* v3:crosscheck.tol", lambda x, r: x == PROBE_TOL, repr(PROBE_TOL)),
+    ("* v[12]:crosscheck.tol", lambda x, r: x == CROSSCHECK_TOL,
+     repr(CROSSCHECK_TOL)),
+    ("* v3:crosscheck.max_error", lambda x, r: is_number(x) and
+     0 <= x <= PROBE_TOL, f"within [0, {PROBE_TOL!r}]"),
+    ("* v[12]:crosscheck.max_distance", lambda x, r: is_number(x) and
+     0 <= x <= CROSSCHECK_TOL, f"within [0, {CROSSCHECK_TOL!r}]"),
+    ("crosscheck.count", lambda x, r: is_integer(x) and 0 <= x <= r.get(
+        "candidates_evaluated", x) or f"{x!r}, expected an integer within "
+     f"[0, candidates_evaluated = {r.get('candidates_evaluated')!r}]", None),
+]
+# every top-level field of a certificate
+REQUIRED_FIELDS = tuple(dict.fromkeys(
+    row[0].rpartition(":")[2].partition(".")[0] for row in _TABLE))
+
+
+def _read_fields(cert: dict) -> tuple[_Read, dict]:
+    """Walk _TABLE over `cert`: (the fields read, the faults named)."""
+    read, faults = _Read(), {}
+    for scoped, rule, expected in _TABLE:
+        scope, _, field = scoped.rpartition(":")
+        head, _, key = field.partition(".")
+        name = key if key and head == "provenance" else head
+        if name in faults:
+            continue
+        if head not in cert:
+            faults[head] = "missing"
+            continue
+        try:
+            if scope and not fnmatchcase(f"{read.get('mode')} "
+                                         f"{read.get('schema', '')[-2:]}",
+                                         scope):
+                continue
+            x = read[head].get(key) if key else cert[head]
+            verdict = rule(x, read)
+        except _Unread:
+            continue
+        except (AttributeError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
+            verdict = f"cannot be read: {exc!r}"
+        if verdict is False:
+            verdict = f"{x!r:.40}, expected {expected}"
+        if isinstance(verdict, str):
+            faults[name] = f"{key} {verdict}" if name == head != field \
+                else verdict
+        else:
+            read[field] = x if verdict is True else verdict
+    return read, faults
+
+
+def read_certificate(cert: dict) -> tuple[Signing | None, dict]:
+    """The signing a certificate claims (None when its base, group or
+    signing cannot be read), and why each field that breaks a row of
+    _TABLE breaks it, by field."""
+    read, faults = _read_fields(cert)
+    return read.get("signing"), faults
+
+
+def read_signing(cert: dict) -> Signing:
+    """The signing read_certificate reads; a ValueError names the first of
+    base, group and signing that it cannot read."""
+    signing, faults = read_certificate(cert)
+    if signing is None:
+        field = next(f for f in ("base", "group", "signing") if f in faults)
+        raise ValueError(f"certificate {field} {faults[field]}")
+    return signing
+
+
 def verify_certificate(cert: dict, tol: float = 1e-9,
                        check_lift: bool = False) -> dict:
     """Recompute a certificate's spectral claims from its own payload.
 
-    Besides the recomputed errors, the certificate's bookkeeping must hold:
-    every one of REQUIRED_FIELDS present, a known schema (v3, v2 or v1), a
-    tool object whose name is "abelift", a known mode, one radius per
-    nontrivial character, met_target equal to lambda_lift <= target (None
-    without a target), a winner_index among the candidates_evaluated, and
-    a crosscheck block that the search could have written (see
-    _crosscheck_fault).  A v3 or v2 walk certificate also replays its
-    provenance: the auxiliary expander rebuilt from (master_seed, dprime,
-    ell) must match dprime_used, aux_hash, aux_bound and (within tol)
-    aux_lambda, winner_seed must be [master_seed, winner_index], and the
-    walk it draws on that graph must equal the signing.  v1 certificates
-    are not replayed.  Each violated rule is named under "invalid" with ok
-    false; a missing field, or a base, group or signing that cannot be
-    read (certificate_signing), is named before anything is recomputed.
-
-    The lift is checked against the character decomposition by
-    spectral.decomposition_probe at every size: lift_probe_error must be
-    within PROBE_TOL, and a group whose action is not regular is named
-    under "group".  check_lift=True also builds the lift and solves it
-    densely (spectrum_union_check): lift_union_distance, null otherwise,
-    must be within CROSSCHECK_TOL.
+    The certificate is read first (read_certificate: _TABLE is the one
+    list of what each field must hold), and each field that breaks a row
+    is named under "invalid" with ok false.  Then lift_lambda (errors within
+    tol), a v3 or v2 walk's replay and spectral.decomposition_probe (at
+    every size, within PROBE_TOL) are checked against the fields read;
+    check_lift=True also solves the built lift densely (CROSSCHECK_TOL).
     """
-    invalid = {key: "missing" for key in REQUIRED_FIELDS if key not in cert}
-    if not invalid:
-        try:
-            signing = certificate_signing(cert)
-        except CertificateFieldError as exc:
-            invalid[exc.field] = exc.reason
-    if invalid:
+    read, invalid = _read_fields(cert)
+    signing = read.get("signing")
+    missing = {key: "missing" for key in REQUIRED_FIELDS if key not in cert}
+    if missing or signing is None:
         return {"ok": False, "hash_ok": None, "lambda_error": None,
                 "lambda_base_error": None, "rho_error": None,
                 "lift_union_distance": None, "lift_probe_error": None,
-                "invalid": invalid}
+                "invalid": missing or invalid}
     lam, lam_base, rhos = lift_lambda(signing)
-    if cert["schema"] not in (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1):
-        invalid["schema"] = (f"{cert['schema']!r}, expected {CERT_SCHEMA!r}, "
-                             f"{CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}")
-    tool = cert["tool"]
-    if not isinstance(tool, dict):
-        invalid["tool"] = f"{tool!r}, expected an object named 'abelift'"
-    elif tool.get("name") != "abelift":
-        invalid["tool"] = f"name {tool.get('name')!r}, expected 'abelift'"
-    if cert["mode"] not in ("derandomized", "walk"):
-        invalid["mode"] = f"{cert['mode']!r}, expected derandomized or walk"
-    elif cert["mode"] == "walk" and cert["schema"] in (CERT_SCHEMA,
-                                                       CERT_SCHEMA_V2):
-        invalid.update(_walk_replay_faults(cert, signing, tol))
-    invalid.update(_number_faults(cert))
-    claimed = cert["per_character_rho"]
-    rho_err = None
-    if "per_character_rho" not in invalid:
-        if len(claimed) == len(rhos):
-            rho_err = max((abs(a - b) for a, b in
-                           zip(sorted(rhos), sorted(claimed))), default=0.0)
-        else:
-            invalid["per_character_rho"] = (
-                f"{len(claimed)} radii, expected {len(rhos)}")
-    target = cert["target"]
-    if not invalid.keys() & {"lambda_lift", "target"}:
-        met = None if target is None else bool(cert["lambda_lift"] <= target)
-        if cert["met_target"] is not met:
-            invalid["met_target"] = (f"{cert['met_target']!r}, expected "
-                                     f"{met!r}")
-    winner, evaluated = cert["winner_index"], cert["candidates_evaluated"]
-    if invalid.keys() & {"winner_index", "candidates_evaluated"}:
-        evaluated = None  # named already: it bounds no crosscheck count
-    elif not 0 <= winner < evaluated:
-        invalid["candidates_evaluated"] = (
-            f"{evaluated} evaluated cannot include winner_index {winner}")
-        evaluated = None
-    if "schema" not in invalid:
-        fault = _crosscheck_fault(cert["schema"], cert["crosscheck"],
-                                  evaluated)
-        if fault:
-            invalid["crosscheck"] = fault
-    lam_err = (None if "lambda_lift" in invalid
-               else abs(lam - cert["lambda_lift"]))
-    base_err = (None if "lambda_base" in invalid
-                else abs(lam_base - cert["lambda_base"]))
-    hash_ok = signing.base.content_hash() == cert["base_hash"]
+    try:
+        invalid.update(_walk_replay_faults(read, signing, tol))
+    except _Unread:  # no v3 or v2 walk, or one whose replay reads a fault
+        pass
+
+    def error(field, value):
+        return abs(value - read[field]) if field in read else None
+
+    lam_err, base_err = error("lambda_lift", lam), error("lambda_base",
+                                                         lam_base)
+    rho_err = (max((abs(a - b) for a, b in zip(
+        sorted(rhos), sorted(read["per_character_rho"]))), default=0.0)
+        if "per_character_rho" in read else None)
     probe_err = lift_dist = None
     try:
         probe_err = decomposition_probe(signing)
@@ -433,82 +518,29 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
         lift_dist = spectrum_union_check(
             signing, CROSSCHECK_TOL,
             include_nonbacktracking=False).adjacency_distance
-    ok = (not invalid and hash_ok and rho_err <= tol and lam_err <= tol
+    ok = (not invalid and rho_err <= tol and lam_err <= tol
           and base_err <= tol and probe_err <= PROBE_TOL
           and (lift_dist is None or lift_dist <= CROSSCHECK_TOL))
-    report = {"ok": bool(ok), "hash_ok": hash_ok, "lambda_error": lam_err,
-              "lambda_base_error": base_err, "rho_error": rho_err,
-              "lift_union_distance": lift_dist, "lift_probe_error": probe_err}
+    report = {"ok": bool(ok), "hash_ok": "base_hash" in read,
+              "lambda_error": lam_err, "lambda_base_error": base_err,
+              "rho_error": rho_err, "lift_union_distance": lift_dist,
+              "lift_probe_error": probe_err}
     if invalid:
         report["invalid"] = invalid
     return report
 
 
-def _crosscheck_fault(schema: str, block, evaluated) -> str | None:
-    """Why a crosscheck block could not have come from its search, or None.
-
-    A v3 block records the Fourier probe (kind "fourier-probe", tol
-    PROBE_TOL, max_error), a v1 or v2 block the dense union check (tol
-    CROSSCHECK_TOL, max_distance).  The error lies in [0, tol] and count
-    is an integer in [0, evaluated], or only >= 0 when evaluated is None.
-    """
-    if not isinstance(block, dict):
-        return f"{block!r}, expected an object"
-    if schema == CERT_SCHEMA:
-        tol, err_key = PROBE_TOL, "max_error"
-        if block.get("kind") != "fourier-probe":
-            return f"kind {block.get('kind')!r}, expected 'fourier-probe'"
-    else:
-        tol, err_key = CROSSCHECK_TOL, "max_distance"
-    if block.get("tol") != tol:
-        return f"tol {block.get('tol')!r}, expected {tol!r}"
-    err, count = block.get(err_key), block.get("count")
-    if not (_is_number(err) and 0 <= err <= tol):
-        return f"{err_key} {err!r}, expected within [0, {tol!r}]"
-    if not (_is_number(count) and isinstance(count, int) and 0 <= count
-            and (evaluated is None or count <= evaluated)):
-        return (f"count {count!r}, expected an integer within [0, "
-                f"candidates_evaluated = {evaluated!r}]")
-    return None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number_faults(cert: dict) -> dict:
-    """The fields that must hold numbers but hold something else, named:
-    lambda_base, lambda_lift and target (or null) are numbers, winner_index
-    and candidates_evaluated integers, per_character_rho a list of
-    numbers."""
-    faults = {}
-    for key, kind in (("lambda_base", "a number"),
-                      ("lambda_lift", "a number"),
-                      ("target", "a number or null"),
-                      ("winner_index", "an integer"),
-                      ("candidates_evaluated", "an integer")):
-        value = cert[key]
-        if key == "target" and value is None:
-            continue
-        if not _is_number(value) or (kind == "an integer"
-                                     and not isinstance(value, int)):
-            faults[key] = f"{value!r:.40}, expected {kind}"
-    rhos = cert["per_character_rho"]
-    if not (isinstance(rhos, list) and all(_is_number(r) for r in rhos)):
-        faults["per_character_rho"] = (f"{rhos!r:.40}, expected a list of "
-                                       "numbers")
-    return faults
-
-
-def _walk_replay_faults(cert: dict, signing: Signing, tol: float) -> dict:
-    """Named mismatches between a v2 walk provenance and its replay."""
-    prov = cert["provenance"]
+def _walk_replay_faults(read: _Read, signing: Signing, tol: float) -> dict:
+    """Named mismatches between a v3 or v2 walk provenance and its replay;
+    raises _Unread for any other certificate."""
+    prov, index = read["provenance"], read["winner_index"]
+    master = read["provenance.master_seed"]
     try:
-        aux = auxiliary_expander(signing.group.fiber_size, prov["dprime"],
-                                 prov["master_seed"])
-        expected_seed = [prov["master_seed"], cert["winner_index"]]
+        aux = auxiliary_expander(signing.group.fiber_size,
+                                 read["provenance.dprime"], master)
+        expected_seed = [master, index]
         replay = (expander_walk_signing(signing.base, signing.group, aux,
-                                        cert["winner_index"])
+                                        index)
                   if prov["winner_seed"] == expected_seed else None)
     except (KeyError, TypeError, ValueError, RuntimeError) as exc:
         return {"provenance": f"cannot be replayed: {exc!r}"}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -27,6 +28,19 @@ def _encode(obj: Any) -> Any:
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def is_integer(x: Any) -> bool:
+    """Whether a JSON value is an integer (true and false are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x: Any) -> bool:
+    """Whether a JSON value is a finite number (not NaN, inf or a bool)."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        return False
 
 
 def canonical_json(obj: Any) -> str:

@@ -420,6 +420,29 @@ def test_spectrum_names_a_malformed_signing(tmp_path, capsys, signing,
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("ellp", None, "an integer > 0"), ("ellp", 2.7, "an integer > 0"),
+    ("m", True, "an integer"), ("support", None, "a list of rows"),
+    ("claimed_bias", None, "a number"), ("verified", 5, "an object")],
+    ids=["ellp-null", "ellp-float", "m-bool", "support-null",
+         "claimed-bias-null", "verified-int"])
+def test_lift_search_names_a_malformed_support_file(tmp_path, capsys, field,
+                                                    value, expected):
+    graph = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    dist = dict(BiasedSet(2, 6, [[0] * 6], 1.0, {}).to_json(),
+                **{field: value})
+    path = tmp_path / "bias.json"
+    serial.dump_json({"biased_set": dist}, str(path))
+    capsys.readouterr()
+    assert main(["lift-search", "--graph", graph, "--mode", "support",
+                 "--ell", "2", "--support", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "failed": True,
+        "error": f"biased set {field} {value!r}, expected {expected}"}
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("field, value", [
     ("base", 5), ("base", None), ("group", "x"), ("group", [1, 2]),
     ("signing", None), ("signing", {})],

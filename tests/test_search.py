@@ -373,16 +373,30 @@ def test_verify_names_each_missing_field(name):
      "ValueError('exponent rows of shape (6, 1), but one row per canonical "
      "edge needs (6, 2)')"),
     ("group", {"factors": [3]}, "group", "KeyError('generators')"),
+    ("group", {"factors": [3.7], "generators": [[2, 3, 1]]}, "group",
+     "ValueError(\"group is malformed: 'float' object cannot be interpreted "
+     "as an integer\")"),
+    ("group", {"factors": [3], "generators": [[2, 3, True]]}, "group",
+     "ValueError('group is malformed: True is not an integer')"),
     ("base", {"n": 3, "d": 1, "adj": [[2], [1], [1]]}, "base",
      "ValueError('adjacency is not symmetric')"),
     ("base", {"n": 4, "d": 3}, "base", "KeyError('adj')"),
     ("base", 5, "base", 'TypeError("\'int\' object is not subscriptable")'),
     ("signing", [[0], [1]], "signing", "ValueError('exponent rows of shape "
      "(2, 1), but one row per canonical edge needs (6, 1)')"),
-    ("signing", [[2 ** 70]] * 6, "signing", "OverflowError(")],
+    ("signing", [[2 ** 70]] * 6, "signing", "ValueError('signing entry "
+     "1180591620717411303424 is not a 64-bit integer')"),
+    ("signing", [[1], [2], [0], [1], [0], [2.5]], "signing",
+     "ValueError('signing entry 2.5 is not a 64-bit integer')"),
+    ("signing", [[1], [2], [0], [1], [0], [True]], "signing",
+     "ValueError('signing entry True is not a 64-bit integer')"),
+    ("signing", [[1], [2], [0], [1], [0], [math.nan]], "signing",
+     "ValueError('signing entry nan is not a 64-bit integer')")],
     ids=["group-of-two-factors", "group-without-generators",
+         "group-float-factor", "group-bool-generator",
          "base-asymmetric", "base-without-adj", "base-not-an-object",
-         "signing-of-two-rows", "signing-beyond-int64"])
+         "signing-of-two-rows", "signing-beyond-int64", "signing-float",
+         "signing-bool", "signing-nan"])
 def test_verify_names_a_part_that_cannot_be_read(field, value, named, reason):
     cert = _fixture_cert("walk_cert_v2")
     assert verify_certificate(cert)["ok"]
@@ -430,6 +444,126 @@ def test_verify_names_a_field_that_is_not_a_number(field, value):
     assert report["invalid"][field].startswith(f"{value!r}, expected ")
     # a bad winner_index also fails the walk replay of winner_seed
     assert set(report["invalid"]) <= {field, "winner_seed"}
+
+
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("lambda_base", "lambda_lift", "target")
+      for value in (math.nan, math.inf, -math.inf, 10 ** 400)),
+    ("per_character_rho", [math.nan, 2.5])],
+    ids=[*(f"{field}-{value}" for field in ("lambda_base", "lambda_lift",
+                                            "target")
+           for value in ("nan", "inf", "-inf", "10**400")), "rho-nan"])
+def test_verify_names_a_number_that_is_not_finite(field, value):
+    report = verify_certificate(dict(_fixture_cert("support_cert_v3"),
+                                     **{field: value}))
+    assert report["ok"] is False and list(report["invalid"]) == [field]
+    assert report["invalid"][field].startswith(f"{value!r:.40}, expected ")
+    serial.canonical_json(report)  # refuses a NaN or an inf
+
+
+# the ten values each certificate field is mutated to
+_MUTATIONS = (None, "x", 1.5, -1, [], {}, [1, 2], True, 10 ** 30, math.nan)
+# the fields a mutated field feeds: a mutation may be named under these
+# instead of its own field
+_FEEDS = {
+    "target": {"met_target"},
+    "candidates_evaluated": {"seeds_requested", "dist"},
+    "master_seed": {"winner_seed", "aux_hash"},
+    "dprime": {"provenance", "dprime_used", "aux_hash", "aux_lambda",
+               "aux_bound"},
+}
+# the mutations that keep a certificate ok, by (fixture, field), each for
+# its reason
+_STILL_OK = {
+    # an auxiliary degree past ell - 1 is capped, to the same dprime_used
+    ("walk_cert_v2", "dprime"): [10 ** 30],
+    ("walk_cert_v3", "dprime"): [10 ** 30],
+    # v1 walks record their auxiliary graph under "walk" and are not
+    # replayed, so nothing reads these fields
+    **{("walk_cert_v1", key): _MUTATIONS
+       for key in ("master_seed", "dprime", "walk", "winner_seed")},
+}
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
+                                  "walk_cert_v2", "support_cert_v2",
+                                  "walk_cert_v3", "support_cert_v3"])
+def test_every_field_mutation_is_named_or_fails_its_errors(name):
+    """Each top-level and provenance field of a fixture, set to each of ten
+    values: the verifier never raises and never reports a NaN.  A value
+    left unchanged (a null target) or listed in _STILL_OK stays ok; every
+    other ends ok false with its field (or one it feeds) named, or with a
+    finite error above tol."""
+    cert = _fixture_cert(name)
+    prov = cert["provenance"]
+    cases = [(key, value, dict(cert, **{key: value}))
+             for key in cert for value in _MUTATIONS]
+    cases += [(key, value, dict(cert, provenance=dict(prov, **{key: value})))
+              for key in prov for value in _MUTATIONS]
+    wrong = []
+    for key, value, forged in cases:
+        report = verify_certificate(forged)
+        serial.canonical_json(report)  # refuses a NaN
+        original = prov[key] if key in prov else cert[key]
+        if any(_same(value, v) for v in [original, *_STILL_OK.get(
+                (name, key), ())]):
+            if not report["ok"]:
+                wrong.append((key, value, "not ok", report))
+            continue
+        named = set(report.get("invalid", ())) & ({key} | _FEEDS.get(
+            key, set()) | (set(prov) if key == "provenance" else set()))
+        errors = [report[k] for k in ("lambda_error", "lambda_base_error",
+                                      "rho_error") if report[k] is not None]
+        if report["ok"] or not (named or max(errors, default=0) > 1e-9):
+            wrong.append((key, value, "not named", report))
+    assert not wrong, wrong[:5]
+
+
+def test_verify_holds_the_support_provenance_to_the_scan():
+    base, group = complete_graph(4), AbelianGroup.cyclic(3)
+    plain = derandomized_lift_search(base, group,
+                                     _all_rows(3, 6)[:40]).certificate
+    assert verify_certificate(plain)["ok"]
+    for forged, invalid in (
+            (_forged(plain, support_size=41),
+             {"support_size": "41 candidates, expected candidates_evaluated "
+                              "= 40"}),
+            (_forged(plain, support_size=40.0),
+             {"support_size": "40.0, expected an integer"}),
+            (_forged(plain, support_hash="0abc"),
+             {"support_hash": "'0abc', expected a sha256 hex digest"})):
+        assert verify_certificate(forged)["invalid"] == invalid
+    # a scan stops early only on a met target
+    met = derandomized_lift_search(base, group, _all_rows(3, 6)[:400],
+                                   target=2.31).certificate
+    assert met["met_target"] and met["candidates_evaluated"] < 400
+    assert verify_certificate(met)["ok"]
+    assert verify_certificate(dict(met, target=None, met_target=None))[
+        "invalid"] == {"support_size": f"400 candidates, expected "
+                       f"candidates_evaluated = {met['candidates_evaluated']}"}
+    cert = _fixture_cert("support_cert_v3")
+    dist, idx = cert["provenance"]["dist"], cert["winner_index"]
+    rows = [list(row) for row in dist["support"]]
+    rows[idx][0] = (rows[idx][0] + 1) % 3
+    assert verify_certificate(_forged(cert, dist=dict(dist, support=rows)))[
+        "invalid"] == {"dist": f"support row {idx} is not the signing"}
+    report = verify_certificate(_forged(cert, dist=dict(dist, ellp=4)))
+    assert report["invalid"] == {
+        "dist": "a set in (Z_4)^6, expected one in (Z_3)^6"}
+
+
+def test_verify_lets_only_a_met_target_stop_a_walk_early():
+    cert = exponential_regime_build(random_regular(10, 3, seed=2), 8,
+                                    seeds=6, target=100.0).certificate
+    assert cert["met_target"] and cert["candidates_evaluated"] == 1
+    assert verify_certificate(cert)["ok"]
+    report = verify_certificate(dict(cert, target=None, met_target=None))
+    assert report["invalid"] == {
+        "seeds_requested": "6 candidates, expected candidates_evaluated = 1"}
 
 
 def test_verify_keeps_a_null_target_valid():
