@@ -120,6 +120,9 @@ def cmd_lift_search(args):
         if bias > dist.claimed_bias + pseudorandom.BIAS_SLACK:
             raise ValueError(f"{args.support}: exact bias {bias!r} exceeds "
                              f"claimed_bias {dist.claimed_bias!r}")
+        # the certificate carries the bias measured here, whatever the file
+        # recorded, so that the verifier can re-measure it
+        dist.verified = {"mode": "exact", "value": bias}
         result = search.derandomized_lift_search(
             base, AbelianGroup.cyclic(args.ell), dist, target=args.target,
             crosscheck_every=args.crosscheck_every)

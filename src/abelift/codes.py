@@ -4,8 +4,9 @@ Parity matrices are uint8 arrays; all rank and span work runs on the
 bit-packed routines in gf2.  Matrices over the group algebra F2[Z_ell]
 are (rows, cols, ell) coefficient bit arrays, and a certified cyclic
 lift's Tanner code is built as one and expanded once into circulant
-blocks.  Distances come either from exact coset enumeration (certified)
-or an information-set sampler (upper bound).
+blocks.  Distances come either from Brouwer-Zimmermann enumeration over
+a chain of disjoint information sets (certified, and refused past a
+stated number of codewords) or an information-set sampler (upper bound).
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .search import read_signing
 
-EXACT_DIM_CAP = 24
+EXACT_DIM_CAP = 24  # largest classical dimension LinearCodeF2.distance takes
+# most codewords an exact CSS distance may enumerate (kernels.codewords_to_reach)
 EXACT_DISTANCE_BUDGET = 1 << 26
 
 
@@ -374,33 +376,57 @@ class DistanceReport:
     dz: int | None = None
 
 
+def _information_sets(gen) -> tuple[np.ndarray, list[int]]:
+    """Systematic generators of rowspan(gen), gen of full row rank, on a
+    greedy chain of disjoint information sets: (a (J, k, n) stack, ranks).
+
+    Generator j is gen reduced with the columns no earlier set covers put
+    first: its first r_j rows are an identity on r_j of them and its other
+    rows vanish on all of them.  The chain ends when those columns carry no
+    more rank, so the last set may be partial.
+    """
+    k, n = gen.shape
+    free = np.arange(n)
+    gammas, ranks = [], []
+    while free.size:
+        order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
+        red, pivots = gf2.rref(gen[:, order])
+        new = [p for p in pivots if p < free.size]
+        if not new:
+            break
+        gamma = np.empty_like(red)
+        gamma[:, order] = red
+        gammas.append(gamma)
+        ranks.append(len(new))
+        free = np.delete(free, new)
+    return np.array(gammas, dtype=np.uint8).reshape(len(ranks), k, n), ranks
+
+
 def _logical_min_weight_exact(stab, kernel_basis, n_cols) -> int:
+    """Least weight of ker(H_other), spanned by kernel_basis, outside
+    rowspan(stab), by Brouwer-Zimmermann enumeration.
+
+    The lightest logical row of the information-set generators bounds the
+    answer; the levels that enumeration needs to reach that bound are
+    counted first and refused past EXACT_DISTANCE_BUDGET codewords.
+    """
     anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
         (0, n_cols), dtype=np.uint8)
-    r = anchor.shape[0]
-    # kernel vectors independent of the anchor and of the kernel vectors
-    # before them: the pivot columns of [anchor; kernel]^T past the anchor
-    _, pivots = gf2.rref(np.vstack([anchor, kernel_basis]).T)
-    logicals = kernel_basis[[p - r for p in pivots if p >= r]]
-    k = len(logicals)
-    if k == 0:
+    gammas, ranks = _information_sets(gf2.as_f2(kernel_basis))
+    rows = gammas.reshape(-1, n_cols)
+    logical = ~gf2.in_span(anchor, rows)
+    if not logical.any():
         raise ValueError("no logical operators in this sector")
-    if k > EXACT_DIM_CAP or (2 ** k - 1) * 2 ** r > EXACT_DISTANCE_BUDGET:
-        raise ValueError("exact distance budget exceeded; use the "
+    ub = int(rows[logical].sum(axis=1).min())
+    k = gammas.shape[1]
+    codewords = kernels.codewords_to_reach(ranks, k, ub)
+    if codewords > EXACT_DISTANCE_BUDGET:
+        raise ValueError(f"exact distance budget exceeded: {codewords} "
+                         f"codewords above {EXACT_DISTANCE_BUDGET}; use the "
                          "information-set mode")
-    log_packed = gf2.pack_rows(logicals)
-    stab_packed = gf2.pack_rows(anchor) if r else np.zeros(
-        (0, log_packed.shape[1]), dtype=np.uint64)
-    best = None
-    for mask in range(1, 2 ** k):
-        vec = np.zeros(log_packed.shape[1], dtype=np.uint64)
-        for i in range(k):
-            if (mask >> i) & 1:
-                vec ^= log_packed[i]
-        w = kernels.min_weight_affine(vec, stab_packed, skip_zero=False)
-        if best is None or w < best:
-            best = w
-    return int(best)
+    return kernels.min_weight_codewords(
+        gf2.pack_rows(rows).reshape(len(ranks), k, -1), ranks, ub,
+        lambda block: ~gf2.in_span(anchor, gf2.unpack_rows(block, n_cols)))
 
 
 def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
@@ -434,8 +460,10 @@ def min_distance(obj, mode: str = "exact", trials: int = 200,
                  seed: int = 0) -> DistanceReport:
     """Minimum distance of a classical or CSS code.
 
-    mode 'exact' enumerates logical cosets with Gray-code weight scans and
-    is certified; 'information-set' samples random information sets and
+    mode 'exact' is certified: a classical code's codewords are walked in
+    Gray-code order, and each CSS side by Brouwer-Zimmermann enumeration
+    (_logical_min_weight_exact), which refuses past EXACT_DISTANCE_BUDGET
+    codewords.  'information-set' samples random information sets and
     reports an upper bound.
     """
     if mode not in ("exact", "information-set"):

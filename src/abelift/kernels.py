@@ -1,17 +1,21 @@
 """Exhaustive enumeration kernels behind the certificates.
 
-Four exact scans, one numpy implementation each: closed hike counts for
-the trace-method bound, the minimum weight of an affine F2 space for code
-distance, the boolean Rayleigh quotient for expander mixing, and the
-maximum nontrivial character bias of a signing support.  The hike, mask
-and character scans run in blocks whose live arrays take about
-BLOCK_BYTES, so their memory does not grow with the scan.  The hike
+Five exact scans, one numpy implementation each: closed hike counts for
+the trace-method bound, the minimum weight of an affine F2 space for
+classical code distance, the least weight of a code's codewords that pass
+a test by Brouwer-Zimmermann levels for CSS distance, the boolean
+Rayleigh quotient for expander mixing, and the maximum nontrivial
+character bias of a signing support.  The hike, codeword, mask and
+character scans run in blocks whose live arrays take about BLOCK_BYTES,
+so their memory does not grow with the scan.  The hike
 count's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
 144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges.
 The sampled bias and the sampled Rayleigh quotient evaluate their draws
 by the same blocks (_bias_max, _rayleigh_max).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,6 +110,96 @@ def min_weight_affine(base_packed, basis_packed, skip_zero: bool = False) -> int
             best = min(best, int(weights.min()))
     if best >= (1 << 62):
         raise ValueError("space holds only the zero vector")
+    return best
+
+
+# ---------------------------------------------------------------------------
+# minimum weight of a code by information-set levels (Brouwer-Zimmermann)
+# ---------------------------------------------------------------------------
+
+def level_bound(ranks, k: int, w: int) -> int:
+    """Least weight of a codeword of a dimension-k code that levels 1..w
+    of min_weight_codewords did not reach.
+
+    Its message on each generator j has weight above w, and at most k - r_j
+    of the message bits fall outside generator j's r_j identity columns, so
+    it has at least w + 1 - (k - r_j) ones there; the sets are disjoint.
+    """
+    return sum(max(0, w + 1 - (k - r)) for r in ranks)
+
+
+def codewords_to_reach(ranks, k: int, ub: int) -> int:
+    """Codewords that levels 1..w* enumerate over every generator, w* the
+    first level whose bound reaches ub (k at most): the most that
+    min_weight_codewords started at a best of ub enumerates."""
+    top = next((w for w in range(1, k) if level_bound(ranks, k, w) >= ub), k)
+    return len(ranks) * sum(math.comb(k, w) for w in range(1, top + 1))
+
+
+def min_weight_codewords(gammas, ranks, best: int, keep) -> int:
+    """Least weight of a codeword that keep accepts, by Zimmermann's levels.
+
+    gammas is a (J, k, words) stack of packed generator matrices of one
+    dimension-k code; generator j is systematic on r_j = ranks[j] columns
+    that no other covers (an identity there, zero rows below).  Level w
+    XORs every w-subset of the rows of each generator; codewords lighter
+    than best go to keep(packed rows) -> bool mask, and best falls to the
+    lightest kept.  The scan stops once best <= level_bound, so best must
+    start at the weight of a kept codeword (or above), and its cost is at
+    most codewords_to_reach(ranks, k, best) codewords.
+
+    A w-subset is its top row c and a (w-1)-subset of the rows below c.
+    In colex order those are the (w-1)-subsets of rank below C(c, w - 1),
+    so a block of ranks is unranked once and XORed with every top row;
+    the blocks take about BLOCK_BYTES.
+    """
+    gammas = np.ascontiguousarray(gammas, dtype=np.uint64)
+    n_gen, k, words = gammas.shape
+    planes = np.ascontiguousarray(gammas.transpose(0, 2, 1))  # word-major
+    for w in range(1, k + 1):
+        t = w - 1
+        # binom[s, c] = C(c, s): rank N's top row is the largest c with
+        # C(c, s) <= N, and N - C(c, s) ranks the rest, one smaller
+        binom = np.array([[math.comb(c, s) for c in range(k)]
+                          for s in range(w)], dtype=np.int64)
+        total = math.comb(k - 1, t)
+        # live int64 columns per rank: its rank and a row index, then per
+        # generator its tail, codeword and one gathered row (words each),
+        # and the popcounts, weight and mask of the codeword
+        rows = max(1, BLOCK_BYTES // (8 * (2 + n_gen * (3 * words + 1))))
+        for lo in range(0, total, rows):
+            hi = min(lo + rows, total)
+            rank = np.arange(lo, hi, dtype=np.int64)
+            tails = np.zeros((n_gen, words, hi - lo), dtype=np.uint64)
+            for s in range(t, 0, -1):
+                c = np.searchsorted(binom[s], rank, side="right") - 1
+                rank -= binom[s, c]
+                tails ^= planes[:, :, c]
+            del rank
+            word = np.empty_like(tails)
+            count = np.empty(tails.shape, dtype=np.uint8)
+            lighter, held = [], 0  # codewords lighter than best, untested
+            for top in range(t, k):
+                end = min(hi, math.comb(top, t)) - lo
+                if end > 0:
+                    np.bitwise_xor(tails[:, :, :end], planes[:, :, top, None],
+                                   out=word[:, :, :end])
+                    np.bitwise_count(word[:, :, :end], out=count[:, :, :end])
+                    weight = count[:, :, :end].sum(axis=1, dtype=np.int32)
+                    light = weight < best
+                    if light.any():
+                        lighter.append((weight[light], word[:, :, :end]
+                                        .transpose(0, 2, 1)[light]))
+                        held += lighter[-1][0].size
+                if lighter and (held >= rows or top == k - 1):
+                    weight, found = map(np.concatenate, zip(*lighter))
+                    kept = keep(found)
+                    if kept.any():
+                        best = int(weight[kept].min())
+                    lighter, held = [], 0
+            del tails, word, count
+        if best <= level_bound(ranks, k, w):
+            break
     return best
 
 

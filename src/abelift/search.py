@@ -31,7 +31,8 @@ from . import serial, spectral
 from .graphs import RegularGraph, Signing, _integer_rows
 from .groups import AbelianGroup
 from .hikes import count_bounds
-from .pseudorandom import (BiasedSet, auxiliary_expander,
+from .pseudorandom import (BIAS_SLACK, EXACT_CHAR_CAP, BiasedSet,
+                           auxiliary_expander, bias_exact,
                            expander_walk_signing)
 from .serial import is_integer, is_number
 from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
@@ -346,6 +347,18 @@ def _dist(x, r):
         return counted
     if (dist.support[index] != signing.values[:, 0]).any():
         return f"support row {index} is not the signing"
+    if dist.ellp ** dist.m > EXACT_CHAR_CAP:
+        return (f"a set in (Z_{dist.ellp})^{dist.m}, too large for an exact "
+                "bias")
+    bias, verified = bias_exact(dist.support, dist.ellp), dist.verified
+    if (set(verified) != {"mode", "value"} or verified["mode"] != "exact"
+            or not is_number(verified["value"])
+            or abs(verified["value"] - bias) > BIAS_SLACK):
+        return (f"verified {verified!r:.60}, expected "
+                f"{{'mode': 'exact', 'value': {bias!r}}}")
+    if dist.claimed_bias < bias - BIAS_SLACK:
+        return (f"claimed_bias {dist.claimed_bias!r}, below the exact bias "
+                f"{bias!r}")
     return dist
 
 

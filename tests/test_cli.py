@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import pseudorandom, serial
+from abelift import pseudorandom, search, serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
@@ -200,7 +200,12 @@ def test_lift_search_refuses_a_support_whose_bias_is_unproved(tmp_path,
     assert "exceeds claimed_bias" in payload["error"]
     # an honest claim with no recorded verification is re-measured
     singleton = BiasedSet(2, 6, np.zeros((1, 6), dtype=np.int64), 1.0, {})
-    assert run(g6, singleton)[0] == 0
+    code, payload = run(g6, singleton)
+    assert code == 0
+    cert = payload["certificate"]
+    assert cert["provenance"]["dist"]["verified"] == {"mode": "exact",
+                                                      "value": 1.0}
+    assert search.verify_certificate(cert)["ok"]
 
 
 def test_lift_search_refuses_an_unprovable_support_before_sampling(
@@ -309,6 +314,25 @@ def test_codes_toric_with_distance(tmp_path):
     css = json.loads(out.read_bytes())["css"]
     assert css["n"] == 8 and css["k"] == 2
     assert css["distance"]["value"] == 2 and css["distance"]["certified"]
+
+
+def test_codes_toric_exact_distance_at_and_past_the_budget(tmp_path,
+                                                          capsys):
+    out = tmp_path / "toric.json"
+    assert main(["codes", "toric", "--ell", "6", "--distance", "exact",
+                 "--out", str(out)]) == 0
+    css = json.loads(out.read_bytes())["css"]
+    assert (css["n"], css["k"]) == (72, 2)
+    assert css["distance"] == {"mode": "exact", "value": 6,
+                               "certified": True, "dx": 6, "dz": 6}
+    capsys.readouterr()
+    assert main(["codes", "toric", "--ell", "8", "--distance", "exact"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["failed"] is True
+    assert payload["error"].startswith("exact distance budget exceeded: ")
+    assert payload["error"].endswith("; use the information-set mode")
+    assert captured.err == ""
 
 
 def test_codes_css_valid_failure_path(tmp_path):

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from abelift import gf2, kernels
 from abelift.codes import (BudgetError, CSSCode, FreeActionReport,
-                           GroupAlgebraMatrix, LinearCodeF2, _logical_min_weight_exact,
+                           GroupAlgebraMatrix, LinearCodeF2, _information_sets,
+                           _logical_min_weight_exact,
                            _logical_upper_bound, circulant_structure_check,
                            code_dimension, css_valid, free_action_check,
                            group_algebra_from_blocks, lifted_product,
@@ -143,14 +146,17 @@ def _lp_code(ell, seed):
     return lifted_product(A, B)
 
 
+def _hypergraph_product(h1, h2):
+    """lifted_product over Z_1 of the parity matrices h1 and h2^T."""
+    A, B = (GroupAlgebraMatrix(1, h[:, :, None]) for h in (h1, h2.T))
+    return lifted_product(A, B)
+
+
 def _surface_code(d):
     """Hypergraph product of two distance-d repetition codes: [[., 1, d]]
     with weight-3 boundary checks, lighter than its logicals for d > 3."""
     rep = LinearCodeF2.repetition(d).parity
-    A, B = (GroupAlgebraMatrix.from_polys(1, [[[0] if x else [] for x in row]
-                                              for row in h])
-            for h in (rep, rep.T))
-    return lifted_product(A, B)
+    return _hypergraph_product(rep, rep)
 
 
 def test_linear_code_basics():
@@ -273,13 +279,17 @@ def test_css_valid_small_cases():
 
 
 def test_toric_family_parameters():
-    for ell, dist in ((2, 2), (3, 3), (4, 4)):
+    for ell in range(2, 7):
         code = toric_code(ell)
         assert code.n == 2 * ell * ell
         assert code.k == 2
         rep = min_distance(code)
-        assert rep.value == dist and rep.certified
-        assert rep.dx == dist and rep.dz == dist
+        assert rep.value == ell and rep.certified
+        assert rep.dx == ell and rep.dz == ell
+    # x^s (1 + x^a) with a coprime to ell: permuted toric codes
+    for seed in (0, 1):
+        rep = min_distance(_lp_code(5, seed))
+        assert (rep.value, rep.dx, rep.dz, rep.certified) == (5, 5, 5, True)
 
 
 def test_lifted_product_degenerate_ring():
@@ -535,7 +545,7 @@ def test_distances_match_the_per_candidate_references():
     for code in codes_:
         for stab, other in ((code.hx, code.hz), (code.hz, code.hx)):
             kernel = gf2.nullspace(other)
-            if code.n <= 32:  # larger ones exceed the exact budget
+            if code.n <= 32:  # the coset oracle takes (2^k - 1) 2^r checks
                 assert _logical_min_weight_exact(stab, kernel, code.n) == \
                     _reference_min_weight_exact(stab, kernel, code.n)
             for seed in range(3):
@@ -550,6 +560,98 @@ def test_distances_match_the_per_candidate_references():
         for seed in range(12):
             assert _logical_upper_bound(empty, gen, 40, 1, seed) == \
                 _reference_upper_bound(empty, gen, 40, 1, seed)
+
+
+def _random_check_matrix(rng):
+    """A 2..5 x 2..5 parity matrix with no zero row or column."""
+    while True:
+        h = rng.integers(0, 2, size=tuple(rng.integers(2, 6, size=2)),
+                         dtype=np.uint8)
+        if h.any(axis=0).all() and h.any(axis=1).all():
+            return h
+
+
+def test_exact_distance_matches_the_coset_oracle_on_random_products():
+    rng = np.random.default_rng(5)
+    lighter = partial = codes_ = 0
+    while codes_ < 32:
+        code = _hypergraph_product(_random_check_matrix(rng),
+                                   _random_check_matrix(rng))
+        if code.n > 32 or code.k == 0:
+            continue
+        codes_ += 1
+        for stab, other in ((code.hx, code.hz), (code.hz, code.hx)):
+            kernel = gf2.nullspace(other)
+            got = _logical_min_weight_exact(stab, kernel, code.n)
+            assert got == _reference_min_weight_exact(stab, kernel, code.n)
+            lighter += int(stab.sum(axis=1).min()) < got
+            partial += _information_sets(kernel)[1][-1] < kernel.shape[0]
+    # stabilizers that the search must skip, and chains that end partial
+    assert lighter >= 5 and partial >= 5
+
+
+def test_information_sets_are_disjoint_and_systematic():
+    rng = np.random.default_rng(2)
+    gens = [gf2.nullspace(code.hz) for code in (toric_code(3), toric_code(5),
+                                                _surface_code(4))]
+    gens += [gf2.nullspace(rng.integers(0, 2, size=(m, 24)))
+             for m in (4, 12, 20)]
+    for gen in gens:
+        gammas, ranks = _information_sets(gen)
+        k, n = gen.shape
+        assert gammas.shape == (len(ranks), k, n) and ranks[0] == k
+        covered = np.zeros(n, dtype=bool)
+        for gamma, r in zip(gammas, ranks):
+            assert gf2.row_space_equal(gamma, gen)
+            # r identity columns no earlier set covers; rows below vanish
+            ident = [np.flatnonzero(row & ~covered)[0] for row in gamma[:r]]
+            assert np.array_equal(gamma[:, ident], np.eye(k, r,
+                                                          dtype=np.uint8))
+            assert not gamma[r:][:, ~covered].any()
+            covered[ident] = True
+        # the chain ends when the uncovered columns carry no more rank
+        assert gf2.rank(gen[:, ~covered]) == 0
+    assert [_information_sets(gf2.nullspace(h))[1] for h in
+            (toric_code(5).hz, toric_code(5).hx)] == [[26, 18, 6],
+                                                      [26, 21, 3]]
+    # toric l = 5 stops at level 4, where the bound reaches the distance
+    assert kernels.codewords_to_reach([26, 21, 3], 26, 5) == 3 * (
+        26 + 325 + 2600 + 14950)
+
+
+@pytest.mark.parametrize("code", [_lp_code(8, 0), toric_code(8)],
+                         ids=["lp-8-0", "toric-8"])
+def test_exact_distance_refuses_past_the_budget_before_enumerating(
+        monkeypatch, code):
+    def refuse(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(kernels, "min_weight_codewords", refuse)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"^exact distance budget "
+                           r"exceeded: \d+ codewords above 67108864; use "
+                           "the information-set mode$"):
+            min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak <= kernels.BLOCK_BYTES
+
+
+def test_exact_distance_memory_stays_within_one_block(monkeypatch):
+    code = toric_code(6)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        rep = min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.value == 6
+    assert peak <= 2 * kernels.BLOCK_BYTES
 
 
 def test_certificate_to_css_chain():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from abelift import gf2, kernels
+from abelift.codes import _information_sets
 from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
                             random_regular)
 from abelift.hikes import _iter_hikes, enumerate_hikes
@@ -145,6 +146,79 @@ def test_min_weight_affine_zero_only_space():
         kernels.min_weight_affine(packed[0], np.zeros((0, packed.shape[1]),
                                                       dtype=np.uint64),
                                   skip_zero=True)
+
+
+def _codewords(gen):
+    """Every nonzero codeword of rowspan(gen) and its message, unpacked."""
+    k = gen.shape[0]
+    msgs = np.array(list(itertools.product((0, 1), repeat=k))[1:],
+                    dtype=np.int64).reshape(-1, k)
+    return msgs, (msgs @ gen.astype(np.int64)) % 2
+
+
+@pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
+                         ids=["default-blocks", "one-rank-blocks"])
+def test_min_weight_codewords_matches_brute_force(monkeypatch, rng,
+                                                  block_bytes):
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+    for i in range(30):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(9, 80))
+        gen = gf2.nonzero_rref_rows(rng.integers(0, 2, size=(k, n)))
+        gammas, ranks = _information_sets(gen)
+        _, words = _codewords(gen)
+        weights = words.sum(axis=1)
+        # keep every codeword, or only those with a 1 in column 0 (half
+        # of them, when column 0 is not all zero)
+        for keep, kept in ((lambda b: np.ones(len(b), dtype=bool), weights),
+                           (lambda b: (b[:, 0] & np.uint64(1)) == 1,
+                            weights[words[:, 0] == 1])):
+            start = n + 1 if i % 2 else int(kept.max(initial=n + 1))
+            got = kernels.min_weight_codewords(
+                gf2.pack_rows(gammas.reshape(-1, n)).reshape(
+                    len(ranks), gen.shape[0], -1), ranks, start, keep)
+            assert got == int(kept.min(initial=start))
+
+
+def test_min_weight_codewords_enumerates_the_partial_last_set():
+    # the weight-2 word 0001100 sums two rows of the first generator but
+    # is one row of the second, of rank 3; at level 1 the bound is 2 + 1,
+    # so a scan that credited the second without enumerating it would stop
+    # at the weight-3 rows of the first
+    gen = np.array([[1, 0, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1, 1],
+                    [0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1]],
+                   dtype=np.uint8)
+    gammas, ranks = _information_sets(gen)
+    assert ranks == [4, 3]
+    assert kernels.level_bound(ranks, 4, 1) == 3
+    assert sorted(_codewords(gen)[1].sum(axis=1))[:2] == [2, 3]
+    assert kernels.min_weight_codewords(
+        gf2.pack_rows(gammas.reshape(-1, 7)).reshape(2, 4, 1), ranks, 8,
+        lambda b: np.ones(len(b), dtype=bool)) == 2
+
+
+def test_level_bound_holds_for_every_codeword_it_covers(rng):
+    # a codeword whose message has weight above w on every generator has
+    # at least level_bound(w) ones
+    for _ in range(20):
+        k, n = int(rng.integers(2, 9)), int(rng.integers(6, 30))
+        gen = gf2.nonzero_rref_rows(rng.integers(0, 2, size=(k, n)))
+        gammas, ranks = _information_sets(gen)
+        k = gen.shape[0]
+        _, words = _codewords(gen)
+        # the message of a codeword on a generator, by the generator's
+        # identity columns and, below them, by elimination
+        heights = []
+        for gamma in gammas:
+            msgs, mine = _codewords(gamma)
+            order = np.lexsort(mine.T[::-1])
+            back = np.lexsort(words.T[::-1])
+            height = np.empty(len(words), dtype=np.int64)
+            height[back] = msgs[order].sum(axis=1)
+            heights.append(height)
+        low = np.min(heights, axis=0)
+        for w in range(k):
+            beyond = words[low > w].sum(axis=1)
+            assert beyond.min(initial=n) >= kernels.level_bound(ranks, k, w)
 
 
 def _rayleigh_by_pairs(mat):

@@ -556,6 +556,55 @@ def test_verify_holds_the_support_provenance_to_the_scan():
         "dist": "a set in (Z_4)^6, expected one in (Z_3)^6"}
 
 
+# the exact bias of the support fixtures' dist
+SUPPORT_BIAS = 0.36827299656640594
+
+
+@pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("claimed, verified, fault", [
+    (0.6, {"mode": "exact", "value": SUPPORT_BIAS}, None),
+    (SUPPORT_BIAS, {"mode": "exact", "value": SUPPORT_BIAS}, None),
+    (0.0, {"mode": "exact", "value": 0.0},
+     "verified {'mode': 'exact', 'value': 0.0}"),
+    (0.6, {"mode": "exact", "value": SUPPORT_BIAS + 1e-9},
+     "verified {'mode': 'exact', 'value': 0.3682729975664"),
+    (0.6, {"mode": "sampled", "value": SUPPORT_BIAS, "trials": 64,
+           "seed": 0}, "verified {'mode': 'sampled'"),
+    (0.6, {"mode": "exact", "value": SUPPORT_BIAS, "seed": 0},
+     "verified {'mode': 'exact', 'value': 0.36827299656640594, 'se"),
+    (0.6, {"mode": "exact", "value": True}, "verified {'mode': 'exact', "
+     "'value': True}"),
+    (0.6, {}, "verified {}"),
+    (0.3, {"mode": "exact", "value": SUPPORT_BIAS},
+     f"claimed_bias 0.3, below the exact bias {SUPPORT_BIAS!r}")],
+    ids=["fixture", "claim-at-the-bias", "forged-zero", "value-off",
+         "sampled", "extra-key", "value-bool", "unverified", "claim-low"])
+def test_verify_measures_the_support_bias(version, claimed, verified, fault):
+    cert = _fixture_cert(f"support_cert_{version}")
+    dist = dict(cert["provenance"]["dist"], claimed_bias=claimed,
+                verified=verified)
+    report = verify_certificate(_forged(cert, dist=dist))
+    if fault is None:
+        assert report == verify_certificate(cert) and report["ok"]
+    else:
+        assert not report["ok"] and list(report["invalid"]) == ["dist"]
+        assert report["invalid"]["dist"].startswith(fault)
+        if fault.startswith("verified"):
+            assert report["invalid"]["dist"].endswith(
+                f", expected {{'mode': 'exact', 'value': {SUPPORT_BIAS!r}}}")
+
+
+def test_verify_refuses_a_support_bias_above_the_exact_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("measured a bias above the cap")
+
+    monkeypatch.setattr(search, "EXACT_CHAR_CAP", 3 ** 6 - 1)
+    monkeypatch.setattr(search, "bias_exact", refuse)
+    report = verify_certificate(_fixture_cert("support_cert_v3"))
+    assert report["invalid"] == {
+        "dist": "a set in (Z_3)^6, too large for an exact bias"}
+
+
 def test_verify_lets_only_a_met_target_stop_a_walk_early():
     cert = exponential_regime_build(random_regular(10, 3, seed=2), 8,
                                     seeds=6, target=100.0).certificate
