@@ -410,11 +410,11 @@ def _logical_min_weight_exact(stab, kernel_basis, n_cols) -> int:
     answer; the levels that enumeration needs to reach that bound are
     counted first and refused past EXACT_DISTANCE_BUDGET codewords.
     """
-    anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
-        (0, n_cols), dtype=np.uint8)
+    stabilizer = gf2.span_test(stab)
     gammas, ranks = _information_sets(gf2.as_f2(kernel_basis))
     rows = gammas.reshape(-1, n_cols)
-    logical = ~gf2.in_span(anchor, rows)
+    packed = gf2.pack_rows(rows)
+    logical = ~stabilizer(packed)
     if not logical.any():
         raise ValueError("no logical operators in this sector")
     ub = int(rows[logical].sum(axis=1).min())
@@ -425,13 +425,14 @@ def _logical_min_weight_exact(stab, kernel_basis, n_cols) -> int:
                          f"codewords above {EXACT_DISTANCE_BUDGET}; use the "
                          "information-set mode")
     return kernels.min_weight_codewords(
-        gf2.pack_rows(rows).reshape(len(ranks), k, -1), ranks, ub,
-        lambda block: ~gf2.in_span(anchor, gf2.unpack_rows(block, n_cols)))
+        packed.reshape(len(ranks), k, -1), ranks, ub,
+        lambda block: ~stabilizer(block))
 
 
 def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
     anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
         (0, n_cols), dtype=np.uint8)
+    stabilizer = gf2.span_test(anchor)
     space = np.vstack([anchor, kernel_basis]) if anchor.size else kernel_basis
     space = gf2.nonzero_rref_rows(space)
     rng = np.random.default_rng(seed)
@@ -448,7 +449,7 @@ def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
         weights = cands.sum(axis=1)
         lighter = weights < best  # the zero vector is in every span
         if lighter.any():
-            logical = ~gf2.in_span(anchor, cands[lighter])
+            logical = ~stabilizer(gf2.pack_rows(cands[lighter]))
             if logical.any():
                 best = int(weights[lighter][logical].min())
     if best > n_cols:

@@ -102,21 +102,33 @@ def matmul(a, b) -> np.ndarray:
 
 
 def in_span(mat, vecs) -> np.ndarray:
-    """For each row of *vecs*: is it an F2 combination of the rows of *mat*?
-
-    *mat* is eliminated once; every row of *vecs* is then cleared at each
-    pivot column in one packed XOR pass and lies in the span iff nothing
-    is left.
-    """
+    """For each row of *vecs*: is it an F2 combination of the rows of *mat*?"""
     a, v = as_f2(mat), as_f2(vecs)
     if a.shape[1] != v.shape[1]:
         raise ValueError("length mismatch")
+    return span_test(a)(pack_rows(v))
+
+
+def span_test(mat):
+    """*mat* eliminated once, as a test of packed rows: test(packed) is,
+    per row of the (k, words) uint64 array packed as pack_rows packs rows
+    of *mat*'s length, whether it lies in the row span of *mat*.
+
+    Every row is cleared at each pivot column in one packed XOR pass and
+    lies in the span iff nothing is left; *packed* is not modified.
+    """
+    a = as_f2(mat)
     basis = pack_rows(a)
-    rest = pack_rows(v)
-    for r, c in enumerate(_eliminate(basis, a.shape[1])):
-        word, bit = divmod(c, 64)
-        rest[(rest[:, word] >> np.uint64(bit)) & np.uint64(1) != 0] ^= basis[r]
-    return ~rest.any(axis=1)
+    steps = [(basis[r], *divmod(c, 64))
+             for r, c in enumerate(_eliminate(basis, a.shape[1]))]
+
+    def test(packed: np.ndarray) -> np.ndarray:
+        rest = np.array(packed, dtype=np.uint64)
+        for row, word, bit in steps:
+            rest[(rest[:, word] >> np.uint64(bit)) & np.uint64(1) != 0] ^= row
+        return ~rest.any(axis=1)
+
+    return test
 
 
 def row_space_equal(a, b) -> bool:

@@ -93,6 +93,23 @@ class BiasedSet:
                       "seed": seed}
         return report
 
+    def proved(self) -> "BiasedSet":
+        """This set with verified = {"mode": "exact", "value": bias}, the
+        bias measured here.  ValueError when the character space is above
+        EXACT_CHAR_CAP (only a sampled, lower estimate exists there) or the
+        bias exceeds claimed_bias: no certificate could prove the claim.
+        """
+        if self.ellp ** self.m > EXACT_CHAR_CAP:
+            raise ValueError(
+                f"(Z_{self.ellp})^{self.m} is too large for an exact bias, "
+                f"so claimed_bias {self.claimed_bias!r} cannot be proved")
+        bias = bias_exact(self.support, self.ellp)
+        if bias > self.claimed_bias + BIAS_SLACK:
+            raise ValueError(f"exact bias {bias!r} exceeds claimed_bias "
+                             f"{self.claimed_bias!r}")
+        return BiasedSet(self.ellp, self.m, self.support, self.claimed_bias,
+                         {"mode": "exact", "value": bias})
+
     def translate(self, h: Sequence[int]) -> "BiasedSet":
         """Shift every support point by h; bias is invariant under this."""
         h = np.asarray(h, dtype=np.int64) % self.ellp

@@ -203,7 +203,9 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     at 0; a negative cadence is refused) has its character decomposition
     checked against a built lift by a Fourier probe.  The group must be
     one cyclic factor acting transitively; a BiasedSet must be over that
-    Z_ell, plain rows are read mod ell.
+    Z_ell, and its bias is measured before the scan (BiasedSet.proved,
+    which refuses a claim it cannot prove) and recorded as its verified
+    value; plain rows are read mod ell.
     """
     _check_cadence(crosscheck_every)
     if len(group.factors) != 1:
@@ -222,6 +224,8 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
         raise ValueError("support is empty")
     if rows.shape[1] != base.m:
         raise ValueError("support rows must have one exponent per edge")
+    if isinstance(support, BiasedSet):
+        support = support.proved()
     t0 = time.perf_counter()
     lam_base = lambda2(base)
     signings = (Signing(base, group, row.reshape(-1, 1)) for row in rows)

@@ -12,7 +12,12 @@ spectrum from the lift's adjacency eigenvalues by the Ihara-Bass theorem
 directly, one solve per conjugate pair {chi, -chi} (B(-chi) is the
 conjugate of B(chi)) and a real solve per self-conjugate chi; near the
 double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
-it solves the lifted NB operator densely instead.
+it solves the lifted NB operator densely instead.  The two complex
+multisets are matched by multiset_max_distance: the optimal bottleneck
+value when nearest neighbours certify it, else the max over a dense
+sum-minimising Hungarian assignment; an upper bound on the best
+matching's max distance either way.  scipy.spatial and scipy.optimize
+are imported on first use, not with the module.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -25,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 from .graphs import (RegularGraph, Signing, lift,
@@ -34,6 +40,11 @@ from .graphs import (RegularGraph, Signing, lift,
 from .groups import TWO_PI, _validate_element
 
 _HUNGARIAN_CAP = 3000
+# Most candidate pairs per distinct value that _bottleneck_distance lists.
+# Near-identical multisets have about one (0.97 on the n = 80, l = 8 NB
+# union check); past the budget the pair list and the components' solves
+# would outgrow the dense assignment, which is left to run instead.
+_BOTTLENECK_PAIRS = 4
 # Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
 # eigenvalues at which the union check trusts the Ihara-Bass roots.  A root
 # (alpha +- sqrt(disc)) / 2 moves by about d_alpha |alpha| / (2 sqrt|disc|)
@@ -99,14 +110,23 @@ def nb_radius_nontrivial(B: np.ndarray) -> float:
     return float(mags[keep].max())
 
 
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, imported on first use so that
+    importing abelift does not load scipy.optimize."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
+
+
 def multiset_max_distance(a, b) -> float:
     """Max per-element distance between two multisets under one matching.
 
     Real multisets pair off in sorted order, which minimises the max
-    distance.  Genuinely complex ones (at most _HUNGARIAN_CAP elements) go
-    through a Hungarian assignment, which minimises the *sum* of the
-    distances; the reported max is taken over that assignment, so it is an
-    upper bound on the best achievable max.
+    distance.  Genuinely complex ones (at most _HUNGARIAN_CAP elements) get
+    the least max over all matchings (the bottleneck value) whenever
+    nearest neighbours certify it (_bottleneck_distance); otherwise a dense
+    Hungarian assignment, which minimises the *sum* of the distances, and
+    the max over that assignment.  Either way the value is the max over
+    one matching, so an upper bound on the bottleneck value.
     """
     av = np.asarray(a).ravel()
     bv = np.asarray(b).ravel()
@@ -115,17 +135,90 @@ def multiset_max_distance(a, b) -> float:
     if av.size == 0:
         return 0.0
     tol_imag = 1e-9
-    if (np.abs(np.asarray(av, dtype=np.complex128).imag).max() < tol_imag
-            and np.abs(np.asarray(bv, dtype=np.complex128).imag).max() < tol_imag):
+    ac = np.asarray(av, dtype=np.complex128)
+    bc = np.asarray(bv, dtype=np.complex128)
+    if np.abs(ac.imag).max() < tol_imag and np.abs(bc.imag).max() < tol_imag:
         ar = np.sort(np.real(av))
         br = np.sort(np.real(bv))
         return float(np.abs(ar - br).max())
     if av.size > _HUNGARIAN_CAP:
         raise ValueError("complex multiset matching capped at "
                          f"{_HUNGARIAN_CAP} elements")
-    cost = np.abs(av[:, None] - bv[None, :])
+    best = _bottleneck_distance(ac, bc)
+    if best is not None:
+        return best
+    # the cost matrix is filled in blocks of rows of about 4 MiB of complex
+    # differences, so no N x N complex temporary is made
+    cost = np.empty((av.size, bv.size))
+    block = max(1, (1 << 22) // (16 * bv.size))
+    for lo in range(0, av.size, block):
+        cost[lo:lo + block] = np.abs(av[lo:lo + block, None] - bv[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def _bottleneck_distance(a, b) -> float | None:
+    """min over matchings pi of max |a_i - b_pi(i)|, when nearest
+    neighbours certify it; None otherwise.
+
+    Every matching pairs each point with some opposite point, so no
+    matching has a max below bound, the largest distance from a point to
+    its nearest opposite point.  Exact duplicates are merged with their
+    counts, and the threshold graph joins every opposite pair at distance
+    <= bound.  A perfect matching within it (every component holds equal
+    counts on both sides and is complete bipartite, or, if incomplete, has
+    one, found by linear_sum_assignment with inf off the graph) has max
+    exactly bound, so bound is the bottleneck value.  Distances are
+    np.abs of the complex differences, as a matching's would be; the kd
+    trees only find candidate pairs, and more than _BOTTLENECK_PAIRS per
+    distinct value, or a non-finite value, is None too.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return None
+    from scipy.spatial import cKDTree
+    ua, ca = np.unique(a, return_counts=True)
+    ub, cb = np.unique(b, return_counts=True)
+    ta = cKDTree(np.column_stack([ua.real, ua.imag]))
+    tb = cKDTree(np.column_stack([ub.real, ub.imag]))
+    reach = max(tb.query(ta.data)[0].max(), ta.query(tb.data)[0].max())
+    # a kd distance sqrt(dx^2 + dy^2) is within a few ulps of np.abs (and
+    # 0 below about 1e-154), so this radius holds every point's nearest
+    # opposite point by np.abs
+    radius = reach * (1.0 + 1e-12) + 1e-150
+    if ta.count_neighbors(tb, radius) > _BOTTLENECK_PAIRS * (ua.size
+                                                             + ub.size):
+        return None
+    pairs = ta.sparse_distance_matrix(tb, radius, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    dist = np.abs(ua[i] - ub[j])
+    near_a = np.full(ua.size, np.inf)
+    near_b = np.full(ub.size, np.inf)
+    np.minimum.at(near_a, i, dist)
+    np.minimum.at(near_b, j, dist)
+    bound = max(near_a.max(), near_b.max())
+    within = dist <= bound
+    i, j, dist = i[within], j[within], dist[within]
+    na, nb = ua.size, ub.size
+    graph = csr_array((np.ones(i.size), (i, na + j)), shape=(na + nb,) * 2)
+    k, label = connected_components(graph, directed=False)
+    la, lb = label[:na], label[na:]
+    if (np.bincount(la, ca, k) != np.bincount(lb, cb, k)).any():
+        return None
+    edges = np.bincount(la[i], minlength=k)
+    complete = edges == np.bincount(la, minlength=k) * np.bincount(
+        lb, minlength=k)
+    for c in np.flatnonzero(~complete):
+        in_a, in_b = np.flatnonzero(la == c), np.flatnonzero(lb == c)
+        e = la[i] == c
+        cost = np.full((in_a.size, in_b.size), np.inf)
+        cost[np.searchsorted(in_a, i[e]), np.searchsorted(in_b, j[e])] = \
+            dist[e]
+        cost = np.repeat(np.repeat(cost, ca[in_a], axis=0), cb[in_b], axis=1)
+        try:
+            linear_sum_assignment(cost)
+        except ValueError:  # no perfect matching within bound
+            return None
+    return float(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +393,10 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
             nb = ihara_bass_spectrum(alpha, d, lifted.m - lifted.n)
         else:
             nb = np.linalg.eigvals(nonbacktracking(lifted))
-        # nb repeats values exactly (+-1 each M - N times), and
-        # linear_sum_assignment handles such ties far faster as columns than
-        # as rows: 0.04 s against 0.6 s at 2M = 1920 (n = 80, l = 8)
+        # nb repeats values exactly (+-1 each M - N times); the bottleneck
+        # matching merges them, and should it fall back, the dense
+        # assignment handles such ties far faster as columns than as rows:
+        # 0.04 s against 0.6 s at 2M = 1920 (n = 80, l = 8)
         nb_dist = multiset_max_distance(union, nb)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
     return UnionReport(adj_dist, nb_dist, tol, passed, alpha)

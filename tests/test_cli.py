@@ -587,6 +587,31 @@ def test_console_script_entrypoint():
     assert proc.returncode == 0
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """Successive main calls share one parser and print what fresh
+    processes print."""
+    from abelift import cli
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    runs = [["gen-base", "--kind", "petersen"],
+            ["hikes", "count", "--graph", gp, "--k", "2"],
+            ["gen-base", "--kind", "cycle", "--n", "5"]]
+    fresh = [subprocess.run([sys.executable, "-m", "abelift.cli", *argv],
+                            capture_output=True, text=True, check=True).stdout
+             for argv in runs]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    capsys.readouterr()
+    outs = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == fresh
+    assert len(built) == 1
+
+
 def test_bad_semantic_input_exits_one(tmp_path, capsys):
     gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
     code = main(["spectrum", "--graph", gp, "--check", "mixing",

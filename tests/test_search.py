@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import search, serial, spectral
+from abelift import pseudorandom, search, serial, spectral
 from abelift.codes import free_action_check
 from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             cycle_graph, lift, random_regular)
@@ -890,9 +890,44 @@ def test_support_over_another_group_is_refused():
     # the same rows as a plain array are read mod 8, as before
     res = derandomized_lift_search(base, AbelianGroup.cyclic(8), dist.support)
     assert res.certificate["candidates_evaluated"] == base.m
-    same = BiasedSet(8, base.m, np.eye(base.m, dtype=np.int64), 0.5, {})
+    # a claim the rows can meet: their exact bias is above 0.5
+    same = BiasedSet(8, base.m, np.eye(base.m, dtype=np.int64), 1.0, {})
     res = derandomized_lift_search(base, AbelianGroup.cyclic(8), same)
     assert res.certificate["provenance"]["dist"]["ellp"] == 8
+
+
+def test_support_search_records_the_bias_it_proved():
+    base = complete_graph(4)
+    full = _all_rows(2, 6)
+    # an unmeasured set: its exact bias is 0, nothing recorded it
+    res = derandomized_lift_search(base, AbelianGroup.cyclic(2),
+                                   BiasedSet(2, 6, full, 0.0, {}))
+    assert res.certificate["provenance"]["dist"]["verified"] == {
+        "mode": "exact", "value": 0.0}
+    assert verify_certificate(res.certificate)["ok"]
+    # a recorded value is replaced by the measured one
+    forged = BiasedSet(2, 6, full, 0.0, {"mode": "exact", "value": 0.25})
+    assert derandomized_lift_search(
+        base, AbelianGroup.cyclic(2), forged).certificate == res.certificate
+    assert forged.verified == {"mode": "exact", "value": 0.25}
+
+
+def test_support_search_refuses_a_bias_it_cannot_prove(monkeypatch):
+    base = complete_graph(4)
+    ident = BiasedSet(2, 6, np.zeros((1, 6), dtype=np.int64), 0.5, {})
+    with pytest.raises(ValueError,
+                       match=r"exact bias 1\.0 exceeds claimed_bias 0\.5"):
+        derandomized_lift_search(base, AbelianGroup.cyclic(2), ident)
+
+    def refuse(*args):
+        raise AssertionError("measured a bias above the cap")
+
+    monkeypatch.setattr(pseudorandom, "EXACT_CHAR_CAP", 2 ** 6 - 1)
+    monkeypatch.setattr(pseudorandom, "bias_exact", refuse)
+    with pytest.raises(ValueError, match=r"^\(Z_2\)\^6 is too large for an "
+                       r"exact bias, so claimed_bias 1\.0 cannot be proved$"):
+        derandomized_lift_search(base, AbelianGroup.cyclic(2), BiasedSet(
+            2, 6, np.zeros((1, 6), dtype=np.int64), 1.0, {}))
 
 
 def test_markov_report_premise_and_rates():

@@ -1,6 +1,7 @@
 """Eigenvalue certification: lift spectra, Ihara bound, transport, mixing."""
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -45,6 +46,93 @@ def test_multiset_max_distance():
     assert multiset_max_distance(z, np.array([2.0, 1j, -1j])) == 0.0
     with pytest.raises(ValueError, match="size"):
         multiset_max_distance(a, a[:2])
+
+
+def _dense_assignment(a, b) -> float:
+    """The matcher before nearest-neighbour certificates: the max over
+    one dense sum-minimising (Hungarian) assignment."""
+    from scipy.optimize import linear_sum_assignment
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def _brute_bottleneck(a, b) -> float:
+    return min(float(np.abs(a - b[list(p)]).max())
+               for p in itertools.permutations(range(a.size)))
+
+
+def _small_multisets(rng):
+    """(a, b) of one size n <= 6, not both real, drawn with exact
+    duplicates, conjugate pairs, tight clusters or near-ties."""
+    n = int(rng.integers(1, 7))
+    kind = ("duplicates", "conjugates", "clusters", "near-ties")[
+        int(rng.integers(4))]
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "duplicates":
+        pool = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        a, b = pool[rng.integers(3, size=n)], pool[rng.integers(3, size=n)]
+    elif kind == "conjugates":
+        a = np.concatenate([z[:(n + 1) // 2], z[:n // 2].conj()])
+        b = rng.permutation(a.conj()) + 1e-15 * rng.standard_normal(n)
+    elif kind == "clusters":
+        centres = np.array([1j, 1 + 1j])
+        a = centres[rng.integers(2, size=n)] + 1e-12 * z
+        b = centres[rng.integers(2, size=n)] + 1e-12 * rng.permutation(z)
+    else:  # points of a grid, and b half a step off it: many equal distances
+        a = rng.integers(3, size=n) + 1j * rng.integers(1, 3, size=n)
+        b = (rng.integers(3, size=n) + 0.5
+             + 1j * rng.integers(1, 3, size=n)).astype(np.complex128)
+    return a, b
+
+
+def test_bottleneck_matching_against_brute_force():
+    rng = np.random.default_rng(25)
+    certified = 0
+    for _ in range(320):
+        a, b = _small_multisets(rng)
+        got = multiset_max_distance(a, b)
+        best = _brute_bottleneck(a, b)
+        assert best <= got <= _dense_assignment(a, b)
+        cert = spectral._bottleneck_distance(a, b)
+        if cert is not None:
+            assert cert == got == best
+            certified += 1
+    assert certified >= 200  # 243 of the 320 draws
+
+
+def test_a_forged_nb_spectrum_takes_the_dense_assignment(monkeypatch):
+    base = random_regular(12, 3, seed=4)
+    sg = Signing.random(base, AbelianGroup.cyclic(4), seed=5)
+    G = lift(base, sg, allow_disconnected=True)
+    nb = ihara_bass_spectrum(adjacency_spectrum(G), 3, G.m - G.n)
+    union = character_spectra(sg, np.arange(4), "nonbacktracking").ravel()
+    honest = multiset_max_distance(union, nb)
+    assert honest <= 1e-12
+    assert spectral._bottleneck_distance(union, nb) == honest
+    forged = nb + 0.5
+    assert spectral._bottleneck_distance(union, forged) is None
+    shapes = []
+    solve = spectral.linear_sum_assignment
+    monkeypatch.setattr(spectral, "linear_sum_assignment",
+                        lambda cost: shapes.append(cost.shape) or solve(cost))
+    assert multiset_max_distance(union, forged) == _dense_assignment(
+        union, forged)
+    assert shapes == [(144, 144)]
+
+
+def test_nb_union_check_allocates_no_dense_complex_matrix():
+    base = random_regular(80, 3, seed=1)  # 2M = 1920 at l = 8
+    sg = Signing.random(base, AbelianGroup.cyclic(8), seed=2)
+    tracemalloc.start()
+    try:
+        rep = spectrum_union_check(sg, include_nonbacktracking=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.nb_distance is not None
+    # a 1920 x 1920 complex difference matrix alone is 56 MiB
+    assert peak < 16 * 2 ** 20
 
 
 def test_union_check_signed_triangle():

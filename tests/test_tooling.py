@@ -5,7 +5,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def _load_tracing():
@@ -51,3 +55,28 @@ def test_every_usage_rule_names_real_options():
         assert option in actions, (command, option)
         assert set(values) <= set(actions[option].choices), (command, values)
         assert set(needs) <= set(actions), (command, needs)
+
+
+def test_import_leaves_the_matching_modules_unloaded():
+    """Importing abelift (and its CLI) loads neither scipy.optimize nor
+    scipy.spatial: only complex spectrum matching needs them, and imports
+    them on first use.  The tracer wraps spectral.linear_sum_assignment
+    by name, so it stays a module-level callable."""
+    code = ("import sys, abelift, abelift.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.spatial'} "
+            "& set(sys.modules))); "
+            "print(callable(abelift.spectral.linear_sum_assignment))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_the_traced_assignment_is_the_one_matching_calls():
+    from abelift import spectral
+    rng = np.random.default_rng(0)
+    a = rng.random(40) + 1j * rng.random(40)
+    # too many pairs within the nearest-neighbour bound: dense assignment
+    assert spectral._bottleneck_distance(a, a + 0.5) is None
+    with _load_tracing().Tracer() as tracer:
+        spectral.multiset_max_distance(a, a + 0.5)
+    assert tracer.counts["spectral.linear_sum_assignment.calls"] == 1
