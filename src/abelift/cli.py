@@ -194,7 +194,7 @@ def cmd_codes(args):
               "dimension": codes.code_dimension(H),
               "circulant": codes.circulant_structure_check(
                   H, signing.group.fiber_size),
-              "parity_hash": serial.object_hash(H.tolist())}
+              "parity_hash": serial.binary_matrix_hash(H)}
     if args.alist:
         codes.write_alist(H, args.alist)
         tanner["alist"] = args.alist

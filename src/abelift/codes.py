@@ -579,20 +579,29 @@ def tanner_from_certificate(cert: dict | Signing,
 # alist export
 # ---------------------------------------------------------------------------
 
+def _padded_supports(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's degree and its 1-based support columns in order, padded
+    with 0 to the largest degree: a (rows, max degree) table."""
+    rows, cols = np.nonzero(h)
+    degree = np.bincount(rows, minlength=h.shape[0])
+    table = np.zeros((h.shape[0], degree.max(initial=0)), dtype=np.int64)
+    start = np.cumsum(degree) - degree
+    table[rows, np.arange(rows.size) - start[rows]] = cols + 1
+    return degree, table
+
+
 def write_alist(parity, path: str) -> None:
     """Write a parity matrix in MacKay's alist format ('n m' on line one)."""
     h = gf2.as_f2(parity)
     m, n = h.shape
-    cols = [list(np.nonzero(h[:, j])[0] + 1) for j in range(n)]
-    rows = [list(np.nonzero(h[i, :])[0] + 1) for i in range(m)]
-    max_c = max((len(c) for c in cols), default=0)
-    max_r = max((len(r) for r in rows), default=0)
-    lines = [f"{n} {m}", f"{max_c} {max_r}",
-             " ".join(str(len(c)) for c in cols),
-             " ".join(str(len(r)) for r in rows)]
-    for c in cols:
-        lines.append(" ".join(str(x) for x in c + [0] * (max_c - len(c))))
-    for r in rows:
-        lines.append(" ".join(str(x) for x in r + [0] * (max_r - len(r))))
+    col_deg, cols = _padded_supports(h.T)
+    row_deg, rows = _padded_supports(h)
+
+    def lines(table):
+        return [" ".join(map(str, line)) for line in table.tolist()]
+
+    text = [f"{n} {m}", f"{cols.shape[1]} {rows.shape[1]}",
+            " ".join(map(str, col_deg.tolist())),
+            " ".join(map(str, row_deg.tolist())), *lines(cols), *lines(rows)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(text) + "\n")

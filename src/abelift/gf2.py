@@ -11,14 +11,20 @@ import numpy as np
 
 
 def as_f2(mat) -> np.ndarray:
-    """Coerce to a 2-d uint8 array of 0/1 entries."""
+    """Coerce to a 2-d uint8 array of 0/1 entries, each entry mod 2.
+
+    Bool and integer arrays take their low bit directly (a & 1 is a mod 2
+    in two's complement, negatives included); other dtypes go through
+    int64.  The result is always a new array, never a view of *mat*.
+    """
     a = np.asarray(mat)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError("expected a 2-d binary matrix")
-    a = (a.astype(np.int64) % 2).astype(np.uint8)
-    return a
+    if a.dtype.kind in "biu":
+        return (a & np.uint8(1)).astype(np.uint8, copy=False)
+    return (a.astype(np.int64) % 2).astype(np.uint8)
 
 
 def pack_rows(mat) -> np.ndarray:

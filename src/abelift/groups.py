@@ -14,8 +14,6 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,7 +31,10 @@ def _validate_element(factors: tuple[int, ...], g: Sequence[int]) -> tuple[int, 
 def _orbits(perms) -> tuple[int, np.ndarray]:
     """Orbit count and each fiber point's orbit label under the group the
     rows of a (k, ell) permutation stack generate: their Schreier graph's
-    connected components."""
+    connected components.  scipy is imported here, on first use, so
+    that importing abelift does not load it."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
     perms = np.asarray(perms, dtype=np.int64)
     k, ell = perms.shape
     graph = csr_array((np.ones(k * ell), perms.T.ravel(),

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import RegularGraph, Signing, _integer_rows, random_regular_dense
+from .graphs import (DENSE_BYTES, RegularGraph, Signing, _integer_rows,
+                     random_regular_dense)
 from .groups import AbelianGroup
 from .serial import is_integer, is_number
 
@@ -229,12 +230,20 @@ def _regular_or_complement(ell: int, d: int, rng) -> RegularGraph:
 def _walks(aux: RegularGraph, m: int, rng, trials: int) -> np.ndarray:
     """`trials` walks of m vertices on aux, as rows of a (trials, m) array:
     each starts at a uniform vertex and takes uniform steps, all walks
-    advancing together."""
+    advancing together.
+
+    The starts are one draw and the steps one more, a C-order (m - 1,
+    trials) array, so step-major as a loop of one size-`trials` draw per
+    step would be; and it is the same stream as that loop: a bounded
+    int64 draw below 2**32 takes one next_uint32 per value whatever the
+    call's size, and PCG64 keeps the unused half of a 64-bit output in
+    its own state, not in the call.
+    """
     walks = np.empty((trials, m), dtype=np.int64)
     walks[:, 0] = rng.integers(aux.n, size=trials)
+    steps = rng.integers(aux.d, size=(m - 1, trials))
     for step in range(1, m):
-        walks[:, step] = aux.adj[walks[:, step - 1],
-                                 rng.integers(aux.d, size=trials)]
+        walks[:, step] = aux.adj[walks[:, step - 1], steps[step - 1]]
     return walks
 
 
@@ -254,7 +263,8 @@ class AuxExpander:
     def walk(self, m: int, i: int) -> np.ndarray:
         """Walk i, m vertices long: a uniform start and uniform steps on
         this graph, drawn from the walk half of SeedSequence((master_seed,
-        i)), so it depends only on the graph and the pair."""
+        i)), so it depends only on the graph and the pair.  The steps are
+        one draw (_walks), the same stream as one scalar draw per step."""
         _, walk_ss = np.random.SeedSequence((self.master_seed, i)).spawn(2)
         return _walks(self.graph, m, np.random.default_rng(walk_ss), 1)[0]
 
@@ -323,6 +333,12 @@ def hoeffding_tail_check(base: RegularGraph, ell: int, edge_subset,
         raise ValueError("edge id out of range")
     if trials < 1:
         raise ValueError("trials must be positive")
+    # the walks and their steps, one int64 (trials, m) table each
+    table = 16 * trials * base.m
+    if table > DENSE_BYTES:
+        raise ValueError(f"{trials} walks of {base.m} vertices need a "
+                         f"{table}-byte walk table, above the cap of "
+                         f"{DENSE_BYTES} bytes")
     graph = auxiliary_expander(ell, dprime, seed).graph
     _, walk_ss = np.random.SeedSequence(seed).spawn(2)
     values = _walks(graph, base.m, np.random.default_rng(walk_ss), trials)

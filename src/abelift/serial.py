@@ -64,6 +64,28 @@ def object_hash(obj: Any) -> str:
     return sha256_hex(canonical_bytes(obj))
 
 
+def binary_matrix_hash(h: np.ndarray) -> str:
+    """object_hash(h.tolist()) of a 2-d array, hashed from bytes when it is
+    a nonempty 0/1 uint8 one.
+
+    Row i of the canonical text is "[h_i0,h_i1,...,h_i(c-1)]" and rows are
+    joined by ",", inside one outer "[" "]": an (r, 2c + 2) byte buffer of
+    '[', digits, ',', ']' and the row separator holds it all but the outer
+    brackets.  Any other array goes through object_hash.
+    """
+    r, c = h.shape
+    if r == 0 or c == 0 or h.dtype != np.uint8 or h.max() > 1:
+        return object_hash(h.tolist())
+    buf = np.full((r, 2 * c + 2), ord(","), dtype=np.uint8)
+    buf[:, 0] = ord("[")
+    buf[:, 1:2 * c:2] = h + ord("0")
+    buf[:, 2 * c] = ord("]")
+    digest = hashlib.sha256(b"[")
+    digest.update(buf.reshape(-1)[:-1].tobytes())
+    digest.update(b"]")
+    return digest.hexdigest()
+
+
 def file_hash(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

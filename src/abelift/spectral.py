@@ -16,8 +16,8 @@ it solves the lifted NB operator densely instead.  The two complex
 multisets are matched by multiset_max_distance: the optimal bottleneck
 value when nearest neighbours certify it, else the max over a dense
 sum-minimising Hungarian assignment; an upper bound on the best
-matching's max distance either way.  scipy.spatial and scipy.optimize
-are imported on first use, not with the module.
+matching's max distance either way.  scipy (its linalg, sparse, spatial
+and optimize parts) is imported on first use, not with the module.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -25,13 +25,11 @@ the verifier above the dense cap check a built lift.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 from .graphs import (RegularGraph, Signing, lift,
@@ -198,6 +196,8 @@ def _bottleneck_distance(a, b) -> float | None:
     bound = max(near_a.max(), near_b.max())
     within = dist <= bound
     i, j, dist = i[within], j[within], dist[within]
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
     na, nb = ua.size, ub.size
     graph = csr_array((np.ones(i.size), (i, na + j)), shape=(na + nb,) * 2)
     k, label = connected_components(graph, directed=False)
@@ -295,6 +295,15 @@ def radius_margin(n: int) -> float:
     return 8.0 * n * (n + 1) * np.finfo(np.float64).eps
 
 
+@functools.cache
+def _potrf(dtype: np.dtype):
+    """LAPACK potrf for arrays of dtype, looked up once per dtype (and
+    scipy.linalg imported on that first call)."""
+    from scipy.linalg import get_lapack_funcs
+    potrf, = get_lapack_funcs(("potrf",), dtype=dtype)
+    return potrf
+
+
 def radius_below(mat: np.ndarray, t: float) -> bool | None:
     """Whether the spectral radius of the Hermitian `mat` lies below t > 0.
 
@@ -310,7 +319,7 @@ def radius_below(mat: np.ndarray, t: float) -> bool | None:
     delta = radius_margin(n)
     work = np.empty(mat.shape, dtype=mat.dtype)
     diag = work.reshape(-1)[::n + 1]
-    potrf, = get_lapack_funcs(("potrf",), (work,))
+    potrf = _potrf(work.dtype)
 
     def factors(shift: float, sign: float) -> bool:
         np.multiply(mat, sign, out=work)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,18 @@ def test_pseudorandom_hoeffding(tmp_path):
     assert payload["trials"] == 500
 
 
+def test_pseudorandom_hoeffding_refuses_a_walk_table_above_the_cap(
+        tmp_path, capsys):
+    gp = _write_graph(tmp_path / "c10.json", cycle_graph(10))
+    started = time.perf_counter()
+    assert main(["pseudorandom", "hoeffding", "--graph", gp,
+                 "--trials", "1000000000000000"]) == 1
+    assert time.perf_counter() - started < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failed"] is True
+    assert "160000000000000000-byte walk table" in payload["error"]
+
+
 def test_codes_toric_with_distance(tmp_path):
     out = tmp_path / "toric.json"
     assert main(["codes", "toric", "--ell", "2", "--distance", "exact",
@@ -381,6 +394,33 @@ def test_codes_tanner_from_certificate(tmp_path):
                  str(FIXTURES / "walk_cert_v1.json"), "--local",
                  "even-weight", "--out", str(v1_out)]) == 0
     assert json.loads(v1_out.read_bytes())["tanner"]["parity_hash"] == v1_hash
+
+
+def test_walk_chain_at_l16_is_pinned(tmp_path):
+    """gen-base, lift-search --mode walk and codes tanner at l = 16, the
+    benchmark's walk chain: the certificate, the parity hash and the alist
+    bytes were recorded with one draw per walk step, the parity
+    hashed from its JSON and the alist built per row and column."""
+    base, cert, tanner, alist = (str(tmp_path / name) for name in (
+        "base.json", "cert.json", "tanner.json", "code.alist"))
+    assert main(["gen-base", "--kind", "random", "--n", "16", "--d", "3",
+                 "--seed", "1", "--out", base]) == 0
+    assert main(["lift-search", "--graph", base, "--mode", "walk", "--ell",
+                 "16", "--seeds", "64", "--out", cert]) == 0
+    assert main(["codes", "tanner", "--cert", cert, "--alist", alist,
+                 "--out", tanner]) == 0
+    certificate = serial.load_json(cert)["certificate"]
+    assert [v for v, in certificate["signing"]] == [
+        13, 9, 12, 1, 6, 9, 5, 8, 4, 9, 10, 8, 5, 12, 7, 5, 14, 15, 6, 12, 1,
+        12, 14, 8]
+    assert certificate["winner_index"] == 44
+    assert certificate["lambda_lift"] == 2.7383478784862274
+    payload = serial.load_json(tanner)["tanner"]
+    assert (payload["rows"], payload["cols"]) == (256, 384)
+    assert payload["parity_hash"] == (
+        "89134641797d10e37103f0cecadecdf32209fa75c55ae2785dbf05a0b6dfdcfe")
+    assert serial.file_hash(alist) == (
+        "9215711bba6e8984622559823325fda784f3a1ca94db11adfc4670a3c38075e3")
 
 
 def test_codes_tanner_refuses_a_non_canonical_group(tmp_path, capsys):

@@ -678,3 +678,42 @@ def test_alist_export(tmp_path):
     # adjacency lists are 1-based and match the matrix
     first_col = [int(x) for x in lines[4].split() if x != "0"]
     assert first_col == [i + 1 for i in np.nonzero(HAMMING[:, 0])[0]]
+
+
+def _alist_per_row(parity, path):
+    """write_alist as one list per row and per column, kept as the
+    byte-for-byte reference of the index-array build."""
+    h = gf2.as_f2(parity)
+    m, n = h.shape
+    cols = [list(np.nonzero(h[:, j])[0] + 1) for j in range(n)]
+    rows = [list(np.nonzero(h[i, :])[0] + 1) for i in range(m)]
+    max_c = max((len(c) for c in cols), default=0)
+    max_r = max((len(r) for r in rows), default=0)
+    lines = [f"{n} {m}", f"{max_c} {max_r}",
+             " ".join(str(len(c)) for c in cols),
+             " ".join(str(len(r)) for r in rows)]
+    for c in cols:
+        lines.append(" ".join(str(x) for x in c + [0] * (max_c - len(c))))
+    for r in rows:
+        lines.append(" ".join(str(x) for x in r + [0] * (max_r - len(r))))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_alist_equals_the_per_row_build(tmp_path):
+    rng = np.random.default_rng(3)
+    mats = [np.zeros((0, 5), np.uint8), np.zeros((4, 0), np.uint8),
+            np.zeros((0, 0), np.uint8), np.zeros((3, 4), np.uint8),
+            np.ones((1, 1), np.uint8), HAMMING]
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 30, size=2))
+        h = (rng.random(shape) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+        # empty rows and columns among full ones
+        h[rng.random(shape[0]) < 0.2] = 0
+        h[:, rng.random(shape[1]) < 0.2] = 0
+        mats.append(h)
+    for h in mats:
+        new, ref = tmp_path / "new.alist", tmp_path / "ref.alist"
+        write_alist(h, str(new))
+        _alist_per_row(h, str(ref))
+        assert new.read_bytes() == ref.read_bytes(), h.shape

@@ -130,3 +130,18 @@ def test_nonzero_rref_rows_drops_dependents():
     red = gf2.nonzero_rref_rows(m)
     assert red.shape == (1, 3)
     assert np.array_equal(red[0], [1, 1, 0])
+
+
+def test_as_f2_equals_the_int64_reduction_and_never_aliases():
+    rng = np.random.default_rng(2)
+    ints = rng.integers(-9, 9, size=(5, 7))
+    inputs = [ints % 2 == 1, (ints % 2).astype(np.uint8), ints,
+              ints.astype(np.int8), (ints % 2).astype(np.float64),
+              (ints % 2).astype(np.uint64), ints[0], np.zeros((0, 3), bool)]
+    for a in inputs:
+        got = gf2.as_f2(a)
+        ref = np.atleast_2d(np.asarray(a).astype(np.int64) % 2).astype(
+            np.uint8)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, ref), a.dtype
+        assert not np.shares_memory(got, a), a.dtype

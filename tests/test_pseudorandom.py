@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abelift import kernels, pseudorandom, spectral
-from abelift.graphs import RegularGraph, cycle_graph, random_regular_dense
+from abelift import graphs, kernels, pseudorandom, spectral
+from abelift.graphs import (RegularGraph, cycle_graph, random_regular,
+                            random_regular_dense)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import (BiasedSet, auxiliary_expander, bias_exact,
                                   bias_sampled, biased_set_search,
@@ -326,6 +327,55 @@ def test_walk_streams_are_pinned():
     rep = hoeffding_tail_check(cycle_graph(10), 16, range(10), 3.0,
                                trials=200, seed=1)
     assert (rep.empirical_re, rep.empirical_im) == (0.15, 0.155)
+
+
+def _per_step_walks(aux, m, rng, trials):
+    """The sampler as one draw per step: the stream _walks must keep."""
+    walks = np.empty((trials, m), dtype=np.int64)
+    walks[:, 0] = rng.integers(aux.n, size=trials)
+    for step in range(1, m):
+        walks[:, step] = aux.adj[walks[:, step - 1],
+                                 rng.integers(aux.d, size=trials)]
+    return walks
+
+
+@pytest.mark.parametrize("ell", [80, 16], ids=["direct", "complement"])
+def test_one_step_draw_keeps_the_per_step_stream(ell):
+    aux = auxiliary_expander(ell, 36, 2).graph
+    # l = 80 draws a 36-regular graph directly, l = 16 the complement of
+    # a matching
+    assert aux.d == (36 if ell == 80 else 14)
+    for trials in (1, 2, 7):
+        for m in (1, 2, 24):
+            seed = [ell, trials, m]
+            rng = np.random.default_rng(seed)
+            walks = pseudorandom._walks(aux, m, rng, trials)
+            ref_rng = np.random.default_rng(seed)
+            assert np.array_equal(walks,
+                                  _per_step_walks(aux, m, ref_rng, trials))
+            # and both leave the generator in one state
+            assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
+def test_hoeffding_report_is_pinned():
+    # recorded with one draw per step; l = 80 walks a directly drawn graph
+    rep = hoeffding_tail_check(random_regular(16, 3, seed=2), 80,
+                               range(0, 24, 2), 3.0, trials=500, seed=5)
+    assert rep == pseudorandom.HoeffdingReport(
+        trials=500, threshold=3.0, empirical_re=0.214, empirical_im=0.222,
+        bound=1.9956935558303015, sigma=0.0, passed=True)
+
+
+def test_hoeffding_refuses_a_walk_table_above_the_cap(monkeypatch):
+    # refused by size before the auxiliary expander is drawn
+    monkeypatch.setattr(pseudorandom, "auxiliary_expander", None)
+    trials = graphs.DENSE_BYTES // (16 * 10) + 1
+    with pytest.raises(ValueError) as err:
+        hoeffding_tail_check(cycle_graph(10), 16, range(10), 3.0,
+                             trials=trials)
+    assert str(err.value) == (
+        f"{trials} walks of 10 vertices need a {16 * 10 * trials}-byte walk "
+        f"table, above the cap of {graphs.DENSE_BYTES} bytes")
 
 
 @pytest.mark.parametrize("ell", [16, 40, 64])

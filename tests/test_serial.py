@@ -40,3 +40,17 @@ def test_dump_load_roundtrip(tmp_path):
     assert text.endswith("\n") and "\n" not in text[:-1]
     assert serial.load_json(path) == {"k": [1, {"m": 2}]}
     assert serial.file_hash(path) == serial.file_hash(str(path))
+
+
+def test_binary_matrix_hash_equals_the_json_hash():
+    rng = np.random.default_rng(1)
+    mats = [np.zeros(shape, dtype=np.uint8)
+            for shape in ((0, 5), (3, 0), (0, 0), (1, 1), (2, 3))]
+    mats += [np.ones((1, 1), np.uint8), np.ones((3, 2), np.uint8)]
+    mats += [rng.integers(0, 2, size=tuple(rng.integers(1, 40, size=2)),
+                          dtype=np.uint8) for _ in range(30)]
+    # not 0/1 uint8: the JSON path, as tolist() spells them
+    mats += [np.array([[0, 2], [1, 1]], np.uint8),
+             np.array([[True, False]]), np.array([[1, 0]], np.int64)]
+    for h in mats:
+        assert serial.binary_matrix_hash(h) == serial.object_hash(h.tolist())

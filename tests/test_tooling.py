@@ -80,3 +80,28 @@ def test_the_traced_assignment_is_the_one_matching_calls():
     with _load_tracing().Tracer() as tracer:
         spectral.multiset_max_distance(a, a + 0.5)
     assert tracer.counts["spectral.linear_sum_assignment.calls"] == 1
+
+
+def test_cli_import_gen_base_hikes_and_tanner_load_no_scipy(tmp_path):
+    """scipy is imported on first use: importing the CLI, generating a
+    base, counting its hikes and building a Tanner code from a certificate
+    load none of it."""
+    cert = Path(__file__).parent / "fixtures" / "walk_cert_v1.json"
+    code = (
+        "import sys, abelift.cli as cli\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"assert cli.main(['gen-base', '--kind', 'random', '--n', '16', "
+        f"'--d', '3', '--out', {str(tmp_path / 'base.json')!r}]) == 0\n"
+        f"assert cli.main(['hikes', 'count', '--graph', "
+        f"{str(tmp_path / 'base.json')!r}, '--k', '3']) == 0\n"
+        "print(loaded())\n"
+        f"assert cli.main(['codes', 'tanner', '--cert', {str(cert)!r}, "
+        f"'--alist', {str(tmp_path / 'code.alist')!r}, "
+        f"'--out', {str(tmp_path / 'tanner.json')!r}]) == 0\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert [line for line in proc.stdout.split("\n")
+            if line.startswith("[")] == ["[]"] * 3
