@@ -8,13 +8,15 @@ times or at least twice.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
-from .graphs import RegularGraph, _ball, _neighbor_rows, bicycle_free_radius
+from .graphs import (DENSE_BYTES, RegularGraph, _ball, _neighbor_rows,
+                     bicycle_free_radius)
 
 
 class DecodeError(ValueError):
@@ -55,7 +57,8 @@ class EdgeSubgraph:
 
     def excess_set(self) -> frozenset[int]:
         """Vertices of degree above two."""
-        return frozenset(v for v in self.vertices if self.degree(v) > 2)
+        degree = Counter(v for edge in self.edges for v in edge)
+        return frozenset(v for v, c in degree.items() if c > 2)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -291,35 +294,16 @@ def singleton_free(walk: Sequence[int]) -> bool:
     return all(c != 1 for c in counts.values())
 
 
-def _iter_hikes(G: RegularGraph, k: int, singleton_free_only: bool):
-    """The 2k-step hikes of G in depth-first order, by an explicit stack:
-    slots[p - 1] is the next host slot to try from the walk's p-th vertex,
-    so no k is limited by the recursion depth."""
-    two_k = 2 * k
-    exempt = k + 1
-    adj, d = G.adj.tolist(), G.d
-    for v0 in range(G.n):
-        walk, slots = [v0], [0]
-        while slots:
-            p, j = len(walk), slots[-1]
-            if p > two_k or j == d:
-                if p > two_k and walk[-1] == v0 and (
-                        not singleton_free_only or singleton_free(walk)):
-                    yield tuple(walk)
-                slots.pop()
-                walk.pop()
-                continue
-            slots[-1] = j + 1
-            w = adj[walk[-1]][j]
-            if p >= 2 and p != exempt and w == walk[-2]:
-                continue
-            walk.append(w)
-            slots.append(0)
-
-
 def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
                     return_walks: bool = False):
-    """Count (or list) the k-hikes of G, every start vertex counted separately."""
+    """Count (or list) the k-hikes of G, every start vertex counted separately.
+
+    The list holds each hike as a tuple of its 2k + 1 vertices, in the
+    order of a depth-first search from each start vertex in turn that
+    tries each vertex's host slots in order.  It is refused, before it is
+    built, when its (count, 2k + 1) int64 table would take more than
+    DENSE_BYTES.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     # a bound on the count's work, checked before anything is allocated:
@@ -329,10 +313,18 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     h = G.d * (G.d - 1) ** (k - 1)
     if G.n * h > 2 * 10 ** 7 or G.n * h * h > 2 * 10 ** 8:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
-    if return_walks:
-        return list(_iter_hikes(G, k, singleton_free_only))
-    return kernels.count_hikes(G.adj, G.eid_table, G.m, k,
-                               singleton_free=singleton_free_only)
+    count = kernels.count_hikes(G.adj, G.eid_table, G.m, k,
+                                singleton_free=singleton_free_only)
+    if not return_walks:
+        return count
+    table = 8 * count * (2 * k + 1)
+    if table > DENSE_BYTES:
+        raise ValueError(f"{count} hikes of {2 * k + 1} vertices need a "
+                         f"{table}-byte table, above the cap of "
+                         f"{DENSE_BYTES} bytes")
+    return list(map(tuple, kernels.list_hikes(
+        G.adj, G.eid_table, G.m, k, singleton_free=singleton_free_only
+    ).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exhaustive enumeration kernels behind the certificates.
 
-Five exact scans, one numpy implementation each: closed hike counts for
+Five exact scans, one numpy implementation each: hike counts and lists for
 the trace-method bound, the minimum weight of an affine F2 space for
 classical code distance, the least weight of a code's codewords that pass
 a test by Brouwer-Zimmermann levels for CSS distance, the boolean
@@ -8,8 +8,9 @@ Rayleigh quotient for expander mixing, and the maximum nontrivial
 character bias of a signing support.  The hike, codeword, mask and
 character scans run in blocks whose live arrays take about BLOCK_BYTES,
 so their memory does not grow with the scan.  The hike
-count's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
-144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges.
+scan's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
+144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges,
+and 8 (k + 1)(d + 3) more per half-walk for a list's paths.
 The sampled bias and the sampled Rayleigh quotient evaluate their draws
 by the same blocks (_bias_max, _rayleigh_max).
 """
@@ -26,7 +27,7 @@ EXACT_CHAR_CAP = 1 << 20  # most characters the exact bias scan takes
 
 
 # ---------------------------------------------------------------------------
-# closed non-backtracking walk counting
+# closed non-backtracking walks: counted, or listed in depth-first order
 # ---------------------------------------------------------------------------
 
 def count_hikes(adj, eid_table, n_edges: int, k: int,
@@ -40,39 +41,86 @@ def count_hikes(adj, eid_table, n_edges: int, k: int,
     counts of its halves have no entry 1; (P, P) always is, and (P, Q)
     exactly when (Q, P) is, so only pairs i < j of a group are tested.
     """
+    adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
+    total = 0
+    for counts, end, _, _ in _half_walks(adj, eid, n_edges, k, False):
+        # the sum of the squared group sizes: pairs i = j once, i < j twice
+        total += int((2 * (end - np.arange(end.size)) - 1).sum())
+        if singleton_free:
+            for i, j in _later_pairs(end, n_edges):
+                total -= 2 * int((counts[i] + counts[j] == 1)
+                                 .any(axis=1).sum())
+    return total
+
+
+def list_hikes(adj, eid_table, n_edges: int, k: int,
+               singleton_free: bool = True) -> np.ndarray:
+    """The hikes count_hikes counts, as the rows P + reversed(Q)[1:] of a
+    (count, 2k + 1) vertex table in depth-first order: by origin, then by
+    the host slot of each step.  P's index in generation order sorts its
+    origin and k slots, and Q's slots back from the midpoint the rest."""
+    adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
+    table = []  # blocks are runs of origins, so each is sorted on its own
+    for counts, end, order, path in _half_walks(adj, eid, n_edges, k, True):
+        pairs = [(np.arange(end.size),) * 2]
+        for i, j in _later_pairs(end, n_edges):
+            if singleton_free:
+                keep = ~(counts[i] + counts[j] == 1).any(axis=1)
+                i, j = i[keep], j[keep]
+            pairs += [(i, j), (j, i)]
+        i, j = (np.concatenate(side) for side in zip(*pairs))
+        # back[:, t - 1]: the slot of path[:, t - 1] in path[:, t]'s host row
+        back = (adj[path[:, 1:]] == path[:, :-1, None]).argmax(axis=2)
+        sel = np.lexsort((*back[j].T, order[i]))
+        table.append(np.concatenate([path[i[sel]], path[j[sel], -2::-1]],
+                                    axis=1))
+    return np.concatenate(table)
+
+
+def _half_walks(adj, eid, n_edges: int, k: int, paths: bool):
+    """The non-backtracking k-walks from each block of origins, sorted by
+    (origin, endpoint): per block their int8 edge counts (saturated at 2),
+    end (one past each walk's group), order (each walk's index in
+    generation order, which is depth-first) and, when paths, their
+    (walks, k + 1) vertex paths."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
     n, d = adj.shape
+    walk_bytes = 144 + 2 * n_edges + (8 * (k + 1) * (d + 3) if paths else 0)
     origins = max(1, BLOCK_BYTES // 2 // max(1, d * (d - 1) ** (k - 1)
-                                             * (144 + 2 * n_edges)))
-    cap = max(1, BLOCK_BYTES // 2 // (32 + 4 * n_edges))  # pairs per block
-    total = 0
+                                             * walk_bytes))
     for start in range(0, n, origins):
         origin = np.arange(start, min(start + origins, n))
         cur, prev = origin, np.full_like(origin, -1)
         counts = np.zeros((origin.size, n_edges), dtype=np.int8)
+        path = origin[:, None]
         for _ in range(k):
             rows, slots = np.nonzero(adj[cur] != prev[:, None])
             prev, cur, origin = cur[rows], adj[cur[rows], slots], origin[rows]
             counts, i, e = counts[rows], np.arange(rows.size), eid[prev, slots]
             counts[i, e] += counts[i, e] < 2  # saturates: 2 means two or more
+            if paths:
+                path = np.column_stack([path[rows], cur])
         order = np.argsort(origin * n + cur)
         key = (origin * n + cur)[order]
         end = np.searchsorted(key, key, side="right")  # one past each group
-        partners = end - np.arange(end.size) - 1
-        cum = np.concatenate([[0], np.cumsum(partners)])
-        # the sum of the squared group sizes: pairs i = j once, i < j twice
-        total += end.size + 2 * int(cum[-1])
-        counts = counts[order]
-        lo = 0
-        while singleton_free and lo < end.size:  # blocks of whole rows i
-            hi = max(lo + 1, np.searchsorted(cum, cum[lo] + cap, "right") - 1)
-            i = np.repeat(np.arange(lo, hi), partners[lo:hi])
-            j = np.arange(cum[lo], cum[hi]) - cum[i] + i + 1
-            total -= 2 * int((counts[i] + counts[j] == 1).any(axis=1).sum())
-            lo = hi
-    return total
+        # rebound, so that no unsorted copy stays alive with the sorted one
+        counts, path = counts[order], path[order] if paths else None
+        yield counts, end, order, path
+
+
+def _later_pairs(end, n_edges: int):
+    """The pairs i < j of each group of a sorted block, in blocks of whole
+    rows i of about BLOCK_BYTES / 2 at 32 + 4 n_edges bytes per pair."""
+    cap = max(1, BLOCK_BYTES // 2 // (32 + 4 * n_edges))
+    partners = end - np.arange(end.size) - 1
+    cum = np.concatenate([[0], np.cumsum(partners)])
+    lo = 0
+    while lo < end.size:
+        hi = max(lo + 1, np.searchsorted(cum, cum[lo] + cap, "right") - 1)
+        i = np.repeat(np.arange(lo, hi), partners[lo:hi])
+        yield i, np.arange(cum[lo], cum[hi]) - cum[i] + i + 1
+        lo = hi
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,11 @@ class AuxExpander:
         return AUX_LAMBDA_FACTOR * math.sqrt(self.graph.d - 1)
 
     def walk(self, m: int, i: int) -> np.ndarray:
-        """Walk i, m vertices long: a uniform start and uniform steps on
-        this graph, drawn from the walk half of SeedSequence((master_seed,
+        """Walk i, m vertices long: uniform start and steps on this graph,
+        drawn from the walk half (spawn key (1,)) of SeedSequence((master_seed,
         i)), so it depends only on the graph and the pair.  The steps are
         one draw (_walks), the same stream as one scalar draw per step."""
-        _, walk_ss = np.random.SeedSequence((self.master_seed, i)).spawn(2)
+        walk_ss = np.random.SeedSequence((self.master_seed, i), spawn_key=(1,))
         return _walks(self.graph, m, np.random.default_rng(walk_ss), 1)[0]
 
     def provenance(self) -> dict:

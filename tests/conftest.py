@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 
+from abelift.hikes import singleton_free
+
 SESSION_T0 = time.perf_counter()
 
 # one line per acceptance criterion, echoed after the test summary
@@ -60,3 +62,25 @@ def _nb_walk_counts(g, k):
 @pytest.fixture
 def nb_walk_counts():
     return _nb_walk_counts
+
+
+def _recursive_hikes(G, k, singleton_free_only):
+    """The walks in the order of a plain recursive depth-first search."""
+    def rec(walk):
+        if len(walk) > 2 * k:
+            if walk[-1] == walk[0] and (not singleton_free_only
+                                        or singleton_free(walk)):
+                yield tuple(walk)
+            return
+        p = len(walk)
+        for w in map(int, G.adj[walk[-1]]):
+            if p >= 2 and p != k + 1 and w == walk[-2]:
+                continue
+            yield from rec(walk + [w])
+    for v0 in range(G.n):
+        yield from rec([v0])
+
+
+@pytest.fixture
+def recursive_hikes():
+    return _recursive_hikes

@@ -300,31 +300,14 @@ def test_enumeration_at_k10_is_quick_and_matches_the_oracle(nb_walk_counts):
     assert 0 < free < every
 
 
-def _recursive_hikes(G, k, singleton_free_only):
-    """The walks in the order of a plain recursive depth-first search."""
-    def rec(walk):
-        if len(walk) > 2 * k:
-            if walk[-1] == walk[0] and (not singleton_free_only
-                                        or singleton_free(walk)):
-                yield tuple(walk)
-            return
-        p = len(walk)
-        for w in map(int, G.adj[walk[-1]]):
-            if p >= 2 and p != k + 1 and w == walk[-2]:
-                continue
-            yield from rec(walk + [w])
-    for v0 in range(G.n):
-        yield from rec([v0])
-
-
-def test_enumerated_walks_come_in_depth_first_order():
+def test_enumerated_walks_come_in_depth_first_order(recursive_hikes):
     for g in (complete_graph(4), cycle_graph(5), petersen_graph(),
               random_regular(10, 3, seed=1)):
         for k in (1, 2, 3):
             for sf in (True, False):
                 assert enumerate_hikes(g, k, singleton_free_only=sf,
                                        return_walks=True) == list(
-                    _recursive_hikes(g, k, sf))
+                    recursive_hikes(g, k, sf))
 
 
 def test_enumerated_walks_are_not_bounded_by_the_recursion_depth():

@@ -9,22 +9,53 @@ from abelift import gf2, kernels
 from abelift.codes import _information_sets
 from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
                             random_regular)
-from abelift.hikes import _iter_hikes, enumerate_hikes
+from abelift.hikes import enumerate_hikes
 
 
 @pytest.mark.parametrize("block_bytes", [kernels.BLOCK_BYTES, 1],
                          ids=["default-blocks", "one-start-blocks"])
-def test_count_hikes_matches_walk_enumeration(monkeypatch, block_bytes):
+def test_count_hikes_matches_walk_enumeration(monkeypatch, recursive_hikes,
+                                              block_bytes):
     monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
     for g in (complete_graph(4), cycle_graph(5), petersen_graph(),
               random_regular(10, 3, seed=1)):
         for k in (1, 2, 3):
             for sf in (True, False):
-                walks = enumerate_hikes(g, k, singleton_free_only=sf,
-                                        return_walks=True)
                 got = kernels.count_hikes(g.adj, g.eid_table, g.m, k,
                                           singleton_free=sf)
-                assert got == len(walks)
+                assert got == sum(1 for _ in recursive_hikes(g, k, sf))
+
+
+def test_listed_hikes_do_not_depend_on_the_block_size(monkeypatch):
+    # one origin and one row of pairs per block must give the same list in
+    # the same order, so sorting each block alone gives the global order
+    for g in (complete_graph(4), petersen_graph(),
+              random_regular(10, 3, seed=1)):
+        for k in (2, 3, 5):
+            for sf in (True, False):
+                whole = enumerate_hikes(g, k, singleton_free_only=sf,
+                                        return_walks=True)
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "BLOCK_BYTES", 1)
+                    assert enumerate_hikes(g, k, singleton_free_only=sf,
+                                           return_walks=True) == whole
+
+
+def test_hike_list_is_refused_by_its_size_before_it_is_built():
+    # 2,411,030 hikes of 21 vertices take 405,053,040 bytes as int64, about
+    # three times DENSE_BYTES; only the count's blocks are allocated
+    g = random_regular(40, 3, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="405053040-byte table"):
+            enumerate_hikes(g, 10, singleton_free_only=False,
+                            return_walks=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    free = enumerate_hikes(g, 10, return_walks=True)
+    assert len(free) == enumerate_hikes(g, 10) == 88230
 
 
 def test_count_hikes_edge_counts_do_not_wrap():
@@ -70,7 +101,8 @@ def test_count_hikes_matches_the_walk_count_oracle(nb_walk_counts, n, k):
         (nb_walk_counts(g, k) ** 2).sum())
 
 
-def test_count_hikes_matches_the_walk_enumeration_at_k5(nb_walk_counts):
+def test_count_hikes_matches_the_walk_enumeration_at_k5(nb_walk_counts,
+                                                       recursive_hikes):
     # from k = 5 on K4 and on this random graph, a half can use an edge
     # twice that the other half does not use, and Q can cover every edge
     # that P uses once while P misses an edge that Q uses once
@@ -79,8 +111,8 @@ def test_count_hikes_matches_the_walk_enumeration_at_k5(nb_walk_counts):
         for sf in (True, False):
             assert kernels.count_hikes(g.adj, g.eid_table, g.m, 5,
                                        singleton_free=sf) == sum(
-                1 for _ in _iter_hikes(g, 5, sf))
-        assert sum(1 for _ in _iter_hikes(g, 5, False)) == int(
+                1 for _ in recursive_hikes(g, 5, sf))
+        assert sum(1 for _ in recursive_hikes(g, 5, False)) == int(
             (nb_walk_counts(g, 5) ** 2).sum())
 
 

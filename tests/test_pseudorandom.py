@@ -294,6 +294,20 @@ def test_run_walks_keep_the_streams_of_their_seed_pairs():
         assert signing.values[:, 0].tolist() == expected
 
 
+def test_walk_half_built_by_its_spawn_key_is_the_spawned_child():
+    # AuxExpander.walk builds SeedSequence(pair).spawn(2)[1] directly
+    for pair in ((0, 0), (7, 3), (2 ** 40 + 1, 194)):
+        spawned = np.random.SeedSequence(pair).spawn(2)[1]
+        direct = np.random.SeedSequence(pair, spawn_key=(1,))
+        assert (direct.entropy, direct.spawn_key) == (spawned.entropy,
+                                                      spawned.spawn_key)
+        assert np.array_equal(direct.generate_state(8),
+                              spawned.generate_state(8))
+        assert np.array_equal(
+            np.random.default_rng(direct).integers(1 << 40, size=32),
+            np.random.default_rng(spawned).integers(1 << 40, size=32))
+
+
 def test_walk_on_single_edge_base_is_just_the_start():
     base = RegularGraph([[1], [0]])
     aux, signing = _walk_signing(base, 8, 5, 0)
