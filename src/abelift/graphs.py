@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import serial
-from .groups import AbelianGroup, _orbits, _validate_element
+from .groups import AbelianGroup, _components, _orbits, _validate_element
 
 MAX_DENSE_DIM = 4096
 DENSE_BYTES = 8 * MAX_DENSE_DIM ** 2  # one float64 matrix at the dense cap
@@ -359,8 +359,12 @@ def lift(base: RegularGraph, signing: Signing,
     fiber = maps[backward.astype(np.int64), base.eid_table]  # (n, d, ell)
     rows = base.adj[:, :, None] * ell + fiber
     table = rows.transpose(0, 2, 1).reshape(base.n * ell, base.d)
-    # the columns of a neighbor table, as maps, have its components as orbits
-    if not allow_disconnected and _orbits(table.T)[0] > _orbits(base.adj.T)[0]:
+    # each lifted edge once: the ell copies of base edge (u, v), u < v, from
+    # the points u * ell + i of its lower end
+    tails = np.nonzero(~backward)[0][:, None] * ell + np.arange(ell)
+    if not allow_disconnected and (
+            _components(base.n * ell, tails, rows[~backward])[0]
+            > _components(base.n, *base.edges.T)[0]):
         raise ValueError(
             "signing's cycle voltages generate a non-transitive action; the "
             "lift would be disconnected (pass allow_disconnected=True to "

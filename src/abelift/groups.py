@@ -28,19 +28,41 @@ def _validate_element(factors: tuple[int, ...], g: Sequence[int]) -> tuple[int, 
     return g
 
 
+def _components(n: int, u, v) -> tuple[int, np.ndarray]:
+    """Component count and labels of the undirected graph on vertices
+    0..n-1 with edges (u[e], v[e]); labels are numbered by least vertex.
+
+    A union-find in whole-array steps: each round hooks the larger root of
+    every edge whose ends lie in different trees under the least root it
+    meets (min-label hooking), then pointer jumping flattens the forest;
+    edges are carried to their roots, and those inside one tree dropped.
+    A parent is never above its child, so each root is its component's
+    least vertex.
+    """
+    parent = np.arange(n)
+    u, v = (np.asarray(x, dtype=np.int64).ravel() for x in (u, v))
+    hi, lo = np.maximum(u, v), np.minimum(u, v)
+    while True:
+        cross = hi != lo
+        hi, lo = hi[cross], lo[cross]
+        if not hi.size:
+            break
+        np.minimum.at(parent, hi, lo)
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        hi, lo = parent[hi], parent[lo]
+        hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
+    roots = parent == np.arange(n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[parent]
+
+
 def _orbits(perms) -> tuple[int, np.ndarray]:
-    """Orbit count and each fiber point's orbit label under the group the
-    rows of a (k, ell) permutation stack generate: their Schreier graph's
-    connected components.  scipy is imported here, on first use, so
-    that importing abelift does not load it."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
+    """Orbit count and each fiber point's orbit label (numbered by least
+    point) under the group the rows of a (k, ell) permutation stack
+    generate: the components of their Schreier graph, i -- perms[r, i]."""
     perms = np.asarray(perms, dtype=np.int64)
     k, ell = perms.shape
-    graph = csr_array((np.ones(k * ell), perms.T.ravel(),
-                       k * np.arange(ell + 1)), shape=(ell, ell))
-    count, labels = connected_components(graph, directed=False)
-    return int(count), labels
+    return _components(ell, np.tile(np.arange(ell), k), perms)
 
 
 @dataclass(frozen=True)

@@ -300,9 +300,9 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
 
     The list holds each hike as a tuple of its 2k + 1 vertices, in the
     order of a depth-first search from each start vertex in turn that
-    tries each vertex's host slots in order.  It is refused, before it is
-    built, when its (count, 2k + 1) int64 table would take more than
-    DENSE_BYTES.
+    tries each vertex's host slots in order.  It is refused, before any
+    hike is built, when the call would peak above DENSE_BYTES
+    (kernels._hike_list_bytes).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -313,18 +313,12 @@ def enumerate_hikes(G: RegularGraph, k: int, singleton_free_only: bool = True,
     h = G.d * (G.d - 1) ** (k - 1)
     if G.n * h > 2 * 10 ** 7 or G.n * h * h > 2 * 10 ** 8:
         raise ValueError("hike enumeration budget exceeded for these n, d, k")
-    count = kernels.count_hikes(G.adj, G.eid_table, G.m, k,
-                                singleton_free=singleton_free_only)
-    if not return_walks:
-        return count
-    table = 8 * count * (2 * k + 1)
-    if table > DENSE_BYTES:
-        raise ValueError(f"{count} hikes of {2 * k + 1} vertices need a "
-                         f"{table}-byte table, above the cap of "
-                         f"{DENSE_BYTES} bytes")
-    return list(map(tuple, kernels.list_hikes(
-        G.adj, G.eid_table, G.m, k, singleton_free=singleton_free_only
-    ).tolist()))
+    if return_walks:
+        return kernels.list_hikes(G.adj, G.eid_table, G.m, k,
+                                  singleton_free=singleton_free_only,
+                                  cap=DENSE_BYTES)
+    return kernels.count_hikes(G.adj, G.eid_table, G.m, k,
+                               singleton_free=singleton_free_only)
 
 
 # ---------------------------------------------------------------------------

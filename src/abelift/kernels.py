@@ -42,8 +42,10 @@ def count_hikes(adj, eid_table, n_edges: int, k: int,
     exactly when (Q, P) is, so only pairs i < j of a group are tested.
     """
     adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
+    origins = _origins_per_block(adj.shape, n_edges, k, False)
     total = 0
-    for counts, end, _, _ in _half_walks(adj, eid, n_edges, k, False):
+    for counts, end, _, _ in _half_walks(adj, eid, n_edges, k, origins,
+                                         True, False):
         # the sum of the squared group sizes: pairs i = j once, i < j twice
         total += int((2 * (end - np.arange(end.size)) - 1).sum())
         if singleton_free:
@@ -54,59 +56,122 @@ def count_hikes(adj, eid_table, n_edges: int, k: int,
 
 
 def list_hikes(adj, eid_table, n_edges: int, k: int,
-               singleton_free: bool = True) -> np.ndarray:
-    """The hikes count_hikes counts, as the rows P + reversed(Q)[1:] of a
-    (count, 2k + 1) vertex table in depth-first order: by origin, then by
-    the host slot of each step.  P's index in generation order sorts its
-    origin and k slots, and Q's slots back from the midpoint the rest."""
+               singleton_free: bool = True, *,
+               cap: int) -> list[tuple[int, ...]]:
+    """The hikes count_hikes counts, as tuples P + reversed(Q)[1:] of 2k + 1
+    vertices in depth-first order: by origin, then by the host slot of each
+    step.  P's index in generation order sorts its origin and k slots, and
+    Q's slots back from the midpoint the rest.
+
+    The singleton-free tests run once, before any path is built, and keep
+    their passing pairs; with them the count and each block's share are
+    known, and a list whose call would peak above cap bytes
+    (_hike_list_bytes) is refused there with ValueError.
+    """
     adj, eid = (np.asarray(a, dtype=np.int64) for a in (adj, eid_table))
-    table = []  # blocks are runs of origins, so each is sorted on its own
-    for counts, end, order, path in _half_walks(adj, eid, n_edges, k, True):
-        pairs = [(np.arange(end.size),) * 2]
+    n = adj.shape[0]
+    origins = _origins_per_block(adj.shape, n_edges, k, True)
+    kept, sizes = [], []  # per block: its passing pairs i < j, its hikes
+    for counts, end, _, _ in _half_walks(adj, eid, n_edges, k, origins,
+                                         singleton_free, False):
+        if not singleton_free:
+            kept.append(None)
+            sizes.append(int((2 * (end - np.arange(end.size)) - 1).sum()))
+            continue
+        pairs = []
         for i, j in _later_pairs(end, n_edges):
-            if singleton_free:
-                keep = ~(counts[i] + counts[j] == 1).any(axis=1)
-                i, j = i[keep], j[keep]
-            pairs += [(i, j), (j, i)]
-        i, j = (np.concatenate(side) for side in zip(*pairs))
+            keep = ~(counts[i] + counts[j] == 1).any(axis=1)
+            pairs.append((i[keep], j[keep]))
+        kept.append(pairs)
+        sizes.append(end.size + 2 * sum(i.size for i, _ in pairs))
+    count = sum(sizes)
+    need = _hike_list_bytes(count, max(sizes, default=0), n, k)
+    if need > cap:
+        raise ValueError(f"{count} hikes of {2 * k + 1} vertices need "
+                         f"{need} bytes as a list of tuples, above the cap "
+                         f"of {cap} bytes")
+    out, at = [None] * count, 0
+    for (_, end, order, path), pairs in zip(
+            _half_walks(adj, eid, n_edges, k, origins, False, True), kept):
+        if pairs is None:
+            pairs = list(_later_pairs(end, n_edges))
+        # (P, P), and each pair i < j in both orders
+        i, j = (np.concatenate(side) for side in zip(
+            (np.arange(end.size),) * 2, *pairs, *((j, i) for i, j in pairs)))
         # back[:, t - 1]: the slot of path[:, t - 1] in path[:, t]'s host row
         back = (adj[path[:, 1:]] == path[:, :-1, None]).argmax(axis=2)
         sel = np.lexsort((*back[j].T, order[i]))
-        table.append(np.concatenate([path[i[sel]], path[j[sel], -2::-1]],
-                                    axis=1))
-    return np.concatenate(table)
+        del back
+        for lo in range(0, sel.size, _LIST_ROWS):
+            rows = sel[lo:lo + _LIST_ROWS]
+            rows = np.concatenate([path[i[rows]], path[j[rows], -2::-1]],
+                                  axis=1).tolist()
+            out[at:at + len(rows)] = map(tuple, rows)
+            at += len(rows)
+    return out
 
 
-def _half_walks(adj, eid, n_edges: int, k: int, paths: bool):
-    """The non-backtracking k-walks from each block of origins, sorted by
-    (origin, endpoint): per block their int8 edge counts (saturated at 2),
-    end (one past each walk's group), order (each walk's index in
-    generation order, which is depth-first) and, when paths, their
-    (walks, k + 1) vertex paths."""
+_LIST_ROWS = 1 << 12  # hikes list_hikes turns into tuples at a time
+
+
+def _hike_list_bytes(count: int, block: int, n: int, k: int) -> int:
+    """Bytes list_hikes holds at its peak for `count` hikes of w = 2k + 1
+    vertices on n, `block` of them from its largest block.
+
+    Per hike: its list slot and its tuple, 8 + (40 + 8 w), a 32-byte int
+    per vertex above 256 (Python caches the smaller ones), and 8 for the
+    kept pairs.  Per hike of the block: its pair indices, sort keys, order
+    and generation index, 8 (k + 5).  Per row being turned into tuples:
+    its int64 halves and row and its list, 56 + 24 w and the ints.  And
+    the blocks of walks and pairs, BLOCK_BYTES.
+    """
+    w = 2 * k + 1
+    ints = 32 * w if n > 257 else 0
+    return (count * (56 + 8 * w + ints) + block * 8 * (k + 5)
+            + min(count, _LIST_ROWS) * (56 + 24 * w + ints) + BLOCK_BYTES)
+
+
+def _origins_per_block(shape, n_edges: int, k: int, paths: bool) -> int:
+    """Origins per block of _half_walks on an (n, d) table: their walks
+    take about BLOCK_BYTES / 2, at 144 + 2 n_edges bytes per walk and
+    8 (k + 1)(d + 3) more for its path when listing."""
+    n, d = shape
+    walk_bytes = 144 + 2 * n_edges + (8 * (k + 1) * (d + 3) if paths else 0)
+    return max(1, BLOCK_BYTES // 2 // max(1, d * (d - 1) ** (k - 1)
+                                          * walk_bytes))
+
+
+def _half_walks(adj, eid, n_edges: int, k: int, origins: int, counts: bool,
+                paths: bool):
+    """The non-backtracking k-walks from each block of `origins` origins,
+    sorted by (origin, endpoint): per block their int8 edge counts
+    (saturated at 2) when counts, end (one past each walk's group), order
+    (each walk's index in generation order, which is depth-first) and,
+    when paths, their (walks, k + 1) vertex paths."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, d = adj.shape
-    walk_bytes = 144 + 2 * n_edges + (8 * (k + 1) * (d + 3) if paths else 0)
-    origins = max(1, BLOCK_BYTES // 2 // max(1, d * (d - 1) ** (k - 1)
-                                             * walk_bytes))
+    n = adj.shape[0]
     for start in range(0, n, origins):
         origin = np.arange(start, min(start + origins, n))
         cur, prev = origin, np.full_like(origin, -1)
-        counts = np.zeros((origin.size, n_edges), dtype=np.int8)
+        tally = np.zeros((origin.size, n_edges if counts else 0),
+                         dtype=np.int8)
         path = origin[:, None]
         for _ in range(k):
             rows, slots = np.nonzero(adj[cur] != prev[:, None])
             prev, cur, origin = cur[rows], adj[cur[rows], slots], origin[rows]
-            counts, i, e = counts[rows], np.arange(rows.size), eid[prev, slots]
-            counts[i, e] += counts[i, e] < 2  # saturates: 2 means two or more
+            tally = tally[rows]
+            if counts:
+                i, e = np.arange(rows.size), eid[prev, slots]
+                tally[i, e] += tally[i, e] < 2  # 2 means two or more
             if paths:
                 path = np.column_stack([path[rows], cur])
         order = np.argsort(origin * n + cur)
         key = (origin * n + cur)[order]
         end = np.searchsorted(key, key, side="right")  # one past each group
         # rebound, so that no unsorted copy stays alive with the sorted one
-        counts, path = counts[order], path[order] if paths else None
-        yield counts, end, order, path
+        tally, path = tally[order], path[order] if paths else None
+        yield tally, end, order, path
 
 
 def _later_pairs(end, n_edges: int):

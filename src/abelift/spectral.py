@@ -16,8 +16,9 @@ it solves the lifted NB operator densely instead.  The two complex
 multisets are matched by multiset_max_distance: the optimal bottleneck
 value when nearest neighbours certify it, else the max over a dense
 sum-minimising Hungarian assignment; an upper bound on the best
-matching's max distance either way.  scipy (its linalg, sparse, spatial
-and optimize parts) is imported on first use, not with the module.
+matching's max distance either way.  The certificate is numpy alone;
+scipy.optimize (for the dense assignment) and scipy.linalg (for
+radius_below's potrf) are imported on first use, not with the module.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -35,7 +36,7 @@ from . import kernels
 from .graphs import (RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking,
                      signed_operators)
-from .groups import TWO_PI, _validate_element
+from .groups import TWO_PI, _components, _validate_element
 
 _HUNGARIAN_CAP = 3000
 # Most candidate pairs per distinct value that _bottleneck_distance lists.
@@ -43,6 +44,10 @@ _HUNGARIAN_CAP = 3000
 # union check); past the budget the pair list and the components' solves
 # would outgrow the dense assignment, which is left to run instead.
 _BOTTLENECK_PAIRS = 4
+# Most candidate pairs _bottleneck_distance takes from its real-part
+# windows: about 48 MiB of pair indices and distances, under the dense
+# assignment's 72 MB cost matrix at _HUNGARIAN_CAP.
+_WINDOW_PAIRS = 1 << 20
 # Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
 # eigenvalues at which the union check trusts the Ihara-Bass roots.  A root
 # (alpha +- sqrt(disc)) / 2 moves by about d_alpha |alpha| / (2 sqrt|disc|)
@@ -164,43 +169,55 @@ def _bottleneck_distance(a, b) -> float | None:
     its nearest opposite point.  Exact duplicates are merged with their
     counts, and the threshold graph joins every opposite pair at distance
     <= bound.  A perfect matching within it (every component holds equal
-    counts on both sides and is complete bipartite, or, if incomplete, has
-    one, found by linear_sum_assignment with inf off the graph) has max
-    exactly bound, so bound is the bottleneck value.  Distances are
-    np.abs of the complex differences, as a matching's would be; the kd
-    trees only find candidate pairs, and more than _BOTTLENECK_PAIRS per
-    distinct value, or a non-finite value, is None too.
+    counts on both sides and is complete bipartite, or, if incomplete,
+    passes _transport_feasible) has max exactly bound, so bound is the
+    bottleneck value.  Distances are np.abs of the complex differences, as
+    a matching's would be.
+
+    Candidate pairs come from windows in the real part: np.unique sorts
+    the values by real part, and each a-value takes the b-values whose
+    real parts lie within w of its own (a little past, by pad, so that
+    rounding drops no point within w).  A point's nearest opposite point
+    in the windows is its nearest overall once that distance, times
+    1 + 1e-12, is at most w, since every point outside lies farther than
+    w; w starts near 1e-12 of the values' magnitude and grows 16-fold
+    until every point is so certified.  More than _WINDOW_PAIRS window
+    pairs, more than _BOTTLENECK_PAIRS pairs per distinct value within
+    bound (1 + 1e-12), or a non-finite value, is None too.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return None
-    from scipy.spatial import cKDTree
     ua, ca = np.unique(a, return_counts=True)
     ub, cb = np.unique(b, return_counts=True)
-    ta = cKDTree(np.column_stack([ua.real, ua.imag]))
-    tb = cKDTree(np.column_stack([ub.real, ub.imag]))
-    reach = max(tb.query(ta.data)[0].max(), ta.query(tb.data)[0].max())
-    # a kd distance sqrt(dx^2 + dy^2) is within a few ulps of np.abs (and
-    # 0 below about 1e-154), so this radius holds every point's nearest
-    # opposite point by np.abs
-    radius = reach * (1.0 + 1e-12) + 1e-150
-    if ta.count_neighbors(tb, radius) > _BOTTLENECK_PAIRS * (ua.size
-                                                             + ub.size):
-        return None
-    pairs = ta.sparse_distance_matrix(tb, radius, output_type="ndarray")
-    i, j = pairs["i"], pairs["j"]
-    dist = np.abs(ua[i] - ub[j])
-    near_a = np.full(ua.size, np.inf)
-    near_b = np.full(ub.size, np.inf)
-    np.minimum.at(near_a, i, dist)
-    np.minimum.at(near_b, j, dist)
-    bound = max(near_a.max(), near_b.max())
-    within = dist <= bound
-    i, j, dist = i[within], j[within], dist[within]
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
     na, nb = ua.size, ub.size
-    graph = csr_array((np.ones(i.size), (i, na + j)), shape=(na + nb,) * 2)
-    k, label = connected_components(graph, directed=False)
+    scale = max(np.abs(ua.real).max(), np.abs(ub.real).max(),
+                np.abs(ua.imag).max(), np.abs(ub.imag).max())
+    eps = np.finfo(np.float64).eps
+    w = 1e-12 * scale or 1.0
+    while True:
+        pad = 4.0 * eps * (scale + w)
+        lo = np.searchsorted(ub.real, ua.real - (w + pad), "left")
+        size = np.searchsorted(ub.real, ua.real + (w + pad), "right") - lo
+        total = int(size.sum())
+        if total > _WINDOW_PAIRS:
+            return None
+        i = np.repeat(np.arange(na), size)
+        j = np.arange(total) + np.repeat(lo - np.cumsum(size) + size, size)
+        dist = np.abs(ua[i] - ub[j])
+        near_a = np.full(na, np.inf)
+        near_b = np.full(nb, np.inf)
+        np.minimum.at(near_a, i, dist)
+        np.minimum.at(near_b, j, dist)
+        bound = max(near_a.max(), near_b.max())
+        if bound * (1.0 + 1e-12) <= w:
+            break
+        w *= 16.0
+    if np.count_nonzero(dist <= bound * (1.0 + 1e-12)) > _BOTTLENECK_PAIRS * (
+            na + nb):
+        return None
+    within = dist <= bound
+    i, j = i[within], j[within]
+    k, label = _components(na + nb, i, na + j)
     la, lb = label[:na], label[na:]
     if (np.bincount(la, ca, k) != np.bincount(lb, cb, k)).any():
         return None
@@ -210,15 +227,69 @@ def _bottleneck_distance(a, b) -> float | None:
     for c in np.flatnonzero(~complete):
         in_a, in_b = np.flatnonzero(la == c), np.flatnonzero(lb == c)
         e = la[i] == c
-        cost = np.full((in_a.size, in_b.size), np.inf)
-        cost[np.searchsorted(in_a, i[e]), np.searchsorted(in_b, j[e])] = \
-            dist[e]
-        cost = np.repeat(np.repeat(cost, ca[in_a], axis=0), cb[in_b], axis=1)
-        try:
-            linear_sum_assignment(cost)
-        except ValueError:  # no perfect matching within bound
+        if not _transport_feasible(ca[in_a].tolist(), cb[in_b].tolist(),
+                                   np.searchsorted(in_a, i[e]).tolist(),
+                                   np.searchsorted(in_b, j[e]).tolist()):
             return None
     return float(bound)
+
+
+def _transport_feasible(supply, demand, tails, heads) -> bool:
+    """Whether left node u's supply[u] units can all reach right nodes
+    that take demand[v] units each, along the edges (tails[e], heads[e]),
+    when sum(supply) == sum(demand): a perfect matching of the bipartite
+    graph with each node repeated by its count.
+
+    Dinic's max-flow on source -> u (capacity supply[u]) -> v (unbounded)
+    -> sink (capacity demand[v]); edge 2 e is forward and 2 e + 1 its
+    residual, so e ^ 1 flips between them.
+    """
+    na = len(supply)
+    source, sink = na + len(demand), na + len(demand) + 1
+    need = sum(supply)
+    out = [[] for _ in range(sink + 1)]
+    to, cap = [], []
+    for x, y, c in [(source, u, s) for u, s in enumerate(supply)] + [
+            (na + v, sink, s) for v, s in enumerate(demand)] + [
+            (u, na + v, need) for u, v in zip(tails, heads)]:
+        out[x].append(len(to))
+        out[y].append(len(to) + 1)
+        to += [y, x]
+        cap += [c, 0]
+    flow = 0
+    while True:
+        level = [-1] * (sink + 1)
+        level[source] = 0
+        queue = [source]
+        for x in queue:
+            for e in out[x]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[x] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            return flow == need
+        nxt = [0] * (sink + 1)  # the next edge each node tries this phase
+        path, x = [], source
+        while True:
+            if x == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                flow += push
+                path, x = [], source
+            elif nxt[x] == len(out[x]):  # a dead end: retreat one edge
+                if x == source:
+                    break
+                x = to[path.pop() ^ 1]
+                nxt[x] += 1
+            else:
+                e = out[x][nxt[x]]
+                if cap[e] and level[to[e]] == level[x] + 1:
+                    path.append(e)
+                    x = to[e]
+                else:
+                    nxt[x] += 1
 
 
 # ---------------------------------------------------------------------------

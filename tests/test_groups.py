@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from abelift.groups import AbelianGroup
+from abelift.groups import AbelianGroup, _components, _orbits
 
 Z6 = AbelianGroup.cyclic(6)
 Z4 = AbelianGroup.cyclic(4)
@@ -285,3 +285,83 @@ def test_orbit_questions_scale_to_a_large_fiber():
     big = AbelianGroup.cyclic(65536)
     assert big.fixed_point() is None and big.is_transitive()
     assert set(big.character_multiplicities().values()) == {1}
+
+
+def _bfs_labels(n, u, v):
+    """Component labels by breadth-first search from each unseen vertex in
+    increasing order, so numbered by least vertex."""
+    rows = [[] for _ in range(n)]
+    for x, y in zip(u, v):
+        rows[x].append(y)
+        rows[y].append(x)
+    labels = [-1] * n
+    count = 0
+    for s in range(n):
+        if labels[s] < 0:
+            labels[s], queue = count, [s]
+            for x in queue:
+                for y in rows[x]:
+                    if labels[y] < 0:
+                        labels[y] = count
+                        queue.append(y)
+            count += 1
+    return count, labels
+
+
+def _random_edge_lists(rng):
+    """(n, u, v) with isolated vertices, loops, repeated edges, and lists
+    with no edges at all."""
+    yield 0, [], []
+    yield 5, [], []
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        u, v = rng.integers(n, size=(2, m))
+        loops = rng.integers(n, size=int(rng.integers(0, 4)))
+        u = np.concatenate([u, loops, u[:m // 3]])
+        v = np.concatenate([v, loops, v[:m // 3]])  # repeated edges
+        yield n, u, v
+
+
+def test_union_find_matches_breadth_first_search_and_csgraph(rng):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    for n, u, v in _random_edge_lists(rng):
+        count, labels = _components(n, u, v)
+        assert (count, labels.tolist()) == _bfs_labels(n, u, v)
+        if n:
+            graph = coo_array((np.ones(len(u)), (u, v)), shape=(n, n))
+            ref_count, ref = connected_components(graph, directed=False)
+            assert count == ref_count
+            assert np.array_equal(labels, ref)
+
+
+def _csgraph_orbits(perms):
+    """Orbits as computed by scipy's connected_components on the Schreier
+    graph (the implementation the union-find replaced)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    k, ell = perms.shape
+    graph = csr_array((np.ones(k * ell), perms.T.ravel(),
+                       k * np.arange(ell + 1)), shape=(ell, ell))
+    return connected_components(graph, directed=False)
+
+
+def test_orbits_match_csgraph_on_permutation_stacks(rng):
+    stacks = [Z6.action(list(Z6.elements())), Z2xZ2.action([(1, 0)]),
+              np.arange(7)[None], np.empty((0, 4), dtype=np.int64)]
+    for _ in range(100):
+        ell, k = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        perms = np.array([rng.permutation(ell) for _ in range(k)])
+        if rng.random() < 0.5:  # a product of short cycles: many orbits
+            cut = np.sort(rng.choice(ell, size=min(ell, 5), replace=False))
+            perms = np.array([np.concatenate(
+                [np.roll(part, int(rng.integers(3)))
+                 for part in np.split(np.arange(ell), cut)])
+                for _ in range(k)])
+        stacks.append(perms)
+    for perms in stacks:
+        count, labels = _orbits(perms)
+        ref_count, ref = _csgraph_orbits(np.asarray(perms, dtype=np.int64))
+        assert count == ref_count
+        assert np.array_equal(labels, ref)

@@ -1,5 +1,6 @@
 """Each enumeration kernel against a brute-force oracle on tiny inputs."""
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,12 +43,14 @@ def test_listed_hikes_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_hike_list_is_refused_by_its_size_before_it_is_built():
-    # 2,411,030 hikes of 21 vertices take 405,053,040 bytes as int64, about
-    # three times DENSE_BYTES; only the count's blocks are allocated
+    # 2,411,030 hikes of 21 vertices take 669,977,552 bytes as a list of
+    # tuples, about five times DENSE_BYTES; only the count's blocks are
+    # allocated
     g = random_regular(40, 3, seed=0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="405053040-byte table"):
+        with pytest.raises(ValueError,
+                           match="669977552 bytes as a list of tuples"):
             enumerate_hikes(g, 10, singleton_free_only=False,
                             return_walks=True)
         peak = tracemalloc.get_traced_memory()[1]
@@ -56,6 +59,25 @@ def test_hike_list_is_refused_by_its_size_before_it_is_built():
     assert peak < 16 << 20
     free = enumerate_hikes(g, 10, return_walks=True)
     assert len(free) == enumerate_hikes(g, 10) == 88230
+
+
+def test_hike_list_peak_stays_within_its_stated_bytes(monkeypatch):
+    # the stated bytes bound the call's peak, and the cap is applied to
+    # them: the 88,230 singleton-free hikes of 21 vertices hold 19.1 MB as
+    # tuples; building them from one int64 table and its nested lists
+    # peaked at 37.7 MB
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 1 << 20)
+    g = random_regular(40, 3, seed=0)
+    args = (g.adj, g.eid_table, g.m, 10)
+    with pytest.raises(ValueError) as refused:
+        kernels.list_hikes(*args, cap=0)
+    need = int(re.search(r"need (\d+) bytes", str(refused.value)).group(1))
+    with pytest.raises(ValueError, match=f"need {need} bytes"):
+        kernels.list_hikes(*args, cap=need - 1)
+    walks, peak = _value_and_peak(
+        lambda: kernels.list_hikes(*args, cap=need))
+    assert len(walks) == 88230
+    assert peak <= need < 25 << 20
 
 
 def test_count_hikes_edge_counts_do_not_wrap():

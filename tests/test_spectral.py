@@ -101,6 +101,37 @@ def test_bottleneck_matching_against_brute_force():
     assert certified >= 200  # 243 of the 320 draws
 
 
+def _brute_transport(supply, demand, edges) -> bool:
+    """Whether some permutation matches the multiplicity-expanded sides
+    along edges."""
+    left = [u for u, c in enumerate(supply) for _ in range(c)]
+    right = [v for v, c in enumerate(demand) for _ in range(c)]
+    return any(all((u, right[p]) in edges for u, p in zip(left, perm))
+               for perm in itertools.permutations(range(len(right))))
+
+
+def test_transport_feasibility_against_brute_force():
+    rng = np.random.default_rng(28)
+    verdicts = set()
+    for _ in range(400):
+        total = int(rng.integers(1, 7))
+        na, nb = (int(x) for x in rng.integers(1, total + 1, size=2))
+        # counts summing to total: a random composition into na and nb parts
+        supply, demand = (np.diff(np.concatenate(
+            [[0], np.sort(rng.choice(np.arange(1, total), size=parts - 1,
+                                     replace=False)), [total]])).tolist()
+            for parts in (na, nb))
+        pairs = [(u, v) for u in range(na) for v in range(nb)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
+        edges = {pair for pair, k in zip(pairs, keep) if k}
+        tails, heads = ([x for x, _ in sorted(edges)],
+                        [y for _, y in sorted(edges)])
+        got = spectral._transport_feasible(supply, demand, tails, heads)
+        assert got == _brute_transport(supply, demand, edges)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_a_forged_nb_spectrum_takes_the_dense_assignment(monkeypatch):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, AbelianGroup.cyclic(4), seed=5)

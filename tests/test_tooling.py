@@ -59,9 +59,10 @@ def test_every_usage_rule_names_real_options():
 
 def test_import_leaves_the_matching_modules_unloaded():
     """Importing abelift (and its CLI) loads neither scipy.optimize nor
-    scipy.spatial: only complex spectrum matching needs them, and imports
-    them on first use.  The tracer wraps spectral.linear_sum_assignment
-    by name, so it stays a module-level callable."""
+    scipy.spatial: only the dense assignment behind an uncertified complex
+    matching needs scipy.optimize, and imports it on first use.  The tracer
+    wraps spectral.linear_sum_assignment by name, so it stays a
+    module-level callable."""
     code = ("import sys, abelift, abelift.cli; "
             "print(sorted({'scipy.optimize', 'scipy.spatial'} "
             "& set(sys.modules))); "
@@ -105,3 +106,52 @@ def test_cli_import_gen_base_hikes_and_tanner_load_no_scipy(tmp_path):
                           text=True, check=True)
     assert [line for line in proc.stdout.split("\n")
             if line.startswith("[")] == ["[]"] * 3
+
+
+def _scipy_loaded_after(code: str) -> list[str]:
+    """The scipy.spatial, scipy.optimize and scipy.sparse modules a fresh
+    interpreter holds after running code."""
+    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.split"
+             "('.')[:2] in (['scipy', 'spatial'], ['scipy', 'optimize'], "
+             "['scipy', 'sparse'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split("\n")[-2].split()
+
+
+_SMALL_LIFT = (
+    "import numpy as np\n"
+    "from abelift import graphs, search, spectral\n"
+    "from abelift.groups import AbelianGroup\n"
+    "base = graphs.random_regular(12, 3, seed=4)\n"
+    "group = AbelianGroup.cyclic(4)\n"
+    "sg = graphs.Signing.random(base, group, seed=5)\n")
+
+
+def test_union_check_search_and_lift_load_no_matching_or_sparse_scipy():
+    """An honest complex union check is certified by nearest neighbours and
+    labelled by the numpy union-find, as are a search's lifts, lift's
+    connectivity test and component counts: none loads scipy.spatial,
+    scipy.optimize or scipy.sparse."""
+    code = _SMALL_LIFT + (
+        "rep = spectral.spectrum_union_check(sg, "
+        "include_nonbacktracking=True)\n"
+        "assert rep.passed and rep.nb_distance is not None\n"
+        "rows = np.random.default_rng(0).integers(4, size=(5, base.m))\n"
+        "search.derandomized_lift_search(base, group, rows, "
+        "crosscheck_every=2)\n"
+        "lifted = graphs.lift(base, graphs.Signing(base, group, rows[:1].T))\n"
+        "assert graphs.component_count(lifted) == 1\n")
+    assert _scipy_loaded_after(code) == []
+
+
+def test_a_forged_spectrum_still_loads_the_dense_assignment():
+    code = _SMALL_LIFT + (
+        "G = graphs.lift(base, sg, allow_disconnected=True)\n"
+        "nb = spectral.ihara_bass_spectrum(spectral.adjacency_spectrum(G), "
+        "3, G.m - G.n)\n"
+        "union = spectral.character_spectra(sg, np.arange(4), "
+        "'nonbacktracking').ravel()\n"
+        "assert spectral._bottleneck_distance(union, nb + 0.5) is None\n"
+        "spectral.multiset_max_distance(union, nb + 0.5)\n")
+    assert "scipy.optimize" in _scipy_loaded_after(code)
