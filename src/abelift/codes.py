@@ -4,9 +4,10 @@ Parity matrices are uint8 arrays; all rank and span work runs on the
 bit-packed routines in gf2.  Matrices over the group algebra F2[Z_ell]
 are (rows, cols, ell) coefficient bit arrays, and a certified cyclic
 lift's Tanner code is built as one and expanded once into circulant
-blocks.  Distances come either from Brouwer-Zimmermann enumeration over
-a chain of disjoint information sets (certified, and refused past a
-stated number of codewords) or an information-set sampler (upper bound).
+blocks.  Distances, classical and CSS alike, come either from
+Brouwer-Zimmermann enumeration over a chain of disjoint information sets
+(kernels.least_weight: certified, and refused past a stated number of
+codewords) or an information-set sampler (upper bound).
 """
 from __future__ import annotations
 
@@ -19,10 +20,6 @@ from . import gf2, kernels
 from .graphs import RegularGraph, Signing
 from .groups import AbelianGroup
 from .search import read_signing
-
-EXACT_DIM_CAP = 24  # largest classical dimension LinearCodeF2.distance takes
-# most codewords an exact CSS distance may enumerate (kernels.codewords_to_reach)
-EXACT_DISTANCE_BUDGET = 1 << 26
 
 
 class BudgetError(RuntimeError):
@@ -57,16 +54,12 @@ class LinearCodeF2:
         return not gf2.matmul(self.parity, w.T).any()
 
     def distance(self) -> int:
-        """Exact minimum weight over all nonzero codewords."""
+        """Exact minimum weight over all nonzero codewords, by
+        kernels.least_weight (refused past its codeword budget)."""
         gen = self.generator_matrix()
-        k = gen.shape[0]
-        if k == 0:
+        if gen.shape[0] == 0:
             raise ValueError("the zero code has no distance")
-        if k > EXACT_DIM_CAP:
-            raise ValueError("code too large for exact enumeration")
-        zero = np.zeros((1, self.length), dtype=np.uint8)
-        return kernels.min_weight_affine(gf2.pack_rows(zero)[0],
-                                         gf2.pack_rows(gen), skip_zero=True)
+        return kernels.least_weight(gen, kernels.keep_all)
 
     @staticmethod
     def repetition(n: int) -> "LinearCodeF2":
@@ -376,57 +369,11 @@ class DistanceReport:
     dz: int | None = None
 
 
-def _information_sets(gen) -> tuple[np.ndarray, list[int]]:
-    """Systematic generators of rowspan(gen), gen of full row rank, on a
-    greedy chain of disjoint information sets: (a (J, k, n) stack, ranks).
-
-    Generator j is gen reduced with the columns no earlier set covers put
-    first: its first r_j rows are an identity on r_j of them and its other
-    rows vanish on all of them.  The chain ends when those columns carry no
-    more rank, so the last set may be partial.
-    """
-    k, n = gen.shape
-    free = np.arange(n)
-    gammas, ranks = [], []
-    while free.size:
-        order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
-        red, pivots = gf2.rref(gen[:, order])
-        new = [p for p in pivots if p < free.size]
-        if not new:
-            break
-        gamma = np.empty_like(red)
-        gamma[:, order] = red
-        gammas.append(gamma)
-        ranks.append(len(new))
-        free = np.delete(free, new)
-    return np.array(gammas, dtype=np.uint8).reshape(len(ranks), k, n), ranks
-
-
-def _logical_min_weight_exact(stab, kernel_basis, n_cols) -> int:
+def _logical_min_weight_exact(stab, kernel_basis) -> int:
     """Least weight of ker(H_other), spanned by kernel_basis, outside
-    rowspan(stab), by Brouwer-Zimmermann enumeration.
-
-    The lightest logical row of the information-set generators bounds the
-    answer; the levels that enumeration needs to reach that bound are
-    counted first and refused past EXACT_DISTANCE_BUDGET codewords.
-    """
+    rowspan(stab), by kernels.least_weight."""
     stabilizer = gf2.span_test(stab)
-    gammas, ranks = _information_sets(gf2.as_f2(kernel_basis))
-    rows = gammas.reshape(-1, n_cols)
-    packed = gf2.pack_rows(rows)
-    logical = ~stabilizer(packed)
-    if not logical.any():
-        raise ValueError("no logical operators in this sector")
-    ub = int(rows[logical].sum(axis=1).min())
-    k = gammas.shape[1]
-    codewords = kernels.codewords_to_reach(ranks, k, ub)
-    if codewords > EXACT_DISTANCE_BUDGET:
-        raise ValueError(f"exact distance budget exceeded: {codewords} "
-                         f"codewords above {EXACT_DISTANCE_BUDGET}; use the "
-                         "information-set mode")
-    return kernels.min_weight_codewords(
-        packed.reshape(len(ranks), k, -1), ranks, ub,
-        lambda block: ~stabilizer(block))
+    return kernels.least_weight(kernel_basis, lambda block: ~stabilizer(block))
 
 
 def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
@@ -461,11 +408,11 @@ def min_distance(obj, mode: str = "exact", trials: int = 200,
                  seed: int = 0) -> DistanceReport:
     """Minimum distance of a classical or CSS code.
 
-    mode 'exact' is certified: a classical code's codewords are walked in
-    Gray-code order, and each CSS side by Brouwer-Zimmermann enumeration
-    (_logical_min_weight_exact), which refuses past EXACT_DISTANCE_BUDGET
-    codewords.  'information-set' samples random information sets and
-    reports an upper bound.
+    mode 'exact' is certified: a classical code's nonzero codewords, and
+    each CSS side's codewords outside the stabilizer span, are enumerated
+    by Brouwer-Zimmermann levels (kernels.least_weight), which refuses
+    past kernels.EXACT_DISTANCE_BUDGET codewords.  'information-set'
+    samples random information sets and reports an upper bound.
     """
     if mode not in ("exact", "information-set"):
         raise ValueError("mode must be 'exact' or 'information-set'")
@@ -486,7 +433,7 @@ def min_distance(obj, mode: str = "exact", trials: int = 200,
     for name, stab, other in (("dx", obj.hx, obj.hz), ("dz", obj.hz, obj.hx)):
         kernel = gf2.nullspace(other)
         if mode == "exact":
-            sides[name] = _logical_min_weight_exact(stab, kernel, obj.n)
+            sides[name] = _logical_min_weight_exact(stab, kernel)
         else:
             sides[name] = _logical_upper_bound(stab, kernel, obj.n,
                                                trials, seed)

@@ -42,19 +42,18 @@ class RegularGraph:
             raise ValueError("self-loop found" if loop[np.argmax(bad)]
                              else "repeated neighbor (multi-edge)")
         v = a.ravel()
-        keys = u * n + v
-        if not np.array_equal(np.sort(keys), np.sort(v * n + u)):
+        # with no loop and no repeated neighbor each slot's edge key shows
+        # up at most twice, and exactly twice, from both ends, when symmetric
+        ekeys, eid, count = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                                      return_inverse=True, return_counts=True)
+        if (count != 2).any():
             raise ValueError("adjacency is not symmetric")
         self.adj = a
         self.n = n
         self.d = d
-        ekeys = np.sort(keys[u < v])
         self.edges = np.stack([ekeys // n, ekeys % n], axis=1)
         self.m = len(self.edges)
-        if 2 * self.m != n * d:
-            raise ValueError("edge count does not match degree")
-        self.eid_table = np.searchsorted(
-            ekeys, np.minimum(u, v) * n + np.maximum(u, v)).reshape(n, d)
+        self.eid_table = eid.reshape(n, d)
 
     def _lookup(self, u, v) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids and is-edge mask of the pairs (u, v), elementwise: v in

@@ -1,13 +1,13 @@
 """Exhaustive enumeration kernels behind the certificates.
 
-Five exact scans, one numpy implementation each: hike counts and lists for
-the trace-method bound, the minimum weight of an affine F2 space for
-classical code distance, the least weight of a code's codewords that pass
-a test by Brouwer-Zimmermann levels for CSS distance, the boolean
-Rayleigh quotient for expander mixing, and the maximum nontrivial
-character bias of a signing support.  The hike, codeword, mask and
-character scans run in blocks whose live arrays take about BLOCK_BYTES,
-so their memory does not grow with the scan.  The hike
+Four exact scans, one numpy implementation each: hike counts and lists
+for the trace-method bound, the least weight of a code's codewords that
+pass a test by Brouwer-Zimmermann levels (least_weight: every exact
+distance, classical or CSS, and the minimum weight of an affine F2 space),
+the boolean Rayleigh quotient for expander mixing, and the maximum
+nontrivial character bias of a signing support.  The hike, codeword,
+mask and character scans run in blocks whose live arrays take about
+BLOCK_BYTES, so their memory does not grow with the scan.  The hike
 scan's blocks of origins and of pairs take BLOCK_BYTES / 2 each, at
 144 + 2 m bytes per half-walk and 32 + 4 m per pair on a graph of m edges,
 and 8 (k + 1)(d + 3) more per half-walk for a list's paths.
@@ -20,10 +20,14 @@ import math
 
 import numpy as np
 
+from . import gf2
+
 IMPL = "python"  # implementation name, recorded in benchmark environment blocks
 
 BLOCK_BYTES = 32 << 20
 EXACT_CHAR_CAP = 1 << 20  # most characters the exact bias scan takes
+# most codewords an exact distance may enumerate (codewords_to_reach)
+EXACT_DISTANCE_BUDGET = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -189,46 +193,89 @@ def _later_pairs(end, n_edges: int):
 
 
 # ---------------------------------------------------------------------------
-# minimum weight over an affine F2 space (packed rows)
-# ---------------------------------------------------------------------------
-
-def min_weight_affine(base_packed, basis_packed, skip_zero: bool = False) -> int:
-    """Minimum Hamming weight of base + span(basis), Gray-code enumeration.
-
-    The first 16 basis vectors span a table of offsets; the rest are walked
-    in Gray-code order, one table scan per step.  skip_zero ignores the
-    all-zero vector when it appears in the space.
-    """
-    base = np.ascontiguousarray(base_packed, dtype=np.uint64).reshape(-1)
-    basis = np.ascontiguousarray(basis_packed, dtype=np.uint64)
-    if basis.ndim == 1:
-        basis = basis.reshape(1, -1)
-    n_basis = basis.shape[0]
-    if n_basis > 30:
-        raise ValueError("basis too large for exhaustive enumeration")
-    table_bits = min(n_basis, 16)
-    table = base[None, :].copy()
-    for i in range(table_bits):
-        table = np.vstack([table, table ^ basis[i][None, :]])
-    best = 1 << 62
-    cur = np.zeros_like(base)
-    for g_idx in range(1 << (n_basis - table_bits)):
-        if g_idx > 0:
-            changed = (g_idx ^ (g_idx >> 1)) ^ ((g_idx - 1) ^ ((g_idx - 1) >> 1))
-            cur = cur ^ basis[table_bits + changed.bit_length() - 1]
-        weights = np.bitwise_count(table ^ cur[None, :]).sum(axis=1)
-        if skip_zero:
-            weights = weights[weights > 0]
-        if weights.size:
-            best = min(best, int(weights.min()))
-    if best >= (1 << 62):
-        raise ValueError("space holds only the zero vector")
-    return best
-
-
-# ---------------------------------------------------------------------------
 # minimum weight of a code by information-set levels (Brouwer-Zimmermann)
 # ---------------------------------------------------------------------------
+
+def information_sets(gen) -> tuple[np.ndarray, list[int]]:
+    """Systematic generators of rowspan(gen), gen of full row rank, on a
+    greedy chain of disjoint information sets: (a (J, k, n) stack, ranks).
+
+    Generator j is gen reduced with the columns no earlier set covers put
+    first: its first r_j rows are an identity on r_j of them and its other
+    rows vanish on all of them.  The chain ends when those columns carry no
+    more rank, so the last set may be partial.
+    """
+    k, n = gen.shape
+    covered = np.zeros(n, dtype=bool)
+    gammas, ranks = [], []
+    while not covered.all():
+        free = np.flatnonzero(~covered)
+        order = np.concatenate([free, np.flatnonzero(covered)])
+        red, pivots = gf2.rref(gen[:, order])
+        new = [p for p in pivots if p < free.size]
+        if not new:
+            break
+        gamma = np.empty_like(red)
+        gamma[:, order] = red
+        gammas.append(gamma)
+        ranks.append(len(new))
+        covered[free[new]] = True
+    return np.array(gammas, dtype=np.uint8).reshape(len(ranks), k, n), ranks
+
+
+def least_weight(gen, keep) -> int:
+    """Least weight of a codeword of rowspan(gen) that keep accepts, gen a
+    full-rank uint8 generator and keep(packed rows) -> bool mask, by
+    min_weight_codewords over information_sets(gen).
+
+    The lightest kept row of the information-set generators bounds the
+    answer; the levels that enumeration needs to reach that bound are
+    counted first and refused past EXACT_DISTANCE_BUDGET codewords.
+    """
+    gammas, ranks = information_sets(gf2.as_f2(gen))
+    n_gen, k, n = gammas.shape
+    rows = gammas.reshape(-1, n)
+    packed = gf2.pack_rows(rows)
+    kept = keep(packed)
+    if not kept.any():
+        raise ValueError("no codeword passes the test")
+    ub = int(rows[kept].sum(axis=1).min())
+    codewords = codewords_to_reach(ranks, k, ub)
+    if codewords > EXACT_DISTANCE_BUDGET:
+        raise ValueError(f"exact distance budget exceeded: {codewords} "
+                         f"codewords above {EXACT_DISTANCE_BUDGET}; use the "
+                         "information-set mode")
+    return min_weight_codewords(packed.reshape(n_gen, k, -1), ranks, ub, keep)
+
+
+def keep_all(packed) -> np.ndarray:
+    """The keep test of least_weight that accepts every codeword."""
+    return np.ones(len(packed), dtype=bool)
+
+
+def min_weight_affine(base_packed, basis_packed, skip_zero: bool = False) -> int:
+    """Minimum Hamming weight of base + span(basis) over packed rows, by
+    least_weight.
+
+    Off span(basis), base + span(basis) is the part of span(basis, base)
+    outside span(basis).  On it, the space is span(basis), whose least
+    weight is 0, or with skip_zero its least nonzero weight.
+    """
+    base = np.ascontiguousarray(base_packed, dtype=np.uint64).reshape(1, -1)
+    basis = np.ascontiguousarray(basis_packed, dtype=np.uint64)
+    n_cols = 64 * base.shape[1]
+    basis = gf2.nonzero_rref_rows(gf2.unpack_rows(
+        basis.reshape(-1, base.shape[1]), n_cols))
+    in_span = gf2.span_test(basis)
+    if not in_span(base)[0]:
+        return least_weight(np.vstack([basis, gf2.unpack_rows(base, n_cols)]),
+                            lambda block: ~in_span(block))
+    if not skip_zero:
+        return 0
+    if not basis.size:
+        raise ValueError("space holds only the zero vector")
+    return least_weight(basis, keep_all)
+
 
 def level_bound(ranks, k: int, w: int) -> int:
     """Least weight of a codeword of a dimension-k code that levels 1..w

@@ -10,7 +10,7 @@ import pytest
 
 from abelift import gf2, kernels
 from abelift.codes import (BudgetError, CSSCode, FreeActionReport,
-                           GroupAlgebraMatrix, LinearCodeF2, _information_sets,
+                           GroupAlgebraMatrix, LinearCodeF2,
                            _logical_min_weight_exact,
                            _logical_upper_bound, circulant_structure_check,
                            code_dimension, css_valid, free_action_check,
@@ -74,27 +74,19 @@ def _reference_upper_bound(stab, kernel_basis, n_cols, trials, seed):
 
 
 def _reference_min_weight_exact(stab, kernel_basis, n_cols):
-    """Exact logical distance with logicals picked by a greedy rank loop."""
-    anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
-        (0, n_cols), dtype=np.uint8)
-    logicals, cur = [], anchor
-    for v in kernel_basis:
-        cand = np.vstack([cur, v.reshape(1, -1)])
-        if gf2.rank(cand) > cur.shape[0]:
-            logicals.append(v)
-            cur = cand
-    log_packed = gf2.pack_rows(np.asarray(logicals, dtype=np.uint8))
-    stab_packed = gf2.pack_rows(anchor) if anchor.shape[0] else np.zeros(
-        (0, log_packed.shape[1]), dtype=np.uint64)
-    best = None
-    for mask in range(1, 2 ** len(logicals)):
-        vec = np.zeros(log_packed.shape[1], dtype=np.uint64)
-        for i in range(len(logicals)):
-            if (mask >> i) & 1:
-                vec ^= log_packed[i]
-        w = kernels.min_weight_affine(vec, stab_packed, skip_zero=False)
-        best = w if best is None else min(best, w)
-    return int(best)
+    """Exact logical distance by brute force: every vector of
+    span(kernel_basis) as one packed word (n_cols <= 64), lightest first,
+    until one lies outside rowspan(stab)."""
+    assert n_cols <= 64
+    words = np.zeros(1, dtype=np.uint64)
+    for row in gf2.pack_rows(kernel_basis)[:, 0]:
+        words = np.concatenate([words, words ^ row])
+    weights = np.bitwise_count(words)
+    in_stab = gf2.span_test(stab)
+    for w in np.unique(weights[weights > 0]):
+        if not in_stab(words[weights == w, None]).all():
+            return int(w)
+    raise AssertionError("no logical operator")
 
 
 def _reference_tanner_from_certificate(cert, local):
@@ -349,9 +341,69 @@ def test_min_distance_css_upper_bound_never_beats_exact():
         assert not ub.certified
 
 
+def _brute_force_distance(parity):
+    """Least weight of a nonzero word with zero syndrome, over all 2^n
+    words, or None for the zero code."""
+    h = np.asarray(parity, dtype=np.int64).reshape(-1, np.shape(parity)[-1])
+    n = h.shape[1]
+    words = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    weights = words[~((words @ h.T) % 2).any(axis=1)].sum(axis=1)
+    return int(weights.min()) if weights.size else None
+
+
+def test_classical_distance_matches_the_brute_force():
+    rng = np.random.default_rng(11)
+    parities = [LinearCodeF2.repetition(n).parity for n in (2, 3, 7, 12)]
+    parities += [np.zeros((0, n), dtype=np.uint8) for n in (1, 5, 14)]
+    parities += [np.ones((1, 9), dtype=np.uint8), HAMMING]
+    for i in range(220):
+        n = int(rng.integers(2, 15))
+        h = rng.integers(0, 2, size=(int(rng.integers(1, n + 1)), n))
+        if i % 4 == 0:  # dependent rows: a sum of two rows, a repeat
+            h = np.vstack([h, h[0] ^ h[-1], h[:1]])
+        if i % 11 == 0:  # dimension one
+            h = gf2.nullspace(rng.integers(0, 2, size=(1, n)))
+        parities.append(h)
+    dims = set()
+    for h in parities:
+        code = LinearCodeF2(h)
+        want = _brute_force_distance(h)
+        dims.add(code.dimension)
+        if want is None:
+            with pytest.raises(ValueError, match="zero code"):
+                code.distance()
+        else:
+            assert code.distance() == want
+            rep = min_distance(code)
+            assert (rep.value, rep.certified) == (want, True)
+    assert {0, 1, 14} <= dims
+
+
+@pytest.mark.parametrize("factors, want", [
+    ((np.ones((1, 6), dtype=np.uint8),) * 2, (36, 25, 4)),
+    ((np.ones((1, 8), dtype=np.uint8), HAMMING), (56, 28, 6)),
+], ids=["even-6-squared", "even-8-by-hamming"])
+def test_product_codes_past_dimension_24_are_certified(factors, want):
+    # the tensor product of two codes has the product of their distances,
+    # even weight (d = 2) by itself and by Hamming [7, 4, 3]
+    gen = np.kron(*(gf2.nullspace(h) for h in factors))
+    code = LinearCodeF2(gf2.nullspace(gen))
+    assert (code.length, code.dimension, code.distance()) == want
+
+
+def test_random_code_past_dimension_24_is_certified():
+    code = LinearCodeF2(np.random.default_rng(0).integers(0, 2, (34, 64)))
+    rep = min_distance(code)
+    assert code.dimension == 30 and rep.certified
+    # no sampled information set finds anything lighter
+    assert min_distance(code, "information-set", trials=50).value >= \
+        rep.value
+
+
 def test_min_distance_guards():
-    big = LinearCodeF2(np.zeros((1, 30), dtype=np.uint8))
-    with pytest.raises(ValueError, match="too large"):
+    # a random [96, 48] code needs more codewords than the budget
+    big = LinearCodeF2(np.random.default_rng(0).integers(0, 2, (48, 96)))
+    with pytest.raises(ValueError, match="^exact distance budget exceeded"):
         big.distance()
     with pytest.raises(ValueError, match="logical"):
         min_distance(toric_code(1))
@@ -545,8 +597,8 @@ def test_distances_match_the_per_candidate_references():
     for code in codes_:
         for stab, other in ((code.hx, code.hz), (code.hz, code.hx)):
             kernel = gf2.nullspace(other)
-            if code.n <= 32:  # the coset oracle takes (2^k - 1) 2^r checks
-                assert _logical_min_weight_exact(stab, kernel, code.n) == \
+            if code.n <= 32:  # the brute force takes 2^k words
+                assert _logical_min_weight_exact(stab, kernel) == \
                     _reference_min_weight_exact(stab, kernel, code.n)
             for seed in range(3):
                 assert _logical_upper_bound(stab, kernel, code.n, 8, seed) \
@@ -582,10 +634,10 @@ def test_exact_distance_matches_the_coset_oracle_on_random_products():
         codes_ += 1
         for stab, other in ((code.hx, code.hz), (code.hz, code.hx)):
             kernel = gf2.nullspace(other)
-            got = _logical_min_weight_exact(stab, kernel, code.n)
+            got = _logical_min_weight_exact(stab, kernel)
             assert got == _reference_min_weight_exact(stab, kernel, code.n)
             lighter += int(stab.sum(axis=1).min()) < got
-            partial += _information_sets(kernel)[1][-1] < kernel.shape[0]
+            partial += kernels.information_sets(kernel)[1][-1] < kernel.shape[0]
     # stabilizers that the search must skip, and chains that end partial
     assert lighter >= 5 and partial >= 5
 
@@ -597,7 +649,7 @@ def test_information_sets_are_disjoint_and_systematic():
     gens += [gf2.nullspace(rng.integers(0, 2, size=(m, 24)))
              for m in (4, 12, 20)]
     for gen in gens:
-        gammas, ranks = _information_sets(gen)
+        gammas, ranks = kernels.information_sets(gen)
         k, n = gen.shape
         assert gammas.shape == (len(ranks), k, n) and ranks[0] == k
         covered = np.zeros(n, dtype=bool)
@@ -611,7 +663,7 @@ def test_information_sets_are_disjoint_and_systematic():
             covered[ident] = True
         # the chain ends when the uncovered columns carry no more rank
         assert gf2.rank(gen[:, ~covered]) == 0
-    assert [_information_sets(gf2.nullspace(h))[1] for h in
+    assert [kernels.information_sets(gf2.nullspace(h))[1] for h in
             (toric_code(5).hz, toric_code(5).hx)] == [[26, 18, 6],
                                                       [26, 21, 3]]
     # toric l = 5 stops at level 4, where the bound reaches the distance

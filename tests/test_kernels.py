@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from abelift import gf2, kernels
-from abelift.codes import _information_sets
 from abelift.graphs import (complete_graph, cycle_graph, petersen_graph,
                             random_regular)
 from abelift.hikes import enumerate_hikes
@@ -139,16 +138,29 @@ def test_count_hikes_matches_the_walk_enumeration_at_k5(nb_walk_counts,
 
 
 def _span_weights(base, basis):
-    """Hamming weight of every vector of base + span(basis), unpacked."""
-    coeffs = np.array(list(itertools.product((0, 1), repeat=len(basis))),
-                      dtype=np.int64).reshape(1 << len(basis), len(basis))
-    words = (base[None, :] + coeffs @ basis) % 2
-    return words.sum(axis=1)
+    """Hamming weight of every vector of base + span(basis), as uint8: the
+    spans of the two halves of basis, bytes packed by np.packbits, XORed
+    together a block of the second half at a time."""
+    def span(start, rows):
+        out = start[None, :]
+        for row in rows:
+            out = np.concatenate([out, out ^ row])
+        return out
+
+    rows = np.packbits(np.vstack([base, basis]).astype(np.uint8), axis=1)
+    half = len(basis) // 2
+    low = span(np.zeros_like(rows[0]), rows[1:half + 1])
+    high = span(rows[0], rows[half + 1:])
+    step = max(1, (1 << 20) // low.size)
+    return np.concatenate([
+        np.bitwise_count(low[None] ^ high[lo:lo + step, None]).sum(
+            axis=2, dtype=np.uint8).reshape(-1)
+        for lo in range(0, len(high), step)])
 
 
 def _check_min_weight_affine(base, basis):
     """min_weight_affine, with and without skip_zero, against _span_weights."""
-    weights = _span_weights(base.astype(np.int64), basis.astype(np.int64))
+    weights = _span_weights(base, basis)
     zp = gf2.pack_rows(base.reshape(1, -1))[0]
     bp = gf2.pack_rows(basis) if basis.shape[0] else np.zeros(
         (0, zp.size), dtype=np.uint64)
@@ -163,7 +175,7 @@ def _check_min_weight_affine(base, basis):
 
 
 def test_min_weight_affine_matches_brute_force(rng):
-    # at most 8 basis vectors, so the whole span sits in the offset table
+    # at most 8 basis vectors, of any rank, with and without base in span
     for i in range(25):
         n_basis, cols = int(rng.integers(0, 9)), int(rng.integers(1, 70))
         basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
@@ -176,21 +188,47 @@ def test_min_weight_affine_matches_brute_force(rng):
 
 
 def test_min_weight_affine_paths_agree(rng):
-    # past 16 basis vectors the rest are walked in Gray-code order; the
-    # answer must not depend on which vectors land in the table and which
-    # in the walk, so each basis is also checked reversed and shuffled
+    # the answer must not depend on the order of the basis vectors, so each
+    # basis is also checked reversed and shuffled
     for n_basis, cols in ((17, 20), (18, 9), (17, 3)):
         basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
         base = rng.integers(0, 2, size=cols).astype(np.uint8)
         for order in (np.arange(n_basis), np.arange(n_basis)[::-1],
                       rng.permutation(n_basis)):
             _check_min_weight_affine(base, basis[order])
-    # only the sum of all 18 unit vectors cancels the all-ones base, so the
-    # two vectors past the 16-vector table must be walked correctly
+    # only the sum of all 18 unit vectors cancels the all-ones base: base
+    # in the span, where skip_zero asks for the least nonzero weight
     ones = gf2.pack_rows(np.ones((1, 18), dtype=np.uint8))[0]
     units = gf2.pack_rows(np.eye(18, dtype=np.uint8))
     assert kernels.min_weight_affine(ones, units) == 0
     assert kernels.min_weight_affine(ones, units, skip_zero=True) == 1
+
+
+def test_min_weight_affine_matches_brute_force_at_20_to_24_vectors(rng):
+    # bases in and off the span, and dependent bases
+    for i, n_basis in enumerate((20, 21, 22, 23, 24, 24)):
+        cols = int(rng.integers(20, 64))
+        basis = rng.integers(0, 2, size=(n_basis, cols)).astype(np.uint8)
+        base = rng.integers(0, 2, size=cols).astype(np.uint8)
+        if i % 2:  # rank below n_basis
+            basis[-3:] = basis[:3] ^ basis[3:6]
+        if i % 3 == 0:  # base in the span
+            base = basis[::2].sum(axis=0) % 2
+        _check_min_weight_affine(base, basis)
+
+
+def test_min_weight_affine_refuses_past_the_budget_before_enumerating(
+        monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(kernels, "min_weight_codewords", refuse)
+    # base + span(47 vectors) of length 96: a [96, 48] code's coset, and
+    # further than the budget reaches
+    base, basis = (gf2.pack_rows(rng.integers(0, 2, size=(rows, 96)))
+                   for rows in (1, 47))
+    with pytest.raises(ValueError, match=r"^exact distance budget exceeded"):
+        kernels.min_weight_affine(base[0], basis)
 
 
 def test_min_weight_affine_zero_only_space():
@@ -218,7 +256,7 @@ def test_min_weight_codewords_matches_brute_force(monkeypatch, rng,
     for i in range(30):
         k, n = int(rng.integers(1, 9)), int(rng.integers(9, 80))
         gen = gf2.nonzero_rref_rows(rng.integers(0, 2, size=(k, n)))
-        gammas, ranks = _information_sets(gen)
+        gammas, ranks = kernels.information_sets(gen)
         _, words = _codewords(gen)
         weights = words.sum(axis=1)
         # keep every codeword, or only those with a 1 in column 0 (half
@@ -241,7 +279,7 @@ def test_min_weight_codewords_enumerates_the_partial_last_set():
     gen = np.array([[1, 0, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1, 1],
                     [0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1]],
                    dtype=np.uint8)
-    gammas, ranks = _information_sets(gen)
+    gammas, ranks = kernels.information_sets(gen)
     assert ranks == [4, 3]
     assert kernels.level_bound(ranks, 4, 1) == 3
     assert sorted(_codewords(gen)[1].sum(axis=1))[:2] == [2, 3]
@@ -256,7 +294,7 @@ def test_level_bound_holds_for_every_codeword_it_covers(rng):
     for _ in range(20):
         k, n = int(rng.integers(2, 9)), int(rng.integers(6, 30))
         gen = gf2.nonzero_rref_rows(rng.integers(0, 2, size=(k, n)))
-        gammas, ranks = _information_sets(gen)
+        gammas, ranks = kernels.information_sets(gen)
         k = gen.shape[0]
         _, words = _codewords(gen)
         # the message of a codeword on a generator, by the generator's
