@@ -13,12 +13,10 @@ directly, one solve per conjugate pair {chi, -chi} (B(-chi) is the
 conjugate of B(chi)) and a real solve per self-conjugate chi; near the
 double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
 it solves the lifted NB operator densely instead.  The two complex
-multisets are matched by multiset_max_distance: the optimal bottleneck
-value when nearest neighbours certify it, else the max over a dense
-sum-minimising Hungarian assignment; an upper bound on the best
-matching's max distance either way.  The certificate is numpy alone;
-scipy.optimize (for the dense assignment) and scipy.linalg (for
-radius_below's potrf) are imported on first use, not with the module.
+multisets are matched by multiset_max_distance, which returns the exact
+bottleneck value (the least max distance over all matchings), in numpy
+alone.  scipy.linalg is imported on first use, for radius_below's potrf
+only.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -32,22 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import graphs, kernels
 from .graphs import (RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking,
                      signed_operators)
 from .groups import TWO_PI, _components, _validate_element
 
-_HUNGARIAN_CAP = 3000
-# Most candidate pairs per distinct value that _bottleneck_distance lists.
-# Near-identical multisets have about one (0.97 on the n = 80, l = 8 NB
-# union check); past the budget the pair list and the components' solves
-# would outgrow the dense assignment, which is left to run instead.
-_BOTTLENECK_PAIRS = 4
-# Most candidate pairs _bottleneck_distance takes from its real-part
-# windows: about 48 MiB of pair indices and distances, under the dense
-# assignment's 72 MB cost matrix at _HUNGARIAN_CAP.
-_WINDOW_PAIRS = 1 << 20
+# Most bytes of candidate pairs _bottleneck_distance takes from its
+# real-part windows, at _PAIR_BYTES a pair: its tracemalloc peak per pair
+# on a window of 10^6 pairs (int64 indices, complex gathers, float64
+# distance).  The default is 2^20 pairs.
+_PAIR_BYTES = 48
+_WINDOW_BYTES = 48 << 20
 # Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
 # eigenvalues at which the union check trusts the Ihara-Bass roots.  A root
 # (alpha +- sqrt(disc)) / 2 moves by about d_alpha |alpha| / (2 sqrt|disc|)
@@ -114,22 +108,19 @@ def nb_radius_nontrivial(B: np.ndarray) -> float:
 
 
 def linear_sum_assignment(cost):
-    """scipy.optimize.linear_sum_assignment, imported on first use so that
-    importing abelift does not load scipy.optimize."""
+    """scipy.optimize.linear_sum_assignment, imported on first use.  No
+    library path calls it; perfbench/tracing.py wraps it by name, and every
+    traced run would raise AttributeError without it."""
     from scipy.optimize import linear_sum_assignment as solve
     return solve(cost)
 
 
 def multiset_max_distance(a, b) -> float:
-    """Max per-element distance between two multisets under one matching.
+    """min over matchings pi of max |a_i - b_pi(i)| (the bottleneck value).
 
-    Real multisets pair off in sorted order, which minimises the max
-    distance.  Genuinely complex ones (at most _HUNGARIAN_CAP elements) get
-    the least max over all matchings (the bottleneck value) whenever
-    nearest neighbours certify it (_bottleneck_distance); otherwise a dense
-    Hungarian assignment, which minimises the *sum* of the distances, and
-    the max over that assignment.  Either way the value is the max over
-    one matching, so an upper bound on the bottleneck value.
+    Real multisets pair off in sorted order, which attains it.  Genuinely
+    complex ones are matched exactly by _bottleneck_distance.  Non-finite
+    complex input raises ValueError.
     """
     av = np.asarray(a).ravel()
     bv = np.asarray(b).ravel()
@@ -144,94 +135,99 @@ def multiset_max_distance(a, b) -> float:
         ar = np.sort(np.real(av))
         br = np.sort(np.real(bv))
         return float(np.abs(ar - br).max())
-    if av.size > _HUNGARIAN_CAP:
-        raise ValueError("complex multiset matching capped at "
-                         f"{_HUNGARIAN_CAP} elements")
-    best = _bottleneck_distance(ac, bc)
-    if best is not None:
-        return best
-    # the cost matrix is filled in blocks of rows of about 4 MiB of complex
-    # differences, so no N x N complex temporary is made
-    cost = np.empty((av.size, bv.size))
-    block = max(1, (1 << 22) // (16 * bv.size))
-    for lo in range(0, av.size, block):
-        cost[lo:lo + block] = np.abs(av[lo:lo + block, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return _bottleneck_distance(ac, bc)
 
 
-def _bottleneck_distance(a, b) -> float | None:
-    """min over matchings pi of max |a_i - b_pi(i)|, when nearest
-    neighbours certify it; None otherwise.
+def _bottleneck_distance(a, b) -> float:
+    """min over matchings pi of max |a_i - b_pi(i)|, for complex a and b
+    of one size.
 
-    Every matching pairs each point with some opposite point, so no
-    matching has a max below bound, the largest distance from a point to
-    its nearest opposite point.  Exact duplicates are merged with their
-    counts, and the threshold graph joins every opposite pair at distance
-    <= bound.  A perfect matching within it (every component holds equal
-    counts on both sides and is complete bipartite, or, if incomplete,
-    passes _transport_feasible) has max exactly bound, so bound is the
-    bottleneck value.  Distances are np.abs of the complex differences, as
-    a matching's would be.
+    Exact duplicates are merged with their counts.  A matching with max at
+    most t exists exactly when the threshold graph at t, joining every
+    opposite pair at distance <= t, has a perfect matching of the values
+    repeated by their counts (feasible): every component holds equal
+    counts on both sides and is complete bipartite or, if incomplete,
+    passes _transport_feasible.  The answer is the least pairwise distance
+    that passes.  Distances are np.abs of the complex differences, as a
+    matching's would be.
 
     Candidate pairs come from windows in the real part: np.unique sorts
     the values by real part, and each a-value takes the b-values whose
     real parts lie within w of its own (a little past, by pad, so that
-    rounding drops no point within w).  A point's nearest opposite point
-    in the windows is its nearest overall once that distance, times
-    1 + 1e-12, is at most w, since every point outside lies farther than
-    w; w starts near 1e-12 of the values' magnitude and grows 16-fold
-    until every point is so certified.  More than _WINDOW_PAIRS window
-    pairs, more than _BOTTLENECK_PAIRS pairs per distinct value within
-    bound (1 + 1e-12), or a non-finite value, is None too.
+    rounding drops no point within w).  Every pair within w is then a
+    candidate, so every threshold t <= w is decided exactly.  No matching
+    has a max below bound, the largest distance from a point to its
+    nearest opposite point, which is certified once bound (1 + 1e-12) <= w.
+    w starts near 1e-12 of the values' magnitude and grows 16-fold until
+    then.  The window's distances from bound up are then bisected for the
+    least that passes, bound itself first (near-identical multisets stop
+    there); while none passes, w grows 16-fold and the distances above
+    the old w are bisected.  A non-finite value, or window pairs above
+    _WINDOW_BYTES, raise ValueError before the pairs are built.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return None
+        raise ValueError("complex multiset matching needs finite values")
     ua, ca = np.unique(a, return_counts=True)
     ub, cb = np.unique(b, return_counts=True)
     na, nb = ua.size, ub.size
     scale = max(np.abs(ua.real).max(), np.abs(ub.real).max(),
                 np.abs(ua.imag).max(), np.abs(ub.imag).max())
     eps = np.finfo(np.float64).eps
+
+    def feasible(t: float) -> bool:  # the threshold graph of the window
+        within = dist <= t
+        ti, tj = i[within], j[within]
+        k, label = _components(na + nb, ti, na + tj)
+        la, lb = label[:na], label[na:]
+        if (np.bincount(la, ca, k) != np.bincount(lb, cb, k)).any():
+            return False
+        edges = np.bincount(la[ti], minlength=k)
+        complete = edges == np.bincount(la, minlength=k) * np.bincount(
+            lb, minlength=k)
+        for c in np.flatnonzero(~complete):
+            in_a, in_b = np.flatnonzero(la == c), np.flatnonzero(lb == c)
+            e = la[ti] == c
+            if not _transport_feasible(ca[in_a].tolist(), cb[in_b].tolist(),
+                                       np.searchsorted(in_a, ti[e]).tolist(),
+                                       np.searchsorted(in_b, tj[e]).tolist()):
+                return False
+        return True
+
     w = 1e-12 * scale or 1.0
+    floor = None  # every threshold below it fails, once bound is certified
     while True:
         pad = 4.0 * eps * (scale + w)
         lo = np.searchsorted(ub.real, ua.real - (w + pad), "left")
         size = np.searchsorted(ub.real, ua.real + (w + pad), "right") - lo
         total = int(size.sum())
-        if total > _WINDOW_PAIRS:
-            return None
+        if _PAIR_BYTES * total > _WINDOW_BYTES:
+            raise ValueError(f"complex multiset matching needs {total} "
+                             f"window pairs, {_PAIR_BYTES * total} bytes, "
+                             f"above the cap of {_WINDOW_BYTES} bytes")
         i = np.repeat(np.arange(na), size)
         j = np.arange(total) + np.repeat(lo - np.cumsum(size) + size, size)
         dist = np.abs(ua[i] - ub[j])
-        near_a = np.full(na, np.inf)
-        near_b = np.full(nb, np.inf)
-        np.minimum.at(near_a, i, dist)
-        np.minimum.at(near_b, j, dist)
-        bound = max(near_a.max(), near_b.max())
-        if bound * (1.0 + 1e-12) <= w:
-            break
-        w *= 16.0
-    if np.count_nonzero(dist <= bound * (1.0 + 1e-12)) > _BOTTLENECK_PAIRS * (
-            na + nb):
-        return None
-    within = dist <= bound
-    i, j = i[within], j[within]
-    k, label = _components(na + nb, i, na + j)
-    la, lb = label[:na], label[na:]
-    if (np.bincount(la, ca, k) != np.bincount(lb, cb, k)).any():
-        return None
-    edges = np.bincount(la[i], minlength=k)
-    complete = edges == np.bincount(la, minlength=k) * np.bincount(
-        lb, minlength=k)
-    for c in np.flatnonzero(~complete):
-        in_a, in_b = np.flatnonzero(la == c), np.flatnonzero(lb == c)
-        e = la[i] == c
-        if not _transport_feasible(ca[in_a].tolist(), cb[in_b].tolist(),
-                                   np.searchsorted(in_a, i[e]).tolist(),
-                                   np.searchsorted(in_b, j[e]).tolist()):
-            return None
-    return float(bound)
+        if floor is None:
+            near_a = np.full(na, np.inf)
+            near_b = np.full(nb, np.inf)
+            np.minimum.at(near_a, i, dist)
+            np.minimum.at(near_b, j, dist)
+            bound = max(near_a.max(), near_b.max())
+            if bound * (1.0 + 1e-12) > w:
+                w *= 16.0
+                continue
+            floor = bound
+        cand = np.unique(dist[(dist >= floor) & (dist <= w)])
+        lo, hi = 0, cand.size  # cand[:lo] fail, cand[hi:] pass
+        while lo < hi:
+            mid = (lo + hi) // 2 if lo else 0
+            if feasible(cand[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        if hi < cand.size:
+            return float(cand[hi])
+        floor, w = w, 16.0 * w
 
 
 def _transport_feasible(supply, demand, tails, heads) -> bool:
@@ -437,9 +433,11 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     """Match the lift spectrum against the union of signed character spectra.
 
     Checks the adjacency operator always.  The non-backtracking half runs
-    by default when the lifted NB dimension 2M fits the complex matching
-    cap _HUNGARIAN_CAP; requesting it above the cap raises ValueError
-    before any eigensolve.  The lift's NB spectrum is ihara_bass_spectrum
+    by default when the lifted NB dimension 2M fits graphs.MAX_DENSE_DIM,
+    the cap of the dense lifted NB solve below; requesting it above the
+    cap raises ValueError before any eigensolve.  Both halves report the
+    exact bottleneck distance (multiset_max_distance), so passed is
+    decided exactly at tol.  The lift's NB spectrum is ihara_bass_spectrum
     of its adjacency eigenvalues, unless some eigenvalue lies within
     IHARA_BASS_MIN_DISC of the double root (or d = 1): then the lifted NB
     operator is solved densely.  The B(chi) spectra are solved directly,
@@ -450,11 +448,11 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     base = signing.base
     nb_dim = 2 * base.m * signing.group.fiber_size
     if include_nonbacktracking is None:
-        include_nonbacktracking = nb_dim <= _HUNGARIAN_CAP
-    elif include_nonbacktracking and nb_dim > _HUNGARIAN_CAP:
+        include_nonbacktracking = nb_dim <= graphs.MAX_DENSE_DIM
+    elif include_nonbacktracking and nb_dim > graphs.MAX_DENSE_DIM:
         raise ValueError(f"lifted non-backtracking spectrum has {nb_dim} "
-                         "elements, above the matching cap "
-                         f"{_HUNGARIAN_CAP}")
+                         "elements, above the dense cap "
+                         f"{graphs.MAX_DENSE_DIM}")
     lifted = lift(base, signing, allow_disconnected=True)
     mults = signing.group.character_multiplicities()
     counts = np.fromiter(mults.values(), dtype=np.int64, count=len(mults))
@@ -474,9 +472,7 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
         else:
             nb = np.linalg.eigvals(nonbacktracking(lifted))
         # nb repeats values exactly (+-1 each M - N times); the bottleneck
-        # matching merges them, and should it fall back, the dense
-        # assignment handles such ties far faster as columns than as rows:
-        # 0.04 s against 0.6 s at 2M = 1920 (n = 80, l = 8)
+        # matching merges them with their counts
         nb_dist = multiset_max_distance(union, nb)
     passed = adj_dist <= tol and (nb_dist is None or nb_dist <= tol)
     return UnionReport(adj_dist, nb_dist, tol, passed, alpha)
