@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import time
 
@@ -44,6 +45,24 @@ def _read(path: str, key: str | None = None) -> dict:
         raise ValueError(f"{path}: expected a JSON object, found "
                          f"{type(payload).__name__}")
     return payload
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """The binary matrix in *path*: a JSON list of equal-length rows whose
+    entries are the integers 0 or 1, read strictly (nothing is reduced)."""
+    rows = serial.load_json(path)
+    if not isinstance(rows, list) or not all(isinstance(r, list)
+                                             for r in rows):
+        raise ValueError(f"{path}: expected a JSON list of rows of 0 or 1")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}: row {i} has {len(row)} entries, "
+                             f"row 0 has {len(rows[0])}")
+        for j, x in enumerate(row):
+            if not serial.is_integer(x) or x not in (0, 1):
+                raise ValueError(f"{path}: entry [{i}][{j}] is "
+                                 f"{json.dumps(x)}, not 0 or 1")
+    return np.asarray(rows)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -182,8 +201,7 @@ def cmd_codes(args):
                     "certified": rep.certified, "dx": rep.dx, "dz": rep.dz}
         return {"css": code.to_json(distance=dist)}, [], False
     if args.action == "css-valid":
-        ok = codes.css_valid(np.asarray(serial.load_json(args.hx)),
-                             np.asarray(serial.load_json(args.hz)))
+        ok = codes.css_valid(_read_matrix(args.hx), _read_matrix(args.hz))
         return {"css_valid": ok}, [args.hx, args.hz], not ok
     signing = search.read_signing(_read(args.cert, "certificate"))
     d = signing.base.d

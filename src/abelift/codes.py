@@ -131,11 +131,12 @@ def local_code_search(block_length: int, distance_target: int,
         r = int(rng.integers(1, block_length))
         h = rng.integers(0, 2, size=(r, block_length), dtype=np.int64)
         code = LinearCodeF2(h)
-        dim = code.dimension
+        gen = code.generator_matrix()
+        dim = gen.shape[0]
         if dim == 0 or dim == block_length:
             continue  # one side would be the zero code
-        dist = code.distance()
-        dual_dist = code.dual().distance()
+        dist = kernels.least_weight(gen, kernels.keep_all)
+        dual_dist = LinearCodeF2(gen).distance()
         if best is None or (min(dist, dual_dist), dist) > best[:2]:
             best = (min(dist, dual_dist), dist, dual_dist, code)
         if dist >= distance_target and dual_dist >= dual_distance_target:
@@ -377,22 +378,20 @@ def _logical_min_weight_exact(stab, kernel_basis) -> int:
 
 
 def _logical_upper_bound(stab, kernel_basis, n_cols, trials, seed) -> int:
-    anchor = gf2.nonzero_rref_rows(stab) if stab.size else np.zeros(
-        (0, n_cols), dtype=np.uint8)
-    stabilizer = gf2.span_test(anchor)
-    space = np.vstack([anchor, kernel_basis]) if anchor.size else kernel_basis
-    space = gf2.nonzero_rref_rows(space)
+    """Least weight outside rowspan(stab) of the reduced rows (and, up to
+    48 rows, their pairwise sums) of a basis of rowspan(stab, kernel_basis)
+    in random column orders."""
+    stabilizer = gf2.span_test(stab)
+    space = gf2.pack_rows(np.vstack([stab, kernel_basis]))
+    space = space[:len(gf2._eliminate(space, range(n_cols)))]
+    i, j = np.triu_indices(len(space) if len(space) <= 48 else 0, k=1)
     rng = np.random.default_rng(seed)
     best = n_cols + 1
     for _ in range(trials):
-        perm = rng.permutation(n_cols)
-        red, piv = gf2.rref(space[:, perm])
-        rows = red[: len(piv)]
-        cands = np.empty_like(rows)
-        cands[:, perm] = rows
-        if rows.shape[0] <= 48:
-            i, j = np.triu_indices(rows.shape[0], k=1)
-            cands = np.vstack([cands, cands[i] ^ cands[j]])
+        packed = space.copy()
+        gf2._eliminate(packed, rng.permutation(n_cols))
+        cands = gf2.unpack_rows(packed, n_cols)
+        cands = np.vstack([cands, cands[i] ^ cands[j]])
         weights = cands.sum(axis=1)
         lighter = weights < best  # the zero vector is in every span
         if lighter.any():
@@ -416,14 +415,15 @@ def min_distance(obj, mode: str = "exact", trials: int = 200,
     """
     if mode not in ("exact", "information-set"):
         raise ValueError("mode must be 'exact' or 'information-set'")
+    if mode == "information-set" and trials < 1:
+        raise ValueError("trials must be positive")
     if isinstance(obj, LinearCodeF2):
         if mode == "exact":
             return DistanceReport(obj.distance(), mode, True)
         gen = obj.generator_matrix()
         if gen.shape[0] == 0:
             raise ValueError("the zero code has no distance")
-        empty = np.zeros((0, obj.length), dtype=np.uint8)
-        val = _logical_upper_bound(empty, gen, obj.length, trials, seed)
+        val = _logical_upper_bound(gen[:0], gen, obj.length, trials, seed)
         return DistanceReport(val, mode, False)
     if not isinstance(obj, CSSCode):
         raise TypeError("expected LinearCodeF2 or CSSCode")

@@ -3,7 +3,8 @@
 Matrices live in two shapes: plain uint8 arrays with one entry per cell
 (the interchange format) and packed uint64 arrays with 64 columns per
 word (the compute format).  Elimination, rank, nullspace and row-space
-tests all run on the packed form with whole-row XORs.
+tests all run on the packed form with whole-row XORs, in one elimination
+(_eliminate) that takes the caller's column order and may resume at a row.
 """
 from __future__ import annotations
 
@@ -47,28 +48,28 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(packed).sum(axis=1).astype(np.int64)
 
 
-def _eliminate(packed: np.ndarray, n_cols: int):
-    """In-place forward+backward elimination. Returns pivot column list."""
+def _eliminate(packed: np.ndarray, cols, r: int = 0) -> list[int]:
+    """Reduce rows r.. of *packed* in place at *cols*, in the order given,
+    clearing each pivot from every row, until every row holds a pivot.
+    Returns the pivot columns in the order found."""
     n_rows = packed.shape[0]
     pivots = []
-    r = 0
-    for c in range(n_cols):
-        word, bit = divmod(c, 64)
-        mask = np.uint64(1) << np.uint64(bit)
-        col = (packed[r:, word] & mask) != 0
-        hits = np.nonzero(col)[0]
+    for c in cols:
+        if r == n_rows:
+            break
+        word, bit = divmod(int(c), 64)
+        has_bit = (packed[:, word] & np.uint64(1 << bit)) != 0
+        hits = has_bit[r:].nonzero()[0]
         if hits.size == 0:
             continue
         p = r + hits[0]
         if p != r:
             packed[[r, p]] = packed[[p, r]]
-        rows_with_bit = (packed[:, word] & mask) != 0
-        rows_with_bit[r] = False
-        packed[rows_with_bit] ^= packed[r]
-        pivots.append(c)
+        # when p != r, row p now holds the old row r, which had no bit c
+        has_bit[r] = has_bit[p] = False
+        packed[has_bit] ^= packed[r]
+        pivots.append(int(c))
         r += 1
-        if r == n_rows:
-            break
     return pivots
 
 
@@ -76,16 +77,13 @@ def rref(mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form. Returns (full-size uint8 matrix, pivot columns)."""
     a = as_f2(mat)
     packed = pack_rows(a)
-    pivots = _eliminate(packed, a.shape[1])
+    pivots = _eliminate(packed, range(a.shape[1]))
     return unpack_rows(packed, a.shape[1]), pivots
 
 
 def rank(mat) -> int:
     a = as_f2(mat)
-    if a.size == 0:
-        return 0
-    packed = pack_rows(a)
-    return len(_eliminate(packed, a.shape[1]))
+    return len(_eliminate(pack_rows(a), range(a.shape[1])))
 
 
 def nullspace(mat) -> np.ndarray:
@@ -126,7 +124,7 @@ def span_test(mat):
     a = as_f2(mat)
     basis = pack_rows(a)
     steps = [(basis[r], *divmod(c, 64))
-             for r, c in enumerate(_eliminate(basis, a.shape[1]))]
+             for r, c in enumerate(_eliminate(basis, range(a.shape[1])))]
 
     def test(packed: np.ndarray) -> np.ndarray:
         rest = np.array(packed, dtype=np.uint64)

@@ -202,24 +202,20 @@ def information_sets(gen) -> tuple[np.ndarray, list[int]]:
 
     Generator j is gen reduced with the columns no earlier set covers put
     first: its first r_j rows are an identity on r_j of them and its other
-    rows vanish on all of them.  The chain ends when those columns carry no
-    more rank, so the last set may be partial.
+    rows vanish on all of them.  Each generator is the previous one reduced
+    in place (gf2._eliminate) on the uncovered columns and then, from row
+    r_j, on the covered ones.  The chain ends when the uncovered columns
+    carry no more rank, so the last set may be partial.
     """
     k, n = gen.shape
+    packed = gf2.pack_rows(gen)
     covered = np.zeros(n, dtype=bool)
     gammas, ranks = [], []
-    while not covered.all():
-        free = np.flatnonzero(~covered)
-        order = np.concatenate([free, np.flatnonzero(covered)])
-        red, pivots = gf2.rref(gen[:, order])
-        new = [p for p in pivots if p < free.size]
-        if not new:
-            break
-        gamma = np.empty_like(red)
-        gamma[:, order] = red
-        gammas.append(gamma)
+    while new := gf2._eliminate(packed, np.flatnonzero(~covered)):
+        gf2._eliminate(packed, np.flatnonzero(covered), len(new))
+        gammas.append(gf2.unpack_rows(packed, n))
         ranks.append(len(new))
-        covered[free[new]] = True
+        covered[new] = True
     return np.array(gammas, dtype=np.uint8).reshape(len(ranks), k, n), ranks
 
 

@@ -662,6 +662,8 @@ def boolean_rayleigh_max(mat, mode: str = "exhaustive", trials: int = 2000,
         return kernels.rayleigh_01_max(m)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     n = m.shape[0]
     rng = np.random.default_rng(seed)
     draws = (rng.integers(0, 2, size=n).astype(bool) for _ in range(trials))

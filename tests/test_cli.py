@@ -365,6 +365,39 @@ def test_codes_css_valid_failure_path(tmp_path):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ([[1, None]], "entry [0][1] is null, not 0 or 1"),
+    ([[2, 0]], "entry [0][0] is 2, not 0 or 1"),
+    ([[1, 0], [0, 1.5]], "entry [1][1] is 1.5, not 0 or 1"),
+    ([[1, 0], [True, 0]], "entry [1][0] is true, not 0 or 1"),
+    ([[1, 0], [1]], "row 1 has 1 entries, row 0 has 2"),
+    ({"rows": [[1, 0]]}, "expected a JSON list of rows of 0 or 1"),
+    ([1, 0], "expected a JSON list of rows of 0 or 1"),
+], ids=["null", "two", "fraction", "bool", "ragged", "object", "flat"])
+def test_codes_css_valid_refuses_an_entry_that_is_not_0_or_1(
+        tmp_path, capsys, payload, reason):
+    # read strictly: 2 is not reduced to 0, so [[2, 0]] against [[1, 0]]
+    # is refused, not reported as a valid pair
+    hx, hz = tmp_path / "hx.json", tmp_path / "hz.json"
+    serial.dump_json(payload, str(hx))
+    serial.dump_json([[1, 0]], str(hz))
+    for argv in (["--hx", str(hx), "--hz", str(hz)],
+                 ["--hx", str(hz), "--hz", str(hx)]):
+        assert main(["codes", "css-valid", *argv]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "failed": True, "error": f"{hx}: {reason}"}
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_codes_sampled_distance_refuses_nonpositive_trials(capsys, trials):
+    assert main(["codes", "toric", "--ell", "3", "--distance",
+                 "information-set", "--trials", trials]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "failed": True, "error": "trials must be positive"}
+
+
 def test_codes_tanner_from_certificate(tmp_path):
     gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
     cert_out = tmp_path / "cert.json"

@@ -411,6 +411,22 @@ def test_min_distance_guards():
         min_distance(LinearCodeF2.repetition(3), mode="glass-box")
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_distance_refuses_nonpositive_trials_before_any_work(
+        monkeypatch, trials):
+    def refuse(*args):
+        raise AssertionError("worked before checking trials")
+
+    code, rep = toric_code(3), LinearCodeF2.repetition(4)
+    monkeypatch.setattr(gf2, "nullspace", refuse)
+    for obj in (code, rep):
+        with pytest.raises(ValueError, match="^trials must be positive$"):
+            min_distance(obj, "information-set", trials=trials)
+    monkeypatch.undo()
+    # the exact mode takes no trials
+    assert min_distance(code, trials=trials).value == 3
+
+
 def test_css_json_roundtrip():
     code = toric_code(2)
     payload = code.to_json(distance={"mode": "exact", "value": 2})

@@ -59,6 +59,47 @@ def test_rref_rows_span_input_and_have_unit_pivots(rng):
     assert gf2.row_space_equal(m, red[: len(pivots)])
 
 
+def test_eliminate_in_a_column_order_is_rref_of_the_permuted_matrix(rng):
+    # the caller's own rows reduced in a column order equal rref of the
+    # column-permuted matrix scattered back, and resuming at the row after
+    # the pivots of the first part of the order is one pass over all of it
+    for _ in range(80):
+        rows, cols = int(rng.integers(1, 14)), int(rng.integers(1, 140))
+        m = (rng.random((rows, cols)) < rng.uniform(0.05, 0.6)).astype(
+            np.uint8)
+        order = rng.permutation(cols)
+        red, piv = gf2.rref(m[:, order])
+        want = np.empty_like(red)
+        want[:, order] = red
+        packed = gf2.pack_rows(m)
+        pivots = gf2._eliminate(packed, order)
+        assert pivots == order[piv].tolist()
+        assert np.array_equal(gf2.unpack_rows(packed, cols), want)
+        cut = int(rng.integers(0, cols + 1))
+        packed = gf2.pack_rows(m)
+        first = gf2._eliminate(packed, order[:cut])
+        assert first + gf2._eliminate(packed, order[cut:], len(first)) \
+            == pivots
+        assert np.array_equal(gf2.unpack_rows(packed, cols), want)
+
+
+def test_eliminate_stops_once_every_row_holds_a_pivot():
+    seen = []
+
+    def cols():
+        for c in range(200):
+            seen.append(c)
+            yield c
+
+    packed = gf2.pack_rows(np.eye(3, 200, dtype=np.uint8))
+    assert gf2._eliminate(packed, cols()) == [0, 1, 2]
+    assert len(seen) <= 4
+    before = packed.copy()
+    assert gf2._eliminate(packed, range(200), 3) == []
+    assert np.array_equal(packed, before)
+    assert gf2._eliminate(gf2.pack_rows(np.zeros((0, 3))), range(3)) == []
+
+
 def test_nullspace_is_orthogonal_and_maximal(rng):
     for _ in range(20):
         m = rng.integers(0, 2, size=(6, 15)).astype(np.uint8)

@@ -271,6 +271,84 @@ def test_min_weight_codewords_matches_brute_force(monkeypatch, rng,
             assert got == int(kept.min(initial=start))
 
 
+def _permuted_rref_information_sets(gen):
+    """The chain as rref of each column-permuted generator, scattered back."""
+    k, n = gen.shape
+    covered = np.zeros(n, dtype=bool)
+    gammas, ranks = [], []
+    while not covered.all():
+        free = np.flatnonzero(~covered)
+        order = np.concatenate([free, np.flatnonzero(covered)])
+        red, pivots = gf2.rref(gen[:, order])
+        new = [p for p in pivots if p < free.size]
+        if not new:
+            break
+        gamma = np.empty_like(red)
+        gamma[:, order] = red
+        gammas.append(gamma)
+        ranks.append(len(new))
+        covered[free[new]] = True
+    return np.array(gammas, dtype=np.uint8).reshape(len(ranks), k, n), ranks
+
+
+def test_information_sets_match_rref_of_each_permuted_generator():
+    rng = np.random.default_rng(11)
+    tested = partial = multiword = 0
+    while tested < 200:
+        n = int(rng.integers(2, 131))
+        k = int(rng.integers(1, min(n, 40) + 1))
+        gen = (rng.random((k, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+        if tested % 3 == 0:  # zero columns leave the last set partial
+            gen[:, rng.integers(0, n, size=n // 2)] = 0
+        if gf2.rank(gen) < k:
+            continue
+        tested += 1
+        gammas, ranks = kernels.information_sets(gen)
+        want, want_ranks = _permuted_rref_information_sets(gen)
+        assert ranks == want_ranks
+        assert gammas.dtype == np.uint8 and np.array_equal(gammas, want)
+        partial += ranks[-1] < k
+        multiword += n > 64
+    assert partial >= 20 and multiword >= 50
+
+
+def test_the_chain_ends_after_one_pass_over_the_uncovered_columns(
+        monkeypatch):
+    # each set reduces the previous generator on its uncovered columns and
+    # then on the covered ones from the new rows; after the last set one
+    # call scans only the uncovered columns, and no rref runs at all
+    calls = []
+    eliminate = gf2._eliminate
+
+    def spy(packed, cols, r=0):
+        cols = [int(c) for c in cols]
+        calls.append((cols, r, eliminate(packed, cols, r)))
+        return calls[-1][2]
+
+    def refuse(*args):
+        raise AssertionError("information_sets ran a full rref")
+
+    rng = np.random.default_rng(4)
+    gen = rng.integers(0, 2, size=(6, 90), dtype=np.uint8)
+    gen[:, ::5] = 0  # columns no set can cover
+    assert gf2.rank(gen) == 6
+    monkeypatch.setattr(gf2, "_eliminate", spy)
+    monkeypatch.setattr(gf2, "rref", refuse)
+    _, ranks = kernels.information_sets(gen)
+    assert len(ranks) >= 3 and len(calls) == 2 * len(ranks) + 1
+    covered = set()
+    for j, rank in enumerate(ranks):
+        (free, r0, new), (old, r1, _) = calls[2 * j: 2 * j + 2]
+        assert r0 == 0 and sorted(free) == sorted(set(range(90)) - covered)
+        assert len(new) == rank and r1 == rank
+        assert sorted(old) == sorted(covered)
+        covered |= set(new)
+    free, r0, new = calls[-1]
+    assert (r0, new) == (0, [])
+    assert sorted(free) == sorted(set(range(90)) - covered)
+    assert set(range(0, 90, 5)) <= set(free)
+
+
 def test_min_weight_codewords_enumerates_the_partial_last_set():
     # the weight-2 word 0001100 sums two rows of the first generator but
     # is one row of the second, of rank 3; at level 1 the bound is 2 + 1,

@@ -728,6 +728,14 @@ def test_rayleigh_sampled_evaluates_through_the_exhaustive_kernel(
     assert boolean_rayleigh_max(np.ones((1, 1)), mode="sampled") == 0.0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_rayleigh_sampled_refuses_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        boolean_rayleigh_max(np.ones((5, 5)), mode="sampled", trials=trials)
+    # the exhaustive mode takes no trials
+    assert boolean_rayleigh_max(np.ones((5, 5)), trials=trials) > 0.0
+
+
 def test_rayleigh_guard():
     with pytest.raises(ValueError):
         boolean_rayleigh_max(np.zeros((21, 21)))
