@@ -145,6 +145,9 @@ def cmd_lift_search(args):
 
 
 def cmd_hikes(args):
+    if args.action == "check-bound" and args.k < 2:
+        raise ValueError(f"check-bound counts (k - 1)-hikes, so it needs "
+                         f"--k >= 2, got {args.k}")
     base = RegularGraph.from_json(_read(args.graph, "graph"))
     if args.action == "count":
         count = hikes.enumerate_hikes(base, args.k,

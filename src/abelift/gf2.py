@@ -91,7 +91,9 @@ def nullspace(mat) -> np.ndarray:
     a = as_f2(mat)
     n_cols = a.shape[1]
     red, pivots = rref(a)
-    free = np.setdiff1d(np.arange(n_cols), pivots)
+    pivot = np.zeros(n_cols, dtype=bool)
+    pivot[pivots] = True
+    free = np.flatnonzero(~pivot)
     basis = np.zeros((free.size, n_cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = red[: len(pivots)][:, free].T

@@ -175,6 +175,8 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
         raise ValueError("nu must lie in [0, 1]")
     if size_budget < 1:
         raise ValueError("size budget must be positive")
+    if trial_budget < 1:
+        raise ValueError("trial budget must be positive")
     total = ellp ** m
     if total > EXACT_CHAR_CAP:
         raise ValueError(f"(Z_{ellp})^{m} has {total} characters, above the "

@@ -9,13 +9,12 @@ Fourier probe (spectral.decomposition_probe) on a fixed cadence.
 
 Both share one scan, which keeps the first candidate of least lambda.
 Since lambda is a max over lambda(base) and the per-character radii, a
-candidate is out as soon as one of them reaches the best lambda so far.
-The scan decides characters one at a time and stops there (see _scan):
-two Choleskys decide whether a radius lies below the best
-(spectral.radius_below), a radius within their small relative margin of
-it is solved by eigvalsh, and only a candidate that passes every
-character is solved in full.  So the winner and its certificate are
-those of a full solve of every candidate.
+candidate is out as soon as one of them is proved to reach the best
+lambda so far.  The scan tries characters one at a time and stops there
+(see _scan): one Cholesky per sign proves a radius reaches the best
+(spectral.radius_reaches), and every candidate not ruled out is solved
+in full and kept only when its lambda is below the best.  So the winner
+and its certificate are those of a full solve of every candidate.
 """
 from __future__ import annotations
 
@@ -96,21 +95,16 @@ def _scan(signings, lam_base, target, crosscheck_every):
 
     lambda is max(lam_base, radii over the nontrivial characters).  The
     first signing is solved in full.  After it, with `best` the least
-    lambda so far, a signing is pruned unsolved when lam_base >= best;
-    otherwise _Pruner decides its characters one at a time, the one that
-    pruned the previous signing first, by two Choleskys each
-    (spectral.radius_below) and by eigvalsh inside their margin, and
-    prunes it at the first radius >= best.  Every decision is the one a
-    solve of that character would make (spectral.radius_margin), and a
-    pruned signing has lambda >= best, so it could neither replace the
-    first strict minimum nor meet a target (that would need best <=
-    target, and the scan stops there).  A signing never pruned has every
-    radius below best: it is the new best, solved in full by lift_lambda,
-    so the winner keeps its index, lambda and radii.  The scan stops
-    after the first signing meeting `target`; every crosscheck_every-th
-    signing, pruned or not, has its character decomposition checked
-    against a built lift by a Fourier probe.  Returns ((index, signing,
-    lambda, radii) of the winner, signings evaluated, signings pruned,
+    lambda so far, a signing is pruned unsolved when lam_base >= best or
+    _Pruner proves a radius reaches best: solved, its lambda would be >=
+    best (spectral.radius_margin).  Every other signing is solved by
+    lift_lambda and becomes the best only when its lambda is below best,
+    the first strict minimum a full solve of every signing finds.  The
+    scan stops at the first new best meeting `target` (a signing meeting
+    it is below every earlier one); every crosscheck_every-th signing,
+    pruned or not, has its character decomposition checked against a
+    built lift by a Fourier probe.  Returns ((index, signing, lambda,
+    radii) of the winner, signings evaluated, signings pruned,
     crosschecks run, largest probe error).
     """
     best = pruner = None
@@ -123,13 +117,14 @@ def _scan(signings, lam_base, target, crosscheck_every):
             checks += 1
         if best is None:
             pruner = _Pruner(signing)
-        elif lam_base >= best[2] or not pruner.all_below(signing, best[2]):
+        elif lam_base >= best[2] or pruner.reaches(signing, best[2]):
             pruned += 1
             continue
         lam, _, rhos = lift_lambda(signing, lam_base)
-        best = (i, signing, lam, rhos)
-        if target is not None and lam <= target:
-            break
+        if best is None or lam < best[2]:
+            best = (i, signing, lam, rhos)
+            if target is not None and lam <= target:
+                break
     return best, evaluated, pruned, checks, max_check_err
 
 
@@ -140,8 +135,8 @@ def _check_cadence(crosscheck_every: int) -> None:
 
 
 class _Pruner:
-    """Whether a scanned signing's radii all lie below a bound, character
-    by character, over the base and group of the scan's first signing.
+    """Whether a scanned signing has a radius proved to reach a bound, by
+    character, over the base and group of the scan's first signing.
 
     Each A(chi) is written into one n x n buffer, chi(s_e) at (u, v) and
     its conjugate at (v, u) for each canonical edge e = (u, v), as
@@ -168,29 +163,21 @@ class _Pruner:
                 [k + 1], np.arange(self.group.order))[0]
         return column[elems]
 
-    def all_below(self, signing: Signing, bound: float) -> bool:
-        """Whether every nontrivial radius of `signing` is below `bound`.
-
-        Characters are tried in `order`.  spectral.radius_below decides
-        each, and one it leaves undecided is solved by
-        spectral.character_spectra; the first whose radius reaches
-        `bound` moves to the front of `order`, so the next signing tries
-        it first.
+    def reaches(self, signing: Signing, bound: float) -> bool:
+        """Whether some nontrivial radius of `signing` is proved to reach
+        `bound` (spectral.radius_reaches).  Characters are tried in
+        `order`, and the first proved moves to its front, so the next
+        signing tries it first.
         """
         elems = self.group.element_indices(signing.values)
         for pos, k in enumerate(self.order):
             vals = self._values(k, elems)
             self.mat[self.u, self.v] = vals
             self.mat[self.v, self.u] = vals.conj()
-            below = spectral.radius_below(self.mat, bound)
-            if below is None:
-                eigs = spectral.character_spectra(signing, [k + 1],
-                                                  "adjacency")
-                below = float(np.abs(eigs).max()) < bound
-            if not below:
+            if spectral.radius_reaches(self.mat, bound):
                 self.order.insert(0, self.order.pop(pos))
-                return False
-        return True
+                return True
+        return False
 
 
 def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,

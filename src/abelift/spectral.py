@@ -15,7 +15,7 @@ double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
 it solves the lifted NB operator densely instead.  The two complex
 multisets are matched by multiset_max_distance, which returns the exact
 bottleneck value (the least max distance over all matchings), in numpy
-alone.  scipy.linalg is imported on first use, for radius_below's potrf
+alone.  scipy.linalg is imported on first use, for radius_reaches's potrf
 only.
 
 The decomposition probe checks the same decomposition as an operator
@@ -341,23 +341,23 @@ def _solve_rows(signing: Signing, chars: np.ndarray, kind: str, solve,
 
 
 def radius_margin(n: int) -> float:
-    """The relative band radius_below leaves undecided for n x n input.
+    """The relative margin radius_reaches adds to its threshold for n x n
+    input.
 
     With u = eps / 2 and gamma_k = k u / (1 - k u): a Cholesky
-    factorisation of an n x n Hermitian H with every diagonal entry t that
-    runs to completion factors H + E, |E_ij| <= gamma_{n+1} t /
-    (1 - gamma_{n+1}) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 10.1), so H > -c t I with
-    c = n gamma_{n+1} / (1 - gamma_{n+1}), about n (n + 1) u; and it runs
-    to completion whenever H > c t I (ibid., Demmel's theorem).  Complex
-    arithmetic errs by at most sqrt(2) gamma_4 per operation where real
-    errs by u (section 3.6), so c stays under 6 n (n + 1) u =
-    3 n (n + 1) eps.  The margin 8 n (n + 1) eps covers that and leaves
-    5 n (n + 1) eps for eigvalsh, whose eigenvalues err by p(n) u ||A||
-    for a p(n) growing modestly with n (LAPACK Users' Guide, section
-    4.7): whatever radius_below decides, an eigvalsh radius of the same
-    matrix decides alike.  It is 4.5e-12 at n = 50 and 3e-8 at the dense
-    cap of 4096.
+    factorisation of an n x n Hermitian H with every diagonal entry s runs
+    to completion whenever H > c s I, with c = n gamma_{n+1} /
+    (1 - gamma_{n+1}), about n (n + 1) u (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 10.1, Demmel's theorem).
+    Complex arithmetic errs by at most sqrt(2) gamma_4 per operation where
+    real errs by u (section 3.6), so c stays under 6 n (n + 1) u =
+    3 n (n + 1) eps.  A failure at s = t (1 + delta) therefore proves an
+    eigenvalue of +-A at least s (1 - c) > t, and the margin 8 n (n + 1) eps
+    leaves 5 n (n + 1) eps of that for eigvalsh, whose eigenvalues err by
+    p(n) u ||A|| for a p(n) growing modestly with n (LAPACK Users' Guide,
+    section 4.7): a radius radius_reaches proves to reach t is one an
+    eigvalsh radius of the same matrix also finds >= t.  It is 4.5e-12 at
+    n = 50 and 3e-8 at the dense cap of 4096.
     """
     return 8.0 * n * (n + 1) * np.finfo(np.float64).eps
 
@@ -371,37 +371,31 @@ def _potrf(dtype: np.dtype):
     return potrf
 
 
-def radius_below(mat: np.ndarray, t: float) -> bool | None:
-    """Whether the spectral radius of the Hermitian `mat` lies below t > 0.
+def radius_reaches(mat: np.ndarray, t: float) -> bool:
+    """Whether the spectral radius of the Hermitian `mat` is proved to reach
+    t > 0.
 
-    By Sylvester's law of inertia, rho(mat) < t exactly when tI - mat and
-    tI + mat are both positive definite.  Both are factored by Cholesky
-    (LAPACK potrf, which reports failure in `info` and raises nothing), at
-    t (1 - delta) and, for a sign that fails there, at t (1 + delta), with
-    delta = radius_margin(n).  True: both factor at t (1 - delta), so
-    rho < t.  False: one fails at t (1 + delta), so rho > t.  None: too
-    close to call, within about delta t of t; a caller solves then.
+    By Sylvester's law of inertia, rho(mat) < s exactly when sI - mat and
+    sI + mat are both positive definite.  Each is factored once by
+    Cholesky (LAPACK potrf, which reports failure in `info` and raises
+    nothing) at s = t (1 + delta), delta = radius_margin(n).  True at the
+    first that fails: rho >= t, and so is an eigvalsh radius.  False when
+    both factor: rho < t (1 + delta), which does not rule out rho >= t, so
+    a caller solves.  `mat` is not modified.
     """
     n = mat.shape[0]
-    delta = radius_margin(n)
     work = np.empty(mat.shape, dtype=mat.dtype)
     diag = work.reshape(-1)[::n + 1]
     potrf = _potrf(work.dtype)
-
-    def factors(shift: float, sign: float) -> bool:
+    shift = t * (1.0 + radius_margin(n))
+    for sign in (-1.0, 1.0):
         np.multiply(mat, sign, out=work)
         np.add(diag, shift, out=diag)
         # work.T is Fortran-ordered, so potrf factors it in place; it is
         # the conjugate of the Hermitian work, with the same eigenvalues
-        return potrf(work.T, overwrite_a=1, clean=0)[1] == 0
-
-    verdict = True
-    for sign in (-1.0, 1.0):
-        if not factors(t * (1.0 - delta), sign):
-            if not factors(t * (1.0 + delta), sign):
-                return False
-            verdict = None
-    return verdict
+        if potrf(work.T, overwrite_a=1, clean=0)[1] != 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,25 @@ def test_hikes_mop_rejects_r_below_one(tmp_path, capsys):
         assert payload == {"failed": True, "error": "r must be >= 1"}
 
 
+def test_hikes_check_bound_refuses_k_below_two(tmp_path, capsys):
+    gp = _write_graph(tmp_path / "k4.json", complete_graph(4))
+    for k in ("1", "0"):
+        assert main(["hikes", "check-bound", "--graph", gp, "--k", k]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"failed": True, "error": (
+            f"check-bound counts (k - 1)-hikes, so it needs --k >= 2, "
+            f"got {k}")}
+
+
+def test_pseudorandom_biased_set_refuses_a_zero_trial_budget(capsys):
+    for budget in ("0", "-3"):
+        assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "3",
+                     "--nu", "1.0", "--trial-budget", budget]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"failed": True,
+                           "error": "trial budget must be positive"}
+
+
 def test_pseudorandom_hoeffding(tmp_path):
     gp = _write_graph(tmp_path / "c10.json", cycle_graph(10))
     out = tmp_path / "tail.json"

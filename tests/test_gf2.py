@@ -109,6 +109,31 @@ def test_nullspace_is_orthogonal_and_maximal(rng):
         assert gf2.rank(ns) == ns.shape[0]
 
 
+def test_nullspace_basis_is_the_reduced_one_at_every_shape(rng):
+    # row f of the basis is free column f's unit vector plus, at each
+    # pivot column, that pivot row's entry in column f
+    def reference(m):
+        red, pivots = gf2.rref(m)
+        free = [c for c in range(m.shape[1]) if c not in pivots]
+        basis = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+        for i, f in enumerate(free):
+            basis[i, f] = 1
+            for r, p in enumerate(pivots):
+                basis[i, p] = red[r, f]
+        return basis
+
+    cases = [np.zeros((0, 5)), np.zeros((3, 0)), np.zeros((0, 0)),
+             np.eye(6), np.zeros((4, 7)),
+             np.hstack([np.eye(4), rng.integers(0, 2, size=(4, 9))])]
+    cases += [rng.integers(0, 2, size=(6, 15)) for _ in range(10)]
+    for m in cases:
+        m = np.asarray(m, dtype=np.uint8)
+        ns = gf2.nullspace(m)
+        assert ns.dtype == np.uint8
+        assert ns.shape == (m.shape[1] - gf2.rank(m), m.shape[1])
+        assert np.array_equal(ns, reference(m))
+
+
 def test_matmul_matches_dense_mod2(rng):
     a = rng.integers(0, 2, size=(5, 11))
     b = rng.integers(0, 2, size=(11, 7))

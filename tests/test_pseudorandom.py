@@ -180,6 +180,13 @@ def test_search_budget_exhaustion():
         biased_set_search(2, 2, nu=0.0, size_budget=2, trial_budget=6, seed=0)
 
 
+@pytest.mark.parametrize("trial_budget", [0, -1])
+def test_search_refuses_a_trial_budget_below_one(trial_budget):
+    with pytest.raises(ValueError, match="trial budget must be positive"):
+        biased_set_search(4, 3, nu=1.0, size_budget=10,
+                          trial_budget=trial_budget)
+
+
 @pytest.mark.parametrize("nu, budget", [(0.5, 64), (0.4, 128)])
 def test_search_refuses_a_space_above_the_exact_cap(nu, budget):
     # a sampled bias is a lower estimate: with seed 0 these budgets once

@@ -1097,17 +1097,32 @@ def test_rows_after_one_attaining_lambda_base_are_pruned_unsolved(monkeypatch):
     assert solves == [(rows[0].tolist(), 4)]
 
 
-def _recording_verdicts(monkeypatch):
-    """Record every verdict of the scan's definiteness test."""
-    verdicts = []
-    decide = spectral.radius_below
+def _spy_pruner_solves(monkeypatch):
+    """Record every character_spectra or eigvalsh call made inside
+    _Pruner.reaches."""
+    inside, calls = [False], []
+    reaches = search._Pruner.reaches
 
-    def recording(mat, t):
-        verdicts.append(decide(mat, t))
-        return verdicts[-1]
+    def pruning(self, signing, bound):
+        inside[0] = True
+        try:
+            return reaches(self, signing, bound)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(spectral, "radius_below", recording)
-    return verdicts
+    def spy(module, name):
+        solve = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            if inside[0]:
+                calls.append(name)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+
+    monkeypatch.setattr(search._Pruner, "reaches", pruning)
+    spy(spectral, "character_spectra")
+    spy(np.linalg, "eigvalsh")
+    return calls
 
 
 def test_pruning_solves_under_half_the_characters(monkeypatch):
@@ -1119,42 +1134,73 @@ def test_pruning_solves_under_half_the_characters(monkeypatch):
         return derandomized_lift_search(base, group, rows, crosscheck_every=0)
 
     with monkeypatch.context() as mp:
-        verdicts = _recording_verdicts(mp)
         solves = _count_solves(mp)
+        pruner_solves = _spy_pruner_solves(mp)
         res = run()
-    solved = sum(count for _, count in solves)
-    assert solved < 200 * 15 // 2
+    assert pruner_solves == []
+    # every solve is lift_lambda's, of all 15 characters at once
+    assert {count for _, count in solves} == {15}
+    assert len(solves) * 15 < 200 * 15 // 2
     assert res.candidates_pruned > 100
-    # one 15-character solve per new best, the first row's included, and
-    # one 1-character solve per verdict left inside the margin
-    lam_base = spectral.lambda2(base)
-    lams = [lift_lambda(Signing(base, group, row.reshape(-1, 1)),
-                        lam_base)[0] for row in rows]
-    new_bests = sum(lam < min(lams[:i], default=math.inf)
-                    for i, lam in enumerate(lams))
-    assert sorted(count for _, count in solves) == (
-        [1] * verdicts.count(None) + [15] * new_bests)
     with monkeypatch.context() as mp:
         mp.setattr(search, "_scan", _unpruned_scan)
         _assert_same_certificate(res, run())
 
 
-def test_ties_fall_inside_the_margin_and_are_solved(monkeypatch):
+def test_each_tested_character_costs_at_most_two_factorizations(
+        monkeypatch):
+    base = random_regular(50, 3, seed=0)
+    rows = np.random.default_rng(0).integers(16, size=(60, base.m))
+    factored, per_test = [0], []
+    potrf_of, reaches = spectral._potrf, spectral.radius_reaches
+
+    def counting_potrf(dtype):
+        potrf = potrf_of(dtype)
+
+        def counted(*args, **kwargs):
+            factored[0] += 1
+            return potrf(*args, **kwargs)
+        return counted
+
+    def counting_reaches(mat, t):
+        before = factored[0]
+        verdict = reaches(mat, t)
+        per_test.append(factored[0] - before)
+        return verdict
+
+    monkeypatch.setattr(spectral, "_potrf", counting_potrf)
+    monkeypatch.setattr(spectral, "radius_reaches", counting_reaches)
+    derandomized_lift_search(base, AbelianGroup.cyclic(16), rows,
+                             crosscheck_every=0)
+    assert per_test and set(per_test) <= {1, 2}
+
+
+def test_ties_are_solved_in_full_and_not_taken(monkeypatch):
     base = random_regular(12, 3, seed=5)
+    group = AbelianGroup.cyclic(8)
     rows = np.random.default_rng(8).integers(8, size=(20, base.m))
     doubled = np.repeat(rows, 2, axis=0)
-    verdicts = _recording_verdicts(monkeypatch)
-    solves = _count_solves(monkeypatch)
-    new = derandomized_lift_search(base, AbelianGroup.cyclic(8), doubled,
-                                   crosscheck_every=0)
-    band = verdicts.count(None)
-    assert band > 0
-    assert sum(count == 1 for _, count in solves) == band
+
+    def run():
+        return derandomized_lift_search(base, group, doubled,
+                                        crosscheck_every=0)
+
+    with monkeypatch.context() as mp:
+        solves = _count_solves(mp)
+        new = run()
     with monkeypatch.context() as mp:
         mp.setattr(search, "_scan", _unpruned_scan)
-        ref = derandomized_lift_search(base, AbelianGroup.cyclic(8), doubled,
-                                       crosscheck_every=0)
-    _assert_same_certificate(new, ref)
+        _assert_same_certificate(new, run())
+    assert new.certificate["winner_index"] % 2 == 0
+    # the copy of each new best ties it: it is solved, and the first stays
+    lam_base = spectral.lambda2(base)
+    lams = [lift_lambda(Signing(base, group, row.reshape(-1, 1)),
+                        lam_base)[0] for row in rows]
+    new_bests = [row.tolist() for i, row in enumerate(rows)
+                 if lams[i] < min(lams[:i], default=math.inf)]
+    assert len(new_bests) > 1
+    for row in new_bests:
+        assert solves.count((row, 7)) == 2
 
 
 def test_scan_without_cached_character_columns_is_unchanged(monkeypatch):

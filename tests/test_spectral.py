@@ -503,15 +503,19 @@ def _hermitian_with_extreme(n, extreme, complex_, seed=0):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["top", "bottom"])
 @pytest.mark.parametrize("ratio, verdict", [
-    (1 + 1e-6, False), (1 - 1e-6, True), (1 - 1e-15, None)],
-    ids=["above", "below", "inside-the-margin"])
-def test_radius_below_decides_outside_its_margin_only(complex_, side, ratio,
-                                                      verdict):
+    (1 + 1e-6, True), (1 - 1e-6, False), (1 + 1e-15, None), (1 - 1e-15, None)],
+    ids=["above", "below", "just-above", "just-below"])
+def test_radius_reaches_only_on_proof(complex_, side, ratio, verdict):
     t = 1.7
     mat = _hermitian_with_extreme(8, side * t * ratio, complex_)
     kept = mat.copy()
     assert spectral.radius_margin(8) > 1e-14  # the margin holds 1e-15
-    assert spectral.radius_below(mat, t) is verdict
+    reaches = spectral.radius_reaches(mat, t)
+    assert type(reaches) is bool
+    if verdict is not None:
+        assert reaches is verdict
+    elif reaches:  # inside the margin a True must still be proved
+        assert np.abs(np.linalg.eigvalsh(mat)).max() >= t
     assert np.array_equal(mat, kept)
 
 

@@ -1,10 +1,12 @@
 """Names looked up at run time, by the benchmark tracer and by the CLI's
-usage table, must resolve."""
+usage table, and names the README cites, must resolve."""
 from __future__ import annotations
 
 import argparse
 import importlib
 import importlib.util
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,20 @@ def test_every_traced_name_resolves_in_abelift():
     missing = [f"{mod}.{attr}" for mod, attr in tracing.SPANNED
                if not callable(getattr(
                    importlib.import_module("abelift." + mod), attr, None))]
+    assert missing == []
+
+
+def test_every_module_name_the_readme_cites_resolves():
+    """A backticked `module.name` in README.md, for an abelift module,
+    names a real attribute: a rename must take the README along."""
+    import abelift
+    modules = {m.name for m in pkgutil.iter_modules(abelift.__path__)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cited = [(mod, name) for mod, name in re.findall(
+        r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", readme) if mod in modules]
+    assert cited
+    missing = [f"{mod}.{name}" for mod, name in cited if not hasattr(
+        importlib.import_module("abelift." + mod), name)]
     assert missing == []
 
 
