@@ -130,13 +130,8 @@ def cmd_lift_search(args):
         dist = pseudorandom.BiasedSet.from_json(
             _read(args.support, "biased_set"))
         inputs.append(args.support)
-        # the search proves the claimed bias (BiasedSet.proved); a space
-        # too large to prove it in is refused here, naming the file
-        if dist.ellp ** dist.m > pseudorandom.EXACT_CHAR_CAP:
-            raise ValueError(
-                f"{args.support}: (Z_{dist.ellp})^{dist.m} is too large for "
-                f"an exact bias, so claimed_bias {dist.claimed_bias!r} "
-                "cannot be proved")
+        # the search proves the claimed bias (BiasedSet.proved) before
+        # the scan, so a space above the exact cap is refused unmeasured
         result = search.derandomized_lift_search(
             base, AbelianGroup.cyclic(args.ell), dist, target=args.target,
             crosscheck_every=args.crosscheck_every)

@@ -141,12 +141,6 @@ def petersen_graph() -> RegularGraph:
     return RegularGraph(rows)
 
 
-def disjoint_union(g1: RegularGraph, g2: RegularGraph) -> RegularGraph:
-    if g1.d != g2.d:
-        raise ValueError("degrees differ")
-    return RegularGraph(np.concatenate([g1.adj, g2.adj + g1.n]))
-
-
 def random_regular(n: int, d: int, seed: int) -> RegularGraph:
     """Uniform d-regular graph by configuration-model pairing with rejection.
 
@@ -375,15 +369,6 @@ def lift(base: RegularGraph, signing: Signing,
 # signed walk operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SignedOperator:
-    """A character-evaluated walk operator of a signing."""
-
-    kind: str  # "adjacency" or "nonbacktracking"
-    chi: tuple[int, ...]
-    matrix: np.ndarray
-
-
 def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
     """(C, N, N) stack of A(chi) ("adjacency", N = n) or B(chi)
     ("nonbacktracking", N = 2m) for the indices `chars` into characters().
@@ -425,18 +410,16 @@ def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
     return stack
 
 
-def _signed_operator(signing: Signing, chi, kind: str) -> SignedOperator:
-    chi = _validate_element(signing.group.factors, chi)
-    idx = signing.group.element_indices([chi])
-    return SignedOperator(kind, chi, signed_operators(signing, idx, kind)[0])
+def signed_adjacency(signing: Signing, chi) -> np.ndarray:
+    """A(chi) of signed_operators, chi an exponent tuple."""
+    return signed_operators(signing, signing.group.element_indices(
+        [_validate_element(signing.group.factors, chi)]), "adjacency")[0]
 
 
-def signed_adjacency(signing: Signing, chi) -> SignedOperator:
-    return _signed_operator(signing, chi, "adjacency")
-
-
-def signed_nonbacktracking(signing: Signing, chi) -> SignedOperator:
-    return _signed_operator(signing, chi, "nonbacktracking")
+def signed_nonbacktracking(signing: Signing, chi) -> np.ndarray:
+    """B(chi) of signed_operators, chi an exponent tuple."""
+    return signed_operators(signing, signing.group.element_indices(
+        [_validate_element(signing.group.factors, chi)]), "nonbacktracking")[0]
 
 
 def nonbacktracking(base: RegularGraph) -> np.ndarray:

@@ -7,6 +7,7 @@ cyclic group of order l acts on itself by rotation.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -207,6 +208,19 @@ class AbelianGroup:
         perms = self.generator_perms if elements is None else self.action(
             [_validate_element(self.factors, g) for g in elements])
         return _orbits(perms)[0] == 1
+
+    @functools.cached_property
+    def irregularity(self) -> str | None:
+        """None when the action is regular (transitive, with one fiber
+        point per element), else a reason naming the action.  Decided once
+        per group object: lift_lambda reads it for every signing."""
+        orbits = _orbits(self.generator_perms)[0]
+        if self.order == self.fiber_size and orbits == 1:
+            return None
+        name = " x ".join(f"Z_{m}" for m in self.factors)
+        return (f"group action must be regular: {name} of order {self.order}"
+                f" acts on a fiber of size {self.fiber_size} in {orbits} "
+                "orbit(s)")
 
     def _orbit_fixes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Least point and size of each orbit (by least point), and the

@@ -420,13 +420,15 @@ def _rayleigh_max(m: np.ndarray, s: int, count: int, supports) -> float:
 def bias_scan(support, ellp: int) -> float:
     """Exact maximum bias over all nontrivial characters of (Z_ellp)^m: the
     characters 1 .. ellp^m - 1 by index, as base-ellp digit rows; 0.0
-    when there is none (m = 0 or ellp = 1)."""
+    when there is none (m = 0 or ellp = 1).  The one place a space above
+    EXACT_CHAR_CAP characters is refused, before any character is taken."""
     sup = np.ascontiguousarray(support, dtype=np.int64)
     if sup.ndim != 2 or sup.shape[0] == 0:
         raise ValueError("support must be a nonempty (N, m) array")
     n_chars = ellp ** sup.shape[1]
     if n_chars > EXACT_CHAR_CAP:
-        raise ValueError("character space too large for the exact scan")
+        raise ValueError(f"(Z_{ellp})^{sup.shape[1]} has {n_chars} characters"
+                         f", above the exact bias cap {EXACT_CHAR_CAP}")
     place = ellp ** np.arange(sup.shape[1], dtype=np.int64)
     return _bias_max(sup % ellp, ellp, n_chars - 1, lambda lo, hi: np.arange(
         lo + 1, hi + 1, dtype=np.int64)[:, None] // place % ellp)

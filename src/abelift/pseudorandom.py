@@ -5,12 +5,19 @@ sum averaged over the set; a nu-biased set keeps every nontrivial bias
 at most nu.  bias_exact takes every nontrivial character and
 bias_sampled random ones, both evaluated in the blocks of the exact scan
 (kernels._bias_max), so a sampled bias keeps its exact 0 and 1 and its
-memory bound.  Signings drawn by a random walk on an auxiliary expander
-inherit tail bounds strong enough for the derandomized searches.  Every
-walk is drawn on the `auxiliary_expander` of a master seed: all seeds of
-a walk search walk on its one graph (`expander_walk_signing` reads walk
-i as a signing), and `hoeffding_tail_check` draws its batch of walks on
-the graph of its seed.
+memory bound.  A sampled bias is only a lower estimate, so one verdict,
+BiasedSet.proved, judges every bias claim: it measures the bias exactly
+(kernels.bias_scan, the one refusal of a space above
+kernels.EXACT_CHAR_CAP characters) and holds it to claimed_bias.  The
+biased-set search, the support search and the certificate verifier all
+take their verdict from it.
+
+Signings drawn by a random walk on an auxiliary expander inherit tail
+bounds strong enough for the derandomized searches.  Every walk is drawn
+on the `auxiliary_expander` of a master seed: all seeds of a walk search
+walk on its one graph (`expander_walk_signing` reads walk i as a
+signing), and `hoeffding_tail_check` draws its batch of walks on the
+graph of its seed.
 """
 from __future__ import annotations
 
@@ -26,7 +33,6 @@ from .graphs import (DENSE_BYTES, RegularGraph, Signing, _integer_rows,
 from .groups import AbelianGroup
 from .serial import is_integer, is_number
 
-EXACT_CHAR_CAP = kernels.EXACT_CHAR_CAP
 # float slack allowed between an exact bias and the nu it is held to
 BIAS_SLACK = 1e-12
 _SAMPLED_TRIALS = 2048
@@ -61,6 +67,10 @@ def bias_sampled(support, ellp: int, trials: int = _SAMPLED_TRIALS,
     return best
 
 
+class _AboveClaim(ValueError):
+    """A measured bias above the claimed one (BiasedSet.proved)."""
+
+
 @dataclass
 class BiasedSet:
     """A support in (Z_ellp)^m with a claimed and a verified bias."""
@@ -85,7 +95,7 @@ class BiasedSet:
 
     def verify(self, trials: int = _SAMPLED_TRIALS, seed: int = 0) -> dict:
         """Re-measure the bias, exactly when the character space allows."""
-        if self.ellp ** self.m <= EXACT_CHAR_CAP:
+        if self.ellp ** self.m <= kernels.EXACT_CHAR_CAP:
             value = bias_exact(self.support, self.ellp)
             report = {"mode": "exact", "value": value}
         else:
@@ -96,18 +106,15 @@ class BiasedSet:
 
     def proved(self) -> "BiasedSet":
         """This set with verified = {"mode": "exact", "value": bias}, the
-        bias measured here.  ValueError when the character space is above
-        EXACT_CHAR_CAP (only a sampled, lower estimate exists there) or the
+        bias measured here; the stored verified is never read.  ValueError
+        when the character space is above the exact cap (bias_exact
+        refuses it: only a sampled, lower estimate exists there) or the
         bias exceeds claimed_bias: no certificate could prove the claim.
         """
-        if self.ellp ** self.m > EXACT_CHAR_CAP:
-            raise ValueError(
-                f"(Z_{self.ellp})^{self.m} is too large for an exact bias, "
-                f"so claimed_bias {self.claimed_bias!r} cannot be proved")
         bias = bias_exact(self.support, self.ellp)
         if bias > self.claimed_bias + BIAS_SLACK:
-            raise ValueError(f"exact bias {bias!r} exceeds claimed_bias "
-                             f"{self.claimed_bias!r}")
+            raise _AboveClaim(f"exact bias {bias!r} exceeds claimed_bias "
+                              f"{self.claimed_bias!r}")
         return BiasedSet(self.ellp, self.m, self.support, self.claimed_bias,
                          {"mode": "exact", "value": bias})
 
@@ -164,10 +171,10 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
 
     Deterministic for fixed arguments: the identity singleton first (bias
     exactly 1), the full product set when it fits the budget (bias exactly
-    0), then random supports of budget size.  Every returned set carries
-    the exact verification report that admitted it: a sampled bias is only
-    a lower estimate, so spaces above EXACT_CHAR_CAP characters are refused
-    before any draw.
+    0), then random supports of budget size.  A candidate is admitted by
+    BiasedSet.proved, so every returned set carries the exact bias that
+    admitted it; the singleton takes no draw, so its measurement refuses a
+    space above the exact cap before any draw.
     """
     if ellp < 2 or m < 1:
         raise ValueError("need ellp >= 2 and m >= 1")
@@ -177,24 +184,18 @@ def biased_set_search(ellp: int, m: int, nu: float, size_budget: int,
         raise ValueError("size budget must be positive")
     if trial_budget < 1:
         raise ValueError("trial budget must be positive")
-    total = ellp ** m
-    if total > EXACT_CHAR_CAP:
-        raise ValueError(f"(Z_{ellp})^{m} has {total} characters, above the "
-                         f"exact bias cap {EXACT_CHAR_CAP}; a sampled bias "
-                         "cannot certify a set")
     rng = np.random.default_rng(seed)
     for trial in range(trial_budget):
         if trial == 0:
             support = np.zeros((1, m), dtype=np.int64)
-        elif trial == 1 and total <= size_budget:
+        elif trial == 1 and ellp ** m <= size_budget:
             support = _full_product(ellp, m)
         else:
             support = _random_support(rng, ellp, m, size_budget)
-        cand = BiasedSet(ellp, m, support, claimed_bias=nu, verified={})
-        report = cand.verify(seed=seed)
-        if report["value"] <= nu + BIAS_SLACK:
-            cand.verified = report
-            return cand
+        try:
+            return BiasedSet(ellp, m, support, nu, {}).proved()
+        except _AboveClaim:
+            pass
     raise RuntimeError(f"no nu={nu} support found within {trial_budget} trials")
 
 

@@ -30,8 +30,7 @@ from . import serial, spectral
 from .graphs import RegularGraph, Signing, _integer_rows
 from .groups import AbelianGroup
 from .hikes import count_bounds
-from .pseudorandom import (BIAS_SLACK, EXACT_CHAR_CAP, BiasedSet,
-                           auxiliary_expander, bias_exact,
+from .pseudorandom import (BIAS_SLACK, BiasedSet, auxiliary_expander,
                            expander_walk_signing)
 from .serial import is_integer, is_number
 from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
@@ -189,20 +188,16 @@ def derandomized_lift_search(base: RegularGraph, group: AbelianGroup, support,
     otherwise keeps the best.  Every crosscheck_every-th candidate (none
     at 0; a negative cadence is refused) has its character decomposition
     checked against a built lift by a Fourier probe.  The group must be
-    one cyclic factor acting transitively; a BiasedSet must be over that
-    Z_ell, and its bias is measured before the scan (BiasedSet.proved,
-    which refuses a claim it cannot prove) and recorded as its verified
-    value; plain rows are read mod ell.
+    one cyclic factor acting regularly (AbelianGroup.irregularity); a
+    BiasedSet must be over that Z_ell, and its bias is measured before the
+    scan (BiasedSet.proved, which refuses a claim it cannot prove) and
+    recorded as its verified value; plain rows are read mod ell.
     """
     _check_cadence(crosscheck_every)
     if len(group.factors) != 1:
         raise ValueError("support-driven search expects one cyclic factor")
-    if not group.is_transitive():
-        raise ValueError("group action must be transitive")
-    if group.order != group.fiber_size:
-        raise ValueError(f"group action must be regular: a group of order "
-                         f"{group.order} acts on {group.fiber_size} fiber "
-                         "points")
+    if group.irregularity:
+        raise ValueError(group.irregularity)
     if isinstance(support, BiasedSet) and support.ellp != group.order:
         raise ValueError(f"biased set is over Z_{support.ellp} but the group "
                          f"is Z_{group.order}")
@@ -338,18 +333,16 @@ def _dist(x, r):
         return counted
     if (dist.support[index] != signing.values[:, 0]).any():
         return f"support row {index} is not the signing"
-    if dist.ellp ** dist.m > EXACT_CHAR_CAP:
-        return (f"a set in (Z_{dist.ellp})^{dist.m}, too large for an exact "
-                "bias")
-    bias, verified = bias_exact(dist.support, dist.ellp), dist.verified
+    try:
+        bias = dist.proved().verified["value"]
+    except ValueError as exc:
+        return str(exc)
+    verified = dist.verified
     if (set(verified) != {"mode", "value"} or verified["mode"] != "exact"
             or not is_number(verified["value"])
             or abs(verified["value"] - bias) > BIAS_SLACK):
         return (f"verified {verified!r:.60}, expected "
                 f"{{'mode': 'exact', 'value': {bias!r}}}")
-    if dist.claimed_bias < bias - BIAS_SLACK:
-        return (f"claimed_bias {dist.claimed_bias!r}, below the exact bias "
-                f"{bias!r}")
     return dist
 
 
@@ -371,7 +364,8 @@ _TABLE = [
      "derandomized or walk"),
     ("base", lambda x, r: RegularGraph.from_json(x), None),
     ("base_hash", lambda x, r: x == r["base"].content_hash(), "its hash"),
-    ("group", lambda x, r: AbelianGroup.from_json(x), None),
+    ("group", lambda x, r: (g := AbelianGroup.from_json(x)).irregularity
+     or g, None),
     ("signing", lambda x, r: Signing(r["base"], r["group"],
                                      _integer_rows(x, "signing entry")), None),
     ("lambda_base", lambda x, r: is_number(x), "a number"),
@@ -486,10 +480,12 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
 
     The certificate is read first (read_certificate: _TABLE is the one
     list of what each field must hold), and each field that breaks a row
-    is named under "invalid" with ok false.  Then lift_lambda (errors within
-    tol), a v3 or v2 walk's replay and spectral.decomposition_probe (at
-    every size, within PROBE_TOL) are checked against the fields read;
-    check_lift=True also solves the built lift densely (CROSSCHECK_TOL).
+    is named under "invalid" with ok false; a group whose action is not
+    regular breaks the group row, so nothing is solved.  Then lift_lambda
+    (errors within tol), a v3 or v2 walk's replay and
+    spectral.decomposition_probe (at every size, within PROBE_TOL) are
+    checked against the fields read; check_lift=True also solves the
+    built lift densely (CROSSCHECK_TOL).
     """
     read, invalid = _read_fields(cert)
     signing = read.get("signing")
@@ -513,11 +509,7 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     rho_err = (max((abs(a - b) for a, b in zip(
         sorted(rhos), sorted(read["per_character_rho"]))), default=0.0)
         if "per_character_rho" in read else None)
-    probe_err = lift_dist = None
-    try:
-        probe_err = decomposition_probe(signing)
-    except ValueError as exc:
-        invalid["group"] = str(exc)
+    probe_err, lift_dist = decomposition_probe(signing), None
     if check_lift:
         lift_dist = spectrum_union_check(
             signing, CROSSCHECK_TOL,
@@ -575,7 +567,9 @@ def markov_bound_report(base: RegularGraph, dist: BiasedSet, k: int,
 
     The distribution premise nu <= (n l d^2)^(-1) (eps/d)^(2k) is reported,
     never asserted, and only an exact bias can satisfy it (a sampled one is
-    a lower estimate); gamma' adds log2(l d^2) / (2k) to the plain rates.
+    a lower estimate).  The bias is measured here (BiasedSet.verify); the
+    set's stored verified is never read.  gamma' adds log2(l d^2) / (2k)
+    to the plain rates.
     """
     from .graphs import bicycle_free_radius
     n, d, ell = base.n, base.d, dist.ellp
@@ -593,8 +587,8 @@ def markov_bound_report(base: RegularGraph, dist: BiasedSet, k: int,
     gamma1p = bounds.gamma1 + shift
     gamma2p = None if bounds.gamma2 is None else bounds.gamma2 + shift
     nu_required = (eps / d) ** (2 * k) / (n * ell * d * d)
-    verified = dist.verified or dist.verify()
-    nu_achieved = float(verified["value"])
+    measured = dist.verify()
+    nu_achieved = float(measured["value"])
     report = {
         "n": n, "d": d, "ell": ell, "k": k, "eps": eps,
         "r_used": r_used, "r_floored": r_floored,
@@ -603,8 +597,8 @@ def markov_bound_report(base: RegularGraph, dist: BiasedSet, k: int,
         "gamma2": bounds.gamma2, "gamma2_prime": gamma2p,
         "nu_required": nu_required,
         "nu_achieved": nu_achieved,
-        "nu_mode": verified["mode"],
-        "premise_satisfied": bool(verified["mode"] == "exact"
+        "nu_mode": measured["mode"],
+        "premise_satisfied": bool(measured["mode"] == "exact"
                                   and nu_achieved <= nu_required),
     }
     if gamma2p is not None:

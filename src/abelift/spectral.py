@@ -77,24 +77,6 @@ def lambda2(G: RegularGraph) -> float:
     return float(np.abs(trimmed).max())
 
 
-def lambda2_signed(G: RegularGraph) -> float:
-    """Second-largest adjacency eigenvalue with its sign (no modulus).
-
-    Bipartite graphs have modulus-convention lambda equal to d, so reports
-    carry both conventions.
-    """
-    eigs = adjacency_spectrum(G)
-    return float(eigs[-2])
-
-
-def spectral_radius(mat: np.ndarray) -> float:
-    if mat.shape[0] == 0:
-        return 0.0
-    if np.allclose(mat, mat.conj().T):
-        return float(np.abs(np.linalg.eigvalsh(mat)).max())
-    return float(np.abs(np.linalg.eigvals(mat)).max())
-
-
 def nb_radius_nontrivial(B: np.ndarray) -> float:
     """Spectral radius of a non-backtracking operator after dropping one
     copy of its Perron root d - 1."""
@@ -487,19 +469,16 @@ def decomposition_probe(signing: Signing, lifted: RegularGraph | None = None,
     reversed edges, as in signed_operators.  Returns
     max |lhs - rhs| / max |rhs|; equal operators have equal spectra, so
     passing PROBE_TOL is at least as strong as spectrum_union_check's
-    adjacency half.  The action must be regular, else ValueError.
+    adjacency half.  The action must be regular, else ValueError
+    (AbelianGroup.irregularity).
     """
     base, group = signing.base, signing.group
+    if group.irregularity:
+        raise ValueError(group.irregularity)
     ell, n = group.fiber_size, base.n
     elems = np.stack(np.unravel_index(np.arange(group.order), group.factors),
                      axis=1)
     point = group.action(elems, [0])[:, 0]
-    reached = np.unique(point).size
-    if group.order != ell or reached != ell:
-        raise ValueError(
-            f"decomposition probe needs a regular action: a group of order "
-            f"{group.order} carries point 0 to {reached} of {ell} fiber "
-            "points")
     if lifted is None:
         lifted = lift(base, signing, allow_disconnected=True)
     rng = np.random.default_rng(seed)
@@ -533,10 +512,13 @@ def lift_lambda(signing: Signing, lam_base: float | None = None
                 ) -> tuple[float, float, list[float]]:
     """(lambda of the lift, lambda of the base, per-nontrivial-character radii).
 
-    Uses the character decomposition, so no lifted matrix is built.  A
-    search evaluating many signings of one base passes lambda2(base) once
-    as `lam_base`.
+    Uses the character decomposition, so no lifted matrix is built: every
+    character occurs once only when the action is regular, so any other
+    action is refused (AbelianGroup.irregularity).  A search evaluating
+    many signings of one base passes lambda2(base) once as `lam_base`.
     """
+    if signing.group.irregularity:
+        raise ValueError(signing.group.irregularity)
     if lam_base is None:
         lam_base = lambda2(signing.base)
     eigs = character_spectra(signing, np.arange(1, signing.group.order),
@@ -609,7 +591,7 @@ def nb_eigenvector_transport(signing: Signing, chi, f, alpha: float,
     f = np.asarray(f, dtype=np.complex128).ravel()
     if f.size != base.n:
         raise ValueError("f must have one entry per base vertex")
-    A = signed_adjacency(signing, chi).matrix
+    A = signed_adjacency(signing, chi)
     err = np.abs(A @ f - alpha * f).max()
     if err > 1e-8 * (1.0 + abs(alpha)) * max(1.0, np.abs(f).max()):
         raise ValueError("f is not an eigenvector of the signed adjacency "
@@ -628,7 +610,7 @@ def nb_eigenvector_transport(signing: Signing, chi, f, alpha: float,
     norm = np.abs(g).max()
     if norm < 1e-12:
         raise ValueError("transported vector vanished (degenerate f, alpha)")
-    B = signed_nonbacktracking(signing, chi).matrix
+    B = signed_nonbacktracking(signing, chi)
     residual = float(np.abs(B @ g - beta * g).max() / norm)
     double_root = abs(disc) <= 1e-8 * 4.0 * (d - 1)
     tol = 1e-5 if double_root else 1e-7

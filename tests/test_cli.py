@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import pseudorandom, search, serial
+from abelift import kernels, pseudorandom, search, serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
 from abelift.groups import AbelianGroup
 from abelift.pseudorandom import BiasedSet
 from abelift.search import verify_certificate
-from abelift.spectral import lambda2, lambda2_signed
+from abelift.spectral import adjacency_spectrum, lambda2
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,7 +95,7 @@ def test_spectrum_union_lambdas_equal_the_library_ones(tmp_path):
         payload = json.loads(out.read_bytes())
         lifted = lift(base, sg, allow_disconnected=True)
         assert payload["lambda_modulus"] == lambda2(lifted)
-        assert payload["lambda_signed"] == lambda2_signed(lifted)
+        assert payload["lambda_signed"] == adjacency_spectrum(lifted)[-2]
         assert payload["nb_distance"] <= 1e-10
 
 
@@ -186,7 +186,8 @@ def test_lift_search_refuses_a_support_whose_bias_is_unproved(tmp_path,
     assert sampled.verified["mode"] == "sampled"
     code, payload = run(g21, sampled)
     assert code == 1 and payload["failed"] is True
-    assert "claimed_bias 0.5 cannot be proved" in payload["error"]
+    assert payload["error"] == ("(Z_2)^21 has 2097152 characters, above the "
+                                "exact bias cap 1048576")
     # a claim below the exact bias, hand-edited into a written file
     bs_out = tmp_path / "made.json"
     assert main(["pseudorandom", "biased-set", "--ellp", "2", "--m", "6",
@@ -212,9 +213,10 @@ def test_lift_search_refuses_a_support_whose_bias_is_unproved(tmp_path,
 def test_lift_search_refuses_an_unprovable_support_before_sampling(
         tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled a bias it cannot use")
+        raise AssertionError("measured a bias it cannot use")
 
     monkeypatch.setattr(pseudorandom, "bias_sampled", refuse)
+    monkeypatch.setattr(kernels, "_bias_max", refuse)
     path = tmp_path / "bias.json"
     support = np.random.default_rng(0).integers(2, size=(64, 21))
     serial.dump_json({"biased_set": BiasedSet(2, 21, support, 0.5,
@@ -224,9 +226,27 @@ def test_lift_search_refuses_an_unprovable_support_before_sampling(
     assert main(["lift-search", "--graph", g21, "--mode", "support",
                  "--ell", "2", "--support", str(path)]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == (
-        f"{path}: (Z_2)^21 is too large for an exact bias, so claimed_bias "
-        "0.5 cannot be proved")
+    assert payload == {"failed": True, "error": "(Z_2)^21 has 2097152 "
+                       "characters, above the exact bias cap 1048576"}
+
+
+def test_biased_set_and_support_certificate_bytes_are_pinned(tmp_path,
+                                                            monkeypatch):
+    # the v3 support fixture was written by these three commands: its meta
+    # pins the biased-set artifact's hash, and the certificate is the file
+    fixture = FIXTURES / "support_cert_v3.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-base", "--kind", "complete", "--n", "4",
+                 "--out", "k4.json"]) == 0
+    assert main(["pseudorandom", "biased-set", "--ellp", "3", "--m", "6",
+                 "--nu", "0.6", "--size-budget", "40",
+                 "--out", "bias.json"]) == 0
+    assert serial.file_hash("bias.json") == (
+        "1b399847f851f5fe9cd974eaac44ee9fa0990b4b3add61e2bbf9a16a40191e35")
+    assert main(["lift-search", "--graph", "k4.json", "--mode", "support",
+                 "--ell", "3", "--support", "bias.json",
+                 "--out", "cert.json"]) == 0
+    assert (tmp_path / "cert.json").read_bytes() == fixture.read_bytes()
 
 
 def test_lift_search_refuses_a_support_over_another_group(tmp_path, capsys):

@@ -9,13 +9,19 @@ import pytest
 
 from abelift.graphs import (MAX_DENSE_DIM, RegularGraph, Signing, _ball,
                             bicycle_free_radius, complete_graph,
-                            component_count, cycle_graph, disjoint_union,
+                            component_count, cycle_graph,
                             girth, lift, nonbacktracking, petersen_graph,
                             random_regular, random_regular_dense,
                             signed_adjacency, signed_nonbacktracking)
 from abelift.groups import AbelianGroup
 from abelift.hikes import is_hike
 from abelift.spectral import lambda2
+
+
+def disjoint_union(g1: RegularGraph, g2: RegularGraph) -> RegularGraph:
+    """The union of two graphs of one degree, g2's vertices after g1's."""
+    assert g1.d == g2.d
+    return RegularGraph(np.concatenate([g1.adj, g2.adj + g1.n]))
 
 
 def test_complete_graph_k4():
@@ -461,8 +467,8 @@ def test_trivial_character_reproduces_adjacency():
     base = petersen_graph()
     sg = Signing.random(base, AbelianGroup.cyclic(6), seed=1)
     op = signed_adjacency(sg, (0,))
-    assert np.array_equal(op.matrix.real, base.adjacency_matrix())
-    assert np.abs(op.matrix.imag).max() == 0.0
+    assert np.array_equal(op.real, base.adjacency_matrix())
+    assert np.abs(op.imag).max() == 0.0
 
 
 def test_one_signed_edge_on_triangle_has_eigenvalues_1_1_minus2():
@@ -470,7 +476,7 @@ def test_one_signed_edge_on_triangle_has_eigenvalues_1_1_minus2():
     sg = Signing.identity(base, AbelianGroup.cyclic(2))
     sg.values[2] = [1]
     op = signed_adjacency(sg, (1,))
-    eigs = np.sort(np.linalg.eigvalsh(op.matrix))
+    eigs = np.sort(np.linalg.eigvalsh(op))
     assert np.allclose(eigs, [-2.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -479,15 +485,15 @@ def test_order_four_generator_gives_conjugate_pair():
     sg = Signing.identity(base, AbelianGroup.cyclic(4))
     sg.values[0] = [1]  # edge (0, 1)
     op = signed_adjacency(sg, (1,))
-    assert op.matrix[0, 1] == pytest.approx(1j)
-    assert op.matrix[1, 0] == pytest.approx(-1j)
+    assert op[0, 1] == pytest.approx(1j)
+    assert op[1, 0] == pytest.approx(-1j)
 
 
 def test_signed_adjacency_is_hermitian():
     base = petersen_graph()
     sg = Signing.random(base, AbelianGroup.product([4, 3]), seed=9)
     for chi in [(1, 0), (3, 2), (2, 1)]:
-        mat = signed_adjacency(sg, chi).matrix
+        mat = signed_adjacency(sg, chi)
         assert np.array_equal(mat, mat.conj().T)
 
 
@@ -511,23 +517,22 @@ def test_signed_nonbacktracking_matches_character_values():
     group = AbelianGroup.cyclic(3)
     sg = Signing.random(base, group, seed=2)
     op = signed_nonbacktracking(sg, (1,))
-    assert op.matrix.shape == (8, 8)
+    assert op.shape == (8, 8)
     for u, v in base.directed_edges():
-        assert op.matrix[base.directed_index(u, v),
-                         base.directed_index(v, u)] == 0
-    sums = np.abs(op.matrix).sum(axis=1)
+        assert op[base.directed_index(u, v), base.directed_index(v, u)] == 0
+    sums = np.abs(op).sum(axis=1)
     assert np.allclose(sums, base.d - 1)
     # entry ((u,v),(v,w)) carries chi of the signing on (v,w)
     f = base.directed_index(1, 2)
     g = base.directed_index(2, 3)
     expect = group.char_value((1,), sg.directed(2, 3))
-    assert op.matrix[f, g] == pytest.approx(expect)
+    assert op[f, g] == pytest.approx(expect)
 
 
 def test_nonbacktracking_is_the_trivial_character():
     base = petersen_graph()
     sg = Signing.random(base, AbelianGroup.product([2, 3]), seed=3)
-    B = signed_nonbacktracking(sg, (0, 0)).matrix
+    B = signed_nonbacktracking(sg, (0, 0))
     assert np.array_equal(nonbacktracking(base), B.real)
     assert not B.imag.any()
 

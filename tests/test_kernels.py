@@ -231,6 +231,14 @@ def test_min_weight_affine_refuses_past_the_budget_before_enumerating(
         kernels.min_weight_affine(base[0], basis)
 
 
+def test_least_weight_refuses_a_test_no_codeword_passes():
+    gen = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    assert kernels.least_weight(gen, kernels.keep_all) == 2
+    with pytest.raises(ValueError, match="no codeword passes the test"):
+        kernels.least_weight(gen, lambda packed: np.zeros(len(packed),
+                                                          dtype=bool))
+
+
 def test_min_weight_affine_zero_only_space():
     zero = np.zeros(10, dtype=np.uint8)
     packed = gf2.pack_rows(zero.reshape(1, -1))

@@ -114,12 +114,24 @@ def test_bias_sampled_memory_stays_within_one_block(monkeypatch):
     assert peak <= kernels.BLOCK_BYTES + (4 << 20)
 
 
-def test_one_exact_character_cap():
-    assert pseudorandom.EXACT_CHAR_CAP is kernels.EXACT_CHAR_CAP
+def test_one_exact_character_cap(monkeypatch):
+    # the cap lives in kernels alone, and only its scan refuses
+    assert not hasattr(pseudorandom, "EXACT_CHAR_CAP")
     # the scan takes a space of exactly the cap and refuses one more
     assert bias_exact(np.zeros((1, 20), dtype=np.int64), 2) == 1.0
-    with pytest.raises(ValueError, match="too large"):
+
+    def refuse(*args):
+        raise AssertionError("took a character or a draw above the cap")
+
+    monkeypatch.setattr(kernels, "_bias_max", refuse)
+    monkeypatch.setattr(pseudorandom, "_random_support", refuse)
+    with pytest.raises(ValueError, match=r"^\(Z_1025\)\^2 has 1050625 "
+                       r"characters, above the exact bias cap 1048576$"):
         bias_exact(np.zeros((1, 2), dtype=np.int64), 1025)
+    # the search's first candidate takes no draw, so it refuses first
+    with pytest.raises(ValueError, match=r"^\(Z_2\)\^21 has 2097152 "
+                       r"characters, above the exact bias cap 1048576$"):
+        biased_set_search(2, 21, 0.5, 64)
 
 
 def test_bias_translation_invariance():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import pseudorandom, search, serial, spectral
+from abelift import kernels, pseudorandom, search, serial, spectral
 from abelift.codes import free_action_check
 from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             cycle_graph, lift, random_regular)
@@ -76,7 +76,8 @@ def test_search_input_validation():
         derandomized_lift_search(base, AbelianGroup.cyclic(2),
                                  np.zeros((4, 2), dtype=np.int64))
     stuck = AbelianGroup((2,), (np.array([1, 0, 3, 2]),))
-    with pytest.raises(ValueError, match="transitive"):
+    with pytest.raises(ValueError, match="must be regular: Z_2 of order 2 "
+                       r"acts on a fiber of size 4 in 2 orbit\(s\)"):
         derandomized_lift_search(base, stuck, _all_rows(2, 3))
 
 
@@ -267,17 +268,17 @@ def test_verify_replays_the_walk_provenance():
         report = verify_certificate(forged)
         assert not report["ok"]
         assert report["invalid"] == invalid
-    # a forged group rebuilds the graph of its fiber size, and a walk on
-    # [8] cannot sign over Z_4 acting by two 4-cycles
+    # a forged group rebuilds the graph of its fiber size, and Z_4 acting
+    # by two 4-cycles is refused before any walk is replayed
     moved = verify_certificate(
         dict(cert, group=AbelianGroup.cyclic(16).to_json()))["invalid"]
     assert {"aux_hash", "dprime_used", "aux_bound", "signing"} <= set(moved)
     two_cycles = tuple((i + 1) % 4 + 4 * (i >= 4) for i in range(8))
     moved = verify_certificate(
         dict(cert, group=AbelianGroup((4,), (two_cycles,)).to_json()))
-    assert moved["invalid"]["provenance"] == (
-        "cannot be replayed: ValueError('a walk on [8] signs over Z_8, "
-        "not (4,)')")
+    assert moved["invalid"] == {
+        "group": "group action must be regular: Z_4 of order 4 acts on a "
+                 "fiber of size 8 in 2 orbit(s)"}
     # another master seed rebuilds another graph and another seed pair
     moved = verify_certificate(_forged(cert, master_seed=2))["invalid"]
     assert {"aux_hash", "winner_seed"} <= set(moved)
@@ -565,7 +566,7 @@ SUPPORT_BIAS = 0.36827299656640594
     (0.6, {"mode": "exact", "value": SUPPORT_BIAS}, None),
     (SUPPORT_BIAS, {"mode": "exact", "value": SUPPORT_BIAS}, None),
     (0.0, {"mode": "exact", "value": 0.0},
-     "verified {'mode': 'exact', 'value': 0.0}"),
+     f"exact bias {SUPPORT_BIAS!r} exceeds claimed_bias 0.0"),
     (0.6, {"mode": "exact", "value": SUPPORT_BIAS + 1e-9},
      "verified {'mode': 'exact', 'value': 0.3682729975664"),
     (0.6, {"mode": "sampled", "value": SUPPORT_BIAS, "trials": 64,
@@ -576,7 +577,7 @@ SUPPORT_BIAS = 0.36827299656640594
      "'value': True}"),
     (0.6, {}, "verified {}"),
     (0.3, {"mode": "exact", "value": SUPPORT_BIAS},
-     f"claimed_bias 0.3, below the exact bias {SUPPORT_BIAS!r}")],
+     f"exact bias {SUPPORT_BIAS!r} exceeds claimed_bias 0.3")],
     ids=["fixture", "claim-at-the-bias", "forged-zero", "value-off",
          "sampled", "extra-key", "value-bool", "unverified", "claim-low"])
 def test_verify_measures_the_support_bias(version, claimed, verified, fault):
@@ -598,11 +599,11 @@ def test_verify_refuses_a_support_bias_above_the_exact_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("measured a bias above the cap")
 
-    monkeypatch.setattr(search, "EXACT_CHAR_CAP", 3 ** 6 - 1)
-    monkeypatch.setattr(search, "bias_exact", refuse)
+    monkeypatch.setattr(kernels, "EXACT_CHAR_CAP", 3 ** 6 - 1)
+    monkeypatch.setattr(kernels, "_bias_max", refuse)
     report = verify_certificate(_fixture_cert("support_cert_v3"))
     assert report["invalid"] == {
-        "dist": "a set in (Z_3)^6, too large for an exact bias"}
+        "dist": "(Z_3)^6 has 729 characters, above the exact bias cap 728"}
 
 
 def test_verify_lets_only_a_met_target_stop_a_walk_early():
@@ -706,7 +707,7 @@ def test_large_certificates_are_checked_by_the_probe(monkeypatch):
         derandomized_lift_search(base, group, rows)
 
 
-def test_verify_names_a_group_the_probe_refuses():
+def test_verify_names_a_group_the_probe_refuses(monkeypatch):
     # n l = 256 or 2048: the probe checks every size; two (l/2)-cycles are
     # a Z_l action, but not a transitive one
     base = random_regular(16, 3, seed=1)
@@ -722,8 +723,25 @@ def test_verify_names_a_group_the_probe_refuses():
                                                ).to_json())
         report = verify_certificate(forged)
         assert not report["ok"] and report["lift_probe_error"] is None
-        assert report["invalid"]["group"].startswith(
-            "decomposition probe needs a regular action")
+        assert report["lambda_error"] is None  # refused before any solve
+        assert report["invalid"] == {"group": (
+            f"group action must be regular: Z_{ell} of order {ell} acts on "
+            f"a fiber of size {ell} in 2 orbit(s)")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a certificate over a non-regular group")
+
+    # Z_3 fixing a one-point fiber, whose characters 1 and 2 miss the lift
+    base = random_regular(10, 3, seed=1)
+    cert = derandomized_lift_search(base, AbelianGroup.cyclic(3), np.zeros(
+        (1, base.m), dtype=np.int64)).certificate
+    monkeypatch.setattr(search, "lift_lambda", refuse)
+    monkeypatch.setattr(search, "decomposition_probe", refuse)
+    report = verify_certificate(dict(cert, group=AbelianGroup(
+        (3,), ((0,),)).to_json()))
+    assert not report["ok"] and report["invalid"] == {
+        "group": "group action must be regular: Z_3 of order 3 acts on a "
+                 "fiber of size 1 in 1 orbit(s)"}
 
 
 def test_small_certificates_are_checked_by_the_probe(monkeypatch):
@@ -823,7 +841,8 @@ def test_search_refuses_a_non_regular_group_before_any_work(monkeypatch):
     base = complete_graph(4)
     for every in (50, 0):
         with pytest.raises(ValueError, match="group action must be regular: "
-                           "a group of order 4 acts on 2 fiber points"):
+                           "Z_4 of order 4 acts on a fiber of size 2 in 1 "
+                           r"orbit\(s\)$"):
             derandomized_lift_search(base, group,
                                      np.zeros((3, base.m), dtype=np.int64),
                                      crosscheck_every=every)
@@ -922,10 +941,10 @@ def test_support_search_refuses_a_bias_it_cannot_prove(monkeypatch):
     def refuse(*args):
         raise AssertionError("measured a bias above the cap")
 
-    monkeypatch.setattr(pseudorandom, "EXACT_CHAR_CAP", 2 ** 6 - 1)
-    monkeypatch.setattr(pseudorandom, "bias_exact", refuse)
-    with pytest.raises(ValueError, match=r"^\(Z_2\)\^6 is too large for an "
-                       r"exact bias, so claimed_bias 1\.0 cannot be proved$"):
+    monkeypatch.setattr(kernels, "EXACT_CHAR_CAP", 2 ** 6 - 1)
+    monkeypatch.setattr(kernels, "_bias_max", refuse)
+    with pytest.raises(ValueError, match=r"^\(Z_2\)\^6 has 64 characters, "
+                       r"above the exact bias cap 63$"):
         derandomized_lift_search(base, AbelianGroup.cyclic(2), BiasedSet(
             2, 6, np.zeros((1, 6), dtype=np.int64), 1.0, {}))
 
@@ -956,14 +975,40 @@ def test_markov_report_full_support_satisfies_premise():
     assert rep["nu_achieved"] == 0.0
 
 
-def test_markov_report_premise_needs_an_exact_bias():
+def test_markov_report_premise_needs_an_exact_bias(monkeypatch):
+    # with the cap below (Z_2)^6 the full set's bias is sampled: 0.0 there
+    # is only a lower estimate
+    monkeypatch.setattr(kernels, "EXACT_CHAR_CAP", 2 ** 6 - 1)
     base = complete_graph(4)
     full = np.array(list(itertools.product(range(2), repeat=6)),
                     dtype=np.int64)
-    dist = BiasedSet(2, 6, full, 0.0, {"mode": "sampled", "value": 0.0,
-                                       "trials": 64, "seed": 0})
+    dist = BiasedSet(2, 6, full, 0.0, {"mode": "exact", "value": 0.0})
     rep = markov_bound_report(base, dist, k=3, eps=0.5)
     assert rep["nu_mode"] == "sampled" and rep["nu_achieved"] == 0.0
+    assert not rep["premise_satisfied"]
+
+
+def test_markov_report_measures_and_never_reads_verified():
+    # a one-point support has exact bias 1, whatever its verified says
+    base = complete_graph(4)
+    forged = BiasedSet(2, 6, np.zeros((1, 6), dtype=np.int64), 0.0,
+                       {"mode": "exact", "value": 0.0})
+    rep = markov_bound_report(base, forged, k=3, eps=0.5)
+    assert rep["nu_mode"] == "exact" and rep["nu_achieved"] == 1.0
+    assert not rep["premise_satisfied"]
+
+
+def test_markov_report_samples_above_the_exact_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("took the exact scan above the cap")
+
+    # m = 21 edges at l' = 2: 2^21 characters, above the exact cap
+    monkeypatch.setattr(pseudorandom, "bias_exact", refuse)
+    base = random_regular(14, 3, seed=0)
+    support = np.random.default_rng(0).integers(2, size=(64, base.m))
+    dist = BiasedSet(2, base.m, support, 0.0, {"mode": "exact", "value": 0.0})
+    rep = markov_bound_report(base, dist, k=3, eps=0.5)
+    assert rep["nu_mode"] == "sampled" and 0.0 < rep["nu_achieved"] <= 1.0
     assert not rep["premise_satisfied"]
 
 

@@ -10,16 +10,20 @@ import pytest
 
 from abelift import graphs, kernels, spectral
 from abelift.graphs import (RegularGraph, Signing, complete_graph, cycle_graph,
-                            disjoint_union, lift, nonbacktracking,
-                            petersen_graph, random_regular, signed_adjacency)
+                            lift, nonbacktracking, petersen_graph,
+                            random_regular, signed_adjacency)
 from abelift.groups import AbelianGroup
 from abelift.spectral import (adjacency_spectrum, boolean_rayleigh_max,
                               character_spectra, ihara_bass_spectrum,
                               ihara_check, lambda2,
-                              lambda2_signed,
                               lift_lambda, mixing_check, multiset_max_distance,
                               nb_eigenvector_transport, nb_radius_nontrivial,
-                              spectral_radius, spectrum_union_check)
+                              spectrum_union_check)
+
+
+def _spectral_radius(mat: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix, by a dense eigvals."""
+    return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
 def _signed_triangle() -> Signing:
@@ -33,8 +37,10 @@ def test_lambda2_known_graphs():
     assert lambda2(complete_graph(4)) == pytest.approx(1.0, abs=1e-12)
     # bipartite hexagon: the -2 branch carries modulus d
     assert lambda2(cycle_graph(6)) == pytest.approx(2.0, abs=1e-12)
-    assert lambda2_signed(cycle_graph(6)) == pytest.approx(1.0, abs=1e-12)
-    two = disjoint_union(cycle_graph(3), cycle_graph(3))
+    assert adjacency_spectrum(cycle_graph(6))[-2] == pytest.approx(
+        1.0, abs=1e-12)
+    triangle = cycle_graph(3).adj
+    two = RegularGraph(np.concatenate([triangle, triangle + 3]))
     assert lambda2(two) == pytest.approx(2.0, abs=1e-12)  # repeated Perron root
 
 
@@ -195,8 +201,8 @@ def test_union_check_signed_triangle():
     assert rep.passed and rep.adjacency_distance <= 1e-8
     assert rep.nb_distance is not None and rep.nb_distance <= 1e-8
     # the two character spectra tile the hexagon spectrum
-    trivial = np.linalg.eigvalsh(signed_adjacency(sg, (0,)).matrix)
-    flipped = np.linalg.eigvalsh(signed_adjacency(sg, (1,)).matrix)
+    trivial = np.linalg.eigvalsh(signed_adjacency(sg, (0,)))
+    flipped = np.linalg.eigvalsh(signed_adjacency(sg, (1,)))
     union = np.sort(np.concatenate([trivial, flipped]))
     assert np.allclose(union, [-2, -1, -1, 1, 1, 2], atol=1e-12)
 
@@ -230,6 +236,21 @@ def test_lift_lambda_matches_direct_computation():
     assert lam == pytest.approx(lambda2(lifted), abs=1e-9)
     assert lam_base == pytest.approx(1.0, abs=1e-12)
     assert len(rhos) == 3  # one radius per nontrivial character
+
+
+def test_lift_lambda_refuses_a_non_regular_action():
+    # Z_3 fixing a one-point fiber: the lift is the base (lambda 2.8136),
+    # but characters 1 and 2, absent from it, have radius 3
+    base = random_regular(10, 3, seed=1)
+    group = AbelianGroup((3,), ((0,),))
+    sg = Signing.identity(base, group)
+    assert lambda2(lift(base, sg, allow_disconnected=True)) == pytest.approx(
+        2.8136065026, abs=1e-9)
+    with pytest.raises(ValueError, match=r"^group action must be regular: "
+                       r"Z_3 of order 3 acts on a fiber of size 1 in 1 "
+                       r"orbit\(s\)$"):
+        lift_lambda(sg)
+    assert "irregularity" in vars(group)  # decided once, kept on the group
 
 
 # Z2 x Z2 where both generators swap fiber points 0 and 1 and fix 2 and 3:
@@ -306,11 +327,16 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     nb_rows = character_spectra(sg, every, "nonbacktracking")
     _assert_paired_nb_rows(sg, every, nb_rows, nb_ref)
 
-    lam, lam_base, rhos = lift_lambda(sg)
-    assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
-    assert lam_base == lambda2(base)
-    assert lam == max([lam_base] + rhos)
-    assert lift_lambda(sg, lam_base) == (lam, lam_base, rhos)
+    if group.irregularity:
+        # characters missing from the lift would count in its lambda
+        with pytest.raises(ValueError, match="group action must be regular"):
+            lift_lambda(sg)
+    else:
+        lam, lam_base, rhos = lift_lambda(sg)
+        assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
+        assert lam_base == lambda2(base)
+        assert lam == max([lam_base] + rhos)
+        assert lift_lambda(sg, lam_base) == (lam, lam_base, rhos)
 
     mults = group.character_multiplicities()
 
@@ -596,13 +622,13 @@ def test_decomposition_probe_fails_on_a_lift_with_one_shift_changed(ell):
     ], ids=["Z2-on-four-points", "Z2xZ2-on-two-points"])
 def test_decomposition_probe_refuses_a_non_regular_action(group):
     sg = Signing.random(cycle_graph(5), group, seed=0)
-    with pytest.raises(ValueError, match="needs a regular action"):
+    with pytest.raises(ValueError, match="group action must be regular"):
         spectral.decomposition_probe(sg)
 
 
 def test_nb_perron_root_is_degree_minus_one():
     for g in (complete_graph(4), petersen_graph()):
-        assert spectral_radius(nonbacktracking(g)) == pytest.approx(
+        assert _spectral_radius(nonbacktracking(g)) == pytest.approx(
             g.d - 1, abs=1e-8)
 
 
@@ -652,7 +678,7 @@ def test_transport_double_root_vanishes():
 
 def test_transport_signed_triangle_alpha_one():
     sg = _signed_triangle()
-    A = signed_adjacency(sg, (1,)).matrix
+    A = signed_adjacency(sg, (1,))
     w, V = np.linalg.eigh(A)
     f = V[:, 2]  # eigenvalue 1
     res = nb_eigenvector_transport(sg, (1,), f, 1.0)
@@ -759,8 +785,8 @@ def test_signed_norm_bounded_by_parts():
     for _ in range(50):
         sg = Signing.random(base, AbelianGroup.cyclic(6),
                             seed=int(rng.integers(1 << 30)))
-        A = signed_adjacency(sg, (1,)).matrix
-        norm = spectral_radius(A)
+        A = signed_adjacency(sg, (1,))
+        norm = _spectral_radius(A)
         c_norm = np.linalg.norm(A.real, 2)
         d_norm = np.linalg.norm(A.imag, 2)
         assert norm <= 2 * max(c_norm, d_norm) + 1e-9

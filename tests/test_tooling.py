@@ -45,6 +45,18 @@ def test_every_module_name_the_readme_cites_resolves():
     assert missing == []
 
 
+def test_every_export_resolves_and_star_binds_exactly_all():
+    """A deletion must take its export along: each name in abelift.__all__
+    is bound, and `from abelift import *` binds those names and no more."""
+    import abelift
+    assert len(set(abelift.__all__)) == len(abelift.__all__)
+    assert [name for name in abelift.__all__
+            if not hasattr(abelift, name)] == []
+    namespace: dict = {}
+    exec("from abelift import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(abelift.__all__)
+
+
 def test_walk_searches_feed_the_traced_walk_metric():
     """The benchmark counts walk signings by name: every seed of a walk
     search must go through pseudorandom.expander_walk_signing."""
