@@ -140,6 +140,13 @@ class AbelianGroup:
         """Position in elements() of each exponent row of `values`."""
         return np.ravel_multi_index(tuple(np.asarray(values).T), self.factors)
 
+    def inverse_indices(self, idx) -> np.ndarray:
+        """Position in elements() of -g for each position `idx` of g; read
+        as character indices, the index of the conjugate character -chi."""
+        g = np.unravel_index(np.asarray(idx, dtype=np.int64), self.factors)
+        return np.ravel_multi_index(
+            tuple(-x % m for x, m in zip(g, self.factors)), self.factors)
+
     def char_table(self, chars, elems) -> np.ndarray:
         """(len(chars), len(elems)) table of chi(g) for the indices `chars`
         into characters() and `elems` into elements().

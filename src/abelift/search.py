@@ -137,19 +137,30 @@ class _Pruner:
     """Whether a scanned signing has a radius proved to reach a bound, by
     character, over the base and group of the scan's first signing.
 
-    Each A(chi) is written into one n x n buffer, chi(s_e) at (u, v) and
-    its conjugate at (v, u) for each canonical edge e = (u, v), as
-    graphs.signed_operators writes it.  chi's values on every group
+    One character of each conjugate pair {chi, -chi} is tested, the one of
+    smaller index: A(-chi) is the conjugate of A(chi) up to char_table's
+    rounding, with the same spectrum, and a skipped test only leaves a
+    signing to be solved in full.  Each A(chi) is written into one n x n
+    buffer, chi(s_e) at (u, v) and its conjugate at (v, u) for each
+    canonical edge e = (u, v), as graphs.signed_operators writes it.  A
+    self-conjugate A(chi) (2 chi = 0) is +-1 up to that rounding and is
+    factored in float64 (see reaches).  chi's values on every group
     element are kept per character, up to STACK_BYTES of them; past that
     a character is evaluated on the signing's entries alone.
     """
 
     def __init__(self, signing: Signing):
         self.group = signing.group
+        self.d = signing.base.d
         self.u, self.v = signing.base.edges.T
-        self.mat = np.zeros((signing.base.n,) * 2, dtype=np.complex128)
+        n = signing.base.n
+        self.mat = np.zeros((n, n), dtype=np.complex128)
+        self.real = np.zeros((n, n))
+        chars = np.arange(1, self.group.order)
+        neg = self.group.inverse_indices(chars)
         # nontrivial character indices less one, the last pruner first
-        self.order = list(range(self.group.order - 1))
+        self.order = (chars[chars <= neg] - 1).tolist()
+        self.self_conjugate = neg == chars
         self.columns = {}
         self.room = spectral.STACK_BYTES // (16 * self.group.order)
 
@@ -167,13 +178,24 @@ class _Pruner:
         `bound` (spectral.radius_reaches).  Characters are tried in
         `order`, and the first proved moves to its front, so the next
         signing tries it first.
+
+        A self-conjugate A(chi) differs from its real part by a Hermitian
+        E of norm at most d max |Im chi(s_e)| (its largest row sum), so a
+        proof that the real part reaches bound + that norm proves, by
+        Weyl's inequality, that A(chi) reaches bound.
         """
         elems = self.group.element_indices(signing.values)
         for pos, k in enumerate(self.order):
             vals = self._values(k, elems)
-            self.mat[self.u, self.v] = vals
-            self.mat[self.v, self.u] = vals.conj()
-            if spectral.radius_reaches(self.mat, bound):
+            if self.self_conjugate[k]:
+                mat = self.real
+                mat[self.u, self.v] = mat[self.v, self.u] = vals.real
+                t = bound + self.d * np.abs(vals.imag).max()
+            else:
+                mat, t = self.mat, bound
+                mat[self.u, self.v] = vals
+                mat[self.v, self.u] = vals.conj()
+            if spectral.radius_reaches(mat, t):
                 self.order.insert(0, self.order.pop(pos))
                 return True
         return False

@@ -15,8 +15,9 @@ double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
 it solves the lifted NB operator densely instead.  The two complex
 multisets are matched by multiset_max_distance, which returns the exact
 bottleneck value (the least max distance over all matchings), in numpy
-alone.  scipy.linalg is imported on first use, for radius_reaches's potrf
-only.
+alone.  radius_reaches's potrf is the one use of scipy: its compiled
+LAPACK extension is loaded from its file on first use (_flapack), and the
+scipy and scipy.linalg packages are never imported.
 
 The decomposition probe checks the same decomposition as an operator
 identity on one random vector, with no eigensolve: it is how searches and
@@ -25,7 +26,10 @@ the verifier above the dense cap check a built lift.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,10 +298,7 @@ def character_spectra(signing: Signing, chars, kind: str) -> np.ndarray:
         _solve_rows(signing, chars, kind, np.linalg.eigvalsh, out,
                     np.arange(chars.size))
         return out
-    factors = signing.group.factors
-    neg = np.ravel_multi_index(
-        tuple(-c % m for c, m in zip(np.unravel_index(chars, factors),
-                                     factors)), factors)
+    neg = signing.group.inverse_indices(chars)
     real = neg == chars
     partner = ~real & (neg < chars) & np.isin(neg, chars)
     out = np.empty((chars.size, 2 * signing.base.m), dtype=np.complex128)
@@ -345,12 +346,37 @@ def radius_margin(n: int) -> float:
 
 
 @functools.cache
+def _flapack():
+    """scipy's compiled LAPACK extension, loaded from its file on first
+    use.  Only the extension is loaded, not the scipy.linalg package:
+    that package's __init__ (which also imports numpy.f2py and
+    numpy.testing) is nearly all the time and memory an import costs."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise RuntimeError("radius_reaches needs scipy's LAPACK extension, "
+                           "but no scipy package is on sys.path")
+    stem = os.path.join(scipy.submodule_search_locations[0], "linalg",
+                        "_flapack")
+    paths = [stem + s for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise RuntimeError("radius_reaches needs scipy's LAPACK extension, "
+                           f"but none of {paths} is a file")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack",
+                                                     path)
+    spec = importlib.util.spec_from_file_location(loader.name, path,
+                                                  loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+@functools.cache
 def _potrf(dtype: np.dtype):
-    """LAPACK potrf for arrays of dtype, looked up once per dtype (and
-    scipy.linalg imported on that first call)."""
-    from scipy.linalg import get_lapack_funcs
-    potrf, = get_lapack_funcs(("potrf",), dtype=dtype)
-    return potrf
+    """LAPACK potrf for float64 (dpotrf) or complex128 (zpotrf) arrays,
+    from _flapack, looked up once per dtype."""
+    prefix = {"float64": "d", "complex128": "z"}[np.dtype(dtype).name]
+    return getattr(_flapack(), prefix + "potrf")
 
 
 def radius_reaches(mat: np.ndarray, t: float) -> bool:
@@ -363,10 +389,12 @@ def radius_reaches(mat: np.ndarray, t: float) -> bool:
     nothing) at s = t (1 + delta), delta = radius_margin(n).  True at the
     first that fails: rho >= t, and so is an eigvalsh radius.  False when
     both factor: rho < t (1 + delta), which does not rule out rho >= t, so
-    a caller solves.  `mat` is not modified.
+    a caller solves.  `mat` is not modified; it is factored in float64, or
+    in complex128 when complex, since radius_margin is stated for float64.
     """
     n = mat.shape[0]
-    work = np.empty(mat.shape, dtype=mat.dtype)
+    work = np.empty(mat.shape, dtype=np.complex128 if np.iscomplexobj(mat)
+                    else np.float64)
     diag = work.reshape(-1)[::n + 1]
     potrf = _potrf(work.dtype)
     shift = t * (1.0 + radius_margin(n))

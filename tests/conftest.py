@@ -3,11 +3,14 @@
 The wall-clock acceptance test must observe the whole run, so collection
 moves it to the very end of the session.
 """
+import importlib.machinery
+import importlib.util
 import time
 
 import numpy as np
 import pytest
 
+from abelift import spectral
 from abelift.hikes import singleton_free
 
 SESSION_T0 = time.perf_counter()
@@ -84,3 +87,24 @@ def _recursive_hikes(G, k, singleton_free_only):
 @pytest.fixture
 def recursive_hikes():
     return _recursive_hikes
+
+
+@pytest.fixture(params=["extension", "scipy"])
+def lapack_missing(request, monkeypatch):
+    """spectral._potrf with scipy's LAPACK extension file (or the whole
+    scipy package) out of reach: the message its RuntimeError carries."""
+    if request.param == "extension":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".missing.so"])
+        reason = "_flapack.missing.so'] is a file"
+    else:
+        find = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: (
+            None if name == "scipy" else find(name, *a)))
+        reason = "no scipy package is on sys.path"
+    spectral._flapack.cache_clear()
+    spectral._potrf.cache_clear()
+    yield reason
+    monkeypatch.undo()
+    spectral._flapack.cache_clear()
+    spectral._potrf.cache_clear()

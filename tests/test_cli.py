@@ -753,6 +753,17 @@ def test_failed_search_exits_one_with_a_reason(tmp_path, capsys, argv,
     assert payload["failed"] is True and reason in payload["error"]
 
 
+def test_lift_search_without_the_lapack_extension_exits_one(
+        tmp_path, capsys, lapack_missing):
+    graph = _write_graph(tmp_path / "g16.json", random_regular(16, 3, seed=1))
+    assert main(["lift-search", "--graph", graph, "--mode", "walk", "--ell",
+                 "8", "--seeds", "8"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["failed"] is True and lapack_missing in payload["error"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("chi", ["9", "1,1", "-1", "0,0"])
 def test_ihara_rejects_a_character_outside_the_group(tmp_path, capsys, chi):
     base = cycle_graph(4)

@@ -136,6 +136,13 @@ def test_char_table_and_element_indices_follow_elements_order():
                 assert table[c, j] == grp.char_value(chis[chi], gs[g])
 
 
+def test_inverse_indices_follow_inverse():
+    for group in (AbelianGroup.cyclic(8), AbelianGroup.product([2, 3, 4])):
+        elems = group.elements()
+        assert group.inverse_indices(np.arange(group.order)).tolist() == [
+            elems.index(group.inverse(g)) for g in elems]
+
+
 def test_json_roundtrip_is_one_based():
     payload = Z6.to_json()
     assert payload["factors"] == [6]

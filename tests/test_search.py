@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -1218,6 +1219,59 @@ def test_each_tested_character_costs_at_most_two_factorizations(
     derandomized_lift_search(base, AbelianGroup.cyclic(16), rows,
                              crosscheck_every=0)
     assert per_test and set(per_test) <= {1, 2}
+
+
+@pytest.mark.parametrize("ell, tested, real", [
+    (2, [0], [0]), (3, [0], []), (4, [0, 1], [1]), (8, [0, 1, 2, 3], [3]),
+    (16, list(range(8)), [7])])
+def test_the_pruner_tests_one_character_per_conjugate_pair(ell, tested, real):
+    signing = Signing.random(random_regular(12, 3, seed=5),
+                             AbelianGroup.cyclic(ell), seed=1)
+    pruner = search._Pruner(signing)
+    # character c is order entry c - 1, and c <= ell - c
+    assert pruner.order == tested
+    assert np.flatnonzero(pruner.self_conjugate).tolist() == real
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 16])
+def test_pruner_verdicts_at_the_largest_radius(ell):
+    base = random_regular(50, 3, seed=0)
+    group = AbelianGroup.cyclic(ell)
+    for seed in range(5):
+        signing = Signing.random(base, group, seed=seed)
+        rho = max(lift_lambda(signing, 0.0)[2])
+        assert search._Pruner(signing).reaches(signing, rho * (1 - 1e-9))
+        assert not search._Pruner(signing).reaches(signing, rho * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 8, 16])
+def test_pruned_scan_at_fifty_vertices_matches_the_unpruned_reference(
+        monkeypatch, ell):
+    base = random_regular(50, 3, seed=0)
+    rows = np.random.default_rng(ell).integers(ell, size=(60, base.m))
+    dtypes = []
+    reaches = spectral.radius_reaches
+
+    def recording(mat, t):
+        dtypes.append(mat.dtype)
+        return reaches(mat, t)
+
+    monkeypatch.setattr(spectral, "radius_reaches", recording)
+    new, ref = _pruned_and_reference(
+        monkeypatch, lambda: derandomized_lift_search(
+            base, AbelianGroup.cyclic(ell), rows, crosscheck_every=0))
+    _assert_same_certificate(new, ref)
+    assert new.candidates_pruned > 0
+    # the self-conjugate character of an even ell is factored in float64
+    assert (np.dtype(np.float64) in dtypes) is (ell % 2 == 0)
+    assert (np.dtype(np.complex128) in dtypes) is (ell > 2)
+
+
+def test_a_search_without_the_lapack_extension_names_it(lapack_missing):
+    base = random_regular(12, 3, seed=5)
+    rows = np.random.default_rng(0).integers(8, size=(10, base.m))
+    with pytest.raises(RuntimeError, match=re.escape(lapack_missing)):
+        derandomized_lift_search(base, AbelianGroup.cyclic(8), rows)
 
 
 def test_ties_are_solved_in_full_and_not_taken(monkeypatch):

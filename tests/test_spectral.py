@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -543,6 +544,60 @@ def test_radius_reaches_only_on_proof(complex_, side, ratio, verdict):
     elif reaches:  # inside the margin a True must still be proved
         assert np.abs(np.linalg.eigvalsh(mat)).max() >= t
     assert np.array_equal(mat, kept)
+
+
+def _scipy_potrf_reaches(mat, t):
+    """radius_reaches's test, factored by scipy.linalg's own potrf."""
+    from scipy.linalg import get_lapack_funcs
+    n = mat.shape[0]
+    shift = t * (1.0 + spectral.radius_margin(n))
+    potrf, = get_lapack_funcs(("potrf",), dtype=mat.dtype)
+    return any(potrf(shift * np.eye(n) - sign * mat)[1] != 0
+               for sign in (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 50, 100])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_radius_reaches_agrees_with_scipy_linalg_potrf(n, complex_):
+    rng = np.random.default_rng([n, complex_])
+    for _ in range(20):
+        z = rng.standard_normal((n, n))
+        if complex_:
+            z = z + 1j * rng.standard_normal((n, n))
+        mat = (z + z.conj().T) / 2
+        rho = np.abs(np.linalg.eigvalsh(mat)).max()
+        for ratio, verdict in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            t = rho * ratio
+            assert spectral.radius_reaches(mat, t) is verdict
+            assert _scipy_potrf_reaches(mat, t) is verdict
+            # A(-chi) is the conjugate of A(chi): one verdict for both
+            assert spectral.radius_reaches(mat.conj(), t) is verdict
+
+
+@pytest.mark.parametrize("low, high", [(np.float32, np.float64),
+                                       (np.complex64, np.complex128)])
+def test_radius_reaches_factors_in_double_precision(monkeypatch, low, high):
+    mat = _hermitian_with_extreme(50, 1.7, high is np.complex128).astype(low)
+    rho = np.abs(np.linalg.eigvalsh(mat.astype(high))).max()
+    dtypes = []
+    potrf_of = spectral._potrf
+
+    def recording(dtype):
+        dtypes.append(np.dtype(dtype))
+        return potrf_of(dtype)
+
+    monkeypatch.setattr(spectral, "_potrf", recording)
+    # 1e-9 is inside single precision's rounding and far outside the margin
+    for ratio, verdict in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        assert spectral.radius_reaches(mat, rho * ratio) is verdict
+        assert (spectral.radius_reaches(mat.astype(high), rho * ratio)
+                is verdict)
+    assert set(dtypes) == {np.dtype(high)}
+
+
+def test_missing_lapack_extension_is_a_named_runtime_error(lapack_missing):
+    with pytest.raises(RuntimeError, match=re.escape(lapack_missing)):
+        spectral.radius_reaches(np.eye(3), 0.5)
 
 
 def test_large_group_peak_memory_stays_within_the_stack_cap():

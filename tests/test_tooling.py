@@ -135,12 +135,16 @@ def test_cli_import_gen_base_hikes_and_tanner_load_no_scipy(tmp_path):
             if line.startswith("[")] == ["[]"] * 3
 
 
+# the one scipy module a library path loads: radius_reaches's LAPACK
+# extension, loaded from its file.  CPython registers a single-phase
+# extension module in sys.modules under the name it is loaded as.
+_LAPACK = "scipy.linalg._flapack"
+
+
 def _scipy_loaded_after(code: str) -> list[str]:
-    """The scipy.spatial, scipy.optimize and scipy.sparse modules a fresh
-    interpreter holds after running code."""
-    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.split"
-             "('.')[:2] in (['scipy', 'spatial'], ['scipy', 'optimize'], "
-             "['scipy', 'sparse'])))")
+    """Every scipy module a fresh interpreter holds after running code."""
+    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     return proc.stdout.split("\n")[-2].split()
@@ -155,11 +159,11 @@ _SMALL_LIFT = (
     "sg = graphs.Signing.random(base, group, seed=5)\n")
 
 
-def test_union_check_search_and_lift_load_no_matching_or_sparse_scipy():
+def test_union_check_search_and_lift_import_no_scipy_package():
     """An honest complex union check is certified by nearest neighbours and
     labelled by the numpy union-find, as are a search's lifts, lift's
-    connectivity test and component counts: none loads scipy.spatial,
-    scipy.optimize or scipy.sparse."""
+    connectivity test and component counts; the search's Cholesky tests
+    load the LAPACK extension alone, and no scipy package is imported."""
     code = _SMALL_LIFT + (
         "rep = spectral.spectrum_union_check(sg, "
         "include_nonbacktracking=True)\n"
@@ -169,10 +173,10 @@ def test_union_check_search_and_lift_load_no_matching_or_sparse_scipy():
         "crosscheck_every=2)\n"
         "lifted = graphs.lift(base, graphs.Signing(base, group, rows[:1].T))\n"
         "assert graphs.component_count(lifted) == 1\n")
-    assert _scipy_loaded_after(code) == []
+    assert _scipy_loaded_after(code) == [_LAPACK]
 
 
-def test_a_forged_spectrum_loads_no_scipy_optimize():
+def test_a_forged_spectrum_loads_no_scipy():
     code = _SMALL_LIFT + (
         "G = graphs.lift(base, sg, allow_disconnected=True)\n"
         "nb = spectral.ihara_bass_spectrum(spectral.adjacency_spectrum(G), "
@@ -181,3 +185,38 @@ def test_a_forged_spectrum_loads_no_scipy_optimize():
         "'nonbacktracking').ravel()\n"
         "assert spectral.multiset_max_distance(union, nb + 0.5) >= 0.5\n")
     assert _scipy_loaded_after(code) == []
+
+
+def test_searches_verify_union_check_and_tanner_import_no_scipy_package(
+        tmp_path):
+    """Both searches, a verify, a union check and `codes tanner` load only
+    the LAPACK extension; a later import of scipy.linalg hands out the
+    same potrf objects, and a search repeated after it writes the same
+    certificate."""
+    base, cert = tmp_path / "base.json", tmp_path / "cert.json"
+    code = _SMALL_LIFT + (
+        "from abelift import cli, serial\n"
+        "rows = np.random.default_rng(0).integers(4, size=(20, base.m))\n"
+        "first = search.derandomized_lift_search(base, group, rows)\n"
+        f"assert cli.main(['gen-base', '--kind', 'random', '--n', '16', "
+        f"'--d', '3', '--seed', '1', '--out', {str(base)!r}]) == 0\n"
+        f"assert cli.main(['lift-search', '--graph', {str(base)!r}, "
+        f"'--mode', 'walk', '--ell', '8', '--seeds', '8', "
+        f"'--out', {str(cert)!r}]) == 0\n"
+        f"walk = serial.load_json({str(cert)!r})['certificate']\n"
+        "assert search.verify_certificate(walk)['ok']\n"
+        "assert search.verify_certificate(first.certificate)['ok']\n"
+        "assert spectral.spectrum_union_check(sg).passed\n"
+        f"assert cli.main(['codes', 'tanner', '--cert', {str(cert)!r}, "
+        f"'--out', {str(tmp_path / 'tanner.json')!r}]) == 0\n"
+        "import sys\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "\nfrom scipy.linalg import get_lapack_funcs\n"
+        "for dtype in (np.float64, np.complex128):\n"
+        "    assert (get_lapack_funcs(('potrf',), dtype=dtype)[0]\n"
+        "            is spectral._potrf(np.dtype(dtype)))\n"
+        "again = search.derandomized_lift_search(base, group, rows)\n"
+        "assert again.certificate == first.certificate\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[-2].split() == [_LAPACK]
