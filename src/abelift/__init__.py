@@ -23,9 +23,8 @@ from .search import (derandomized_lift_search, exponential_regime_build,
                      markov_bound_report, verify_certificate)
 from .codes import (BudgetError, CSSCode, GroupAlgebraMatrix, LinearCodeF2,
                     circulant_structure_check, css_valid, free_action_check,
-                    group_algebra_from_blocks,
-                    lifted_product, local_code_search, min_distance, pairs_action_free,
-                    tanner_code, tanner_from_certificate, toric_code,
+                    group_algebra_from_blocks, lifted_product,
+                    local_code_search, min_distance, tanner_code, tanner_from_certificate, toric_code,
                     write_alist)
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "BudgetError", "CSSCode", "GroupAlgebraMatrix", "LinearCodeF2",
     "circulant_structure_check", "css_valid", "free_action_check",
     "group_algebra_from_blocks",
-    "lifted_product", "local_code_search", "min_distance",
-    "pairs_action_free", "tanner_code",
+    "lifted_product", "local_code_search", "min_distance", "tanner_code",
     "tanner_from_certificate", "toric_code", "write_alist",
 ]

@@ -453,32 +453,6 @@ class FreeActionReport:
     witness: tuple | None
 
 
-def _edge_action_fixed_pair(edge_pairs, perm) -> tuple | None:
-    """First unordered lifted edge fixed by the fiber permutation, if any."""
-    for (u, i), (v, j) in edge_pairs:
-        a = (u, int(perm[i]))
-        b = (v, int(perm[j]))
-        if {a, b} == {(u, i), (v, j)}:
-            return ((u, i), (v, j))
-    return None
-
-
-def pairs_action_free(group: AbelianGroup, edge_pairs):
-    """Is the fiber action free on an explicit unordered pair list?
-
-    Accepts self-pairings ((u, i), (u, j)): an order-2 shift can fix such
-    a pair by swapping its ends.  Simple-graph lifts never contain one,
-    but degenerate quotient layouts can, so the check takes raw pairs.
-    Returns (free, witness) with witness = (group element, fixed pair).
-    """
-    for g in group.elements()[1:]:
-        perm = group.perm_of(g)
-        hit = _edge_action_fixed_pair(edge_pairs, perm)
-        if hit is not None:
-            return False, (g, hit)
-    return True, None
-
-
 def free_action_check(base: RegularGraph, signing: Signing) -> FreeActionReport:
     """Does the deck action move every lifted vertex and every lifted edge?
 

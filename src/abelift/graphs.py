@@ -120,13 +120,24 @@ class RegularGraph:
         return f"RegularGraph(n={self.n}, d={self.d})"
 
 
+def _check_table(n: int, d: int) -> None:
+    """Refuse a d-regular graph on n vertices whose (n, d) int64 neighbour
+    table takes more than DENSE_BYTES, before anything is allocated."""
+    if 8 * n * d > DENSE_BYTES:
+        raise ValueError(f"a {d}-regular graph on {n} vertices needs a "
+                         f"{8 * n * d}-byte neighbour table, above the cap "
+                         f"of {DENSE_BYTES} bytes")
+
+
 def cycle_graph(n: int) -> RegularGraph:
+    _check_table(n, 2)
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     return RegularGraph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
 
 
 def complete_graph(n: int) -> RegularGraph:
+    _check_table(n, n - 1)
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     return RegularGraph([[v for v in range(n) if v != u] for u in range(n)])
@@ -148,6 +159,7 @@ def random_regular(n: int, d: int, seed: int) -> RegularGraph:
     any outcome with loops or repeated edges, so accepted graphs are uniform
     over simple d-regular graphs.
     """
+    _check_table(n, d)
     if n * d % 2:
         raise ValueError("n * d must be even")
     if d >= n:
@@ -174,6 +186,7 @@ def random_regular_dense(n: int, d: int, seed: int) -> RegularGraph:
     is a sizable fraction of n, at the price of an asymptotically-uniform
     rather than exactly-uniform distribution.  Used for auxiliary expanders.
     """
+    _check_table(n, d)
     if n * d % 2:
         raise ValueError("n * d must be even")
     if d >= n:
@@ -376,8 +389,8 @@ def signed_operators(signing: Signing, chars, kind: str) -> np.ndarray:
     A[u, v] = chi(s_e) and A[v, u] its conjugate for each canonical edge
     e = (u, v); B[f, g] = chi(element on g) for each step f = (w -> x),
     g = (x -> y) with y != w, where directed edge 2e + 1 carries the
-    inverse of s_e.  Entries come from group.char_table, so they equal
-    group.char_value bit for bit.
+    inverse of s_e.  Entries come from group.char_table, so the stack of
+    -chi is the entrywise conjugate of that of chi.
     """
     base, group = signing.base, signing.group
     chars = np.asarray(chars, dtype=np.int64)

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def _validate_element(factors: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
     g = tuple(int(x) for x in g)
@@ -78,6 +76,10 @@ class AbelianGroup:
             raise ValueError("at least one cyclic factor required")
         if any(m < 1 for m in self.factors):
             raise ValueError("cyclic factor orders must be positive")
+        if (max(self.factors) ** 2 >= 2 ** 63
+                or len(self.factors) * math.lcm(*self.factors) >= 2 ** 63):
+            raise ValueError(f"factors {self.factors} are too large for "
+                             "char_table's int64 phases")
         if len(self.generator_perms) != len(self.factors):
             raise ValueError("one generator permutation per factor required")
         ell = self.fiber_size
@@ -151,26 +153,31 @@ class AbelianGroup:
         """(len(chars), len(elems)) table of chi(g) for the indices `chars`
         into characters() and `elems` into elements().
 
-        Each entry follows char_value's formula in numpy: the phase
-        c1 x1 / m1 + c2 x2 / m2 + ... is summed factor by factor from the
-        left, then cos and sin of TWO_PI * phase.  Each ci xi is an exact
-        float64 (ci xi < mi^2 <= 2^53), so entries equal char_value bit for
-        bit.
+        chi(g) = exp(2 pi i R / M), M the lcm of the factors and R the
+        integer phase sum_j (c_j x_j mod m_j) (M / m_j) mod M, exact in
+        int64 (every m_j^2 and k M, k factors, are below 2^63).  cos
+        and sin are taken at the reduced angle min(R, M - R) 2 pi / M, in
+        [0, pi], and the sine is negated when 2R > M and is exactly 0 when
+        2R = M.  So chi(-g) = conj chi(g)
+        (and (-chi)(g) = conj chi(g)) exactly, every self-conjugate
+        character is exactly +-1, and no entry drifts with the group order.
         """
         cs = np.unravel_index(np.asarray(chars, dtype=np.int64), self.factors)
         xs = np.unravel_index(np.asarray(elems, dtype=np.int64), self.factors)
-        angle = TWO_PI * sum(np.multiply.outer(c, x) / m
-                             for c, x, m in zip(cs, xs, self.factors))
-        out = np.empty(angle.shape, dtype=np.complex128)
-        out.real, out.imag = np.cos(angle), np.sin(angle)
+        big = math.lcm(*self.factors)
+        phase = sum(np.multiply.outer(c, x) % m * (big // m)
+                    for c, x, m in zip(cs, xs, self.factors)) % big
+        angle = np.minimum(phase, big - phase) * (2.0 * math.pi / big)
+        out = np.empty(phase.shape, dtype=np.complex128)
+        out.real = np.cos(angle)
+        out.imag = np.sign(big - 2 * phase) * np.sin(angle)
         return out
 
     def char_value(self, chi: Sequence[int], g: Sequence[int]) -> complex:
-        """chi(g) = exp(2*pi*i * sum_j chi_j g_j / m_j)."""
-        chi = _validate_element(self.factors, chi)
-        g = _validate_element(self.factors, g)
-        phase = sum(c * x / m for c, x, m in zip(chi, g, self.factors))
-        return complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase))
+        """chi(g), char_table's entry for one character and one element."""
+        idx = self.element_indices([_validate_element(self.factors, chi),
+                                    _validate_element(self.factors, g)])
+        return complex(self.char_table(idx[:1], idx[1:])[0, 0])
 
     def characters(self) -> list[tuple[int, ...]]:
         """All |H| characters, the trivial one first."""

@@ -36,9 +36,11 @@ from .serial import is_integer, is_number
 from .spectral import (PROBE_TOL, decomposition_probe, lambda2, lift_lambda,
                        spectrum_union_check)
 
-CERT_SCHEMA = "abelift.lift-certificate.v3"
-# still verified: v2 differs only in its crosscheck block, and v1
-# certificates are not replayed
+CERT_SCHEMA = "abelift.lift-certificate.v4"
+# still verified: v3 has v4's fields, with radii from an older phase rule,
+# v2 differs only in its crosscheck block, and v1 certificates are not
+# replayed
+CERT_SCHEMA_V3 = "abelift.lift-certificate.v3"
 CERT_SCHEMA_V2 = "abelift.lift-certificate.v2"
 CERT_SCHEMA_V1 = "abelift.lift-certificate.v1"
 # bound on the dense spectrum-union distance: a v1 or v2 certificate's
@@ -138,20 +140,18 @@ class _Pruner:
     character, over the base and group of the scan's first signing.
 
     One character of each conjugate pair {chi, -chi} is tested, the one of
-    smaller index: A(-chi) is the conjugate of A(chi) up to char_table's
-    rounding, with the same spectrum, and a skipped test only leaves a
-    signing to be solved in full.  Each A(chi) is written into one n x n
-    buffer, chi(s_e) at (u, v) and its conjugate at (v, u) for each
-    canonical edge e = (u, v), as graphs.signed_operators writes it.  A
-    self-conjugate A(chi) (2 chi = 0) is +-1 up to that rounding and is
-    factored in float64 (see reaches).  chi's values on every group
-    element are kept per character, up to STACK_BYTES of them; past that
-    a character is evaluated on the signing's entries alone.
+    smaller index: A(-chi) is the conjugate of A(chi) (char_table), with
+    the same spectrum.  Each A(chi) is written into one n x n buffer,
+    chi(s_e) at (u, v) and its conjugate at (v, u) for each canonical edge
+    e = (u, v), as graphs.signed_operators writes it.  A self-conjugate
+    A(chi) (2 chi = 0) is exactly real and is factored in float64.  chi's
+    values on every group element are kept per character, up to
+    STACK_BYTES of them; past that a character is evaluated on the
+    signing's entries alone.
     """
 
     def __init__(self, signing: Signing):
         self.group = signing.group
-        self.d = signing.base.d
         self.u, self.v = signing.base.edges.T
         n = signing.base.n
         self.mat = np.zeros((n, n), dtype=np.complex128)
@@ -178,11 +178,6 @@ class _Pruner:
         `bound` (spectral.radius_reaches).  Characters are tried in
         `order`, and the first proved moves to its front, so the next
         signing tries it first.
-
-        A self-conjugate A(chi) differs from its real part by a Hermitian
-        E of norm at most d max |Im chi(s_e)| (its largest row sum), so a
-        proof that the real part reaches bound + that norm proves, by
-        Weyl's inequality, that A(chi) reaches bound.
         """
         elems = self.group.element_indices(signing.values)
         for pos, k in enumerate(self.order):
@@ -190,12 +185,11 @@ class _Pruner:
             if self.self_conjugate[k]:
                 mat = self.real
                 mat[self.u, self.v] = mat[self.v, self.u] = vals.real
-                t = bound + self.d * np.abs(vals.imag).max()
             else:
-                mat, t = self.mat, bound
+                mat = self.mat
                 mat[self.u, self.v] = vals
                 mat[self.v, self.u] = vals.conj()
-            if spectral.radius_reaches(mat, t):
+            if spectral.radius_reaches(mat, bound):
                 self.order.insert(0, self.order.pop(pos))
                 return True
         return False
@@ -318,7 +312,7 @@ def _certificate(mode, base, group, signing, lam, lam_base, rhos, target,
     }
 
 
-_SCHEMAS = (CERT_SCHEMA, CERT_SCHEMA_V2, CERT_SCHEMA_V1)
+_SCHEMAS = (CERT_SCHEMA, CERT_SCHEMA_V3, CERT_SCHEMA_V2, CERT_SCHEMA_V1)
 
 
 class _Unread(Exception):
@@ -379,7 +373,7 @@ def _dist(x, r):
 # under those keys, and within provenance under their own.
 _TABLE = [
     ("schema", lambda x, r: x in _SCHEMAS,
-     f"{CERT_SCHEMA!r}, {CERT_SCHEMA_V2!r} or {CERT_SCHEMA_V1!r}"),
+     f"{', '.join(map(repr, _SCHEMAS[:-1]))} or {_SCHEMAS[-1]!r}"),
     ("tool", lambda x, r: isinstance(x, dict), "an object named 'abelift'"),
     ("tool.name", lambda x, r: x == "abelift", "'abelift'"),
     ("mode", lambda x, r: x in ("derandomized", "walk"),
@@ -413,9 +407,9 @@ _TABLE = [
         "form": "sqrt(d)*log2(d)", "value": (v := reference_lambda(
             r["base"].d)), "ratio": r["lambda_lift"] / v},
      "sqrt(d)*log2(d) and lambda_lift's ratio to it"),
-    ("walk v[23]:provenance.master_seed", lambda x, r: is_integer(x) and
+    ("walk v[234]:provenance.master_seed", lambda x, r: is_integer(x) and
      x >= 0, "a non-negative integer"),
-    ("walk v[23]:provenance.dprime", lambda x, r: is_integer(x),
+    ("walk v[234]:provenance.dprime", lambda x, r: is_integer(x),
      "an integer"),
     ("derandomized *:provenance.kind", lambda x, r: x == "biased-support",
      "'biased-support'"),
@@ -426,12 +420,12 @@ _TABLE = [
         "provenance"] or isinstance(x, str) and re.fullmatch(
         "[0-9a-f]{64}", x) is not None, "a sha256 hex digest"),
     ("crosscheck", lambda x, r: isinstance(x, dict), "an object"),
-    ("* v3:crosscheck.kind", lambda x, r: x == "fourier-probe",
+    ("* v[34]:crosscheck.kind", lambda x, r: x == "fourier-probe",
      "'fourier-probe'"),
-    ("* v3:crosscheck.tol", lambda x, r: x == PROBE_TOL, repr(PROBE_TOL)),
+    ("* v[34]:crosscheck.tol", lambda x, r: x == PROBE_TOL, repr(PROBE_TOL)),
     ("* v[12]:crosscheck.tol", lambda x, r: x == CROSSCHECK_TOL,
      repr(CROSSCHECK_TOL)),
-    ("* v3:crosscheck.max_error", lambda x, r: is_number(x) and
+    ("* v[34]:crosscheck.max_error", lambda x, r: is_number(x) and
      0 <= x <= PROBE_TOL, f"within [0, {PROBE_TOL!r}]"),
     ("* v[12]:crosscheck.max_distance", lambda x, r: is_number(x) and
      0 <= x <= CROSSCHECK_TOL, f"within [0, {CROSSCHECK_TOL!r}]"),
@@ -504,7 +498,7 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     list of what each field must hold), and each field that breaks a row
     is named under "invalid" with ok false; a group whose action is not
     regular breaks the group row, so nothing is solved.  Then lift_lambda
-    (errors within tol), a v3 or v2 walk's replay and
+    (errors within tol), a v2, v3 or v4 walk's replay and
     spectral.decomposition_probe (at every size, within PROBE_TOL) are
     checked against the fields read; check_lift=True also solves the
     built lift densely (CROSSCHECK_TOL).
@@ -520,7 +514,7 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
     lam, lam_base, rhos = lift_lambda(signing)
     try:
         invalid.update(_walk_replay_faults(read, signing, tol))
-    except _Unread:  # no v3 or v2 walk, or one whose replay reads a fault
+    except _Unread:  # no v2-v4 walk, or one whose replay reads a fault
         pass
 
     def error(field, value):
@@ -549,7 +543,7 @@ def verify_certificate(cert: dict, tol: float = 1e-9,
 
 
 def _walk_replay_faults(read: _Read, signing: Signing, tol: float) -> dict:
-    """Named mismatches between a v3 or v2 walk provenance and its replay;
+    """Named mismatches between a v2, v3 or v4 walk provenance and its replay;
     raises _Unread for any other certificate."""
     prov, index = read["provenance"], read["winner_index"]
     master = read["provenance.master_seed"]

@@ -38,7 +38,7 @@ from . import graphs, kernels
 from .graphs import (RegularGraph, Signing, lift,
                      nonbacktracking, signed_adjacency, signed_nonbacktracking,
                      signed_operators)
-from .groups import TWO_PI, _components, _validate_element
+from .groups import _components, _validate_element
 
 # Most bytes of candidate pairs _bottleneck_distance takes from its
 # real-part windows, at _PAIR_BYTES a pair: its tracemalloc peak per pair
@@ -285,26 +285,26 @@ def character_spectra(signing: Signing, chars, kind: str) -> np.ndarray:
     least) are solved by one batched call each, so every solved row equals
     the solve of that character's operator alone.
 
-    Non-backtracking rows are solved once per conjugate pair: B(-chi) is
-    the entrywise conjugate of B(chi), so when both are requested only the
-    smaller index is solved and the other row is its exact conjugate.  A
-    self-conjugate B(chi) (2 chi = 0) has entries +-1 up to char_table's
-    rounding and is solved as the real matrix B(chi).real.  A character
-    whose partner is not requested is solved alone, in complex.
+    Rows are solved once per conjugate pair: the operator of -chi is the
+    entrywise conjugate of that of chi (AbelianGroup.char_table), so when
+    both are requested only the smaller index is solved and the other row
+    is its conjugate (for "adjacency", the same real row).  A
+    self-conjugate operator (2 chi = 0) is exactly real and is solved as
+    its real part.  A character whose partner is not requested is solved
+    alone, in complex.
     """
     chars = np.asarray(chars, dtype=np.int64)
     if kind == "adjacency":
-        out = np.empty((chars.size, signing.base.n))
-        _solve_rows(signing, chars, kind, np.linalg.eigvalsh, out,
-                    np.arange(chars.size))
-        return out
+        solve, out = np.linalg.eigvalsh, np.empty((chars.size, signing.base.n))
+    else:
+        solve = np.linalg.eigvals
+        out = np.empty((chars.size, 2 * signing.base.m), dtype=np.complex128)
     neg = signing.group.inverse_indices(chars)
     real = neg == chars
     partner = ~real & (neg < chars) & np.isin(neg, chars)
-    out = np.empty((chars.size, 2 * signing.base.m), dtype=np.complex128)
-    _solve_rows(signing, chars, kind, lambda s: np.linalg.eigvals(s.real),
-                out, np.flatnonzero(real))
-    _solve_rows(signing, chars, kind, np.linalg.eigvals, out,
+    _solve_rows(signing, chars, kind, lambda s: solve(s.real), out,
+                np.flatnonzero(real))
+    _solve_rows(signing, chars, kind, solve, out,
                 np.flatnonzero(~real & ~partner))
     order = np.argsort(chars, kind="stable")
     rep = order[np.searchsorted(chars[order], neg[partner])]
@@ -520,13 +520,8 @@ def decomposition_probe(signing: Signing, lifted: RegularGraph | None = None,
 
     lhs = fourier(z[lifted.adj].sum(axis=1))
     zhat = fourier(z)
-    # chi(s_e) with each term c x / m reduced mod 1 in integers first:
-    # char_table's unreduced angles drift by about l eps (a probe error of
-    # 1.4e-12 at l = 4096), the FFT's twiddles do not
-    chars = np.unravel_index(np.arange(ell), group.factors)
-    turns = sum(np.multiply.outer(c, x) % m / m for c, x, m in
-                zip(chars, signing.values.T, group.factors))
-    vals = np.exp(TWO_PI * 1j * turns)  # (ell, m)
+    vals = group.char_table(np.arange(ell),
+                            group.element_indices(signing.values))  # (ell, m)
     phase = vals.T[base.eid_table]  # (n, d, ell): chi(s_e) on slot (u, j)
     backward = base.adj < np.arange(n)[:, None]
     phase[backward] = phase[backward].conj()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import kernels, pseudorandom, search, serial
+from abelift import graphs, kernels, pseudorandom, search, serial
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
@@ -232,9 +233,9 @@ def test_lift_search_refuses_an_unprovable_support_before_sampling(
 
 def test_biased_set_and_support_certificate_bytes_are_pinned(tmp_path,
                                                             monkeypatch):
-    # the v3 support fixture was written by these three commands: its meta
+    # the v4 support fixture was written by these three commands: its meta
     # pins the biased-set artifact's hash, and the certificate is the file
-    fixture = FIXTURES / "support_cert_v3.json"
+    fixture = FIXTURES / "support_cert_v4.json"
     monkeypatch.chdir(tmp_path)
     assert main(["gen-base", "--kind", "complete", "--n", "4",
                  "--out", "k4.json"]) == 0
@@ -357,6 +358,39 @@ def test_pseudorandom_hoeffding_refuses_a_walk_table_above_the_cap(
     payload = json.loads(capsys.readouterr().out)
     assert payload["failed"] is True
     assert "160000000000000000-byte walk table" in payload["error"]
+
+
+def _one_gib_address_space():
+    """Run in the child only: cap its address space at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["gen-base", "--kind", "cycle", "--n", "300000000"], 8 * 300000000 * 2),
+    (["gen-base", "--kind", "random", "--n", "100000000", "--d", "3"],
+     8 * 100000000 * 3),
+    (["gen-base", "--kind", "complete", "--n", "100000"], 8 * 100000 * 99999),
+    (["lift-search", "--mode", "walk", "--ell", str(2 ** 40), "--seeds", "1"],
+     8 * 2 ** 40 * 36),
+    (["pseudorandom", "hoeffding", "--ell", "1000000000"],
+     8 * 1000000000 * 36)],
+    ids=["cycle", "random", "complete", "walk-aux", "hoeffding-aux"])
+def test_oversized_graphs_are_refused_before_they_allocate(tmp_path, argv,
+                                                           table):
+    if argv[0] != "gen-base":
+        argv = argv + ["--graph", _write_graph(tmp_path / "g16.json",
+                                               random_regular(16, 3, seed=1))]
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "abelift.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_one_gib_address_space)
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    line, = proc.stdout.splitlines()
+    payload = json.loads(line)
+    assert payload["failed"] is True
+    assert (f"{table}-byte neighbour table, above the cap of "
+            f"{graphs.DENSE_BYTES} bytes") in payload["error"]
 
 
 def test_codes_toric_with_distance(tmp_path):

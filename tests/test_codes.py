@@ -15,8 +15,7 @@ from abelift.codes import (BudgetError, CSSCode, FreeActionReport,
                            _logical_upper_bound, circulant_structure_check,
                            code_dimension, css_valid, free_action_check,
                            group_algebra_from_blocks, lifted_product,
-                           local_code_search, min_distance, pairs_action_free,
-                           tanner_code, tanner_from_certificate, toric_code,
+                           local_code_search, min_distance, tanner_code, tanner_from_certificate, toric_code,
                            write_alist)
 from abelift.graphs import (RegularGraph, Signing, complete_graph,
                             petersen_graph, random_regular)
@@ -453,6 +452,31 @@ def test_free_action_names_a_fixed_vertex():
                             Signing.random(complete_graph(4), group, seed=1))
     assert not rep.vertices_free and not rep.ok
     assert rep.witness == ("vertex", (1,), 2)
+
+
+def _edge_action_fixed_pair(edge_pairs, perm) -> tuple | None:
+    """First unordered lifted edge fixed by the fiber permutation, if any."""
+    for (u, i), (v, j) in edge_pairs:
+        a = (u, int(perm[i]))
+        b = (v, int(perm[j]))
+        if {a, b} == {(u, i), (v, j)}:
+            return ((u, i), (v, j))
+    return None
+
+
+def pairs_action_free(group: AbelianGroup, edge_pairs):
+    """The pair oracle: is the fiber action free on an explicit unordered
+    pair list?  Returns (free, witness) with witness = (group element,
+    fixed pair).
+
+    Accepts self-pairings ((u, i), (u, j)): an order-2 shift can fix such
+    a pair by swapping its ends, which no lifted edge of a simple base is.
+    """
+    for g in group.elements()[1:]:
+        hit = _edge_action_fixed_pair(edge_pairs, group.perm_of(g))
+        if hit is not None:
+            return False, (g, hit)
+    return True, None
 
 
 def _reference_free_action_report(base, signing):

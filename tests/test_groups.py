@@ -121,8 +121,9 @@ def test_char_table_and_element_indices_follow_elements_order():
     cases = [
         (group, np.arange(24), [5, 0, 23, 5]),
         (AbelianGroup.product([3, 3]), np.arange(9), np.arange(9)),
-        # three inexact phases: summing them right to left moves 1,482 bits
+        # the phase is taken mod lcm(3, 5, 7) = 105 and mod lcm(3, 6) = 6
         (AbelianGroup.product([3, 5, 7]), np.arange(105), np.arange(105)),
+        (AbelianGroup.product([3, 6]), np.arange(18), np.arange(18)),
         # non-regular: Z2 acting on four points with two orbits
         (AbelianGroup([2], [np.array([1, 0, 3, 2])]), [1, 0], [0, 1, 1]),
         (big, sampled, sampled[::-1]),
@@ -131,9 +132,66 @@ def test_char_table_and_element_indices_follow_elements_order():
         table = grp.char_table(chars, elems)
         assert table.shape == (len(chars), len(elems))
         chis, gs = grp.characters(), grp.elements()
-        for c, chi in enumerate(chars):
-            for j, g in enumerate(elems):
-                assert table[c, j] == grp.char_value(chis[chi], gs[g])
+        # every pair, or the big table's diagonal (char_value is a scalar
+        # call of tens of microseconds)
+        rows, cols = (np.diag_indices(len(chars)) if grp is big else
+                      np.indices(table.shape).reshape(2, -1))
+        values = np.array([grp.char_value(chis[chars[c]], gs[elems[j]])
+                           for c, j in zip(rows, cols)])
+        assert values.tobytes() == table[rows, cols].tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("group", [
+    AbelianGroup.cyclic(2), AbelianGroup.cyclic(3), AbelianGroup.cyclic(16),
+    AbelianGroup.product([2, 4]), AbelianGroup.product([3, 6]),
+    AbelianGroup.cyclic(4096)], ids=["Z2", "Z3", "Z16", "Z2xZ4", "Z3xZ6",
+                                     "Z4096"])
+def test_conjugate_characters_are_exact_conjugates(group):
+    """chi(-g) and (-chi)(g) equal conj chi(g) exactly, and a
+    self-conjugate character is exactly +-1."""
+    every = np.arange(group.order)
+    neg = group.inverse_indices(every)
+    rows = every if group.order <= 64 else np.r_[0:8, 2045:2052, 4088:4096]
+    table = group.char_table(rows, every)
+    assert np.array_equal(table[:, neg], table.conj())
+    assert np.array_equal(group.char_table(neg[rows], every), table.conj())
+    real = table[neg[rows] == rows]
+    assert real.size and not real.imag.any()
+    assert set(real.real.ravel().tolist()) <= {-1.0, 1.0}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is float64 on this platform")
+def test_char_table_entries_lie_within_two_eps_of_long_double():
+    """At l = 65536 every entry of the table is character 1's entry at the
+    integer phase R = c x mod l, so that row holds every entry; a sample of
+    other characters confirms it."""
+    ell = 65536
+    group = AbelianGroup.cyclic(ell)
+    x = np.arange(ell)
+    row = group.char_table([1], x)[0]
+    angle = x.astype(np.longdouble) * (
+        np.longdouble("6.283185307179586476925286766559005768") / ell)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(row.real - np.cos(angle)).max() <= 2 * eps
+    assert np.abs(row.imag - np.sin(angle)).max() <= 2 * eps
+    rng = np.random.default_rng(1)
+    chars, elems = rng.integers(ell, size=(2, 64))
+    table = group.char_table(chars, elems)
+    assert np.array_equal(table, row[np.multiply.outer(chars, elems) % ell])
+
+
+def test_factors_beyond_exact_int64_phases_are_refused():
+    # 3^25 squared overflows int64, so c x mod m would come out wrong
+    with pytest.raises(ValueError, match=r"factors \(847288609443,\) are "
+                       "too large for char_table's int64 phases"):
+        AbelianGroup((3 ** 25,), ((0,),))
+    with pytest.raises(ValueError, match="too large"):
+        AbelianGroup((2 ** 31, 2 ** 31 - 1, 2 ** 30 - 1), ((0,),) * 3)
+    m = 3 ** 19  # one point, on which every element acts trivially
+    big = AbelianGroup((m,), ((0,),))
+    value = big.char_table([m - 2], [m - 2])[0, 0]
+    assert abs(value - np.exp(2j * np.pi * ((m - 2) ** 2 % m) / m)) < 1e-12
 
 
 def test_inverse_indices_follow_inverse():

@@ -20,7 +20,7 @@ from abelift.pseudorandom import (BiasedSet, auxiliary_expander,
                                   biased_set_search, effective_walk_degree,
                                   expander_walk_signing)
 from abelift.search import (CERT_SCHEMA, CERT_SCHEMA_V1, CERT_SCHEMA_V2,
-                            derandomized_lift_search,
+                            CERT_SCHEMA_V3, derandomized_lift_search,
                             exponential_regime_build, markov_bound_report,
                             reference_lambda, verify_certificate)
 from abelift.spectral import lift_lambda, spectrum_union_check
@@ -148,6 +148,7 @@ def test_verify_names_a_forged_schema_and_mode():
     assert not report["ok"]
     assert report["invalid"] == {
         "schema": "'abelift.lift-certificate.v9', expected "
+                  "'abelift.lift-certificate.v4', "
                   "'abelift.lift-certificate.v3', "
                   "'abelift.lift-certificate.v2' or "
                   "'abelift.lift-certificate.v1'",
@@ -318,14 +319,20 @@ def test_v2_fixtures_verify_to_their_recorded_reports(mode):
 
 @pytest.mark.parametrize("mode", ["walk", "support"])
 def test_v3_fixtures_verify_to_their_recorded_reports(mode):
-    assert _fixture_cert(f"{mode}_cert_v3")["schema"] == CERT_SCHEMA
+    assert _fixture_cert(f"{mode}_cert_v3")["schema"] == CERT_SCHEMA_V3
     _assert_fixture_report(mode, "v3")
 
 
-# the dense distances the v1 and v2 fixture reports recorded before the
-# probe became the verifier's only default lift check
+@pytest.mark.parametrize("mode", ["walk", "support"])
+def test_v4_fixtures_verify_to_their_recorded_reports(mode):
+    assert _fixture_cert(f"{mode}_cert_v4")["schema"] == CERT_SCHEMA
+    _assert_fixture_report(mode, "v4")
+
+
+# the dense distances of the v1 and v2 fixtures, which their reports
+# recorded before the probe became the verifier's only default lift check
 @pytest.mark.parametrize("mode, distance", [
-    ("walk", 8.881784197001252e-16), ("support", 1.3322676295501878e-15)])
+    ("walk", 1.3322676295501878e-15), ("support", 1.1102230246251565e-15)])
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_check_lift_reproduces_the_recorded_dense_distances(mode, distance,
                                                             version):
@@ -351,13 +358,14 @@ def test_v2_walk_fixture_replays_its_provenance():
 def test_v2_fixtures_with_an_unknown_schema_are_rejected(mode):
     cert = _fixture_cert(f"{mode}_cert_v2")
     report = verify_certificate(dict(cert,
-                                     schema="abelift.lift-certificate.v4"))
+                                     schema="abelift.lift-certificate.v5"))
     assert not report["ok"] and set(report["invalid"]) == {"schema"}
 
 
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
                                   "walk_cert_v2", "support_cert_v2",
-                                  "walk_cert_v3", "support_cert_v3"])
+                                  "walk_cert_v3", "support_cert_v3",
+                                  "walk_cert_v4", "support_cert_v4"])
 def test_verify_names_each_missing_field(name):
     cert = _fixture_cert(name)
     assert verify_certificate(cert)["ok"]
@@ -414,7 +422,8 @@ def test_verify_names_a_part_that_cannot_be_read(field, value, named, reason):
 
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
                                   "walk_cert_v2", "support_cert_v2",
-                                  "walk_cert_v3", "support_cert_v3"])
+                                  "walk_cert_v3", "support_cert_v3",
+                                  "walk_cert_v4", "support_cert_v4"])
 def test_verify_names_a_forged_tool(name):
     cert = _fixture_cert(name)
     honest = verify_certificate(cert)
@@ -480,6 +489,7 @@ _STILL_OK = {
     # an auxiliary degree past ell - 1 is capped, to the same dprime_used
     ("walk_cert_v2", "dprime"): [10 ** 30],
     ("walk_cert_v3", "dprime"): [10 ** 30],
+    ("walk_cert_v4", "dprime"): [10 ** 30],
     # v1 walks record their auxiliary graph under "walk" and are not
     # replayed, so nothing reads these fields
     **{("walk_cert_v1", key): _MUTATIONS
@@ -493,7 +503,8 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("name", ["walk_cert_v1", "support_cert_v1",
                                   "walk_cert_v2", "support_cert_v2",
-                                  "walk_cert_v3", "support_cert_v3"])
+                                  "walk_cert_v3", "support_cert_v3",
+                                  "walk_cert_v4", "support_cert_v4"])
 def test_every_field_mutation_is_named_or_fails_its_errors(name):
     """Each top-level and provenance field of a fixture, set to each of ten
     values: the verifier never raises and never reports a NaN.  A value
@@ -562,7 +573,7 @@ def test_verify_holds_the_support_provenance_to_the_scan():
 SUPPORT_BIAS = 0.36827299656640594
 
 
-@pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4"])
 @pytest.mark.parametrize("claimed, verified, fault", [
     (0.6, {"mode": "exact", "value": SUPPORT_BIAS}, None),
     (SUPPORT_BIAS, {"mode": "exact", "value": SUPPORT_BIAS}, None),
@@ -623,33 +634,33 @@ def test_verify_keeps_a_null_target_valid():
     assert report["ok"] and "invalid" not in report
 
 
-def _without_schema_and_crosscheck(cert):
-    return serial.canonical_json({k: v for k, v in cert.items()
-                                  if k not in ("schema", "crosscheck")})
-
-
 def test_certificates_changed_only_their_schema_and_crosscheck():
-    # the searches the fixtures' CLI runs made
+    # the searches the fixtures' CLI runs made, exactly the v4 fixtures;
+    # from v3 they also moved their floats in the last bits
     dist = biased_set_search(3, 6, 0.6, 40)
     support = derandomized_lift_search(
         complete_graph(4), AbelianGroup.cyclic(3), dist).certificate
     walk = exponential_regime_build(complete_graph(4), 3, 2).certificate
-    for cert, name, olds in (
-            (support, "support_cert_v3",
-             ("support_cert_v1", "support_cert_v2")),
-            (walk, "walk_cert_v3", ("walk_cert_v2",))):
+    for cert, mode in ((support, "support"), (walk, "walk")):
         assert cert["schema"] == CERT_SCHEMA
-        assert cert == _fixture_cert(name)
+        assert cert == _fixture_cert(f"{mode}_cert_v4")
         check = cert["crosscheck"]
         assert check == {"kind": "fourier-probe", "count": 1,
                          "max_error": check["max_error"],
                          "tol": spectral.PROBE_TOL}
         assert check["max_error"] <= 1e-12
-        for name in olds:
-            old = _fixture_cert(name)
-            assert set(old) == set(cert)
-            assert (_without_schema_and_crosscheck(cert)
-                    == _without_schema_and_crosscheck(old))
+        # -chi's radius is chi's, bit for bit
+        rhos = cert["per_character_rho"]
+        assert rhos == rhos[::-1]
+        old = _fixture_cert(f"{mode}_cert_v3")
+        assert set(old) == set(cert)
+        assert abs(old["lambda_lift"] - cert["lambda_lift"]) <= 1e-14
+        assert old["lambda_base"] == cert["lambda_base"]
+    # the v3 support winner (index 30) ties index 25 at the exact lambda
+    # (1 + sqrt 13) / 2; the first strict minimum moved with the last bits
+    assert (_fixture_cert("support_cert_v3")["winner_index"],
+            support["winner_index"]) == (30, 25)
+    assert walk["signing"] == _fixture_cert("walk_cert_v3")["signing"]
 
 
 def test_negative_crosscheck_cadence_is_refused_before_any_work(monkeypatch):
@@ -767,7 +778,8 @@ def test_small_certificates_are_checked_by_the_probe(monkeypatch):
     assert report == dict(dense, lift_union_distance=None)
 
 
-@pytest.mark.parametrize("name", ["support_cert_v3", "walk_cert_v3"])
+@pytest.mark.parametrize("name", ["support_cert_v3", "walk_cert_v3",
+                                  "support_cert_v4", "walk_cert_v4"])
 @pytest.mark.parametrize("block, reason", [
     ({"kind": "fourier-probe", "count": 99, "max_error": 5.0, "tol": 1e9},
      "tol 1000000000.0, expected 1e-10"),

@@ -283,8 +283,8 @@ def _reference_nonbacktracking(signing, chi):
 
 
 def _reference_spectra(signing):
-    """The per-character loops: eigvalsh rows of every A(chi), which the
-    batched engine reproduces exactly, and eigvals rows of every B(chi)."""
+    """The per-character loops: eigvalsh rows of every A(chi) and eigvals
+    rows of every B(chi), each operator solved in complex on its own."""
     chars = signing.group.characters()
     return (np.array([np.linalg.eigvalsh(_reference_adjacency(signing, chi))
                       for chi in chars]),
@@ -292,27 +292,32 @@ def _reference_spectra(signing):
                       for chi in chars]))
 
 
-def _assert_paired_nb_rows(signing, chars, got, nb_ref):
-    """The contract of character_spectra's non-backtracking rows.
+def _assert_paired_rows(signing, chars, got, ref, kind):
+    """The contract of character_spectra's rows, for either kind.
 
-    A self-conjugate character's row is the real solve of B(chi) alone and
-    a representative's (or lone character's) the complex solve, bit for
-    bit; a requested -chi > chi gets the exact conjugate of chi's row.
-    Every row is the reference loop's row as a multiset within 1e-12.
+    A self-conjugate character's row is the real solve of its operator
+    alone and a representative's (or lone character's) the complex solve,
+    bit for bit; a requested -chi > chi gets the exact conjugate of chi's
+    row.  Every row is the reference loop's row as a multiset within 1e-12.
     """
     group = signing.group
+    build, solve = {
+        "adjacency": (_reference_adjacency, np.linalg.eigvalsh),
+        "nonbacktracking": (_reference_nonbacktracking, np.linalg.eigvals),
+    }[kind]
     chars = [int(c) for c in chars]
     for i, c in enumerate(chars):
         chi = group.characters()[c]
         neg = group.element_indices([group.inverse(chi)])[0]
-        mat = _reference_nonbacktracking(signing, chi)
+        mat = build(signing, chi)
         if neg == c:
-            assert np.array_equal(got[i], np.linalg.eigvals(mat.real))
+            assert not mat.imag.any()
+            assert np.array_equal(got[i], solve(mat.real))
         elif neg < c and neg in chars:
             assert np.array_equal(got[i], got[chars.index(neg)].conj())
         else:
-            assert np.array_equal(got[i], np.linalg.eigvals(mat))
-        assert multiset_max_distance(got[i], nb_ref[c]) <= 1e-12
+            assert np.array_equal(got[i], solve(mat))
+        assert multiset_max_distance(got[i], ref[c]) <= 1e-12
 
 
 @pytest.mark.parametrize("group", [
@@ -324,9 +329,10 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     sg = Signing.random(base, group, seed=5)
     ref, nb_ref = _reference_spectra(sg)
     every = np.arange(group.order)
-    assert np.array_equal(character_spectra(sg, every, "adjacency"), ref)
+    rows = character_spectra(sg, every, "adjacency")
+    _assert_paired_rows(sg, every, rows, ref, "adjacency")
     nb_rows = character_spectra(sg, every, "nonbacktracking")
-    _assert_paired_nb_rows(sg, every, nb_rows, nb_ref)
+    _assert_paired_rows(sg, every, nb_rows, nb_ref, "nonbacktracking")
 
     if group.irregularity:
         # characters missing from the lift would count in its lambda
@@ -334,7 +340,7 @@ def test_batched_spectra_equal_the_per_character_loop(group):
             lift_lambda(sg)
     else:
         lam, lam_base, rhos = lift_lambda(sg)
-        assert rhos == [float(np.abs(eigs).max()) for eigs in ref[1:]]
+        assert rhos == [float(np.abs(eigs).max()) for eigs in rows[1:]]
         assert lam_base == lambda2(base)
         assert lam == max([lam_base] + rhos)
         assert lift_lambda(sg, lam_base) == (lam, lam_base, rhos)
@@ -349,7 +355,8 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     lifted = lift(base, sg, allow_disconnected=True)
     alpha = adjacency_spectrum(lifted)
     rep = spectrum_union_check(sg, include_nonbacktracking=True)
-    assert rep.adjacency_distance == multiset_max_distance(alpha, union(ref))
+    assert rep.adjacency_distance == multiset_max_distance(alpha,
+                                                           union(rows))
     assert rep.nb_distance == multiset_max_distance(
         union(nb_rows),
         ihara_bass_spectrum(alpha, base.d, lifted.m - lifted.n))
@@ -464,17 +471,12 @@ def test_non_transitive_group_has_zero_multiplicity_characters():
 def test_chunked_stacks_equal_one_stack(monkeypatch):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, AbelianGroup.cyclic(16), seed=6)
-    ref, nb_ref = _reference_spectra(sg)
-    assert np.array_equal(character_spectra(sg, np.arange(16), "adjacency"),
-                          ref)
-    _assert_paired_nb_rows(
-        sg, np.arange(16),
-        character_spectra(sg, np.arange(16), "nonbacktracking"), nb_ref)
-    for kind, dim in zip(["adjacency", "nonbacktracking"],
-                         [base.n, 2 * base.m]):
+    for kind, ref, dim in zip(["adjacency", "nonbacktracking"],
+                              _reference_spectra(sg), [base.n, 2 * base.m]):
         whole = character_spectra(sg, np.arange(16), kind)
-        # three operators per stack: adjacency chunks of 3, 3, 3, 3, 3 and
-        # 1; non-backtracking real chunk {0, 8}, complex 3, 3 and 1 of 1..7
+        _assert_paired_rows(sg, np.arange(16), whole, ref, kind)
+        # three operators per stack: the real chunk {0, 8}, then complex
+        # chunks of 3, 3 and 1 of the representatives 1..7
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "STACK_BYTES", 3 * 16 * dim ** 2 + 1)
             assert np.array_equal(character_spectra(sg, np.arange(16), kind),
@@ -616,9 +618,14 @@ def test_large_group_peak_memory_stays_within_the_stack_cap():
     # slack: the table columns in use, each chunk's edge values, the output
     assert peak <= spectral.STACK_BYTES + (8 << 20)
     assert len(rhos) == group.order - 1
-    for c in (1, 2047, 4095):
-        mat = _reference_adjacency(sg, group.characters()[c])
-        assert rhos[c - 1] == float(np.abs(np.linalg.eigvalsh(mat)).max())
+    # representatives 1 and 2047 solved in complex, 2048 = -2048 as real,
+    # and 4095 = -1 and 2049 = -2047 copied from their partners
+    for c, solved, real in ((1, 1, False), (2047, 2047, False),
+                            (2048, 2048, True), (4095, 1, False),
+                            (2049, 2047, False)):
+        mat = _reference_adjacency(sg, group.characters()[solved])
+        eigs = np.linalg.eigvalsh(mat.real if real else mat)
+        assert rhos[c - 1] == float(np.abs(eigs).max())
 
 
 def _relabelled(group, seed):
@@ -654,6 +661,43 @@ def test_decomposition_probe_agrees_with_the_union_check(name):
         sg = Signing.random(base, group, seed=seed)
         assert spectrum_union_check(sg).passed
         assert spectral.decomposition_probe(sg, seed=seed) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*_PROBE_GROUPS, "Z3xZ6"])
+def test_operators_of_minus_chi_are_exact_conjugates(name):
+    """A(-chi) and B(-chi) equal the conjugates of A(chi) and B(chi) entry
+    for entry, and a self-conjugate operator has no imaginary part."""
+    group = _PROBE_GROUPS.get(name) or AbelianGroup.product([3, 6])
+    every = np.arange(group.order)
+    neg = group.inverse_indices(every)
+    sg = Signing.random(random_regular(12, 3, seed=4), group, seed=5)
+    for kind in ("adjacency", "nonbacktracking"):
+        ops = graphs.signed_operators(sg, every, kind)
+        assert np.array_equal(ops[neg], ops.conj())
+        assert not ops[neg == every].imag.any()
+
+
+def test_lift_lambda_solves_each_conjugate_pair_once(monkeypatch):
+    solved = []
+    solve = np.linalg.eigvalsh
+
+    def spy(a):
+        solved.append((a.dtype.kind, a.size // a.shape[-1] ** 2))
+        return solve(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    sg = Signing.random(random_regular(12, 3, seed=4),
+                        AbelianGroup.cyclic(16), seed=5)
+    rhos = lift_lambda(sg, lam_base=0.0)[2]
+    # character 8 alone in float64, representatives 1..7 in one stack
+    assert solved == [("f", 1), ("c", 7)]
+    assert rhos == rhos[::-1]
+
+
+@pytest.mark.parametrize("ell", [4096, 65536])
+def test_decomposition_probe_error_does_not_grow_with_the_group(ell):
+    sg = Signing.random(random_regular(16, 3, seed=1),
+                        AbelianGroup.cyclic(ell), seed=2)
+    assert spectral.decomposition_probe(sg) <= 1e-15
 
 
 @pytest.mark.parametrize("ell", [16, 4096])

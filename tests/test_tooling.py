@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import subprocess
@@ -220,3 +221,18 @@ def test_searches_verify_union_check_and_tanner_import_no_scipy_package(
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split("\n")[-2].split() == [_LAPACK]
+
+
+def test_every_certificate_schema_has_its_fixtures():
+    """Each schema the verifier accepts has a walk and a support fixture
+    of that schema, each with its recorded report, so a schema bump
+    cannot ship without them."""
+    from abelift import search
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    for schema in search._SCHEMAS:
+        version = schema.rpartition(".")[2]
+        for mode in ("walk", "support"):
+            cert = json.loads((fixtures / f"{mode}_cert_{version}.json"
+                               ).read_text())["certificate"]
+            assert cert["schema"] == schema
+            assert (fixtures / f"{mode}_report_{version}.json").is_file()
