@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2, kernels
-from .graphs import RegularGraph, Signing
+from .graphs import DENSE_BYTES, RegularGraph, Signing
 from .groups import AbelianGroup
 from .search import read_signing
 
@@ -156,10 +156,21 @@ def local_code_search(block_length: int, distance_target: int,
 # ---------------------------------------------------------------------------
 
 def _circulant_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """Entry (i, j) as its ell x ell shift-matrix sum, [i, j, a, b] = [x^(b-a)]."""
-    ell = coeffs.shape[2]
-    idx = np.arange(ell)
-    return coeffs[:, :, (idx[None, :] - idx[:, None]) % ell]
+    """Entry (i, j) as its ell x ell shift-matrix sum, [i, j, a, b] = [x^(b-a)].
+
+    Blocks of more than graphs.DENSE_BYTES in all are refused before
+    anything is allocated.  Row a of a block is the window ell - a of the
+    doubled coefficients, so no ell x ell index is allocated either.
+    """
+    rows, cols, ell = coeffs.shape
+    size = rows * ell * cols * ell
+    if size > DENSE_BYTES:
+        raise ValueError(f"expanding a {rows} x {cols} matrix over "
+                         f"F2[Z_{ell}] takes {size} bytes, above the cap of "
+                         f"{DENSE_BYTES} bytes")
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([coeffs, coeffs], axis=2), ell, axis=2)
+    return windows[:, :, ell - np.arange(ell)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +222,9 @@ class GroupAlgebraMatrix:
             self.ell, self.coeffs.transpose(1, 0, 2)[:, :, negated])
 
     def matmul(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
-        """Ring product: a cyclic convolution of exponents, summed mod 2."""
+        """Ring product: a cyclic convolution of exponents, summed mod 2,
+        through other's circulant blocks (refused, as by expand, above
+        graphs.DENSE_BYTES)."""
         if self.ell != other.ell:
             raise ValueError("mismatched ell")
         if self.shape[1] != other.shape[0]:
@@ -222,7 +235,11 @@ class GroupAlgebraMatrix:
         return GroupAlgebraMatrix(self.ell, prod & 1)
 
     def expand(self) -> np.ndarray:
-        """Binary block matrix with P_e[i, (i+e) % ell] = 1 for each shift e."""
+        """Binary block matrix with P_e[i, (i+e) % ell] = 1 for each shift e.
+
+        An expansion of more than graphs.DENSE_BYTES is refused by a
+        ValueError naming its bytes, before anything is allocated.
+        """
         rows, cols = self.shape
         return _circulant_blocks(self.coeffs).transpose(0, 2, 1, 3).reshape(
             rows * self.ell, cols * self.ell)
@@ -337,7 +354,9 @@ def lifted_product(A: GroupAlgebraMatrix, B: GroupAlgebraMatrix) -> CSSCode:
     2 l^2-qubit toric code here, where theirs has 2 l qubits.
     With H1 = expand(A) and H2 = expand(B*) = expand(B)^T,
     H_X = [H1 x I | I x H2^T] and H_Z = [I x H2 | H1^T x I]; the mixed
-    Kronecker identity makes the pair commute entrywise over F2.
+    Kronecker identity makes the pair commute entrywise over F2.  A pair
+    whose larger check matrix would take more than graphs.DENSE_BYTES is
+    refused before the product is built.
     """
     if A.ell != B.ell:
         raise ValueError("factors must share ell")
@@ -345,6 +364,10 @@ def lifted_product(A: GroupAlgebraMatrix, B: GroupAlgebraMatrix) -> CSSCode:
     h2 = B.expand().T
     m1, n1 = h1.shape
     m2, n2 = h2.shape
+    size = max(m1 * n2, n1 * m2) * (n1 * n2 + m1 * m2)
+    if size > DENSE_BYTES:
+        raise ValueError(f"the product's check matrices take up to {size} "
+                         f"bytes each, above the cap of {DENSE_BYTES} bytes")
     hx = np.hstack([np.kron(h1, np.eye(n2, dtype=np.uint8)),
                     np.kron(np.eye(m1, dtype=np.uint8), h2.T)])
     hz = np.hstack([np.kron(np.eye(n1, dtype=np.uint8), h2),

@@ -6,13 +6,16 @@ character the whole spectrum is nontrivial and the spectral radius is
 used directly.
 
 The spectrum-union check compares a built lift with the union of its
-signed character spectra.  Its non-backtracking half takes the lift's NB
-spectrum from the lift's adjacency eigenvalues by the Ihara-Bass theorem
-(ihara_bass_spectrum) and solves only the small per-character B(chi)
-directly, one solve per conjugate pair {chi, -chi} (B(-chi) is the
-conjugate of B(chi)) and a real solve per self-conjugate chi; near the
-double root alpha^2 = 4 (d - 1), where the root formula loses accuracy,
-it solves the lifted NB operator densely instead.  The two complex
+signed character spectra.  Its non-backtracking half takes both NB
+spectra by one rule from adjacency eigenvalues already solved: the lift's
+from the lift's, and each B(chi)'s from its A(chi) row, by the Ihara-Bass
+theorem (ihara_bass_spectrum; for a character, Bass's twisted identity
+det(I - u B(chi)) = (1 - u^2)^(m - n) det(I - u A(chi) + (d - 1) u^2 I)).
+An operator is solved densely only when d = 1 or when one of its
+adjacency eigenvalues lies near the double root alpha^2 = 4 (d - 1),
+where the root formula loses accuracy.  What the eigensolve of B(chi) used
+to witness, that B(chi) is A(chi)'s non-backtracking operator, is checked
+exactly on the operators instead (_check_nonbacktracking).  The two complex
 multisets are matched by multiset_max_distance, which returns the exact
 bottleneck value (the least max distance over all matchings), in numpy
 alone.  radius_reaches's potrf is the one use of scipy: its compiled
@@ -46,15 +49,16 @@ from .groups import _components, _validate_element
 # distance).  The default is 2^20 pairs.
 _PAIR_BYTES = 48
 _WINDOW_BYTES = 48 << 20
-# Smallest |disc| = |alpha^2 - 4 (d - 1)| over the lifted adjacency
-# eigenvalues at which the union check trusts the Ihara-Bass roots.  A root
+# Smallest |disc| = |alpha^2 - 4 (d - 1)| over an operator's adjacency
+# eigenvalues at which the union check trusts the Ihara-Bass roots, on both
+# sides: the lift's eigenvalues and each character's A(chi) row.  A root
 # (alpha +- sqrt(disc)) / 2 moves by about d_alpha |alpha| / (2 sqrt|disc|)
 # when alpha moves by d_alpha, and |alpha| / 2 = sqrt(d - 1 + disc / 4).
 # eigvalsh is backward stable, so d_alpha is a small multiple of
 # eps ||A|| = 2.2e-16 d; take d_alpha = 1e-14.  At |disc| >= 1e-6 the root
 # error is then at most about 1e-11 sqrt(d - 1), under tol / 100 = 1e-10
-# at the default tol for every d <= 100.  Below it the lifted NB operator
-# is solved densely.
+# at the default tol for every d <= 100.  Below it the operator (the
+# lifted NB operator, or B(chi)) is solved densely.
 IHARA_BASS_MIN_DISC = 1e-6
 # Largest (characters, n, n) complex128 operator stack built at once; the
 # characters of a larger group are solved in chunks that fit.
@@ -278,38 +282,105 @@ def _transport_feasible(supply, demand, tails, heads) -> bool:
 # character decomposition of a lift spectrum
 # ---------------------------------------------------------------------------
 
-def character_spectra(signing: Signing, chars, kind: str) -> np.ndarray:
+def character_spectra(signing: Signing, chars, kind: str,
+                      adjacency: np.ndarray | None = None) -> np.ndarray:
     """Spectra of graphs.signed_operators(signing, chars, kind), one row per
-    character: ascending eigvalsh rows for "adjacency", eigvals rows for
+    character: ascending eigvalsh rows for "adjacency", complex rows for
     "nonbacktracking".  Stacks of at most STACK_BYTES (one operator at
     least) are solved by one batched call each, so every solved row equals
     the solve of that character's operator alone.
 
-    Rows are solved once per conjugate pair: the operator of -chi is the
+    Rows are found once per conjugate pair: the operator of -chi is the
     entrywise conjugate of that of chi (AbelianGroup.char_table), so when
-    both are requested only the smaller index is solved and the other row
+    both are requested only the smaller index is found and the other row
     is its conjugate (for "adjacency", the same real row).  A
     self-conjugate operator (2 chi = 0) is exactly real and is solved as
-    its real part.  A character whose partner is not requested is solved
-    alone, in complex.
+    its real part.  A character whose partner is not requested is found
+    alone.
+
+    A "nonbacktracking" row is ihara_bass_spectrum of the character's
+    "adjacency" row (`adjacency`, the rows of this function for the same
+    chars, solved here when not given), once _check_nonbacktracking has
+    checked that B(chi) is A(chi)'s non-backtracking operator.  B(chi) is
+    solved densely, in eigvals, only when d = 1 or when the row has an
+    eigenvalue within IHARA_BASS_MIN_DISC of the double root (_nb_dense).
     """
     chars = np.asarray(chars, dtype=np.int64)
-    if kind == "adjacency":
-        solve, out = np.linalg.eigvalsh, np.empty((chars.size, signing.base.n))
-    else:
-        solve = np.linalg.eigvals
-        out = np.empty((chars.size, 2 * signing.base.m), dtype=np.complex128)
+    base = signing.base
     neg = signing.group.inverse_indices(chars)
     real = neg == chars
     partner = ~real & (neg < chars) & np.isin(neg, chars)
+    if kind == "adjacency":
+        solve, out = np.linalg.eigvalsh, np.empty((chars.size, base.n))
+        dense = np.ones(chars.size, dtype=bool)
+    elif kind == "nonbacktracking":
+        if adjacency is None:
+            adjacency = character_spectra(signing, chars, "adjacency")
+        solve = np.linalg.eigvals
+        out = np.empty((chars.size, 2 * base.m), dtype=np.complex128)
+        dense = _nb_dense(adjacency, base.d)
+        derived = np.flatnonzero(~dense & ~partner)
+        if derived.size:
+            _check_nonbacktracking(signing, chars[derived])
+            out[derived] = ihara_bass_spectrum(adjacency[derived], base.d,
+                                               base.m - base.n)
+    else:
+        raise ValueError("kind must be 'adjacency' or 'nonbacktracking'")
     _solve_rows(signing, chars, kind, lambda s: solve(s.real), out,
-                np.flatnonzero(real))
+                np.flatnonzero(dense & real))
     _solve_rows(signing, chars, kind, solve, out,
-                np.flatnonzero(~real & ~partner))
+                np.flatnonzero(dense & ~real & ~partner))
     order = np.argsort(chars, kind="stable")
     rep = order[np.searchsorted(chars[order], neg[partner])]
     out[partner] = out[rep].conj()
     return out
+
+
+def _nb_dense(alpha, d: int) -> np.ndarray:
+    """Whether the non-backtracking spectrum that goes with each row of
+    adjacency eigenvalues alpha (the last axis) is solved densely rather
+    than by ihara_bass_spectrum: when d = 1, where no Ihara-Bass excess
+    exists, or when some alpha lies within IHARA_BASS_MIN_DISC of the
+    double root alpha^2 = 4 (d - 1)."""
+    disc = np.abs(alpha * alpha - 4.0 * (d - 1))
+    return (disc < IHARA_BASS_MIN_DISC).any(axis=-1) | (d < 2)
+
+
+def _check_nonbacktracking(signing: Signing, chars: np.ndarray) -> None:
+    """Raise RuntimeError, naming the character, unless the premises of the
+    twisted Ihara-Bass identity hold exactly for graphs.signed_operators'
+    A(chi) and B(chi) of every character in chars: A(chi) is Hermitian
+    with its only nonzero entries on the 2m directed edges, and B(chi) is
+    its non-backtracking operator, B[f, g] = A[x, y] on every step
+    f = (w -> x), g = (x -> y) with y != w, and zero elsewhere.  Character
+    values have modulus 1, so count_nonzero counts the steps exactly.
+
+    The steps come from base.directed_edges() alone, not from the slot
+    tables signed_operators builds with, and one character's operators
+    are built at a time.  O(m d) entries are compared per character.
+    """
+    base = signing.base
+    tail, head = base.directed_edges().T
+    leaving = np.argsort(tail, kind="stable").reshape(base.n, base.d)
+    f = np.repeat(np.arange(2 * base.m), base.d)
+    g = leaving[head].ravel()  # the d edges leaving the head of each f
+    step = head[g] != tail[f]
+    f, g = f[step], g[step]
+    x, y = tail[g], head[g]
+    for c in chars.tolist():
+        a = signed_operators(signing, [c], "adjacency")[0]
+        b = signed_operators(signing, [c], "nonbacktracking")[0]
+        walk = b[f, g]
+        if not (np.array_equal(a, a.conj().T)
+                and np.count_nonzero(a) == 2 * base.m
+                and np.array_equal(walk, a[x, y])
+                and np.count_nonzero(walk) == f.size == np.count_nonzero(b)):
+            chi = tuple(int(i) for i in
+                        np.unravel_index(c, signing.group.factors))
+            raise RuntimeError(
+                f"B(chi) of character {chi} is not the non-backtracking "
+                "operator of a Hermitian A(chi) supported on the edges, so "
+                "its spectrum does not follow from A(chi) by Ihara-Bass")
 
 
 def _solve_rows(signing: Signing, chars: np.ndarray, kind: str, solve,
@@ -419,17 +490,19 @@ class UnionReport:
 
 def ihara_bass_spectrum(alpha, d: int, excess: int) -> np.ndarray:
     """Non-backtracking spectrum of a d-regular graph (d >= 2) from its
-    adjacency eigenvalues alpha, by the Ihara-Bass theorem.
+    adjacency eigenvalues alpha, by the Ihara-Bass theorem, for each row of
+    alpha (the last axis).
 
     Each alpha contributes the two roots (alpha +- sqrt(alpha^2 - 4 (d-1)))
     / 2 of beta^2 - alpha beta + (d - 1); +1 and -1 each add excess = m - n
-    more copies.
+    more copies.  The same holds for a signed A(chi) and its B(chi), with
+    m and n those of the base.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128).ravel()
+    alpha = np.asarray(alpha, dtype=np.complex128)
     sq = np.sqrt(alpha * alpha - 4.0 * (d - 1))
-    ones = np.ones(excess)
+    ones = np.ones(alpha.shape[:-1] + (excess,))
     return np.concatenate([(alpha + sq) / 2.0, (alpha - sq) / 2.0,
-                           ones, -ones])
+                           ones, -ones], axis=-1)
 
 
 def spectrum_union_check(signing: Signing, tol: float = 1e-8,
@@ -441,13 +514,14 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     the cap of the dense lifted NB solve below; requesting it above the
     cap raises ValueError before any eigensolve.  Both halves report the
     exact bottleneck distance (multiset_max_distance), so passed is
-    decided exactly at tol.  The lift's NB spectrum is ihara_bass_spectrum
-    of its adjacency eigenvalues, unless some eigenvalue lies within
-    IHARA_BASS_MIN_DISC of the double root (or d = 1): then the lifted NB
-    operator is solved densely.  The B(chi) spectra are solved directly,
-    never derived from A(chi): one complex solve per conjugate pair
-    {chi, -chi}, whose partner row is its exact conjugate, and one real
-    solve per self-conjugate chi (see character_spectra).
+    decided exactly at tol.  Both NB multisets follow one rule
+    (_nb_dense): ihara_bass_spectrum of adjacency eigenvalues already
+    solved, the lift's for the lift and each A(chi) row for its B(chi)
+    (character_spectra, which first checks exactly that B(chi) is A(chi)'s
+    non-backtracking operator), unless d = 1 or some eigenvalue lies
+    within IHARA_BASS_MIN_DISC of the double root: then that operator,
+    the lifted NB operator or B(chi), is solved densely, once per
+    conjugate pair {chi, -chi}.  No A(chi) is solved twice.
     """
     base = signing.base
     nb_dim = 2 * base.m * signing.group.fiber_size
@@ -461,20 +535,18 @@ def spectrum_union_check(signing: Signing, tol: float = 1e-8,
     mults = signing.group.character_multiplicities()
     counts = np.fromiter(mults.values(), dtype=np.int64, count=len(mults))
     chars = np.flatnonzero(counts)
-    union = np.repeat(character_spectra(signing, chars, "adjacency"),
-                      counts[chars], axis=0)
+    rows = character_spectra(signing, chars, "adjacency")
     alpha = adjacency_spectrum(lifted)
-    adj_dist = multiset_max_distance(alpha, union)
+    adj_dist = multiset_max_distance(alpha, np.repeat(rows, counts[chars],
+                                                      axis=0))
     nb_dist = None
     if include_nonbacktracking:
-        union = np.repeat(character_spectra(signing, chars, "nonbacktracking"),
-                          counts[chars], axis=0)
-        d = base.d
-        disc = alpha * alpha - 4.0 * (d - 1)
-        if d >= 2 and np.abs(disc).min() >= IHARA_BASS_MIN_DISC:
-            nb = ihara_bass_spectrum(alpha, d, lifted.m - lifted.n)
-        else:
+        union = np.repeat(character_spectra(signing, chars, "nonbacktracking",
+                                            rows), counts[chars], axis=0)
+        if _nb_dense(alpha, base.d):
             nb = np.linalg.eigvals(nonbacktracking(lifted))
+        else:
+            nb = ihara_bass_spectrum(alpha, base.d, lifted.m - lifted.n)
         # nb repeats values exactly (+-1 each M - N times); the bottleneck
         # matching merges them with their counts
         nb_dist = multiset_max_distance(union, nb)
@@ -568,6 +640,9 @@ def ihara_check(signing: Signing, chi=None) -> IharaReport:
 
     At the trivial character both sides drop their Perron roots: the left
     side is lambda(base) and rho is taken after removing one copy of d - 1.
+    At any other, rho(B(chi)) comes from the A(chi) row by
+    character_spectra's rule, so a B(chi) that is not A(chi)'s
+    non-backtracking operator raises RuntimeError.
     """
     base = signing.base
     d = base.d
@@ -580,9 +655,10 @@ def ihara_check(signing: Signing, chi=None) -> IharaReport:
         rho_b = nb_radius_nontrivial(nonbacktracking(base))
     else:
         idx = signing.group.element_indices([chi])
-        lhs = float(np.abs(character_spectra(signing, idx, "adjacency")).max())
+        row = character_spectra(signing, idx, "adjacency")
+        lhs = float(np.abs(row).max())
         rho_b = float(np.abs(
-            character_spectra(signing, idx, "nonbacktracking")).max())
+            character_spectra(signing, idx, "nonbacktracking", row)).max())
     bound = 2.0 * max(math.sqrt(d - 1), rho_b)
     return IharaReport(lhs, rho_b, bound, trivial,
                        passed=lhs <= bound + 1e-9)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abelift import graphs, kernels, pseudorandom, search, serial
+from abelift import graphs, kernels, pseudorandom, search, serial, spectral
 from abelift.cli import main
 from abelift.graphs import (Signing, complete_graph, cycle_graph, lift,
                             petersen_graph, random_regular)
@@ -78,6 +78,32 @@ def test_spectrum_union_roundtrip(tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_spectrum_union_refuses_a_b_that_is_not_the_nb_operator_of_a(
+        tmp_path, monkeypatch, capsys):
+    base = random_regular(12, 3, seed=4)
+    gp = _write_graph(tmp_path / "g.json", base)
+    sp = _write_signing(tmp_path / "sg.json", Signing.random(
+        base, AbelianGroup.cyclic(4), seed=5))
+    build = graphs.signed_operators
+
+    def one_entry_times_i(signing, chars, kind):
+        stack = build(signing, chars, kind)
+        if kind == "nonbacktracking":
+            i, j = np.argwhere(stack[0])[0]
+            stack[:, i, j] *= 1j
+        return stack
+    monkeypatch.setattr(spectral, "signed_operators", one_entry_times_i)
+    assert main(["spectrum", "--graph", gp, "--signing", sp,
+                 "--check", "union"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "failed": True,
+        "error": "B(chi) of character (0,) is not the non-backtracking "
+                 "operator of a Hermitian A(chi) supported on the edges, so "
+                 "its spectrum does not follow from A(chi) by Ihara-Bass"}
+    assert captured.err == ""
 
 
 def test_spectrum_union_lambdas_equal_the_library_ones(tmp_path):
@@ -365,19 +391,33 @@ def _one_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv, table", [
-    (["gen-base", "--kind", "cycle", "--n", "300000000"], 8 * 300000000 * 2),
+def _table_refusal(table):
+    return (f"{table}-byte neighbour table, above the cap of "
+            f"{graphs.DENSE_BYTES} bytes")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["gen-base", "--kind", "cycle", "--n", "300000000"],
+     _table_refusal(8 * 300000000 * 2)),
     (["gen-base", "--kind", "random", "--n", "100000000", "--d", "3"],
-     8 * 100000000 * 3),
-    (["gen-base", "--kind", "complete", "--n", "100000"], 8 * 100000 * 99999),
+     _table_refusal(8 * 100000000 * 3)),
+    (["gen-base", "--kind", "complete", "--n", "100000"],
+     _table_refusal(8 * 100000 * 99999)),
     (["lift-search", "--mode", "walk", "--ell", str(2 ** 40), "--seeds", "1"],
-     8 * 2 ** 40 * 36),
+     _table_refusal(8 * 2 ** 40 * 36)),
     (["pseudorandom", "hoeffding", "--ell", "1000000000"],
-     8 * 1000000000 * 36)],
-    ids=["cycle", "random", "complete", "walk-aux", "hoeffding-aux"])
+     _table_refusal(8 * 1000000000 * 36)),
+    (["codes", "toric", "--ell", "100000"],
+     f"expanding a 1 x 1 matrix over F2[Z_100000] takes {10 ** 10} bytes, "
+     f"above the cap of {graphs.DENSE_BYTES} bytes"),
+    (["codes", "toric", "--ell", "1000"],
+     f"the product's check matrices take up to {2 * 10 ** 12} bytes each, "
+     f"above the cap of {graphs.DENSE_BYTES} bytes")],
+    ids=["cycle", "random", "complete", "walk-aux", "hoeffding-aux",
+         "toric-expansion", "toric-product"])
 def test_oversized_graphs_are_refused_before_they_allocate(tmp_path, argv,
-                                                           table):
-    if argv[0] != "gen-base":
+                                                           refusal):
+    if argv[0] in ("lift-search", "pseudorandom"):
         argv = argv + ["--graph", _write_graph(tmp_path / "g16.json",
                                                random_regular(16, 3, seed=1))]
     started = time.perf_counter()
@@ -389,8 +429,7 @@ def test_oversized_graphs_are_refused_before_they_allocate(tmp_path, argv,
     line, = proc.stdout.splitlines()
     payload = json.loads(line)
     assert payload["failed"] is True
-    assert (f"{table}-byte neighbour table, above the cap of "
-            f"{graphs.DENSE_BYTES} bytes") in payload["error"]
+    assert refusal in payload["error"]
 
 
 def test_codes_toric_with_distance(tmp_path):

@@ -241,6 +241,29 @@ def test_group_algebra_ring_laws_against_expand():
         assert back.ell == ell and np.array_equal(back.coeffs, A.coeffs)
 
 
+def test_oversized_expansions_are_refused_before_they_allocate():
+    big = GroupAlgebraMatrix.from_polys(100000, [[[0, 1]]])
+    tracemalloc.start()
+    try:
+        for build in (big.expand, lambda: big.matmul(big)):
+            with pytest.raises(ValueError, match=(
+                    r"^expanding a 1 x 1 matrix over F2\[Z_100000\] takes "
+                    r"10000000000 bytes, above the cap of 134217728 bytes$")):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # the two 10^6-byte expansions are built, the 2 TB product is not
+        with pytest.raises(ValueError, match=(
+                r"^the product's check matrices take up to 2000000000000 "
+                r"bytes each, above the cap of 134217728 bytes$")):
+            toric_code(1000)
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert product_peak < 4 << 20
+
+
 def test_group_algebra_expand_roundtrip():
     rng = np.random.default_rng(4)
     polys = [[frozenset(int(x) for x in rng.choice(5, size=2, replace=False))

@@ -184,16 +184,22 @@ def test_a_non_finite_complex_multiset_is_refused(bad):
 
 def test_nb_union_check_allocates_no_dense_complex_matrix():
     base = random_regular(80, 3, seed=1)  # 2M = 1920 at l = 8
-    sg = Signing.random(base, AbelianGroup.cyclic(8), seed=2)
-    tracemalloc.start()
-    try:
-        rep = spectrum_union_check(sg, include_nonbacktracking=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed and rep.nb_distance is not None
-    # a 1920 x 1920 complex difference matrix alone is 56 MiB
-    assert peak < 16 * 2 ** 20
+    # tracemalloc peaks of these checks in bytes while every B(chi) off the
+    # double root was eigensolved, one stack per conjugate-pair class
+    for group, solved_peak in ((AbelianGroup.cyclic(8), 3_355_984),
+                               (AbelianGroup.product([2, 4]), 4_009_284)):
+        sg = Signing.random(base, group, seed=2)
+        spectrum_union_check(sg, include_nonbacktracking=True)  # warm caches
+        tracemalloc.start()
+        try:
+            rep = spectrum_union_check(sg, include_nonbacktracking=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.nb_distance <= 1e-10
+        # the lifted 640 x 640 adjacency matrix alone is 3.125 MiB, and a
+        # 1920 x 1920 complex difference matrix would be 56 MiB
+        assert peak <= solved_peak
 
 
 def test_union_check_signed_triangle():
@@ -292,32 +298,48 @@ def _reference_spectra(signing):
                       for chi in chars]))
 
 
+def _near_double_root(alpha, d) -> bool:
+    """Whether a B(chi) whose A(chi) has eigenvalues alpha is solved
+    densely: d = 1, or an alpha within IHARA_BASS_MIN_DISC of the double
+    root alpha^2 = 4 (d - 1)."""
+    return d < 2 or np.abs(alpha ** 2 - 4 * (d - 1)).min() < \
+        spectral.IHARA_BASS_MIN_DISC
+
+
 def _assert_paired_rows(signing, chars, got, ref, kind):
     """The contract of character_spectra's rows, for either kind.
 
-    A self-conjugate character's row is the real solve of its operator
-    alone and a representative's (or lone character's) the complex solve,
-    bit for bit; a requested -chi > chi gets the exact conjugate of chi's
-    row.  Every row is the reference loop's row as a multiset within 1e-12.
+    Only a character whose partner -chi is not at a smaller requested
+    index is found; a requested -chi > chi gets the exact conjugate of
+    chi's row.  An "adjacency" row is the eigvalsh solve of A(chi) alone,
+    of its real part when chi is self-conjugate, bit for bit.  A
+    "nonbacktracking" row is ihara_bass_spectrum of that row, bit for bit,
+    or near the double root (and at d = 1) the eigvals solve of B(chi)
+    alone, real or complex by the same rule.  Every row is the reference
+    loop's row as a multiset: within 1e-12 for "adjacency", and within
+    1e-10 of the direct eigvals rows for "nonbacktracking".
     """
-    group = signing.group
-    build, solve = {
-        "adjacency": (_reference_adjacency, np.linalg.eigvalsh),
-        "nonbacktracking": (_reference_nonbacktracking, np.linalg.eigvals),
-    }[kind]
+    group, base = signing.group, signing.base
     chars = [int(c) for c in chars]
     for i, c in enumerate(chars):
         chi = group.characters()[c]
         neg = group.element_indices([group.inverse(chi)])[0]
-        mat = build(signing, chi)
-        if neg == c:
-            assert not mat.imag.any()
-            assert np.array_equal(got[i], solve(mat.real))
-        elif neg < c and neg in chars:
+        if neg < c and neg in chars:
             assert np.array_equal(got[i], got[chars.index(neg)].conj())
         else:
-            assert np.array_equal(got[i], solve(mat))
-        assert multiset_max_distance(got[i], ref[c]) <= 1e-12
+            a = _reference_adjacency(signing, chi)
+            if neg == c:
+                assert not a.imag.any()
+                a = a.real
+            want = np.linalg.eigvalsh(a)
+            if kind == "nonbacktracking" and _near_double_root(want, base.d):
+                b = _reference_nonbacktracking(signing, chi)
+                want = np.linalg.eigvals(b.real if neg == c else b)
+            elif kind == "nonbacktracking":
+                want = ihara_bass_spectrum(want, base.d, base.m - base.n)
+            assert np.array_equal(got[i], want)
+        tol = 1e-12 if kind == "adjacency" else 1e-10
+        assert multiset_max_distance(got[i], ref[c]) <= tol
 
 
 @pytest.mark.parametrize("group", [
@@ -357,8 +379,10 @@ def test_batched_spectra_equal_the_per_character_loop(group):
     rep = spectrum_union_check(sg, include_nonbacktracking=True)
     assert rep.adjacency_distance == multiset_max_distance(alpha,
                                                            union(rows))
+    # Ihara-Bass on both sides: each A(chi) row for its B(chi), and the
+    # lift's adjacency eigenvalues for its NB operator
     assert rep.nb_distance == multiset_max_distance(
-        union(nb_rows),
+        union(ihara_bass_spectrum(rows, base.d, base.m - base.n)),
         ihara_bass_spectrum(alpha, base.d, lifted.m - lifted.n))
     assert multiset_max_distance(union(nb_ref),
                                  np.linalg.eigvals(nonbacktracking(lifted))
@@ -409,21 +433,50 @@ def _spy_dense_nb(monkeypatch):
     return calls
 
 
+def _spy_eigvals(monkeypatch):
+    """Record (dimension, dtype kind, operators) of every eigvals call."""
+    seen = []
+    solve = np.linalg.eigvals
+
+    def spy(a):
+        seen.append((a.shape[-1], a.dtype.kind, a.size // a.shape[-1] ** 2))
+        return solve(a)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return seen
+
+
+def _b_solves(seen, base):
+    """The (dtype kind, operators) of the recorded eigvals calls on stacks
+    of B(chi) of `base` (2m x 2m, not the lifted NB operator)."""
+    return [(kind, ops) for dim, kind, ops in seen if dim == 2 * base.m]
+
+
 def test_union_check_solves_the_lifted_nb_densely_only_at_the_double_root(
         monkeypatch):
     calls = _spy_dense_nb(monkeypatch)
-    # every lift of a cycle has alpha = 2 = 2 sqrt(d - 1): the dense path
-    rep = spectrum_union_check(_signed_triangle())
+    seen = _spy_eigvals(monkeypatch)
+    # every lift of a cycle has alpha = 2 = 2 sqrt(d - 1): the dense path;
+    # so do both characters of the signed triangle (chi(s) = 1 and -1 on an
+    # odd cycle), each solved as a real B(chi)
+    sg = _signed_triangle()
+    rep = spectrum_union_check(sg)
     assert calls == [6] and rep.passed
-    # d = 1: a perfect matching has m < n, so no Ihara-Bass excess exists
-    rep = spectrum_union_check(Signing.random(
-        RegularGraph([[1], [0]]), AbelianGroup.cyclic(3), seed=1))
+    assert _b_solves(seen, sg.base) == [("f", 2)]
+    # d = 1: a perfect matching has m < n, so no Ihara-Bass excess exists,
+    # on either side; characters 1 and 2 of Z_3 are one conjugate pair
+    seen.clear()
+    sg = Signing.random(RegularGraph([[1], [0]]), AbelianGroup.cyclic(3),
+                        seed=1)
+    rep = spectrum_union_check(sg)
     assert calls == [6, 6] and rep.passed and rep.nb_distance == 0.0
+    assert _b_solves(seen, sg.base) == [("f", 1), ("c", 1)]
     calls.clear()
+    seen.clear()
     base = random_regular(12, 3, seed=4)
     rep = spectrum_union_check(Signing.random(base, AbelianGroup.cyclic(4),
                                               seed=5))
-    assert calls == [] and rep.passed and rep.nb_distance <= 1e-10
+    assert calls == [] and seen == []
+    assert rep.passed and rep.nb_distance <= 1e-10
 
 
 def test_union_check_gates_the_nb_half_before_any_eigensolve(monkeypatch):
@@ -463,55 +516,187 @@ def test_degenerate_identity_lifts_pass_the_nb_union_check(base, ell):
     assert rep.passed and rep.nb_distance is not None
 
 
+_ORACLE_GROUPS = {
+    "Z2": AbelianGroup.cyclic(2), "Z3": AbelianGroup.cyclic(3),
+    "Z8": AbelianGroup.cyclic(8), "Z16": AbelianGroup.cyclic(16),
+    "Z2xZ4": AbelianGroup.product([2, 4]),
+}
+
+
+def _oracle_signings():
+    """(label, signing): 14 random signings of random d-regular bases for
+    each d in {3, 4, 5} and each group (210), each base's identity signing
+    (a disconnected lift), random signings of C_5 and C_6 (d = 2, where
+    the trivial character sits on the double root), and the d = 1
+    matching."""
+    for d, n in ((3, 10), (4, 9), (5, 8)):
+        bases = [random_regular(n, d, seed=seed) for seed in range(14)]
+        for name, group in _ORACLE_GROUPS.items():
+            for seed, base in enumerate(bases):
+                yield f"d{d}-{name}-{seed}", Signing.random(base, group, seed)
+            yield f"d{d}-{name}-identity", Signing.identity(base, group)
+    for name, group in _ORACLE_GROUPS.items():
+        for n in (5, 6):
+            yield f"C{n}-{name}", Signing.random(cycle_graph(n), group, seed=n)
+        yield f"matching-{name}", Signing.random(RegularGraph([[1], [0]]),
+                                                 group, seed=1)
+
+
+def test_nb_rows_equal_the_direct_b_eigensolves():
+    """Every character_spectra "nonbacktracking" row is, as a multiset, the
+    direct eigvals row of its B(chi) within 1e-10, and every union check
+    still finds its NB distance within 1e-10."""
+    labels = []
+    for label, sg in _oracle_signings():
+        every = np.arange(sg.group.order)
+        rows = character_spectra(sg, every, "nonbacktracking")
+        oracle = np.linalg.eigvals(
+            graphs.signed_operators(sg, every, "nonbacktracking"))
+        for chi, (row, want) in enumerate(zip(rows, oracle)):
+            assert multiset_max_distance(row, want) <= 1e-10, (label, chi)
+        rep = spectrum_union_check(sg, include_nonbacktracking=True)
+        assert rep.passed and rep.nb_distance <= 1e-10, label
+        labels.append(label)
+    assert len(labels) == 210 + 15 + 10 + 5
+
+
+def _at_first_entry(stack, factor):
+    """Multiply the first nonzero entry (row-major, of the first operator)
+    of every operator in the stack by factor."""
+    i, j = np.argwhere(stack[0])[0]
+    stack[:, i, j] *= factor
+    return stack
+
+
+def _swap_in_out(stack):
+    """B[out slot, in slot] where B[in slot, out slot] was: the operator
+    P conj(B) P, P reversing every directed edge, whose spectrum is the
+    conjugate of B's, so no eigensolve of a B(chi) would notice it."""
+    rev = np.arange(stack.shape[-1]) ^ 1
+    return stack.conj()[:, rev][:, :, rev]
+
+
+def _drop_reverse_conjugate(stack):
+    """chi(s_e) on a reversed edge 2e + 1, in place of its conjugate."""
+    stack[:, :, 1::2] = stack[:, :, 1::2].conj()
+    return stack
+
+
+# a fault injected into graphs.signed_operators's output, the kind it hits,
+# and the character the union check of a Z_4 signing first finds it at
+_MUTANTS = {
+    "entry-times-i": ("nonbacktracking", lambda s: _at_first_entry(s, 1j),
+                      (0,)),
+    "in-out-swapped": ("nonbacktracking", _swap_in_out, (0,)),
+    "reverse-conjugate-dropped": ("nonbacktracking", _drop_reverse_conjugate,
+                                  (1,)),
+    "step-missing": ("nonbacktracking", lambda s: _at_first_entry(s, 0), (0,)),
+    # an upper-triangle entry: eigvalsh reads the lower one, so the
+    # A(chi) spectra do not change
+    "non-hermitian-a": ("adjacency", lambda s: _at_first_entry(s, 1j), (0,)),
+}
+
+
+def _install_mutant(monkeypatch, name):
+    """Make spectral build its operators through the named mutant."""
+    kind, change, _ = _MUTANTS[name]
+    build = graphs.signed_operators
+
+    def mutant(signing, chars, k):
+        stack = build(signing, chars, k)
+        return change(stack) if k == kind else stack
+    monkeypatch.setattr(spectral, "signed_operators", mutant)
+
+
+@pytest.mark.parametrize("name", list(_MUTANTS))
+def test_a_b_that_is_not_the_nb_operator_of_a_is_refused(monkeypatch, name):
+    sg = Signing.random(random_regular(12, 3, seed=4), AbelianGroup.cyclic(4),
+                        seed=5)
+    _install_mutant(monkeypatch, name)
+
+    def refusal(chi):
+        return re.escape(f"B(chi) of character {chi} is not the "
+                         "non-backtracking operator of a Hermitian A(chi)")
+    with pytest.raises(RuntimeError, match=refusal(_MUTANTS[name][2])):
+        spectrum_union_check(sg, include_nonbacktracking=True)
+    with pytest.raises(RuntimeError, match=refusal((1,))):
+        ihara_check(sg, (1,))
+    assert spectrum_union_check(sg, include_nonbacktracking=False).passed
+
+
 def test_non_transitive_group_has_zero_multiplicity_characters():
     mults = _NON_TRANSITIVE.character_multiplicities()
     assert mults == {(0, 0): 3, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
 
+def _cycle_signing(n, group, voltage) -> Signing:
+    """C_n with the group element `voltage` on one edge: on an odd cycle
+    A(chi) has the double root +-2 exactly when chi(voltage) = +-1, on an
+    even one when chi(voltage) = 1."""
+    sg = Signing.identity(cycle_graph(n), group)
+    sg.values[0] = voltage
+    return sg
+
+
 def test_chunked_stacks_equal_one_stack(monkeypatch):
     base = random_regular(12, 3, seed=4)
     sg = Signing.random(base, AbelianGroup.cyclic(16), seed=6)
-    for kind, ref, dim in zip(["adjacency", "nonbacktracking"],
-                              _reference_spectra(sg), [base.n, 2 * base.m]):
-        whole = character_spectra(sg, np.arange(16), kind)
-        _assert_paired_rows(sg, np.arange(16), whole, ref, kind)
+    # chi(8) = +-1 for every chi: every B(chi) of this triangle is solved
+    triangle = _cycle_signing(3, AbelianGroup.cyclic(16), [8])
+    for signing, kind in ((sg, "adjacency"), (sg, "nonbacktracking"),
+                          (triangle, "nonbacktracking")):
+        ref = _reference_spectra(signing)[kind == "nonbacktracking"]
+        dim = signing.base.n if kind == "adjacency" else 2 * signing.base.m
+        whole = character_spectra(signing, np.arange(16), kind)
+        _assert_paired_rows(signing, np.arange(16), whole, ref, kind)
         # three operators per stack: the real chunk {0, 8}, then complex
         # chunks of 3, 3 and 1 of the representatives 1..7
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "STACK_BYTES", 3 * 16 * dim ** 2 + 1)
-            assert np.array_equal(character_spectra(sg, np.arange(16), kind),
-                                  whole)
+            assert np.array_equal(
+                character_spectra(signing, np.arange(16), kind), whole)
 
 
-@pytest.mark.parametrize("group, real, complex_", [
-    (AbelianGroup.cyclic(8), 2, 3),
-    (AbelianGroup.product([2, 4]), 4, 2),
-    (AbelianGroup.cyclic(2), 2, 0),
+@pytest.mark.parametrize("group, n, voltage, real, complex_", [
+    (AbelianGroup.cyclic(8), 3, [2], 2, 1),
+    (AbelianGroup.product([2, 4]), 4, [1, 2], 2, 1),
+    (AbelianGroup.cyclic(2), 4, [1], 1, 0),
     ], ids=["Z8", "Z2xZ4", "Z2"])
-def test_union_check_solves_one_b_per_conjugate_pair(monkeypatch, group,
-                                                      real, complex_):
-    base = random_regular(12, 3, seed=4)
-    sg = Signing.random(base, group, seed=5)
-    seen = {"f": 0, "c": 0}
-    solve = np.linalg.eigvals
-
-    def spy(a):
-        if a.shape[-1] == 2 * base.m:  # B(chi) stacks, not a lifted operator
-            seen[a.dtype.kind] += a.size // a.shape[-1] ** 2
-        return solve(a)
-    monkeypatch.setattr(np.linalg, "eigvals", spy)
-    assert spectrum_union_check(sg, include_nonbacktracking=True).passed
-    assert seen == {"f": real, "c": complex_}
+def test_union_check_solves_one_b_per_conjugate_pair(monkeypatch, group, n,
+                                                      voltage, real, complex_):
+    """No B(chi) is eigensolved off the double root; on it, one per
+    conjugate pair {chi, -chi}, and a self-conjugate one as real."""
+    seen = _spy_eigvals(monkeypatch)
+    assert spectrum_union_check(Signing.random(random_regular(12, 3, seed=4),
+                                               group, seed=5),
+                                include_nonbacktracking=True).passed
+    assert seen == []
+    # Z8 on C_3, voltage 2: chi = 0, 4 and the pair {2, 6} are on the root;
+    # Z2 x Z4 on C_4, voltage (1, 2): (0, 0), (0, 2) and {(1, 1), (1, 3)};
+    # Z2 on C_4: the trivial character alone
+    sg = _cycle_signing(n, group, voltage)
+    rep = spectrum_union_check(sg, include_nonbacktracking=True)
+    assert rep.passed and rep.nb_distance <= 1e-10
+    assert sorted(_b_solves(seen, sg.base)) == (
+        [("c", 1)] * complex_ + [("f", real)])
 
 
 def test_a_character_without_its_partner_is_solved_alone():
     sg = Signing.random(random_regular(12, 3, seed=4), AbelianGroup.cyclic(8),
                         seed=5)
-    alone = np.linalg.eigvals(_reference_nonbacktracking(sg, (1,)))
+    alone = ihara_bass_spectrum(
+        np.linalg.eigvalsh(_reference_adjacency(sg, (1,))), 3, 6)
     assert np.array_equal(character_spectra(sg, [1], "nonbacktracking"),
                           alone[None])
     # with its partner 7 the row is unchanged and 7 gets its conjugate
     both = character_spectra(sg, [7, 1], "nonbacktracking")
+    assert np.array_equal(both, np.stack([alone.conj(), alone]))
+    # on the double root (chi = 2 of this triangle) B(chi) itself is solved
+    triangle = _cycle_signing(3, AbelianGroup.cyclic(8), [2])
+    alone = np.linalg.eigvals(_reference_nonbacktracking(triangle, (2,)))
+    assert np.array_equal(character_spectra(triangle, [2], "nonbacktracking"),
+                          alone[None])
+    both = character_spectra(triangle, [6, 2], "nonbacktracking")
     assert np.array_equal(both, np.stack([alone.conj(), alone]))
 
 
